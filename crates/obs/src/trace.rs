@@ -5,8 +5,12 @@
 //! draining with [`take_trace`] yields a tree mirroring the pipeline's
 //! call structure. Each span's wall time is also recorded into the global
 //! registry's histogram of the same name.
+//!
+//! A thread that never drains — a server worker — keeps only its
+//! `MAX_ROOTS` most recent root spans; older ones are dropped.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -89,9 +93,14 @@ struct PendingSpan {
     children: Vec<SpanNode>,
 }
 
+/// Root spans a thread retains between [`take_trace`] calls. A run that
+/// wants its whole tree opens one root around it, so the bound only ever
+/// cuts the history of a thread nobody drains.
+const MAX_ROOTS: usize = 256;
+
 thread_local! {
     static STACK: RefCell<Vec<PendingSpan>> = const { RefCell::new(Vec::new()) };
-    static ROOTS: RefCell<Vec<SpanNode>> = const { RefCell::new(Vec::new()) };
+    static ROOTS: RefCell<VecDeque<SpanNode>> = const { RefCell::new(VecDeque::new()) };
 }
 
 /// Opens a timed span; the returned guard closes it on drop.
@@ -138,7 +147,13 @@ impl Drop for SpanGuard {
             Some(root) => (root.name.clone(), root.duration.as_secs_f64()),
             None => return record_nested(),
         };
-        ROOTS.with(|roots| roots.borrow_mut().push(node.unwrap()));
+        ROOTS.with(|roots| {
+            let mut roots = roots.borrow_mut();
+            if roots.len() == MAX_ROOTS {
+                roots.pop_front();
+            }
+            roots.push_back(node.unwrap());
+        });
         record(&name, seconds);
     }
 }
@@ -159,7 +174,8 @@ fn record(name: &str, seconds: f64) {
     registry.emit_value(name, EventKind::SpanEnd { seconds });
 }
 
-/// Drains and returns the current thread's completed root spans.
+/// Drains and returns the current thread's completed root spans, oldest
+/// first. A thread retains at most its 256 most recent roots between drains.
 pub fn take_trace() -> TraceTree {
     TraceTree { roots: ROOTS.with(|roots| roots.borrow_mut().drain(..).collect()) }
 }
@@ -205,6 +221,17 @@ mod tests {
         }
         assert_eq!(take_trace().len(), 1);
         assert!(take_trace().is_empty());
+    }
+
+    #[test]
+    fn an_undrained_thread_keeps_only_the_most_recent_roots() {
+        let _ = take_trace();
+        for i in 0..10_000 {
+            let _root = span(if i < 9_999 { "undrained.root" } else { "undrained.last" });
+        }
+        let trace = take_trace();
+        assert_eq!(trace.len(), MAX_ROOTS);
+        assert_eq!(trace.roots.last().unwrap().name, "undrained.last");
     }
 
     #[test]

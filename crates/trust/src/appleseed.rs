@@ -21,8 +21,44 @@
 //! distrusted node and forwards nothing. This is the one-step distrust
 //! handling Ziegler & Lausen argue for; enable it via
 //! [`AppleseedParams::distrust`].
+//!
+//! # The kernel
+//!
+//! A run touches the graph once per wave node. When a node first holds
+//! energy its out-star is *resolved* into flat per-run arenas: every weight
+//! raised to `spreading_power`, their sum with the backward edge, and every
+//! successor looked up in (or added to) the wave. Each later iteration is a
+//! straight pass `energy_next[succ[k]] += forward * powered[k] / total` over
+//! those arrays — no `powf`, no lookup, no graph access.
+//!
+//! Resolving once is sound because nothing it records can change later in
+//! the run: weights and hop distances are fixed, a node's wave index never
+//! moves, and the wave only grows. In particular, once `max_nodes` is hit no
+//! node is ever discovered again, so a successor that is unknown at that
+//! moment stays unknown, and "reroute this edge to the source" (trust) or
+//! "drop this edge" (distrust) can be frozen into the arenas.
+//!
+//! **Bit-identity contract.** The kernel returns exactly what the
+//! straightforward loop returns (kept as the test oracle in
+//! `appleseed/oracle.rs`): the same `f64` bits for every rank, the same
+//! `iterations`, `nodes_discovered` and `converged`, and the same
+//! `appleseed.*` metrics. No tolerance is involved, because no float
+//! operation is reassociated: a share is still `forward * w.powf(p) / total`
+//! (the `powf` result is cached, not re-derived; the division is not turned
+//! into a multiplication by a reciprocal), nodes are discovered in the same
+//! order, and every accumulator receives the same addends in the same
+//! order. The one liberty taken is between *different* accumulators: a
+//! star's edges that end at the source are stored apart from those that end
+//! elsewhere, each group in edge order, so that the source's energy — where
+//! most edges of a capped wave end — is summed in a register.
+//!
+//! The wave, the arenas and a dense agent-id → wave-index table live in a
+//! per-thread scratch that is reused from run to run, so after warm-up a run
+//! allocates only the ranking it returns. The scratch keeps the capacity of
+//! the largest wave it has held and eight bytes per agent of the largest
+//! graph it has seen.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 use crate::agent::AgentId;
 use crate::csr::CsrGraph;
@@ -35,6 +71,9 @@ use crate::graph::TrustGraph;
 /// one metric implementation serves both layouts — and because both
 /// iterate edges in the identical (trustee-sorted) order, the two produce
 /// bit-identical ranks.
+///
+/// Every [`AgentId`] an implementation yields must index below
+/// [`TrustTopology::agent_count`].
 pub trait TrustTopology {
     /// Number of agents `n = |A|`.
     fn agent_count(&self) -> usize;
@@ -191,16 +230,6 @@ impl AppleseedResult {
     }
 }
 
-/// Per-node state inside the computation.
-struct NodeState {
-    agent: AgentId,
-    /// Hop distance from the source at discovery time.
-    distance: u32,
-    rank: f64,
-    energy_in: f64,
-    energy_next: f64,
-}
-
 /// Runs Appleseed for `source` over an adjacency-list graph.
 pub fn appleseed(
     graph: &TrustGraph,
@@ -231,157 +260,439 @@ pub fn appleseed_on<G: TrustTopology>(
         return Err(TrustError::UnknownAgent(source.index()));
     }
 
-    // Observability: runs/iterations/nodes counters plus the per-iteration
-    // energy residual (`max_delta`) as a histogram. Handles are fetched
-    // once per run; the loop itself only touches atomics.
     let _span = semrec_obs::span("appleseed.run");
     semrec_obs::counter("appleseed.runs").inc();
-    let iterations_counter = semrec_obs::counter("appleseed.iterations");
-    let residual_histogram = semrec_obs::histogram("appleseed.residual");
 
-    let d = params.spreading_factor;
-    let mut nodes: Vec<NodeState> = vec![NodeState {
-        agent: source,
-        distance: 0,
-        rank: 0.0,
-        energy_in: params.injection,
-        energy_next: 0.0,
-    }];
-    let mut local: HashMap<AgentId, usize> = HashMap::from([(source, 0)]);
+    // Taking the scratch out (rather than borrowing it) leaves an empty one
+    // behind, so a `TrustTopology` that itself runs Appleseed still works.
+    let mut scratch = SCRATCH.take();
+    let result = scratch.run(graph, source, params);
+    SCRATCH.set(scratch);
 
-    let mut iterations = 0;
-    let mut converged = false;
-    while iterations < params.max_iterations {
-        iterations += 1;
-        iterations_counter.inc();
-        let mut max_delta: f64 = 0.0;
+    semrec_obs::counter("appleseed.nodes_explored").add(result.nodes_discovered as u64);
+    Ok(result)
+}
 
-        for i in 0..nodes.len() {
-            let energy = nodes[i].energy_in;
-            if energy <= 0.0 {
-                continue;
-            }
-            nodes[i].energy_in = 0.0;
+thread_local! {
+    /// One scratch per thread, so a serving worker's requests allocate
+    /// nothing in the kernel once its buffers have grown to the largest wave
+    /// (and the dense index to the largest graph) the thread has seen.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
 
-            // Keep (1 - d), forward d.
-            let kept = (1.0 - d) * energy;
-            nodes[i].rank += kept;
-            max_delta = max_delta.max(kept);
-            let forward = d * energy;
+/// A wave node's resolved out-star, as ranges of the arenas, plus the
+/// normalisation sum over all its statements and the backward edge.
+#[derive(Clone, Copy)]
+struct Star {
+    /// `start..pos_end` of the edge arenas: trust edges into the wave.
+    start: usize,
+    /// `pos_end..end` of the edge arenas: distrust edges into the wave.
+    pos_end: usize,
+    end: usize,
+    /// `source_start..source_end` of `Scratch::source_powered`.
+    source_start: usize,
+    source_end: usize,
+    total_weight: f64,
+}
 
-            let agent = nodes[i].agent;
-            let at_range_limit =
-                params.max_range.is_some_and(|r| nodes[i].distance >= r);
-            let distance = nodes[i].distance;
+impl Star {
+    /// The star of a node that has not forwarded energy yet.
+    const UNEXPANDED: Star = Star {
+        start: usize::MAX,
+        pos_end: 0,
+        end: 0,
+        source_start: 0,
+        source_end: 0,
+        total_weight: 0.0,
+    };
+}
 
-            // Collect this node's effective out-edges. Nodes at the range
-            // limit keep only the backward edge.
-            let power = params.spreading_power;
-            let mut pos_sum = 0.0;
-            let mut neg_sum = 0.0;
-            if !at_range_limit {
-                for (_, w) in graph.positive_out(agent) {
-                    pos_sum += w.powf(power);
-                }
-                if params.distrust {
-                    for (_, w) in graph.negative_out(agent) {
-                        neg_sum += (-w).powf(power);
-                    }
-                }
-            }
-            let backward = if agent == source { 0.0 } else { params.backward_weight };
-            let total_weight = pos_sum + neg_sum + backward;
-            if total_weight <= 0.0 {
-                // Source without positive statements: energy evaporates;
-                // nothing to rank.
-                continue;
-            }
+/// Reusable state of one Appleseed run; see the module docs.
+#[derive(Default)]
+struct Scratch {
+    // The wave, one entry per discovered node in discovery order (the
+    // source is node 0), as parallel arrays.
+    agent: Vec<AgentId>,
+    /// Hop distance from the source at discovery time.
+    distance: Vec<u32>,
+    rank: Vec<f64>,
+    energy_in: Vec<f64>,
+    energy_next: Vec<f64>,
+    star: Vec<Star>,
+    // The edge arenas, filled node by node on first expansion: the
+    // successor's wave index (never 0 for a trust edge) and the weight
+    // raised to `spreading_power`.
+    succ: Vec<u32>,
+    powered: Vec<f64>,
+    /// Powered weights of the trust edges that feed the source: statements
+    /// about the source itself and edges rerouted by `max_nodes`.
+    source_powered: Vec<f64>,
+    // Dense agent id → wave index: `wave_index[a]` is valid iff
+    // `stamp[a] == generation`, so starting a run is one increment instead
+    // of a clear.
+    wave_index: Vec<u32>,
+    stamp: Vec<u32>,
+    generation: u32,
+}
 
-            if backward > 0.0 {
-                nodes[0].energy_next += forward * backward / total_weight;
-            }
-            if !at_range_limit {
-                for (succ, w) in graph.positive_out(agent) {
-                    let share = forward * w.powf(power) / total_weight;
-                    let idx = match local.get(&succ) {
-                        Some(&idx) => idx,
-                        None => {
-                            if params.max_nodes.is_some_and(|cap| nodes.len() >= cap) {
-                                // Capacity reached: reroute to the source.
-                                nodes[0].energy_next += share;
-                                continue;
-                            }
-                            let idx = nodes.len();
-                            local.insert(succ, idx);
-                            nodes.push(NodeState {
-                                agent: succ,
-                                distance: distance + 1,
-                                rank: 0.0,
-                                energy_in: 0.0,
-                                energy_next: 0.0,
-                            });
-                            idx
-                        }
-                    };
-                    nodes[idx].energy_next += share;
-                }
-                if params.distrust {
-                    for (succ, w) in graph.negative_out(agent) {
-                        let share = forward * (-w).powf(power) / total_weight;
-                        // Terminal penalty: deposited as negative rank on
-                        // already-discovered nodes; statements about agents
-                        // the wave never reaches positively are recorded too.
-                        let idx = match local.get(&succ) {
-                            Some(&idx) => idx,
-                            None => {
-                                if params.max_nodes.is_some_and(|cap| nodes.len() >= cap) {
-                                    continue;
-                                }
-                                let idx = nodes.len();
-                                local.insert(succ, idx);
-                                nodes.push(NodeState {
-                                    agent: succ,
-                                    distance: distance + 1,
-                                    rank: 0.0,
-                                    energy_in: 0.0,
-                                    energy_next: 0.0,
-                                });
-                                idx
-                            }
-                        };
-                        nodes[idx].rank -= share;
-                        max_delta = max_delta.max(share);
-                    }
-                }
-            }
+impl Scratch {
+    /// Empties the wave and makes room for a graph of `agents` agents.
+    fn reset(&mut self, agents: usize) {
+        self.agent.clear();
+        self.distance.clear();
+        self.rank.clear();
+        self.energy_in.clear();
+        self.energy_next.clear();
+        self.star.clear();
+        self.succ.clear();
+        self.powered.clear();
+        self.source_powered.clear();
+        if self.stamp.len() < agents {
+            self.stamp.resize(agents, 0);
+            self.wave_index.resize(agents, 0);
         }
-
-        for node in &mut nodes {
-            node.energy_in += node.energy_next;
-            node.energy_next = 0.0;
-        }
-
-        residual_histogram.observe(max_delta);
-        if max_delta < params.convergence {
-            converged = true;
-            break;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
         }
     }
-    semrec_obs::counter("appleseed.nodes_explored").add(nodes.len() as u64);
 
-    let mut ranks: Vec<(AgentId, f64)> = nodes
-        .iter()
-        .filter(|n| n.agent != source)
-        .map(|n| (n.agent, n.rank))
-        .collect();
-    ranks.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    /// Appends `agent` to the wave and returns its index.
+    fn discover(&mut self, agent: AgentId, distance: u32) -> u32 {
+        let idx = self.agent.len() as u32;
+        self.agent.push(agent);
+        self.distance.push(distance);
+        self.rank.push(0.0);
+        self.energy_in.push(0.0);
+        self.energy_next.push(0.0);
+        self.star.push(Star::UNEXPANDED);
+        self.wave_index[agent.index()] = idx;
+        self.stamp[agent.index()] = self.generation;
+        idx
+    }
 
-    Ok(AppleseedResult { ranks, iterations, nodes_discovered: nodes.len(), converged })
+    /// The wave index of the agent parked at `succ[k]`, discovering it if
+    /// the wave may still grow. Once `max_nodes` is hit no node is ever
+    /// discovered again, so an unknown successor stays unknown and `None`
+    /// is final: the caller can freeze the cap decision into the arenas.
+    fn resolve(&mut self, k: usize, distance: u32, params: &AppleseedParams) -> Option<u32> {
+        let succ = AgentId(self.succ[k]);
+        if self.stamp[succ.index()] == self.generation {
+            Some(self.wave_index[succ.index()])
+        } else if params.max_nodes.is_some_and(|cap| self.agent.len() >= cap) {
+            None
+        } else {
+            Some(self.discover(succ, distance + 1))
+        }
+    }
+
+    /// Moves the edge parked at `k` down to `at`, now with its wave index.
+    fn settle(&mut self, at: &mut usize, k: usize, idx: u32) {
+        self.succ[*at] = idx;
+        self.powered[*at] = self.powered[k];
+        *at += 1;
+    }
+
+    /// Resolves node `i`'s out-star into the arenas, discovering its
+    /// successors. Runs once per node, when it first holds energy — the
+    /// moment the reference loop walks these edges for the first time, so
+    /// discovery order is the same.
+    fn expand<G: TrustTopology>(&mut self, i: usize, graph: &G, params: &AppleseedParams) {
+        let agent = self.agent[i];
+        let distance = self.distance[i];
+        let power = params.spreading_power;
+        let start = self.succ.len();
+        let source_start = self.source_powered.len();
+
+        // First pass: power and sum the weights, parking each successor's
+        // agent id in `succ`. Nodes at the range limit keep only the
+        // backward edge.
+        let mut pos_sum = 0.0;
+        let mut neg_sum = 0.0;
+        let mut raw_pos_end = start;
+        let at_range_limit = params.max_range.is_some_and(|r| distance >= r);
+        if !at_range_limit {
+            for (succ, w) in graph.positive_out(agent) {
+                let pw = w.powf(power);
+                pos_sum += pw;
+                self.succ.push(succ.0);
+                self.powered.push(pw);
+            }
+            raw_pos_end = self.succ.len();
+            if params.distrust {
+                for (succ, w) in graph.negative_out(agent) {
+                    let pw = (-w).powf(power);
+                    neg_sum += pw;
+                    self.succ.push(succ.0);
+                    self.powered.push(pw);
+                }
+            }
+        }
+        let raw_end = self.succ.len();
+        let backward = if i == 0 { 0.0 } else { params.backward_weight };
+        let total_weight = pos_sum + neg_sum + backward;
+
+        // Second pass, in edge order: agent id → wave index, compacting the
+        // parked edges in place (`at` never overtakes `k`). A trust edge
+        // that ends at the source — a statement about it, or any edge the
+        // cap reroutes — moves to `source_powered`; a distrust edge the cap
+        // cuts off is dropped. A source without positive statements
+        // (`total_weight` 0) lets its energy evaporate and discovers nothing.
+        let mut at = start;
+        let mut pos_end = start;
+        if total_weight > 0.0 {
+            for k in start..raw_pos_end {
+                match self.resolve(k, distance, params) {
+                    None | Some(0) => self.source_powered.push(self.powered[k]),
+                    Some(idx) => self.settle(&mut at, k, idx),
+                }
+            }
+            pos_end = at;
+            for k in raw_pos_end..raw_end {
+                if let Some(idx) = self.resolve(k, distance, params) {
+                    self.settle(&mut at, k, idx);
+                }
+            }
+        }
+        self.succ.truncate(at);
+        self.powered.truncate(at);
+        self.star[i] = Star {
+            start,
+            pos_end,
+            end: at,
+            source_start,
+            source_end: self.source_powered.len(),
+            total_weight,
+        };
+    }
+
+    fn run<G: TrustTopology>(
+        &mut self,
+        graph: &G,
+        source: AgentId,
+        params: &AppleseedParams,
+    ) -> AppleseedResult {
+        // Observability: the iterations counter plus the per-iteration
+        // energy residual (`max_delta`) as a histogram. Handles are fetched
+        // once per run; the loop itself only touches atomics.
+        let iterations_counter = semrec_obs::counter("appleseed.iterations");
+        let residual_histogram = semrec_obs::histogram("appleseed.residual");
+
+        self.reset(graph.agent_count());
+        self.discover(source, 0);
+        self.energy_in[0] = params.injection;
+
+        let d = params.spreading_factor;
+        let mut iterations = 0;
+        let mut converged = false;
+        while iterations < params.max_iterations {
+            iterations += 1;
+            iterations_counter.inc();
+            let mut max_delta: f64 = 0.0;
+            // `energy_next[0]`, kept in a register: most edges of a capped
+            // wave end here, and a chain of adds through one memory cell
+            // is the slowest thing the pass could do.
+            let mut to_source = 0.0;
+
+            // Nodes discovered during this pass hold no energy until the
+            // fold below, so the pass covers the wave as it stood.
+            for i in 0..self.agent.len() {
+                let energy = self.energy_in[i];
+                if energy <= 0.0 {
+                    continue;
+                }
+                self.energy_in[i] = 0.0;
+
+                // Keep (1 - d), forward d.
+                let kept = (1.0 - d) * energy;
+                self.rank[i] += kept;
+                max_delta = max_delta.max(kept);
+                let forward = d * energy;
+
+                if self.star[i].start == Star::UNEXPANDED.start {
+                    self.expand(i, graph, params);
+                }
+                let Star { start, pos_end, end, source_start, source_end, total_weight } =
+                    self.star[i];
+                if total_weight <= 0.0 {
+                    continue;
+                }
+
+                // `forward * w / total_weight` is the reference loop's
+                // expression, and every accumulator below receives its
+                // addends in the reference loop's order (the source: the
+                // backward edge, then edge order). Ranks are bit-identical
+                // only as long as neither is rearranged.
+                if i != 0 {
+                    to_source += forward * params.backward_weight / total_weight;
+                }
+                for &pw in &self.source_powered[source_start..source_end] {
+                    to_source += forward * pw / total_weight;
+                }
+                let trust = self.succ[start..pos_end].iter().zip(&self.powered[start..pos_end]);
+                for (&idx, &pw) in trust {
+                    self.energy_next[idx as usize] += forward * pw / total_weight;
+                }
+                // Distrust: a terminal penalty, deposited as negative rank.
+                let distrust = self.succ[pos_end..end].iter().zip(&self.powered[pos_end..end]);
+                for (&idx, &pw) in distrust {
+                    let share = forward * pw / total_weight;
+                    self.rank[idx as usize] -= share;
+                    max_delta = max_delta.max(share);
+                }
+            }
+
+            self.energy_next[0] = to_source;
+            for (energy_in, energy_next) in self.energy_in.iter_mut().zip(&mut self.energy_next) {
+                *energy_in += *energy_next;
+                *energy_next = 0.0;
+            }
+
+            residual_histogram.observe(max_delta);
+            if max_delta < params.convergence {
+                converged = true;
+                break;
+            }
+        }
+
+        // The source is node 0 and appears nowhere else. Agents are unique,
+        // so the comparator is a strict total order and the unstable sort
+        // yields the one possible permutation.
+        let mut ranks: Vec<(AgentId, f64)> =
+            self.agent[1..].iter().copied().zip(self.rank[1..].iter().copied()).collect();
+        ranks.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+
+        AppleseedResult { ranks, iterations, nodes_discovered: self.agent.len(), converged }
+    }
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::{appleseed_reference, bits};
     use super::*;
+
+    /// Asserts the kernel reproduces the oracle on both layouts, and
+    /// returns the result.
+    fn same_as_oracle(g: &TrustGraph, source: AgentId, params: &AppleseedParams) -> AppleseedResult {
+        let expected = bits(&appleseed_reference(g, source, params));
+        let kernel = appleseed(g, source, params).unwrap();
+        assert_eq!(bits(&kernel), expected, "{source} {params:?}");
+        let csr = CsrGraph::from_graph(g);
+        assert_eq!(bits(&appleseed_csr(&csr, source, params).unwrap()), expected);
+        kernel
+    }
+
+    /// A ring with chords and a few distrust statements: `n` agents, every
+    /// one reachable from every other.
+    fn ring(n: usize) -> (TrustGraph, Vec<AgentId>) {
+        let mut g = TrustGraph::with_agents(n);
+        let ids: Vec<_> = g.agents().collect();
+        for i in 0..n {
+            g.set_trust(ids[i], ids[(i + 1) % n], 0.9).unwrap();
+            g.set_trust(ids[i], ids[(i + 3) % n], 0.4).unwrap();
+            if i % 4 == 0 {
+                g.set_trust(ids[i], ids[(i + 2) % n], -0.7).unwrap();
+            }
+        }
+        (g, ids)
+    }
+
+    #[test]
+    fn edge_first_seen_after_the_cap_stays_rerouted() {
+        // s → a, s → b fill the cap of 3. a is expanded one iteration later
+        // and finds c unknown with the cap hit; b → c likewise. Both edges
+        // must keep feeding the source in every later iteration, and a's
+        // distrust of e must keep being dropped.
+        let mut g = TrustGraph::with_agents(6);
+        let ids: Vec<_> = g.agents().collect();
+        g.set_trust(ids[0], ids[1], 1.0).unwrap();
+        g.set_trust(ids[0], ids[2], 0.6).unwrap();
+        g.set_trust(ids[0], ids[3], 0.3).unwrap(); // over the cap at once
+        g.set_trust(ids[1], ids[3], 0.8).unwrap();
+        g.set_trust(ids[1], ids[2], 0.5).unwrap(); // known: a real edge
+        g.set_trust(ids[1], ids[5], -0.9).unwrap();
+        g.set_trust(ids[2], ids[4], 0.7).unwrap();
+        for distrust in [false, true] {
+            let params = AppleseedParams {
+                max_nodes: Some(3),
+                convergence: 1e-9,
+                distrust,
+                ..Default::default()
+            };
+            let res = same_as_oracle(&g, ids[0], &params);
+            assert!(res.iterations > 10, "must run well past the first expansion");
+            assert_eq!(res.nodes_discovered, 3);
+            let ranked: Vec<_> = res.ranks.iter().map(|&(a, _)| a).collect();
+            assert_eq!(ranked, [ids[1], ids[2]]);
+        }
+    }
+
+    #[test]
+    fn source_without_positive_statements() {
+        let mut g = TrustGraph::with_agents(3);
+        let ids: Vec<_> = g.agents().collect();
+        g.set_trust(ids[0], ids[1], -0.5).unwrap();
+        g.set_trust(ids[1], ids[2], 1.0).unwrap();
+        // Distrust off: the source's energy evaporates, nothing is found.
+        let res = same_as_oracle(&g, ids[0], &AppleseedParams::default());
+        assert!(res.ranks.is_empty());
+        assert_eq!((res.nodes_discovered, res.iterations, res.converged), (1, 2, true));
+        // A range of 0 stops the source itself from being expanded.
+        let mut h = g.clone();
+        h.set_trust(ids[0], ids[2], 1.0).unwrap();
+        let res =
+            same_as_oracle(&h, ids[0], &AppleseedParams { max_range: Some(0), ..Default::default() });
+        assert_eq!(res.nodes_discovered, 1);
+        // Distrust on: the one statement is a terminal penalty.
+        let res =
+            same_as_oracle(&g, ids[0], &AppleseedParams { distrust: true, ..Default::default() });
+        assert_eq!(res.nodes_discovered, 2);
+        assert!(res.rank_of(ids[1]) < 0.0);
+    }
+
+    #[test]
+    fn reused_scratch_gives_the_result_of_a_fresh_one() {
+        let (small, small_ids) = ring(7);
+        let (large, large_ids) = ring(60);
+        let capped = AppleseedParams { max_nodes: Some(20), distrust: true, ..Default::default() };
+        let runs = |graphs: &[(&TrustGraph, AgentId)]| -> Vec<_> {
+            graphs.iter().map(|&(g, s)| bits(&appleseed(g, s, &capped).unwrap())).collect()
+        };
+        // Two sources back to back, then a larger graph after a smaller
+        // one, then the smaller again — all on this thread's scratch.
+        let sequence = [
+            (&small, small_ids[0]),
+            (&small, small_ids[4]),
+            (&large, large_ids[33]),
+            (&small, small_ids[0]),
+        ];
+        let reused = runs(&sequence);
+        assert_eq!(reused[0], reused[3]);
+        for (&(g, s), reused) in sequence.iter().zip(&reused) {
+            // A new thread starts from an empty scratch.
+            let fresh = std::thread::scope(|scope| {
+                scope.spawn(|| bits(&appleseed(g, s, &capped).unwrap())).join().unwrap()
+            });
+            assert_eq!(reused, &fresh);
+            assert_eq!(reused, &bits(&appleseed_reference(g, s, &capped)));
+        }
+    }
+
+    #[test]
+    fn stamps_survive_generation_wraparound() {
+        let (g, ids) = ring(9);
+        let params = AppleseedParams::default();
+        let expected = bits(&appleseed_reference(&g, ids[2], &params));
+        let mut scratch = Scratch { generation: u32::MAX - 1, ..Default::default() };
+        for _ in 0..4 {
+            assert_eq!(bits(&scratch.run(&g, ids[2], &params)), expected);
+        }
+        assert_eq!(scratch.generation, 3, "wrapped past 0 to 1, then two more runs");
+    }
 
     /// s → a (1.0), s → b (0.5), a → c (1.0).
     fn chain_graph() -> (TrustGraph, Vec<AgentId>) {

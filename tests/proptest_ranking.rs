@@ -137,6 +137,7 @@ proptest! {
     fn similarity_only_blend_is_rank_order_equivalent(
         (n, trust, ratings) in arb_world(),
     ) {
+        let _serial = lock();
         let community = build(n, &trust, &ratings);
         let baseline = Recommender::new(community.clone(), RecommenderConfig::default());
         let spread = spreading_engine(
@@ -166,6 +167,7 @@ proptest! {
         retention_b in 0.05f64..1.0,
         horizon in 0usize..4,
     ) {
+        let _serial = lock();
         let community = build(n, &trust, &ratings);
         let config = RecommenderConfig::default();
         let profiles = ProfileStore::build(&community, &config.profile);
