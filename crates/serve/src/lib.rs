@@ -10,12 +10,12 @@
 //!   model. A crawl/refresh round publishes a new generation while
 //!   requests are in flight; readers pin the generation they started on,
 //!   and the old one drops with its last reader. Serving never pauses.
-//! * **[`WeightedFairQueue`] / [`BoundedQueue`]** — admission control
-//!   with priority classes. Every request carries a [`Priority`]; at
-//!   capacity, submission fails fast with [`ServeError::Overloaded`] (or
-//!   displaces a strictly-lower-class request) instead of queuing without
-//!   bound, dequeue is deficit-round-robin weighted by class, and requests
-//!   whose virtual-tick deadline passed while queued are shed at dequeue
+//! * **[`WeightedFairQueue`]** — admission control with priority classes.
+//!   Every request carries a [`Priority`]; at capacity, submission fails
+//!   fast with [`ServeError::Overloaded`] (or displaces a
+//!   strictly-lower-class request) instead of queuing without bound,
+//!   dequeue is deficit-round-robin weighted by class, and requests whose
+//!   virtual-tick deadline passed while queued are shed at dequeue
 //!   ([`ServeError::DeadlineExceeded`]) rather than served late.
 //! * **[`Server`]** — the worker pool. Workers drain micro-batches (up to
 //!   `batch_size` per lock acquisition), pin one snapshot per batch, and
@@ -76,7 +76,6 @@ pub mod class;
 pub mod clock;
 pub mod error;
 pub mod loadgen;
-pub mod queue;
 pub mod server;
 pub mod slo;
 pub mod snapshot;
@@ -90,11 +89,10 @@ pub use loadgen::{
     run_load, run_open_loop, run_open_loop_with, ArrivalProcess, ClassReport, LoadGenConfig,
     LoadReport, OpenLoopConfig, OpenLoopReport,
 };
-pub use queue::{BoundedQueue, PushRefused};
 pub use server::{
     ClassStats, DrainOutcome, PublishReport, ServeConfig, ServeStats, ServedResponse, Server,
     Ticket,
 };
 pub use slo::{ScalerConfig, SloConfig, SloController, WorkerScaler};
 pub use snapshot::{ModelSnapshot, SnapshotSwitch};
-pub use wfq::{Admitted, WeightedFairQueue};
+pub use wfq::{Admitted, PushRefused, WeightedFairQueue};

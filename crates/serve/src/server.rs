@@ -50,10 +50,9 @@ use crate::cache::{CacheStats, RecCache};
 use crate::class::{PerClass, Priority};
 use crate::clock::TickClock;
 use crate::error::ServeError;
-use crate::queue::PushRefused;
 use crate::slo::SloController;
 use crate::snapshot::{ModelSnapshot, SnapshotSwitch};
-use crate::wfq::WeightedFairQueue;
+use crate::wfq::{PushRefused, WeightedFairQueue};
 
 /// Serving configuration.
 #[derive(Clone, Copy, Debug)]

@@ -1,11 +1,14 @@
 //! A bounded weighted-fair queue over priority classes.
 //!
-//! The classed generalization of [`BoundedQueue`](crate::queue::BoundedQueue):
-//! one FIFO lane per [`Priority`], a shared capacity across lanes, and a
-//! deficit-round-robin dequeue that hands each class a service share
-//! proportional to its weight whenever it is backlogged. Dequeue order is a
-//! pure function of the push sequence — no wall time, no randomness — so a
-//! serving schedule built on it is reproducible.
+//! The server's overload valve: one FIFO lane per [`Priority`], a shared
+//! capacity across lanes that [`WeightedFairQueue::push`] refuses (instead
+//! of blocking) to exceed, and a deficit-round-robin dequeue that hands each
+//! class a service share proportional to its weight whenever it is
+//! backlogged. Consumers drain in micro-batches — one lock acquisition hands
+//! a worker up to `max` requests, which is what makes per-batch snapshot
+//! pinning cheap. Dequeue order is a pure function of the push sequence — no
+//! wall time, no randomness — so a serving schedule built on it is
+//! reproducible.
 //!
 //! Two deliberate asymmetries:
 //!
@@ -24,7 +27,21 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 use crate::class::Priority;
-use crate::queue::PushRefused;
+
+/// Why a push was refused.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushRefused {
+    /// The queue was at capacity (admission control).
+    Full {
+        /// Depth observed at refusal.
+        depth: usize,
+        /// The configured capacity the depth ran into — without it, a shed
+        /// diagnostic can't tell "tiny queue" from "huge backlog".
+        capacity: usize,
+    },
+    /// The queue was closed.
+    Closed,
+}
 
 /// Outcome of a successful [`WeightedFairQueue::push`].
 #[derive(Debug)]
@@ -347,6 +364,65 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         queue.close();
         assert!(consumer.join().unwrap().is_empty());
+    }
+
+    #[test]
+    fn concurrent_producers_and_consumers_lose_nothing() {
+        let queue = WeightedFairQueue::<u64>::new(64);
+        let produced = 4 * 500u64;
+        let mut consumed = Vec::new();
+        std::thread::scope(|scope| {
+            let consumers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut got = Vec::new();
+                        loop {
+                            let batch = queue.drain(7);
+                            if batch.is_empty() {
+                                return got;
+                            }
+                            got.extend(batch.into_iter().map(|(_, item)| item));
+                        }
+                    })
+                })
+                .collect();
+            let producers: Vec<_> = (0..4)
+                .map(|p| {
+                    let queue = &queue;
+                    scope.spawn(move || {
+                        for i in 0..500u64 {
+                            let mut item = p * 1000 + i;
+                            // Retry on Full: this test checks conservation,
+                            // not admission control.
+                            loop {
+                                match queue.push(Priority::Normal, item) {
+                                    Ok(admitted) => {
+                                        assert!(admitted.displaced.is_none());
+                                        break;
+                                    }
+                                    Err((back, PushRefused::Full { .. })) => {
+                                        item = back;
+                                        std::thread::yield_now();
+                                    }
+                                    Err((_, PushRefused::Closed)) => panic!("closed early"),
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for producer in producers {
+                producer.join().unwrap();
+            }
+            queue.close();
+            for consumer in consumers {
+                consumed.extend(consumer.join().unwrap());
+            }
+        });
+        consumed.sort_unstable();
+        assert_eq!(consumed.len() as u64, produced);
+        consumed.dedup();
+        assert_eq!(consumed.len() as u64, produced, "no item may be duplicated");
     }
 
     #[test]

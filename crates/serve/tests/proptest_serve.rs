@@ -6,7 +6,7 @@
 //!    after a swap — lookups keyed by the current epoch only ever see
 //!    values inserted at that epoch;
 //! 3. admission control is exact (typed refusal carrying depth *and*
-//!    capacity) for both the FIFO and the weighted-fair queue;
+//!    capacity), with one class in use and with all three;
 //! 4. weighted-fair dequeue never starves the lowest class beyond its
 //!    weight bound, however the arrival mix is skewed.
 
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use semrec_core::{AgentId, ProductId, Recommendation};
-use semrec_serve::{BoundedQueue, Priority, PushRefused, RecCache, WeightedFairQueue};
+use semrec_serve::{Priority, PushRefused, RecCache, WeightedFairQueue};
 
 /// A recommendation list "stamped" with the epoch it was computed at, so a
 /// cross-epoch leak is detectable from the value alone.
@@ -99,20 +99,22 @@ proptest! {
     }
 
     #[test]
-    /// The queue admits at most `capacity` items, refuses the rest with a
-    /// typed rejection carrying the observed depth, and hands back exactly
-    /// what it admitted, in FIFO order.
+    /// With a single class in use (what `Server::submit` produces) the
+    /// queue admits at most `capacity` items, refuses the rest with a
+    /// typed rejection carrying the observed depth, never displaces, and
+    /// hands back exactly what it admitted, in FIFO order.
     fn queue_admission_is_exact(
         capacity in 1usize..10,
         pushes in 0usize..25,
     ) {
-        let queue = BoundedQueue::new(capacity);
+        let queue = WeightedFairQueue::new(capacity);
         let mut admitted = Vec::new();
         for i in 0..pushes {
-            match queue.push(i) {
-                Ok(depth) => {
+            match queue.push(Priority::Normal, i) {
+                Ok(outcome) => {
                     admitted.push(i);
-                    prop_assert!(depth <= capacity);
+                    prop_assert!(outcome.depth <= capacity);
+                    prop_assert!(outcome.displaced.is_none(), "one class never displaces");
                 }
                 Err((item, PushRefused::Full { depth, capacity: reported })) => {
                     prop_assert_eq!(item, i);
@@ -131,7 +133,7 @@ proptest! {
             if batch.is_empty() {
                 break;
             }
-            drained.extend(batch);
+            drained.extend(batch.into_iter().map(|(_, item)| item));
         }
         prop_assert_eq!(drained, admitted);
     }

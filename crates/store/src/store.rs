@@ -188,9 +188,8 @@ impl Store {
     ///
     /// This is how the `semrec-web` refresh path persists its delta: the
     /// caller that ran `refresh`/`refresh_resilient` hands the
-    /// `CrawlResult`'s delta and health straight here (see the CLI's
-    /// `store-bench` and experiment E18). Bumps `store.wal.appended` /
-    /// `store.wal.appended.bytes`.
+    /// `CrawlResult`'s delta and health straight here (see experiment
+    /// E18). Bumps `store.wal.appended` / `store.wal.appended.bytes`.
     pub fn append_delta(&self, delta: &CrawlDelta, health: &SourceHealth) -> Result<u64> {
         let seq = self.latest_seq()?.ok_or(Error::NoSnapshot)?;
         let path = self.wal_path(seq);

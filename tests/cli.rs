@@ -1,5 +1,6 @@
 //! End-to-end test of the `semrec` CLI: generate a world onto disk as Turtle
-//! documents, then inspect / trust / recommend against it.
+//! documents, then inspect / trust / recommend against it, and checkpoint /
+//! recover it through a store directory.
 
 use std::process::Command;
 
@@ -75,6 +76,53 @@ fn rdfxml_world_round_trips() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `(product id, score)` of every recommendation row in a rendered table:
+/// the score is the first decimal cell after the id (titles and voter counts
+/// carry no `.`), so `recommend`'s extra columns don't matter.
+fn product_scores(stdout: &str) -> Vec<(String, String)> {
+    stdout
+        .lines()
+        .filter(|line| line.contains("urn:isbn:"))
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let product = cells.iter().position(|c| c.starts_with("urn:isbn:")).unwrap();
+            let score = cells[product + 1..].iter().find(|c| c.contains('.')).unwrap();
+            (cells[product].to_string(), score.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn checkpoint_then_recover_serves_what_recommend_serves() {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-store-{}", std::process::id()));
+    let world = dir.join("world");
+    let store = dir.join("store");
+    let (world_str, store_str) = (world.to_str().unwrap(), store.to_str().unwrap());
+
+    let (ok, _, stderr) =
+        run(&["generate", "--scale", "small", "--seed", "11", "--out", world_str]);
+    assert!(ok, "generate failed: {stderr}");
+
+    let (ok, stdout, stderr) = run(&["checkpoint", "--data", world_str, "--store", store_str]);
+    assert!(ok, "checkpoint failed: {stderr}");
+    assert!(stdout.contains("Checkpointed 200 agents"), "{stdout}");
+    assert!(stdout.contains(store_str), "{stdout}");
+
+    let agent = "http://community.example.org/agents/0#me";
+    let (ok, recovered, stderr) =
+        run(&["recover", "--store", store_str, "--agent", agent, "--top", "5"]);
+    assert!(ok, "recover failed: {stderr}");
+    assert!(recovered.contains("wal status"), "{recovered}");
+
+    let (ok, direct, stderr) =
+        run(&["recommend", "--data", world_str, "--agent", agent, "--top", "5"]);
+    assert!(ok, "recommend failed: {stderr}");
+    assert_eq!(product_scores(&direct).len(), 5, "{direct}");
+    assert_eq!(product_scores(&recovered), product_scores(&direct));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn helpful_errors() {
     let (ok, _, stderr) = run(&["frobnicate"]);
@@ -88,4 +136,15 @@ fn helpful_errors() {
     let (ok, _, stderr) = run(&["generate", "--scale", "galactic"]);
     assert!(!ok);
     assert!(stderr.contains("unknown scale"));
+
+    // `serve-bench` and its five siblings are not subcommands.
+    let (ok, _, stderr) = run(&["serve-bench", "--scale", "small"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown command"), "{stderr}");
+
+    // An option the subcommand never reads is refused, not ignored:
+    // ignoring `--out` here would checkpoint into the default ./checkpoints.
+    let (ok, _, stderr) = run(&["checkpoint", "--data", "/nonexistent-semrec-dir", "--out", "x"]);
+    assert!(!ok);
+    assert!(stderr.contains("`checkpoint` does not take `--out`"), "{stderr}");
 }
