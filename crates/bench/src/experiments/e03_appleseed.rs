@@ -5,6 +5,7 @@
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
 use semrec_trust::appleseed::{appleseed, AppleseedParams};
+use semrec_trust::CsrGraph;
 
 use crate::Scale;
 
@@ -20,7 +21,7 @@ pub struct Outcome {
 pub fn run(scale: Scale) -> Outcome {
     super::header("E3", "Appleseed — convergence and spreading factor (ref [12])");
     let community = generate_community(&scale.community(303)).community;
-    let graph = &community.trust;
+    let graph = &CsrGraph::from_graph(&community.trust);
     let source = community.agents().next().unwrap();
     println!(
         "Trust network: {} agents, {} statements; source {source}, injection 200\n",

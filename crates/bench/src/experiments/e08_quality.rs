@@ -12,6 +12,7 @@ use semrec_eval::table::{fmt, Table};
 use semrec_eval::{evaluate, leave_n_out, AggregateMetrics, SplitConfig};
 use semrec_profiles::generation::ProfileParams;
 use semrec_trust::neighborhood::NeighborhoodParams;
+use semrec_trust::CsrGraph;
 
 use crate::Scale;
 
@@ -58,6 +59,7 @@ pub fn run(scale: Scale) -> Outcome {
     );
     let profiles = ProfileStore::build(&split.train, &ProfileParams::default());
     let flat = build_flat_profiles(&split.train, &ProfileParams::default());
+    let trust = CsrGraph::from_graph(&split.train.trust);
 
     let methods: Vec<(&'static str, AggregateMetrics)> = vec![
         (
@@ -103,7 +105,7 @@ pub fn run(scale: Scale) -> Outcome {
         (
             "trust-only (no similarity)",
             evaluate(&split, |train, agent| {
-                trust_only(train, agent, &NeighborhoodParams::default(), n)
+                trust_only(train, &trust, agent, &NeighborhoodParams::default(), n)
             }),
         ),
         (

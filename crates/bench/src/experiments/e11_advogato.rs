@@ -8,7 +8,7 @@ use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
 use semrec_trust::advogato::{advogato, AdvogatoParams};
 use semrec_trust::appleseed::{appleseed, AppleseedParams};
-use semrec_trust::TrustGraph;
+use semrec_trust::{CsrGraph, TrustGraph};
 
 use crate::Scale;
 
@@ -31,7 +31,8 @@ pub fn run(scale: Scale) -> Outcome {
 
     // (a) agreement between the boolean and the continuous metric.
     println!("(a) Accepted-set vs top-k agreement (same seed {source}):");
-    let apple = appleseed(graph, source, &AppleseedParams::default()).unwrap();
+    let apple =
+        appleseed(&CsrGraph::from_graph(graph), source, &AppleseedParams::default()).unwrap();
     let mut agreement = Vec::new();
     let mut table = Table::new(["target group", "advogato accepted", "∩ appleseed top-k", "overlap"]);
     for group in [10usize, 25, 50] {
@@ -78,7 +79,8 @@ pub fn run(scale: Scale) -> Outcome {
     )
     .unwrap();
     let sybil_certified = sybils.iter().filter(|&&s| adv.is_accepted(s)).count();
-    let apple_attacked = appleseed(&attacked, source, &AppleseedParams::default()).unwrap();
+    let apple_attacked =
+        appleseed(&CsrGraph::from_graph(&attacked), source, &AppleseedParams::default()).unwrap();
     let top50: Vec<_> = apple_attacked.top(50).iter().map(|&(a, _)| a).collect();
     let sybil_ranked = sybils.iter().filter(|s| top50.contains(s)).count();
 

@@ -1,13 +1,11 @@
-//! **E22 — Zero-copy hot path** (CSR/arena model layout): throughput and
-//! load-latency wins from the flat-memory refactor, with byte-identity
-//! pinned at every step.
+//! **E22 — Zero-copy hot path** (CSR/arena model layout): what the
+//! flat-memory layout costs in bytes and what a snapshot of it loads like,
+//! with byte-identity pinned. Wall-clock comparisons live in `perf/`
+//! (`trust.neighborhood_us`, `store.snapshot_decode_ms`); the times printed
+//! here are reported, never asserted.
 //!
-//! Three measurements on the same community:
+//! Two measurements on the same community:
 //!
-//! * **Appleseed throughput** — the spreading-activation loop over the
-//!   adjacency-list [`TrustGraph`](semrec_trust::TrustGraph) vs the flat
-//!   [`CsrGraph`](semrec_trust::CsrGraph) the engine now caches. Same
-//!   float-op order, so ranks are compared bit for bit.
 //! * **Similarity throughput** — profile-pair scoring through
 //!   [`ProfileView`](semrec_profiles::ProfileView) slices over the
 //!   contiguous [`ProfileSlab`](semrec_profiles::ProfileSlab).
@@ -28,7 +26,6 @@ use semrec_datagen::community::generate_community;
 use semrec_eval::table::Table;
 use semrec_profiles::similarity;
 use semrec_store::{decode_v2, encode_v2, sniff_version, Checkpoint, SNAPSHOT_V2};
-use semrec_trust::appleseed::{appleseed, appleseed_csr, AppleseedParams};
 use semrec_web::crawler::{crawl, CommunityBuilder, CrawlConfig};
 use semrec_web::publish::publish_community;
 use semrec_web::store::DocumentWeb;
@@ -39,12 +36,6 @@ use crate::Scale;
 pub struct Outcome {
     /// Community size.
     pub agents: usize,
-    /// Appleseed wall time over the adjacency-list graph, ms total.
-    pub appleseed_graph_ms: f64,
-    /// Appleseed wall time over the CSR arenas, ms total.
-    pub appleseed_csr_ms: f64,
-    /// CSR ranks ≡ adjacency-list ranks, bit for bit, on every source.
-    pub appleseed_identical: bool,
     /// Similarity pairs scored per second through slab-backed views.
     pub similarity_pairs_per_s: f64,
     /// v1 snapshot size, bytes.
@@ -87,11 +78,11 @@ fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 
 /// Runs E22.
 pub fn run(scale: Scale) -> Outcome {
-    super::header("E22", "Zero-copy hot path — CSR/arena layout vs pointer-chasing");
-    let (sources, pairs, load_reps) = match scale {
-        Scale::Small => (16, 20_000, 3),
-        Scale::Medium => (32, 100_000, 5),
-        Scale::Paper => (32, 200_000, 5),
+    super::header("E22", "Zero-copy hot path — arena layout footprint and v1 vs v2 snapshots");
+    let (pairs, load_reps) = match scale {
+        Scale::Small => (20_000, 3),
+        Scale::Medium => (100_000, 5),
+        Scale::Paper => (200_000, 5),
     };
 
     // The same world E18 uses: generate, publish, crawl, build — so the
@@ -114,34 +105,8 @@ pub fn run(scale: Scale) -> Outcome {
         shared.community().trust.edge_count(),
     );
 
-    // (a) Appleseed: adjacency-list graph vs the engine's cached CSR.
-    let params = AppleseedParams::default();
-    let graph = &shared.community().trust;
-    let csr = shared.trust_csr();
+    // (a) Similarity throughput over slab-backed profile views.
     let mut rng = StdRng::seed_from_u64(2222);
-    let picks: Vec<AgentId> =
-        (0..sources).map(|_| AgentId::from_index(rng.random_range(0..agents))).collect();
-
-    let started = Instant::now();
-    let graph_ranks: Vec<_> =
-        picks.iter().map(|&s| appleseed(graph, s, &params).expect("converges")).collect();
-    let appleseed_graph_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    let csr_ranks: Vec<_> =
-        picks.iter().map(|&s| appleseed_csr(csr, s, &params).expect("converges")).collect();
-    let appleseed_csr_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let appleseed_identical = graph_ranks.iter().zip(&csr_ranks).all(|(g, c)| {
-        g.iterations == c.iterations
-            && g.ranks.len() == c.ranks.len()
-            && g.ranks
-                .iter()
-                .zip(&c.ranks)
-                .all(|(&(ga, gr), &(ca, cr))| ga == ca && gr.to_bits() == cr.to_bits())
-    });
-
-    // (b) Similarity throughput over slab-backed profile views.
     let profiles = shared.profiles();
     let started = Instant::now();
     let mut acc = 0.0f64;
@@ -154,7 +119,7 @@ pub fn run(scale: Scale) -> Outcome {
     std::hint::black_box(acc);
     let similarity_pairs_per_s = pairs as f64 / sim_s;
 
-    // (c) Snapshot load: v1 per-record decode+restore vs v2 arena load.
+    // (b) Snapshot load: v1 per-record decode+restore vs v2 arena load.
     let view = builder.agents();
     let v1 = Checkpoint::capture(&engine, view, 1).encode();
     let v2 = encode_v2(&engine, view, 1);
@@ -172,13 +137,7 @@ pub fn run(scale: Scale) -> Outcome {
         && fingerprint(&from_v1.engine, &panel) == live
         && fingerprint(&from_v2.engine, &panel) == live;
 
-    let mut table = Table::new(["measurement", "baseline", "arena", "speedup"]);
-    table.row([
-        format!("appleseed × {sources} sources (ms)"),
-        format!("{appleseed_graph_ms:.2}"),
-        format!("{appleseed_csr_ms:.2}"),
-        format!("{:.2}×", appleseed_graph_ms / appleseed_csr_ms),
-    ]);
+    let mut table = Table::new(["measurement", "baseline", "arena", "ratio"]);
     table.row([
         format!("similarity ({pairs} pairs)"),
         "—".into(),
@@ -200,21 +159,16 @@ pub fn run(scale: Scale) -> Outcome {
     println!("{}", table.render());
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "byte-identity: appleseed {} · recover-then-serve {} · host CPUs: {cpus} ({} decode)",
-        if appleseed_identical { "yes" } else { "NO" },
+        "byte-identity: recover-then-serve {} · host CPUs: {cpus} ({} decode)",
         if load_identical { "yes" } else { "NO" },
         if cpus > 1 { "overlapped" } else { "serial" },
     );
-    println!("\nThe CSR walk touches two contiguous arrays where the adjacency list chases");
-    println!("per-agent allocations; the v2 snapshot stores those same arenas verbatim, so");
-    println!("loading is bulk copies plus validation — CommunityBuilder, per-record framing,");
-    println!("and every per-edge hash insert drop out of the restart path entirely.");
+    println!("\nThe v2 snapshot stores the model's arenas verbatim, so loading is bulk copies");
+    println!("plus validation — CommunityBuilder, per-record framing, and every per-edge hash");
+    println!("insert drop out of the restart path entirely.");
 
     Outcome {
         agents,
-        appleseed_graph_ms,
-        appleseed_csr_ms,
-        appleseed_identical,
         similarity_pairs_per_s,
         v1_bytes: v1.len(),
         v2_bytes: v2.len(),
@@ -230,28 +184,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arenas_are_byte_identical_and_v2_loads_faster() {
+    fn restores_are_byte_identical_and_v2_is_smaller() {
         let o = run(Scale::Small);
-        assert!(o.appleseed_identical, "CSR Appleseed must be bit-identical");
         assert!(o.load_identical, "v1 and v2 restores must match the live model");
+        assert!(o.v2_bytes < o.v1_bytes, "v2 {} vs v1 {} bytes", o.v2_bytes, o.v1_bytes);
         assert!(o.resident_bytes > 0);
         assert!(o.similarity_pairs_per_s > 0.0);
-        // Debug builds distort decode/compute ratios; hold the speedup
-        // claims where they're meant to hold — the release harness CI
-        // runs. The headline ≥5× needs the checksum/catalog/view overlap,
-        // which a single-CPU host cannot express (decode_v2 falls back to
-        // a strictly serial pass there, measured ≈2.7× on one core), so
-        // the bar is keyed to the parallelism the host actually exposes.
-        if !cfg!(debug_assertions) {
-            let multi_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-            let floor = if multi_cpu { 5.0 } else { 2.0 };
-            assert!(
-                o.v2_load_ms * floor <= o.v1_load_ms,
-                "v2 arena load must be ≥{floor}× faster than the v1 per-record parse: \
-                 v1 {:.2}ms vs v2 {:.2}ms",
-                o.v1_load_ms,
-                o.v2_load_ms,
-            );
-        }
     }
 }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use semrec_profiles::generation::ProfileParams;
-use semrec_trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams};
+use semrec_trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams, TrustNeighborhood};
 use semrec_trust::{AgentId, CsrGraph};
 
 use crate::error::Result;
@@ -37,13 +37,11 @@ pub struct RecommenderConfig {
     pub novel_categories_only: bool,
 }
 
-/// Diagnostic detail of one pipeline run.
-///
-/// The engine's primary record of a run now lives in the global metrics
-/// registry (`engine.*` and `appleseed.*` names, see `semrec-obs`); the
-/// public fields here are kept as a compatibility shim, populated with the
-/// same values the registry receives. [`PipelineTrace::from_registry`]
-/// rebuilds the trace of the most recent run from the registry alone.
+/// Diagnostic detail of one pipeline run: a per-run value that
+/// [`Recommender::rank_peers`] and [`Recommender::recommend_traced`] return
+/// beside their answer, so it describes exactly the request it came with.
+/// The same numbers accumulate over all runs in the metrics registry
+/// (`engine.*` and `appleseed.*` counters, see `semrec-obs`).
 #[derive(Clone, Debug)]
 pub struct PipelineTrace {
     /// Neighborhood size after trust filtering.
@@ -57,33 +55,14 @@ pub struct PipelineTrace {
 }
 
 impl PipelineTrace {
-    /// Reads the most recent run's trace back out of a metrics registry
-    /// (the `engine.last.*` gauges). Under concurrent batch evaluation the
-    /// gauges hold whichever run finished last; per-run traces should come
-    /// from [`Recommender::recommend_traced`] directly.
-    pub fn from_registry(registry: &semrec_obs::MetricsRegistry) -> PipelineTrace {
-        let read = |name: &str| registry.gauge(name).get() as usize;
-        PipelineTrace {
-            neighborhood_size: read("engine.last.neighborhood_size"),
-            trust_iterations: read("engine.last.trust_iterations"),
-            nodes_explored: read("engine.last.nodes_explored"),
-            effective_peers: read("engine.last.effective_peers"),
-        }
-    }
-
-    /// Publishes this trace to a registry: cumulative counters
-    /// (`engine.trust_iterations`, `engine.nodes_explored`,
-    /// `engine.effective_peers`) plus the `engine.last.*` gauges backing
-    /// [`PipelineTrace::from_registry`].
+    /// Adds this run to a registry's cumulative counters (`engine.runs`,
+    /// `engine.trust_iterations`, `engine.nodes_explored`,
+    /// `engine.effective_peers`).
     fn publish(&self, registry: &semrec_obs::MetricsRegistry) {
         registry.counter("engine.runs").inc();
         registry.counter("engine.trust_iterations").add(self.trust_iterations as u64);
         registry.counter("engine.nodes_explored").add(self.nodes_explored as u64);
         registry.counter("engine.effective_peers").add(self.effective_peers as u64);
-        registry.gauge("engine.last.neighborhood_size").set(self.neighborhood_size as f64);
-        registry.gauge("engine.last.trust_iterations").set(self.trust_iterations as f64);
-        registry.gauge("engine.last.nodes_explored").set(self.nodes_explored as f64);
-        registry.gauge("engine.last.effective_peers").set(self.effective_peers as f64);
     }
 }
 
@@ -99,9 +78,8 @@ impl PipelineTrace {
 #[derive(Clone, Debug)]
 pub struct SharedModel {
     community: Community,
-    /// Flat CSR mirror of `community.trust`, built once per model
-    /// generation so every query's Appleseed walk runs over contiguous
-    /// arenas instead of per-agent adjacency `Vec`s.
+    /// `community.trust` frozen once per model generation: the graph every
+    /// query's Appleseed walk reads.
     trust_csr: CsrGraph,
     profiles: ProfileStore,
     config: RecommenderConfig,
@@ -150,7 +128,7 @@ impl SharedModel {
         semrec_obs::gauge("model.bytes").set((trust + profiles) as f64);
     }
 
-    /// The flat CSR mirror of the community's trust graph.
+    /// The community's trust graph in its frozen CSR form.
     pub fn trust_csr(&self) -> &CsrGraph {
         &self.trust_csr
     }
@@ -385,10 +363,16 @@ impl Recommender {
         (Recommender { model: Arc::new(model) }, stats)
     }
 
-    /// Runs the §3.2 + §3.3 + §3.4 front half of the pipeline through the
-    /// model's [`crate::rank::Ranker`], returning each peer's final weight together with
-    /// its per-component decomposition.
-    pub fn rank_peers(&self, target: AgentId) -> Result<(Vec<RankedPeer>, PipelineTrace)> {
+    /// The §3.2 + §3.3 + §3.4 front half of the pipeline: the trust
+    /// neighborhood over the model's frozen trust graph, each peer's
+    /// normalized trust and profile similarity, and the model's
+    /// [`crate::rank::Ranker`] over both. Recommendation and explanation
+    /// both start here, so an explanation attributes the weights the
+    /// recommendation voted with.
+    pub(crate) fn ranked_neighborhood(
+        &self,
+        target: AgentId,
+    ) -> Result<(TrustNeighborhood, Vec<PeerScores>, Vec<RankedPeer>)> {
         let model = &*self.model;
         let neighborhood = {
             let _stage = semrec_obs::span("engine.stage.neighborhood");
@@ -422,6 +406,13 @@ impl Recommender {
             };
             model.ranker.rank(&ctx)
         };
+        Ok((neighborhood, peers, ranked))
+    }
+
+    /// Runs the front half of the pipeline, returning each peer's final
+    /// weight together with its per-component decomposition.
+    pub fn rank_peers(&self, target: AgentId) -> Result<(Vec<RankedPeer>, PipelineTrace)> {
+        let (neighborhood, _, ranked) = self.ranked_neighborhood(target)?;
         let trace = PipelineTrace {
             neighborhood_size: neighborhood.peers.len(),
             trust_iterations: neighborhood.iterations,

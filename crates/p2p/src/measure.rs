@@ -2,7 +2,7 @@
 //! neighborhood is to what a centralized crawl of the whole community
 //! would have produced.
 //!
-//! The baseline is [`form_neighborhood`] over the *full* trust graph with
+//! The baseline is [`form_neighborhood_csr`] over the *full* trust graph with
 //! the same [`NeighborhoodParams`] the peers use, so the two sides run the
 //! identical ranking machinery and differ only in what they know. Peer
 //! neighborhoods are compared by URI, never by `AgentId` — ids are not
@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use semrec_core::Community;
-use semrec_trust::neighborhood::{form_neighborhood, NeighborhoodParams};
+use semrec_trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams};
+use semrec_trust::CsrGraph;
 
 use crate::sim::P2pSimulation;
 
@@ -33,10 +34,11 @@ pub fn centralized_baseline(
     panel: &[String],
     k: usize,
 ) -> Baseline {
+    let trust = CsrGraph::from_graph(&community.trust);
     let mut neighborhoods = BTreeMap::new();
     for uri in panel {
         let Some(id) = community.agent_by_uri(uri) else { continue };
-        let formed = form_neighborhood(&community.trust, id, params)
+        let formed = form_neighborhood_csr(&trust, id, params)
             .expect("panel agents are valid community members");
         let top: Vec<(String, f64)> = formed
             .peers

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use semrec_hash::stable_hash;
 use semrec_trust::graph::TrustGraph;
-use semrec_trust::neighborhood::{form_neighborhood, NeighborhoodParams};
+use semrec_trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams};
+use semrec_trust::CsrGraph;
 use semrec_web::extract::ExtractedAgent;
 use semrec_web::policy::CircuitBreaker;
 
@@ -207,7 +208,7 @@ impl PeerNode {
 
     /// The peer's current top-k trust neighborhood, formed over its local
     /// graph with the *same* ranking machinery the centralized model uses
-    /// ([`form_neighborhood`]): `(peer URI, trust rank)` sorted by
+    /// ([`form_neighborhood_csr`]): `(peer URI, trust rank)` sorted by
     /// descending rank. Once the peer has learned the full graph this is
     /// identical to the centralized answer.
     pub fn neighborhood(&self, params: &NeighborhoodParams) -> Vec<(Arc<str>, f64)> {
@@ -215,7 +216,7 @@ impl PeerNode {
         let source = semrec_trust::agent::AgentId::from_index(
             uris.binary_search(&self.uri).expect("own URI is always a node"),
         );
-        let formed = form_neighborhood(&graph, source, params)
+        let formed = form_neighborhood_csr(&CsrGraph::from_graph(&graph), source, params)
             .expect("source is a valid agent of its own local graph");
         formed
             .peers

@@ -17,21 +17,21 @@
 //! order — and at N=1 it degenerates to the exact global algorithm,
 //! byte for byte.
 //!
-//! * [`ShardedModel`] — partition, serve, and incrementally advance
-//! * [`ShardedServeCache`] — per-shard epoch-aware serve cache carry-over
+//! * [`ShardedModel`] — partition, serve, and incrementally advance; each
+//!   [`Shard`] carries a `serve_epoch` that an advance moves only on shards
+//!   within trust range of the delta, so answers for agents on every other
+//!   shard are bit-identical across it (what a cache in front may rely on)
 //! * [`ShardedStore`] — per-shard durable snapshots + WAL + sidecars
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod appleseed;
-pub mod cache;
 pub mod model;
 pub mod partition;
 pub mod persist;
 
 pub use appleseed::ShardedAppleseedResult;
-pub use cache::ShardedServeCache;
 pub use model::{Shard, ShardBuildReport, ShardedAdvanceReport, ShardedModel};
 pub use partition::{cut_edges, CommunityShardFn, Directory, GlobalId, HashShardFn, ShardFn};
 pub use persist::{ShardedRecovery, ShardedStore};

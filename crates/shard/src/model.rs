@@ -111,7 +111,9 @@ impl Shard {
         self.model_epoch
     }
 
-    /// Serve generation of this shard (see [`crate::cache`]).
+    /// Serve generation of this shard: it moves only when answers for the
+    /// shard's agents may have changed, so a cache in front of the model may
+    /// carry an entry across an advance that left it standing.
     pub fn serve_epoch(&self) -> u64 {
         self.serve_epoch
     }

@@ -24,12 +24,14 @@
 //!
 //! # The kernel
 //!
-//! A run touches the graph once per wave node. When a node first holds
-//! energy its out-star is *resolved* into flat per-run arenas: every weight
-//! raised to `spreading_power`, their sum with the backward edge, and every
-//! successor looked up in (or added to) the wave. Each later iteration is a
-//! straight pass `energy_next[succ[k]] += forward * powered[k] / total` over
-//! those arrays — no `powf`, no lookup, no graph access.
+//! [`appleseed`] is the one entry, and it reads the frozen [`CsrGraph`]: a
+//! run touches the graph once per wave node, as one CSR row. When a node
+//! first holds energy its out-star is *resolved* into flat per-run arenas:
+//! every weight raised to `spreading_power`, their sum with the backward
+//! edge, and every successor looked up in (or added to) the wave. Each later
+//! iteration is a straight pass
+//! `energy_next[succ[k]] += forward * powered[k] / total` over those arrays
+//! — no `powf`, no lookup, no graph access.
 //!
 //! Resolving once is sound because nothing it records can change later in
 //! the run: weights and hop distances are fixed, a node's wave index never
@@ -40,7 +42,9 @@
 //!
 //! **Bit-identity contract.** The kernel returns exactly what the
 //! straightforward loop returns (kept as the test oracle in
-//! `appleseed/oracle.rs`): the same `f64` bits for every rank, the same
+//! `appleseed/oracle.rs`, where it walks the adjacency-list
+//! [`crate::graph::TrustGraph`] — an independent representation of the same
+//! statements): the same `f64` bits for every rank, the same
 //! `iterations`, `nodes_discovered` and `converged`, and the same
 //! `appleseed.*` metrics. No tolerance is involved, because no float
 //! operation is reassociated: a share is still `forward * w.powf(p) / total`
@@ -63,49 +67,6 @@ use std::cell::RefCell;
 use crate::agent::AgentId;
 use crate::csr::CsrGraph;
 use crate::error::{Result, TrustError};
-use crate::graph::TrustGraph;
-
-/// The read-only view of a trust network the spreading-activation loop
-/// needs: a node count plus sign-partitioned out-edge walks. Implemented
-/// by both the adjacency-list [`TrustGraph`] and the flat [`CsrGraph`], so
-/// one metric implementation serves both layouts — and because both
-/// iterate edges in the identical (trustee-sorted) order, the two produce
-/// bit-identical ranks.
-///
-/// Every [`AgentId`] an implementation yields must index below
-/// [`TrustTopology::agent_count`].
-pub trait TrustTopology {
-    /// Number of agents `n = |A|`.
-    fn agent_count(&self) -> usize;
-    /// Outgoing statements of `agent` with strictly positive weight.
-    fn positive_out(&self, agent: AgentId) -> impl Iterator<Item = (AgentId, f64)> + '_;
-    /// Outgoing statements of `agent` with strictly negative weight.
-    fn negative_out(&self, agent: AgentId) -> impl Iterator<Item = (AgentId, f64)> + '_;
-}
-
-impl TrustTopology for TrustGraph {
-    fn agent_count(&self) -> usize {
-        TrustGraph::agent_count(self)
-    }
-    fn positive_out(&self, agent: AgentId) -> impl Iterator<Item = (AgentId, f64)> + '_ {
-        self.positive_out_edges(agent)
-    }
-    fn negative_out(&self, agent: AgentId) -> impl Iterator<Item = (AgentId, f64)> + '_ {
-        self.negative_out_edges(agent)
-    }
-}
-
-impl TrustTopology for CsrGraph {
-    fn agent_count(&self) -> usize {
-        CsrGraph::agent_count(self)
-    }
-    fn positive_out(&self, agent: AgentId) -> impl Iterator<Item = (AgentId, f64)> + '_ {
-        self.positive_out_edges(agent)
-    }
-    fn negative_out(&self, agent: AgentId) -> impl Iterator<Item = (AgentId, f64)> + '_ {
-        self.negative_out_edges(agent)
-    }
-}
 
 /// Parameters of the Appleseed metric.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -230,28 +191,9 @@ impl AppleseedResult {
     }
 }
 
-/// Runs Appleseed for `source` over an adjacency-list graph.
+/// Runs Appleseed for `source` over the frozen trust graph.
 pub fn appleseed(
-    graph: &TrustGraph,
-    source: AgentId,
-    params: &AppleseedParams,
-) -> Result<AppleseedResult> {
-    appleseed_on(graph, source, params)
-}
-
-/// Runs Appleseed for `source` over a flat CSR graph — the cache-friendly
-/// hot path. Bit-identical to [`appleseed`] on the equivalent graph.
-pub fn appleseed_csr(
     graph: &CsrGraph,
-    source: AgentId,
-    params: &AppleseedParams,
-) -> Result<AppleseedResult> {
-    appleseed_on(graph, source, params)
-}
-
-/// The spreading-activation loop, generic over the graph layout.
-pub fn appleseed_on<G: TrustTopology>(
-    graph: &G,
     source: AgentId,
     params: &AppleseedParams,
 ) -> Result<AppleseedResult> {
@@ -263,11 +205,7 @@ pub fn appleseed_on<G: TrustTopology>(
     let _span = semrec_obs::span("appleseed.run");
     semrec_obs::counter("appleseed.runs").inc();
 
-    // Taking the scratch out (rather than borrowing it) leaves an empty one
-    // behind, so a `TrustTopology` that itself runs Appleseed still works.
-    let mut scratch = SCRATCH.take();
-    let result = scratch.run(graph, source, params);
-    SCRATCH.set(scratch);
+    let result = SCRATCH.with_borrow_mut(|scratch| scratch.run(graph, source, params));
 
     semrec_obs::counter("appleseed.nodes_explored").add(result.nodes_discovered as u64);
     Ok(result)
@@ -398,33 +336,35 @@ impl Scratch {
     /// successors. Runs once per node, when it first holds energy — the
     /// moment the reference loop walks these edges for the first time, so
     /// discovery order is the same.
-    fn expand<G: TrustTopology>(&mut self, i: usize, graph: &G, params: &AppleseedParams) {
+    fn expand(&mut self, i: usize, graph: &CsrGraph, params: &AppleseedParams) {
         let agent = self.agent[i];
         let distance = self.distance[i];
         let power = params.spreading_power;
         let start = self.succ.len();
         let source_start = self.source_powered.len();
 
-        // First pass: power and sum the weights, parking each successor's
-        // agent id in `succ`. Nodes at the range limit keep only the
-        // backward edge.
+        // First pass, over the node's CSR row: power and sum the weights,
+        // parking each successor's agent id in `succ` — trust statements
+        // first, then distrust, each in edge order. Nodes at the range limit
+        // keep only the backward edge.
         let mut pos_sum = 0.0;
         let mut neg_sum = 0.0;
         let mut raw_pos_end = start;
         let at_range_limit = params.max_range.is_some_and(|r| distance >= r);
         if !at_range_limit {
-            for (succ, w) in graph.positive_out(agent) {
+            let row = graph.out_targets(agent).iter().zip(graph.out_weights(agent));
+            for (&succ, &w) in row.clone().filter(|&(_, &w)| w > 0.0) {
                 let pw = w.powf(power);
                 pos_sum += pw;
-                self.succ.push(succ.0);
+                self.succ.push(succ);
                 self.powered.push(pw);
             }
             raw_pos_end = self.succ.len();
             if params.distrust {
-                for (succ, w) in graph.negative_out(agent) {
+                for (&succ, &w) in row.filter(|&(_, &w)| w < 0.0) {
                     let pw = (-w).powf(power);
                     neg_sum += pw;
-                    self.succ.push(succ.0);
+                    self.succ.push(succ);
                     self.powered.push(pw);
                 }
             }
@@ -467,9 +407,9 @@ impl Scratch {
         };
     }
 
-    fn run<G: TrustTopology>(
+    fn run(
         &mut self,
-        graph: &G,
+        graph: &CsrGraph,
         source: AgentId,
         params: &AppleseedParams,
     ) -> AppleseedResult {
@@ -568,6 +508,9 @@ impl Scratch {
 }
 
 #[cfg(test)]
+use crate::graph::TrustGraph;
+
+#[cfg(test)]
 mod oracle;
 
 #[cfg(test)]
@@ -575,14 +518,21 @@ mod tests {
     use super::oracle::{appleseed_reference, bits};
     use super::*;
 
-    /// Asserts the kernel reproduces the oracle on both layouts, and
-    /// returns the result.
+    /// The kernel on the frozen form of a builder graph.
+    fn appleseed(
+        g: &TrustGraph,
+        source: AgentId,
+        params: &AppleseedParams,
+    ) -> Result<AppleseedResult> {
+        super::appleseed(&CsrGraph::from_graph(g), source, params)
+    }
+
+    /// Asserts the kernel (on the CSR) reproduces the oracle (on the
+    /// adjacency list), and returns the result.
     fn same_as_oracle(g: &TrustGraph, source: AgentId, params: &AppleseedParams) -> AppleseedResult {
-        let expected = bits(&appleseed_reference(g, source, params));
         let kernel = appleseed(g, source, params).unwrap();
-        assert_eq!(bits(&kernel), expected, "{source} {params:?}");
-        let csr = CsrGraph::from_graph(g);
-        assert_eq!(bits(&appleseed_csr(&csr, source, params).unwrap()), expected);
+        let oracle = appleseed_reference(g, source, params);
+        assert_eq!(bits(&kernel), bits(&oracle), "{source} {params:?}");
         kernel
     }
 
@@ -687,9 +637,10 @@ mod tests {
         let (g, ids) = ring(9);
         let params = AppleseedParams::default();
         let expected = bits(&appleseed_reference(&g, ids[2], &params));
+        let csr = CsrGraph::from_graph(&g);
         let mut scratch = Scratch { generation: u32::MAX - 1, ..Default::default() };
         for _ in 0..4 {
-            assert_eq!(bits(&scratch.run(&g, ids[2], &params)), expected);
+            assert_eq!(bits(&scratch.run(&csr, ids[2], &params)), expected);
         }
         assert_eq!(scratch.generation, 3, "wrapped past 0 to 1, then two more runs");
     }

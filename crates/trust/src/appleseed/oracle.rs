@@ -11,13 +11,15 @@
 //! workspace-level `tests/proptest_appleseed.rs` includes this same file by
 //! `#[path]`, which is why it names its dependencies through `super::` (the
 //! including module supplies `AgentId`, `AppleseedParams`, `AppleseedResult`
-//! and `TrustTopology`). It takes parameters that already passed
+//! and `TrustGraph`). It walks the adjacency-list [`TrustGraph`] while the
+//! kernel walks the `CsrGraph` frozen from it, so the comparison is also one
+//! between two representations of the same statements. It takes parameters that already passed
 //! [`AppleseedParams::validate`] and an in-range `source`, and it records no
 //! metrics.
 
 use std::collections::HashMap;
 
-use super::{AgentId, AppleseedParams, AppleseedResult, TrustTopology};
+use super::{AgentId, AppleseedParams, AppleseedResult, TrustGraph};
 
 struct NodeState {
     agent: AgentId,
@@ -43,8 +45,8 @@ pub fn bits(r: &AppleseedResult) -> (Vec<(AgentId, u64)>, usize, usize, bool) {
 }
 
 /// Runs the reference loop for `source`.
-pub fn appleseed_reference<G: TrustTopology>(
-    graph: &G,
+pub fn appleseed_reference(
+    graph: &TrustGraph,
     source: AgentId,
     params: &AppleseedParams,
 ) -> AppleseedResult {
@@ -80,11 +82,11 @@ pub fn appleseed_reference<G: TrustTopology>(
             let mut pos_sum = 0.0;
             let mut neg_sum = 0.0;
             if !at_range_limit {
-                for (_, w) in graph.positive_out(agent) {
+                for (_, w) in graph.positive_out_edges(agent) {
                     pos_sum += w.powf(power);
                 }
                 if params.distrust {
-                    for (_, w) in graph.negative_out(agent) {
+                    for (_, w) in graph.negative_out_edges(agent) {
                         neg_sum += (-w).powf(power);
                     }
                 }
@@ -102,7 +104,7 @@ pub fn appleseed_reference<G: TrustTopology>(
             if at_range_limit {
                 continue;
             }
-            for (succ, w) in graph.positive_out(agent) {
+            for (succ, w) in graph.positive_out_edges(agent) {
                 let share = forward * w.powf(power) / total_weight;
                 let idx = match local.get(&succ) {
                     Some(&idx) => idx,
@@ -121,7 +123,7 @@ pub fn appleseed_reference<G: TrustTopology>(
                 nodes[idx].energy_next += share;
             }
             if params.distrust {
-                for (succ, w) in graph.negative_out(agent) {
+                for (succ, w) in graph.negative_out_edges(agent) {
                     let share = forward * (-w).powf(power) / total_weight;
                     // Terminal penalty, deposited as negative rank.
                     let idx = match local.get(&succ) {

@@ -1,8 +1,12 @@
 //! # semrec-trust — trust networks and local group trust metrics
 //!
 //! Implements the first pillar of the paper (§3.2): the set `T` of partial
-//! trust functions `t_i: A → [-1, +1]⊥` ([`graph::TrustGraph`]) and the
-//! metrics that turn it into subjective *trust neighborhoods*:
+//! trust functions `t_i: A → [-1, +1]⊥` and the metrics that turn it into
+//! subjective *trust neighborhoods*. [`graph::TrustGraph`] is the mutable
+//! builder statements are written into; [`csr::CsrGraph`] is what
+//! [`CsrGraph::from_graph`] freezes it to, and the only form Appleseed and
+//! neighborhood formation read (Advogato and the scalar baselines still walk
+//! the builder):
 //!
 //! * [`appleseed`] — the paper's own spreading-activation local group trust
 //!   metric (ref \[12\]), assigning continuous trust ranks;
@@ -13,13 +17,14 @@
 //! * [`neighborhood`] — neighborhood formation: threshold/cap the ranking.
 //!
 //! ```
-//! use semrec_trust::{TrustGraph, appleseed::{appleseed, AppleseedParams}};
+//! use semrec_trust::{CsrGraph, TrustGraph, appleseed::{appleseed, AppleseedParams}};
 //!
 //! let mut g = TrustGraph::with_agents(3);
 //! let ids: Vec<_> = g.agents().collect();
 //! g.set_trust(ids[0], ids[1], 0.9).unwrap();
 //! g.set_trust(ids[1], ids[2], 0.8).unwrap();
-//! let result = appleseed(&g, ids[0], &AppleseedParams::default()).unwrap();
+//! let frozen = CsrGraph::from_graph(&g);
+//! let result = appleseed(&frozen, ids[0], &AppleseedParams::default()).unwrap();
 //! assert!(result.rank_of(ids[1]) > result.rank_of(ids[2]));
 //! ```
 
@@ -40,6 +45,4 @@ pub use agent::AgentId;
 pub use csr::CsrGraph;
 pub use error::{Result, TrustError};
 pub use graph::TrustGraph;
-pub use neighborhood::{
-    form_neighborhood, form_neighborhood_csr, NeighborhoodParams, TrustNeighborhood,
-};
+pub use neighborhood::{form_neighborhood_csr, NeighborhoodParams, TrustNeighborhood};

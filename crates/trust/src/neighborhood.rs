@@ -7,10 +7,9 @@
 //! research issue of §2 calls for.
 
 use crate::agent::AgentId;
-use crate::appleseed::{appleseed_on, AppleseedParams, TrustTopology};
+use crate::appleseed::{appleseed, AppleseedParams};
 use crate::csr::CsrGraph;
 use crate::error::Result;
-use crate::graph::TrustGraph;
 
 /// How a trust neighborhood is selected from the metric's ranking.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,32 +83,14 @@ impl TrustNeighborhood {
     }
 }
 
-/// Forms the trust neighborhood of `source` with Appleseed.
-pub fn form_neighborhood(
-    graph: &TrustGraph,
-    source: AgentId,
-    params: &NeighborhoodParams,
-) -> Result<TrustNeighborhood> {
-    form_neighborhood_on(graph, source, params)
-}
-
-/// Forms the trust neighborhood of `source` over a flat [`CsrGraph`] —
-/// the engine's hot path. Bit-identical to [`form_neighborhood`] on the
-/// equivalent adjacency-list graph.
+/// Forms the trust neighborhood of `source` with Appleseed over the frozen
+/// trust graph.
 pub fn form_neighborhood_csr(
     graph: &CsrGraph,
     source: AgentId,
     params: &NeighborhoodParams,
 ) -> Result<TrustNeighborhood> {
-    form_neighborhood_on(graph, source, params)
-}
-
-fn form_neighborhood_on<G: TrustTopology>(
-    graph: &G,
-    source: AgentId,
-    params: &NeighborhoodParams,
-) -> Result<TrustNeighborhood> {
-    let result = appleseed_on(graph, source, &params.appleseed)?;
+    let result = appleseed(graph, source, &params.appleseed)?;
     let peers = result
         .ranks
         .iter()
@@ -128,6 +109,16 @@ fn form_neighborhood_on<G: TrustTopology>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::TrustGraph;
+
+    /// The neighborhood over the frozen form of a builder graph.
+    fn form_neighborhood(
+        g: &TrustGraph,
+        source: AgentId,
+        params: &NeighborhoodParams,
+    ) -> Result<TrustNeighborhood> {
+        form_neighborhood_csr(&CsrGraph::from_graph(g), source, params)
+    }
 
     fn community() -> (TrustGraph, Vec<AgentId>) {
         let mut g = TrustGraph::with_agents(6);

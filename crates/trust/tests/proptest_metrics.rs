@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use semrec_trust::appleseed::{appleseed, AppleseedParams};
 use semrec_trust::maxflow::FlowNetwork;
-use semrec_trust::{AgentId, TrustGraph};
+use semrec_trust::{AgentId, CsrGraph, TrustGraph};
 
 /// Builds a graph with `n` agents and the given edge list (endpoints taken
 /// modulo `n`, self-edges skipped, duplicates overwrite).
@@ -34,7 +34,7 @@ proptest! {
         let g = build(12, &edges);
         let src = AgentId::from_index(0);
         let params = AppleseedParams { convergence: 1e-4, ..Default::default() };
-        let res = appleseed(&g, src, &params).unwrap();
+        let res = appleseed(&CsrGraph::from_graph(&g), src, &params).unwrap();
         prop_assert!(res.total_rank() <= params.injection + 1e-6,
             "total rank {} exceeds injection", res.total_rank());
     }
@@ -44,7 +44,7 @@ proptest! {
         edges in arb_edges(12),
     ) {
         let g = build(12, &edges);
-        let res = appleseed(&g, AgentId::from_index(0), &AppleseedParams::default()).unwrap();
+        let res = appleseed(&CsrGraph::from_graph(&g), AgentId::from_index(0), &AppleseedParams::default()).unwrap();
         for (a, r) in &res.ranks {
             prop_assert!(*r >= 0.0, "agent {a} has negative rank {r}");
         }
@@ -54,16 +54,16 @@ proptest! {
     fn appleseed_is_deterministic(edges in arb_edges(10)) {
         let g = build(10, &edges);
         let src = AgentId::from_index(0);
-        let a = appleseed(&g, src, &AppleseedParams::default()).unwrap();
-        let b = appleseed(&g, src, &AppleseedParams::default()).unwrap();
+        let a = appleseed(&CsrGraph::from_graph(&g), src, &AppleseedParams::default()).unwrap();
+        let b = appleseed(&CsrGraph::from_graph(&g), src, &AppleseedParams::default()).unwrap();
         prop_assert_eq!(a.ranks, b.ranks);
     }
 
     #[test]
-    fn appleseed_only_ranks_reachable_agents(edges in arb_edges(14)) {
+    fn appleseed_ranks_only_reachable_agents(edges in arb_edges(14)) {
         let g = build(14, &edges);
         let src = AgentId::from_index(0);
-        let res = appleseed(&g, src, &AppleseedParams::default()).unwrap();
+        let res = appleseed(&CsrGraph::from_graph(&g), src, &AppleseedParams::default()).unwrap();
         // BFS over positive edges = the reachable set.
         let mut reach = vec![false; g.agent_count()];
         reach[src.index()] = true;
@@ -87,7 +87,7 @@ proptest! {
     fn appleseed_range_zero_discovers_only_source(edges in arb_edges(10)) {
         let g = build(10, &edges);
         let res = appleseed(
-            &g,
+            &CsrGraph::from_graph(&g),
             AgentId::from_index(0),
             &AppleseedParams { max_range: Some(0), ..Default::default() },
         ).unwrap();

@@ -10,6 +10,7 @@ use semrec::eval::Table;
 use semrec::trust::advogato::{advogato, AdvogatoParams};
 use semrec::trust::appleseed::{appleseed, AppleseedParams};
 use semrec::trust::scalar::{global_reputation, path_trust};
+use semrec::trust::CsrGraph;
 
 fn main() {
     let generated = generate_community(&CommunityGenConfig::small(1234));
@@ -23,9 +24,11 @@ fn main() {
         graph.mean_out_degree()
     );
 
-    // Appleseed: continuous trust ranks via spreading activation.
+    // Appleseed: continuous trust ranks via spreading activation, over the
+    // frozen form of the graph.
+    let frozen = CsrGraph::from_graph(graph);
     let params = AppleseedParams { injection: 200.0, spreading_factor: 0.85, ..Default::default() };
-    let result = appleseed(graph, source, &params).unwrap();
+    let result = appleseed(&frozen, source, &params).unwrap();
     println!(
         "Appleseed from {source}: {} nodes discovered, {} iterations, converged: {}",
         result.nodes_discovered, result.iterations, result.converged
@@ -58,7 +61,7 @@ fn main() {
     println!("\nSpreading factor sweep (rank share of the #1 peer):");
     for d in [0.5, 0.65, 0.8, 0.9] {
         let r = appleseed(
-            graph,
+            &frozen,
             source,
             &AppleseedParams { spreading_factor: d, ..params },
         )

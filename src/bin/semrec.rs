@@ -19,6 +19,7 @@ use semrec::core::{Community, Recommender, RecommenderConfig};
 use semrec::datagen::community::{generate_community, CommunityGenConfig};
 use semrec::eval::Table;
 use semrec::trust::appleseed::{appleseed, AppleseedParams};
+use semrec::trust::CsrGraph;
 use semrec::web::extract::extract_agents;
 use semrec::web::globals;
 use semrec::web::publish::homepage_turtle;
@@ -256,7 +257,8 @@ fn inspect(opts: &Options) {
 fn trust(opts: &Options) {
     let community = load(&opts.data);
     let agent = resolve_agent(&community, opts);
-    let result = appleseed(&community.trust, agent, &AppleseedParams::default())
+    let trust = CsrGraph::from_graph(&community.trust);
+    let result = appleseed(&trust, agent, &AppleseedParams::default())
         .unwrap_or_else(|e| fail(&e.to_string()));
     println!(
         "Appleseed from {}: {} nodes discovered, {} iterations\n",

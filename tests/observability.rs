@@ -7,7 +7,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use semrec::core::{recommend_batch, PipelineTrace, Recommender, RecommenderConfig};
+use semrec::core::{recommend_batch, Recommender, RecommenderConfig};
 use semrec::obs;
 use semrec::taxonomy::fixtures::example1;
 use semrec::{AgentId, Community};
@@ -73,12 +73,19 @@ fn registry_counters_match_pipeline_trace_exactly() {
     assert_eq!(snapshot.counters["engine.effective_peers"], trace.effective_peers as u64);
     assert_eq!(snapshot.counters["engine.runs"], 1);
 
-    // The registry view reconstructs the trace of the last (only) run.
-    let view = PipelineTrace::from_registry(obs::global());
-    assert_eq!(view.neighborhood_size, trace.neighborhood_size);
-    assert_eq!(view.trust_iterations, trace.trust_iterations);
-    assert_eq!(view.nodes_explored, trace.nodes_explored);
-    assert_eq!(view.effective_peers, trace.effective_peers);
+    // The trace is per run, the counters cumulative: a second run (eve, who
+    // reaches everyone through alice) returns its own trace, and every
+    // counter moves by exactly that trace.
+    let (_, second) = recommender.recommend_traced(agents[3], 10).unwrap();
+    assert!(second.nodes_explored > trace.nodes_explored);
+    let after = obs::global().snapshot();
+    let delta = |name: &str| after.counters[name] - snapshot.counters[name];
+    assert_eq!(delta("appleseed.iterations"), second.trust_iterations as u64);
+    assert_eq!(delta("appleseed.nodes_explored"), second.nodes_explored as u64);
+    assert_eq!(delta("engine.trust_iterations"), second.trust_iterations as u64);
+    assert_eq!(delta("engine.nodes_explored"), second.nodes_explored as u64);
+    assert_eq!(delta("engine.effective_peers"), second.effective_peers as u64);
+    assert_eq!(delta("engine.runs"), 1);
 }
 
 #[test]
@@ -216,13 +223,14 @@ fn serving_metrics_do_not_disturb_engine_goldens() {
     assert!(engine_view.counters.keys().any(|name| name.starts_with("engine.")));
     assert_eq!(engine_view.counters["engine.runs"], 2, "direct run + served run");
 
-    // from_registry reconstructs the most recent run — the served one,
-    // which targeted the same agent, so the trace values are unchanged.
-    let view = PipelineTrace::from_registry(obs::global());
-    assert_eq!(view.neighborhood_size, trace.neighborhood_size);
-    assert_eq!(view.trust_iterations, trace.trust_iterations);
-    assert_eq!(view.nodes_explored, trace.nodes_explored);
-    assert_eq!(view.effective_peers, trace.effective_peers);
+    // The served run targeted the same agent, so it added the direct run's
+    // trace to every counter exactly once more.
+    let twice = |traced: usize| 2 * traced as u64;
+    assert_eq!(engine_view.counters["appleseed.iterations"], twice(trace.trust_iterations));
+    assert_eq!(engine_view.counters["appleseed.nodes_explored"], twice(trace.nodes_explored));
+    assert_eq!(engine_view.counters["engine.trust_iterations"], twice(trace.trust_iterations));
+    assert_eq!(engine_view.counters["engine.nodes_explored"], twice(trace.nodes_explored));
+    assert_eq!(engine_view.counters["engine.effective_peers"], twice(trace.effective_peers));
 }
 
 #[test]

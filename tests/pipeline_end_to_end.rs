@@ -19,12 +19,12 @@ fn pre_refactor_recommend(
 ) -> Vec<semrec::Recommendation> {
     use semrec::core::recommend::{novel_only, vote};
     use semrec::core::synthesis::{synthesize, PeerScores};
-    use semrec::trust::neighborhood::form_neighborhood;
+    use semrec::trust::neighborhood::form_neighborhood_csr;
 
     let model = engine.community();
     let config = engine.config();
     let neighborhood =
-        form_neighborhood(&model.trust, target, &config.neighborhood).unwrap();
+        form_neighborhood_csr(engine.shared().trust_csr(), target, &config.neighborhood).unwrap();
     let target_profile = engine.profiles().profile(target);
     let peers: Vec<PeerScores> = neighborhood
         .normalized()

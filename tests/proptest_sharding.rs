@@ -92,7 +92,7 @@ proptest! {
             let g = GlobalId(agent.index() as u32);
             // Trust metric: identical ranks, order, and iteration count.
             let global = appleseed(
-                &engine.community().trust,
+                engine.shared().trust_csr(),
                 agent,
                 &config.neighborhood.appleseed,
             ).unwrap();
@@ -138,7 +138,7 @@ proptest! {
             for agent in engine.community().agents() {
                 let g = GlobalId(agent.index() as u32);
                 let global = appleseed(
-                    &engine.community().trust,
+                    engine.shared().trust_csr(),
                     agent,
                     &config.neighborhood.appleseed,
                 ).unwrap();

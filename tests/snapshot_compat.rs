@@ -1,6 +1,8 @@
 //! Cross-version snapshot compatibility: a **committed** v1 snapshot file
-//! (`tests/fixtures/snapshot-v1.bin`, written by the frozen per-record
-//! format) must keep recovering byte-identically through the dispatching
+//! (`tests/fixtures/snapshot-v1.hex`, written by the frozen per-record
+//! format and stored as lower-case hex, 64 characters per line, so that no
+//! ignore rule for binaries and no text-only patch transport can drop it)
+//! must keep recovering byte-identically through the dispatching
 //! loader, even though live stores now write format v2 — and the first
 //! checkpoint after such a recovery upgrades the store to v2 through the
 //! same path.
@@ -22,7 +24,7 @@ use semrec::web::extract::ExtractedAgent;
 use semrec::{AgentId, ProductId};
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/snapshot-v1.bin")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/snapshot-v1.hex")
 }
 
 /// The deterministic six-agent ring world over Example 1 — no RNG, so the
@@ -68,14 +70,29 @@ fn fingerprint(engine: &Recommender) -> Vec<(AgentId, ProductId, u64)> {
 fn regenerate_v1_fixture() {
     let (engine, view) = world();
     let bytes = Checkpoint::capture(&engine, &view, 1).encode();
+    let mut hex = String::new();
+    for line in bytes.chunks(32) {
+        hex.extend(line.iter().map(|b| format!("{b:02x}")));
+        hex.push('\n');
+    }
     std::fs::create_dir_all(fixture_path().parent().unwrap()).unwrap();
-    std::fs::write(fixture_path(), &bytes).unwrap();
-    println!("wrote {} bytes to {}", bytes.len(), fixture_path().display());
+    std::fs::write(fixture_path(), hex).unwrap();
+    println!("wrote {} bytes as hex to {}", bytes.len(), fixture_path().display());
+}
+
+/// The committed fixture's bytes.
+fn fixture_bytes() -> Vec<u8> {
+    let text = std::fs::read_to_string(fixture_path()).expect("committed fixture exists");
+    let hex: String = text.split_whitespace().collect();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("two hex digits per byte"))
+        .collect()
 }
 
 #[test]
 fn committed_v1_snapshot_recovers_byte_identically_and_upgrades_to_v2() {
-    let bytes = std::fs::read(fixture_path()).expect("committed fixture exists");
+    let bytes = fixture_bytes();
     assert_eq!(sniff_version(&bytes), Some(SNAPSHOT_VERSION), "fixture is a v1 frame");
 
     // Stage the fixture as a store directory: newest snapshot + empty WAL.
