@@ -18,6 +18,7 @@
 use semrec_core::{AgentId, Recommender, RecommenderConfig};
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
+use semrec_obs::MetricsSnapshot;
 use semrec_serve::{run_load, LoadGenConfig, LoadReport, ServeConfig, Server};
 use semrec_web::crawler::{assemble_community, crawl_resilient, CrawlConfig};
 use semrec_web::fault::{FaultPlan, FaultyWeb};
@@ -40,6 +41,8 @@ pub struct Row {
     pub degraded: bool,
     /// The measured outcome.
     pub report: LoadReport,
+    /// The row's server's own books once the load had resolved.
+    pub metrics: MetricsSnapshot,
 }
 
 /// Accounting of the mid-load snapshot swap.
@@ -141,7 +144,7 @@ pub fn run(scale: Scale) -> Outcome {
             panel,
             &LoadGenConfig { clients, requests_per_client, ..LoadGenConfig::default() },
         );
-        Row { workers, clients, cache_capacity, degraded, report }
+        Row { workers, clients, cache_capacity, degraded, report, metrics: server.metrics() }
     };
     for workers in WORKERS {
         for clients in CLIENTS {
@@ -152,6 +155,7 @@ pub fn run(scale: Scale) -> Outcome {
     }
     // Healthy vs degraded snapshot under the same serving configuration.
     rows.push(measure(&engine, &panel, 2, 4, 2048, false));
+    let healthy = rows.len() - 1;
     rows.push(measure(&degraded, &degraded_panel, 2, 4, 2048, true));
 
     for row in &rows {
@@ -175,6 +179,8 @@ pub fn run(scale: Scale) -> Outcome {
     println!("count); an ample queue sheds nothing; the degraded snapshot serves its");
     println!("surviving agents exactly like a healthy one — assembly provenance is");
     println!("invisible to the serving layer.\n");
+    println!("Server::metrics() of the healthy 2-worker, 4-client, 2048-entry row:");
+    println!("{}", rows[healthy].metrics.render_text());
 
     // --- snapshot swap mid-load ------------------------------------------
     let server = Server::start(engine.clone(), ServeConfig { workers: 2, ..Default::default() });
@@ -249,6 +255,8 @@ pub fn run(scale: Scale) -> Outcome {
         fmt(overload.shed_rate()),
         server.queue_depth(),
     );
+    println!("Server::metrics() of the overload server:");
+    print!("{}", server.metrics().render_text());
 
     Outcome { rows, swap, overload }
 }
@@ -268,6 +276,8 @@ mod tests {
             assert_eq!(r.failed, 0, "no engine errors expected: {row:?}");
             assert_eq!(r.shed(), 0, "a 1024-deep queue under burst-1 load sheds nothing");
             assert!(r.served > 0);
+            // The clients timed exactly the answers the server counted.
+            assert_eq!(row.metrics.histograms["serve.latency.seconds"].count, r.served);
         }
         // Zipf repetition makes warm caches hit; disabled caches never do.
         for row in &o.rows {

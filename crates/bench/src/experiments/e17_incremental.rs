@@ -27,6 +27,7 @@ use rand::{RngExt, SeedableRng};
 use semrec_core::{AgentId, Recommender, RecommenderConfig, SharedModel, SwapPlan};
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
+use semrec_obs::MetricsSnapshot;
 use semrec_serve::{ServeConfig, Server};
 use semrec_trust::neighborhood::NeighborhoodParams;
 use semrec_web::crawler::{crawl, refresh, CommunityBuilder, CrawlConfig};
@@ -83,6 +84,9 @@ pub struct Outcome {
     pub agents: usize,
     /// One row per (churn, round).
     pub rows: Vec<Row>,
+    /// Each churn rate's server's own books after its last round, aligned
+    /// with the churn sweep.
+    pub server_metrics: Vec<MetricsSnapshot>,
 }
 
 const CHURNS: [f64; 3] = [0.01, 0.05, 0.25];
@@ -133,6 +137,7 @@ pub fn run(scale: Scale) -> Outcome {
         "swap", "carried", "hit rate",
     ]);
     let mut rows = Vec::new();
+    let mut server_metrics = Vec::new();
 
     for churn in CHURNS {
         let mut source = source.clone();
@@ -231,6 +236,7 @@ pub fn run(scale: Scale) -> Outcome {
             engine = next_engine;
             previous = result;
         }
+        server_metrics.push(server.metrics());
         server.shutdown();
     }
 
@@ -254,9 +260,11 @@ pub fn run(scale: Scale) -> Outcome {
     println!("At low churn the incremental path recomputes profiles proportional to the");
     println!("delta and carries most of the cache across the swap; past the dirty-fraction");
     println!("threshold the plan degrades to a wholesale swap — exactly the old publish()");
-    println!("behaviour, never worse. Full rebuild cost is flat in the churn rate.");
+    println!("behaviour, never worse. Full rebuild cost is flat in the churn rate.\n");
+    println!("Server::metrics() of the churn-{} server (every swap a publish_delta):", CHURNS[0]);
+    print!("{}", server_metrics[0].render_text());
 
-    Outcome { agents, rows }
+    Outcome { agents, rows, server_metrics }
 }
 
 #[cfg(test)]
@@ -291,6 +299,10 @@ mod tests {
             assert!(row.carried > 0, "clean entries must carry: {row:?}");
             assert!(row.post_swap_hits > 0, "carried entries must answer: {row:?}");
         }
+        // The low-churn server counted exactly the carries its rows report.
+        let counters = &o.server_metrics[0].counters;
+        assert_eq!(counters["serve.cache.carried"], low.iter().map(|r| r.carried as u64).sum());
+        assert_eq!(counters["serve.snapshot.swaps"], low.len() as u64);
 
         // High churn: the dirty fraction crosses the threshold and the
         // plan degrades to wholesale invalidation.

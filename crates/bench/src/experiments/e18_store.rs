@@ -287,15 +287,6 @@ mod tests {
         for row in &o.rows {
             assert!(row.identical, "recovery must be byte-identical: {row:?}");
             assert_eq!(row.wal_records, row.round, "one record per refresh: {row:?}");
-            // Unoptimized builds distort the decode/compute ratio at this
-            // tiny scale, so only hold the timing claim where it's meant
-            // to hold — the release harness CI actually runs.
-            if !cfg!(debug_assertions) {
-                assert!(
-                    row.load_ms < row.cold_ms,
-                    "snapshot load must beat the cold rebuild: {row:?}"
-                );
-            }
         }
         // WAL grows monotonically with appended refreshes.
         for pair in o.rows.windows(2) {

@@ -28,6 +28,7 @@
 use semrec_core::{Recommender, RecommenderConfig, SourceHealth};
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
+use semrec_obs::MetricsSnapshot;
 use semrec_serve::{
     run_open_loop, run_open_loop_with, ArrivalProcess, OpenLoopConfig, OpenLoopReport,
     Priority, ScalerConfig, ServeConfig, Server,
@@ -54,6 +55,8 @@ pub struct Outcome {
     pub baseline: OpenLoopReport,
     /// The same trace with enforcement on.
     pub enforced: OpenLoopReport,
+    /// The enforcing run's server's own books.
+    pub enforced_metrics: MetricsSnapshot,
     /// Mid-burst snapshot-publish sub-run.
     pub publish: OpenLoopReport,
     /// Epoch installed by the mid-burst publish.
@@ -105,12 +108,14 @@ pub fn run(scale: Scale) -> Outcome {
         scaler: ScalerConfig { max_workers: 4, ..ScalerConfig::default() },
         ..OpenLoopConfig::default()
     };
-    let drive = |cfg: &OpenLoopConfig| -> OpenLoopReport {
+    let drive_metered = |cfg: &OpenLoopConfig| -> (OpenLoopReport, MetricsSnapshot) {
         let server = Server::start(engine.clone(), lockstep);
         let report = run_open_loop(&server, &panel, cfg);
+        let metrics = server.metrics();
         server.shutdown();
-        report
+        (report, metrics)
     };
+    let drive = |cfg: &OpenLoopConfig| drive_metered(cfg).0;
 
     println!(
         "{} agents, 64-agent panel; {} ticks, spike ×{:.0} over [{}, {});\n\
@@ -136,7 +141,7 @@ pub fn run(scale: Scale) -> Outcome {
         },
     ];
     let baseline = drive(&OpenLoopConfig { enforce_slo: false, ..config(flash) });
-    let enforced = drive(&config(flash));
+    let (enforced, enforced_metrics) = drive_metered(&config(flash));
     rows.push(Row { process: "flash crowd", slo: false, report: baseline });
     rows.push(Row { process: "flash crowd", slo: true, report: enforced });
 
@@ -174,6 +179,8 @@ pub fn run(scale: Scale) -> Outcome {
         fmt(b.goodput_rate()),
         fmt(e.goodput_rate()),
     );
+    println!("Server::metrics() of the enforcing flash-crowd run:");
+    println!("{}", enforced_metrics.render_text());
 
     // --- sub-run: snapshot publish at mid-spike ---------------------------
     let publish_at = spike_start + spike_len / 2;
@@ -228,9 +235,10 @@ pub fn run(scale: Scale) -> Outcome {
     );
 
     // --- determinism: the enforcing trace at 1, 2, and 8 threads ----------
-    let identical_across_threads = [2usize, 8]
-        .iter()
-        .all(|&threads| drive(&OpenLoopConfig { threads, ..config(flash) }) == enforced);
+    let identical_across_threads = [2usize, 8].iter().all(|&threads| {
+        let (report, metrics) = drive_metered(&OpenLoopConfig { threads, ..config(flash) });
+        report == enforced && metrics.counters == enforced_metrics.counters
+    });
     println!(
         "Thread-count invariance: enforcing flash-crowd run at 2 and 8 compute\n\
          threads {} the single-threaded report byte for byte.",
@@ -241,6 +249,7 @@ pub fn run(scale: Scale) -> Outcome {
         rows,
         baseline,
         enforced,
+        enforced_metrics,
         publish,
         epoch_after,
         degraded,
@@ -282,6 +291,15 @@ mod tests {
         assert!(e.peak_workers > 1);
         let dl: u64 = Priority::ALL.iter().map(|&c| e.class.get(c).shed_deadline).sum();
         assert!(dl > 0, "the spike must drive deadline shedding");
+        // The server counted what the harness saw resolve.
+        let counters = &o.enforced_metrics.counters;
+        assert_eq!(counters["serve.slo.violations"], dl);
+        assert_eq!(counters["serve.workers.scale_events"], e.scale_events);
+        for class in Priority::ALL {
+            let c = e.class.get(class);
+            assert_eq!(counters[&format!("serve.class.{class}.served")], c.served);
+            assert_eq!(counters[&format!("serve.slo.goodput.{class}")], c.goodput);
+        }
 
         // The baseline never sheds at dequeue — it only serves late.
         let b = &o.baseline;

@@ -18,8 +18,12 @@
 //!   default in-memory implementation (drop-oldest on overflow) and a text
 //!   formatter.
 //!
-//! Most call sites go through the process-wide [`global`] registry via the
-//! free functions:
+//! A subsystem either owns a [`MetricsRegistry`] or records into the
+//! process-wide [`global`] one. `semrec-serve` owns: every `serve.*` name
+//! lives in the registry of the `Server` that produced it and is read with
+//! `Server::metrics()` — per server, nothing to reset, nothing shared. The
+//! global registry carries the engine, web, store, shard and p2p names
+//! only, recorded through the free functions:
 //!
 //! ```
 //! let runs = semrec_obs::counter("appleseed.runs");
@@ -77,13 +81,6 @@ pub fn gauge(name: &str) -> Gauge {
 /// Handle to the global registry's histogram `name`.
 pub fn histogram(name: &str) -> Histogram {
     global().histogram(name)
-}
-
-/// Handle to the global registry's histogram `name` with caller-chosen
-/// bucket bounds (e.g. [`TICK_BUCKETS`] for virtual-tick waits). Bounds are
-/// fixed at first creation; later callers get the existing cells.
-pub fn histogram_with_buckets(name: &str, bounds: &[f64]) -> Histogram {
-    global().histogram_with_buckets(name, bounds)
 }
 
 /// Emits an event to the global registry's observers.

@@ -303,22 +303,11 @@ impl MetricsSnapshot {
 
     /// A copy keeping only metrics whose name starts with `prefix`.
     ///
-    /// Metric namespaces are dot-delimited (`engine.*`, `serve.*`, …), so
+    /// Metric namespaces are dot-delimited (`engine.*`, `p2p.*`, …), so
     /// golden comparisons over one subsystem slice the snapshot by prefix
     /// instead of enumerating every name another subsystem might mint.
     pub fn retain_prefix(&self, prefix: &str) -> MetricsSnapshot {
-        self.filter(|name| name.starts_with(prefix))
-    }
-
-    /// A copy dropping every metric whose name starts with `prefix` — the
-    /// complement of [`MetricsSnapshot::retain_prefix`]. Used to keep
-    /// engine-side golden comparisons stable while a serving layer records
-    /// its own `serve.*` metrics into the same registry.
-    pub fn without_prefix(&self, prefix: &str) -> MetricsSnapshot {
-        self.filter(|name| !name.starts_with(prefix))
-    }
-
-    fn filter(&self, keep: impl Fn(&str) -> bool) -> MetricsSnapshot {
+        let keep = |name: &str| name.starts_with(prefix);
         MetricsSnapshot {
             counters: self
                 .counters
@@ -627,19 +616,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_prefix_filters_split_namespaces() {
+    fn retain_prefix_keeps_one_namespace() {
         let registry = MetricsRegistry::new();
         registry.counter("engine.runs").add(2);
         registry.counter("serve.requests.served").add(5);
         registry.gauge("serve.queue.depth").set(1.0);
         registry.histogram("serve.latency.seconds").observe(0.01);
         let snapshot = registry.snapshot();
-
-        let engine_only = snapshot.without_prefix("serve.");
-        assert_eq!(engine_only.counters.len(), 1);
-        assert!(engine_only.gauges.is_empty());
-        assert!(engine_only.histograms.is_empty());
-        assert_eq!(engine_only.counters["engine.runs"], 2);
 
         let serve_only = snapshot.retain_prefix("serve.");
         assert_eq!(serve_only.counters["serve.requests.served"], 5);

@@ -50,6 +50,18 @@ struct Shard {
     accesses: u64,
 }
 
+/// The cells a [`RecCache`] counts on, one per [`CacheStats`] field. A
+/// [`Server`](crate::server::Server) hands in handles from its own
+/// registry; a standalone cache gets fresh ones.
+#[derive(Debug, Default)]
+pub(crate) struct CacheCounters {
+    pub hits: Counter,
+    pub misses: Counter,
+    pub evictions: Counter,
+    pub invalidated: Counter,
+    pub carried: Counter,
+}
+
 /// A sharded LRU over recommendation lists.
 ///
 /// `capacity` is the total entry budget, split evenly across shards
@@ -60,29 +72,23 @@ struct Shard {
 pub struct RecCache {
     shards: Vec<Mutex<Shard>>,
     per_shard: usize,
-    // Local counters (per-cache stats) doubling as handles that also feed
-    // the global `serve.cache.*` registry names.
-    hits: [Counter; 2],
-    misses: [Counter; 2],
-    evictions: [Counter; 2],
-    invalidated: [Counter; 2],
-    carried: [Counter; 2],
+    counters: CacheCounters,
 }
 
 impl RecCache {
     /// A cache with `capacity` total entries over `shards` shards.
     pub fn new(capacity: usize, shards: usize) -> Self {
+        Self::with_counters(capacity, shards, CacheCounters::default())
+    }
+
+    /// [`RecCache::new`], counting on the caller's cells.
+    pub(crate) fn with_counters(capacity: usize, shards: usize, counters: CacheCounters) -> Self {
         let shards = shards.max(1);
         let per_shard = if capacity == 0 { 0 } else { capacity.div_ceil(shards) };
-        let global = |name: &str| semrec_obs::counter(name);
         RecCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard,
-            hits: [Counter::default(), global("serve.cache.hits")],
-            misses: [Counter::default(), global("serve.cache.misses")],
-            evictions: [Counter::default(), global("serve.cache.evictions")],
-            invalidated: [Counter::default(), global("serve.cache.invalidated")],
-            carried: [Counter::default(), global("serve.cache.carried")],
+            counters,
         }
     }
 
@@ -106,15 +112,14 @@ impl RecCache {
         self.per_shard * self.shards.len()
     }
 
-    /// This cache's own counters (independent of the global registry, so
-    /// per-server stats survive registry resets).
+    /// This cache's counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits[0].get(),
-            misses: self.misses[0].get(),
-            evictions: self.evictions[0].get(),
-            invalidated: self.invalidated[0].get(),
-            carried: self.carried[0].get(),
+            hits: self.counters.hits.get(),
+            misses: self.counters.misses.get(),
+            evictions: self.counters.evictions.get(),
+            invalidated: self.counters.invalidated.get(),
+            carried: self.counters.carried.get(),
         }
     }
 
@@ -131,15 +136,10 @@ impl RecCache {
         (x % self.shards.len() as u64) as usize
     }
 
-    fn bump(counters: &[Counter; 2]) {
-        counters[0].inc();
-        counters[1].inc();
-    }
-
     /// Looks up `key`, refreshing its LRU stamp on hit.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<Recommendation>>> {
         if self.is_disabled() {
-            Self::bump(&self.misses);
+            self.counters.misses.inc();
             return None;
         }
         let mut shard = self.shards[self.shard_of(key)].lock().unwrap();
@@ -150,12 +150,12 @@ impl RecCache {
                 entry.stamp = stamp;
                 let value = Arc::clone(&entry.value);
                 drop(shard);
-                Self::bump(&self.hits);
+                self.counters.hits.inc();
                 Some(value)
             }
             None => {
                 drop(shard);
-                Self::bump(&self.misses);
+                self.counters.misses.inc();
                 None
             }
         }
@@ -184,7 +184,7 @@ impl RecCache {
                 .map(|(i, _)| i)
                 .expect("non-empty shard at capacity");
             shard.entries.swap_remove(lru);
-            Self::bump(&self.evictions);
+            self.counters.evictions.inc();
         }
         shard.entries.push(Entry { key, value, stamp });
     }
@@ -231,12 +231,8 @@ impl RecCache {
             });
             dropped += before - shard.entries.len();
         }
-        for _ in 0..carried {
-            Self::bump(&self.carried);
-        }
-        for _ in 0..dropped {
-            Self::bump(&self.invalidated);
-        }
+        self.counters.carried.add(carried as u64);
+        self.counters.invalidated.add(dropped as u64);
         (carried, dropped)
     }
 
@@ -251,9 +247,7 @@ impl RecCache {
             shard.entries.retain(|e| e.key.0 >= epoch);
             removed += before - shard.entries.len();
         }
-        for _ in 0..removed {
-            Self::bump(&self.invalidated);
-        }
+        self.counters.invalidated.add(removed as u64);
         removed
     }
 }

@@ -36,8 +36,10 @@
 //!   virtual tick axis) reporting per-class latency percentiles and
 //!   goodput-under-SLO.
 //!
-//! Everything observable lands in the global `semrec-obs` registry under
-//! the `serve.*` namespace (see the README's serving metric table).
+//! Everything observable is a `serve.*` metric (see the README's serving
+//! metric table) in a registry the [`Server`] owns, counted once on a
+//! handle resolved at start and read back with [`Server::metrics`]; nothing
+//! here writes to the process-wide registry, so servers never share a count.
 //!
 //! ```
 //! use semrec_core::{Community, Recommender, RecommenderConfig};
@@ -76,6 +78,7 @@ pub mod class;
 pub mod clock;
 pub mod error;
 pub mod loadgen;
+mod metrics;
 pub mod server;
 pub mod slo;
 pub mod snapshot;

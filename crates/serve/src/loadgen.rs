@@ -43,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use semrec_core::AgentId;
 use semrec_datagen::zipf::Zipf;
-use semrec_obs::{HistogramSummary, MetricsRegistry};
+use semrec_obs::HistogramSummary;
 
 use crate::class::{PerClass, Priority};
 use crate::error::ServeError;
@@ -112,7 +112,10 @@ fn stream_seed(seed: u64, stream: u64) -> u64 {
     seed ^ (stream + 1).wrapping_mul(0x9e3779b97f4a7c15)
 }
 
-/// Outcome of one closed-loop load run.
+/// Outcome of one closed-loop load run: `attempts` and `wall_seconds`, and
+/// beside them the server's own books ([`Server::stats`], `cache_stats`,
+/// `serve.latency.seconds`) read once the last request has resolved — the
+/// run's outcome on a server that has served nothing else.
 #[derive(Clone, Debug)]
 pub struct LoadReport {
     /// Submission attempts (admitted + refused).
@@ -133,8 +136,6 @@ pub struct LoadReport {
     pub wall_seconds: f64,
     /// Client-observed latency (submission → response), in seconds.
     pub latency: HistogramSummary,
-    /// Client-observed latency sliced per priority class.
-    pub class_latency: PerClass<HistogramSummary>,
 }
 
 impl LoadReport {
@@ -171,17 +172,6 @@ impl LoadReport {
     }
 }
 
-#[derive(Default)]
-struct ClientTally {
-    attempts: u64,
-    admitted: u64,
-    served: u64,
-    shed_admission: u64,
-    shed_deadline: u64,
-    failed: u64,
-    cache_hits: u64,
-}
-
 /// Drives `server` with seeded Zipf traffic over `agents` and reports the
 /// aggregate outcome. Blocks until every request has resolved.
 ///
@@ -192,119 +182,66 @@ pub fn run_load(server: &Server, agents: &[AgentId], config: &LoadGenConfig) -> 
     assert!(config.clients > 0, "load generation needs at least one client");
     let burst = config.burst.max(1);
 
-    // Latency cells local to this run (the global registry accumulates
-    // across runs and is reset by the experiment harness at its own cadence).
-    let local = MetricsRegistry::new();
-    let latency = local.histogram("latency.seconds");
-    let class_latency = PerClass {
-        high: local.histogram("latency.seconds.high"),
-        normal: local.histogram("latency.seconds.normal"),
-        low: local.histogram("latency.seconds.low"),
-    };
-    let global_latency = semrec_obs::histogram("serve.latency.seconds");
+    let metrics = server.handles();
     let submissions = AtomicU64::new(0);
 
     let started = Instant::now();
-    let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.clients)
-            .map(|client| {
-                let latency = latency.clone();
-                let class_latency = class_latency.clone();
-                let global_latency = global_latency.clone();
-                let submissions = &submissions;
-                scope.spawn(move || {
-                    // Independent per-client stream: splitmix the client
-                    // index into the seed so streams never collide.
-                    let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, client as u64));
-                    let zipf = Zipf::new(agents.len(), config.zipf_exponent);
-                    let mut tally = ClientTally::default();
-                    let mut remaining = config.requests_per_client;
-                    while remaining > 0 {
-                        let round = burst.min(remaining);
-                        remaining -= round;
-                        let mut in_flight = Vec::with_capacity(round);
-                        for _ in 0..round {
-                            let agent = agents[zipf.sample(&mut rng)];
-                            let class = draw_class(&mut rng, &config.class_mix);
-                            let deadline = config
-                                .deadline_ticks
-                                .map(|ticks| server.clock().now() + ticks);
-                            tally.attempts += 1;
-                            let submitted_at = Instant::now();
-                            match server.submit_classed(agent, config.top_n, class, deadline) {
-                                Ok(ticket) => {
-                                    tally.admitted += 1;
-                                    in_flight.push((ticket, class, submitted_at));
-                                }
-                                Err(ServeError::Overloaded { .. }) => tally.shed_admission += 1,
-                                Err(_) => tally.failed += 1,
-                            }
-                            if config.tick_every > 0 {
-                                let total = submissions.fetch_add(1, Ordering::Relaxed) + 1;
-                                if total.is_multiple_of(config.tick_every) {
-                                    server.clock().advance(1);
-                                }
-                            }
+    std::thread::scope(|scope| {
+        for client in 0..config.clients {
+            let submissions = &submissions;
+            scope.spawn(move || {
+                // Independent per-client stream: splitmix the client
+                // index into the seed so streams never collide.
+                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, client as u64));
+                let zipf = Zipf::new(agents.len(), config.zipf_exponent);
+                let mut remaining = config.requests_per_client;
+                while remaining > 0 {
+                    let round = burst.min(remaining);
+                    remaining -= round;
+                    let mut in_flight = Vec::with_capacity(round);
+                    for _ in 0..round {
+                        let agent = agents[zipf.sample(&mut rng)];
+                        let class = draw_class(&mut rng, &config.class_mix);
+                        let deadline = config
+                            .deadline_ticks
+                            .map(|ticks| server.clock().now() + ticks);
+                        let submitted_at = Instant::now();
+                        // A refusal is already on the server's books.
+                        if let Ok(ticket) =
+                            server.submit_classed(agent, config.top_n, class, deadline)
+                        {
+                            in_flight.push((ticket, submitted_at));
                         }
-                        for (ticket, class, submitted_at) in in_flight {
-                            let outcome = ticket.wait();
-                            let elapsed = submitted_at.elapsed().as_secs_f64();
-                            match outcome {
-                                Ok(response) => {
-                                    tally.served += 1;
-                                    if response.cache_hit {
-                                        tally.cache_hits += 1;
-                                    }
-                                    latency.observe(elapsed);
-                                    class_latency.get(class).observe(elapsed);
-                                    global_latency.observe(elapsed);
-                                }
-                                Err(ServeError::DeadlineExceeded { .. }) => {
-                                    tally.shed_deadline += 1;
-                                }
-                                Err(ServeError::Overloaded { .. }) => {
-                                    // Displaced after admission by a
-                                    // higher-class arrival.
-                                    tally.shed_admission += 1;
-                                }
-                                Err(_) => tally.failed += 1,
+                        if config.tick_every > 0 {
+                            let total = submissions.fetch_add(1, Ordering::Relaxed) + 1;
+                            if total.is_multiple_of(config.tick_every) {
+                                server.clock().advance(1);
                             }
                         }
                     }
-                    tally
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("load client panicked")).collect()
+                    for (ticket, submitted_at) in in_flight {
+                        if ticket.wait().is_ok() {
+                            metrics.latency.observe(submitted_at.elapsed().as_secs_f64());
+                        }
+                    }
+                }
+            });
+        }
     });
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    let mut report = LoadReport {
-        attempts: 0,
-        admitted: 0,
-        served: 0,
-        shed_admission: 0,
-        shed_deadline: 0,
-        failed: 0,
-        cache_hits: 0,
+    let stats = server.stats();
+    LoadReport {
+        attempts: (config.clients * config.requests_per_client) as u64,
+        admitted: stats.submitted,
+        served: stats.served,
+        shed_admission: stats.shed_admission,
+        shed_deadline: stats.shed_deadline,
+        failed: stats.failed,
+        cache_hits: server.cache_stats().hits,
         wall_seconds,
-        latency: latency.summary(),
-        class_latency: PerClass {
-            high: class_latency.high.summary(),
-            normal: class_latency.normal.summary(),
-            low: class_latency.low.summary(),
-        },
-    };
-    for tally in tallies {
-        report.attempts += tally.attempts;
-        report.admitted += tally.admitted;
-        report.served += tally.served;
-        report.shed_admission += tally.shed_admission;
-        report.shed_deadline += tally.shed_deadline;
-        report.failed += tally.failed;
-        report.cache_hits += tally.cache_hits;
+        latency: metrics.latency.summary(),
     }
-    report
 }
 
 /// Deterministic open-loop arrival process on the virtual tick axis.
@@ -588,6 +525,7 @@ pub fn run_open_loop_with(
     let mut class_rng = StdRng::seed_from_u64(stream_seed(config.seed, 2));
     let zipf = Zipf::new(agents.len(), config.zipf_exponent);
 
+    let metrics = server.handles();
     let mut slo = config.enforce_slo.then(|| SloController::new(config.slo));
     let mut scaler = WorkerScaler::new(config.scaler);
     let mut peak_workers = config.scaler.min_workers;
@@ -644,6 +582,7 @@ pub fn run_open_loop_with(
         } else {
             scaler.active()
         };
+        metrics.workers_active.set(active as f64);
         peak_workers = peak_workers.max(active);
         server.drain_step(active * config.batch_size.max(1), config.threads, slo.as_mut());
 
@@ -680,6 +619,7 @@ pub fn run_open_loop_with(
 
     report.ticks_run = tick;
     report.scale_events = scaler.scale_events();
+    metrics.scale_events.add(report.scale_events);
     report.peak_workers = peak_workers;
     report.lost = in_flight.len() as u64;
     for class in Priority::ALL {
@@ -689,8 +629,7 @@ pub fn run_open_loop_with(
         slot.wait_p50 = percentile(sorted, 0.50);
         slot.wait_p95 = percentile(sorted, 0.95);
         slot.wait_p99 = percentile(sorted, 0.99);
-        semrec_obs::counter(&format!("serve.slo.goodput.{}", class.label()))
-            .add(slot.goodput);
+        metrics.slo_goodput[class.index()].add(slot.goodput);
     }
     report
 }
@@ -730,7 +669,7 @@ mod tests {
         assert_eq!(report.shed(), 0);
         assert_eq!(report.failed, 0);
         assert_eq!(report.latency.count, 120);
-        assert_eq!(report.class_latency.normal.count, 120, "default mix is all Normal");
+        assert_eq!(server.stats().class.normal.served, 120, "default mix is all Normal");
         assert!(report.latency.p50 <= report.latency.p95);
         assert!(report.latency.p95 <= report.latency.p99);
         assert!(report.throughput() > 0.0);
@@ -754,11 +693,8 @@ mod tests {
             },
         );
         assert_eq!(report.served, 120);
-        let counts = [
-            report.class_latency.high.count,
-            report.class_latency.normal.count,
-            report.class_latency.low.count,
-        ];
+        let served = server.stats().class;
+        let counts = [served.high.served, served.normal.served, served.low.served];
         assert_eq!(counts.iter().sum::<u64>(), 120);
         assert!(counts.iter().all(|&c| c > 0), "uniform mix reaches every class: {counts:?}");
     }

@@ -39,17 +39,23 @@
 //! lost. Shutdown is graceful: the queue closes, workers drain what is
 //! left, and anything still queued when the pool has exited is answered
 //! with [`ServeError::ShuttingDown`] instead of a dropped channel.
+//!
+//! Every event above is counted once, on a handle of the server's own
+//! registry; [`Server::stats`], [`Server::cache_stats`] and
+//! [`Server::metrics`] are three views of those cells.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use semrec_core::{AgentId, CoreError, Recommendation, Recommender, SwapPlan};
+use semrec_obs::MetricsSnapshot;
 
 use crate::cache::{CacheStats, RecCache};
 use crate::class::{PerClass, Priority};
 use crate::clock::TickClock;
 use crate::error::ServeError;
+use crate::metrics::ServeMetrics;
 use crate::slo::SloController;
 use crate::snapshot::{ModelSnapshot, SnapshotSwitch};
 use crate::wfq::{PushRefused, WeightedFairQueue};
@@ -170,7 +176,9 @@ pub struct ClassStats {
     pub shed: u64,
 }
 
-/// Cumulative per-server request counters (survive registry resets).
+/// Cumulative per-server request counters. Once the server has shut down
+/// every admitted request has exactly one outcome:
+/// `submitted == served + shed_deadline + failed + displaced + abandoned`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests admitted into the queue.
@@ -185,6 +193,12 @@ pub struct ServeStats {
     pub shed_deadline: u64,
     /// Requests that reached the engine and got an engine error back.
     pub failed: u64,
+    /// Requests admitted, then evicted from the queue by a higher-class
+    /// arrival (the admitted share of `shed_admission`).
+    pub displaced: u64,
+    /// Requests still queued at shutdown, answered
+    /// [`ServeError::ShuttingDown`].
+    pub abandoned: u64,
     /// The same counters sliced per priority class.
     pub class: PerClass<ClassStats>,
 }
@@ -194,28 +208,6 @@ impl ServeStats {
     pub fn shed(&self) -> u64 {
         self.shed_admission + self.shed_deadline
     }
-
-    /// Every request that was resolved one way or another.
-    pub fn resolved(&self) -> u64 {
-        self.served + self.shed() + self.failed
-    }
-}
-
-#[derive(Debug, Default)]
-struct StatCells {
-    submitted: AtomicU64,
-    served: AtomicU64,
-    shed_admission: AtomicU64,
-    shed_deadline: AtomicU64,
-    failed: AtomicU64,
-    class_submitted: [AtomicU64; Priority::COUNT],
-    class_served: [AtomicU64; Priority::COUNT],
-    class_shed: [AtomicU64; Priority::COUNT],
-}
-
-/// Handle to the `serve.class.{label}.{event}` counter.
-fn class_counter(class: Priority, event: &str) -> semrec_obs::Counter {
-    semrec_obs::counter(&format!("serve.class.{}.{event}", class.label()))
 }
 
 /// State shared between the server handle and its workers.
@@ -225,33 +217,7 @@ struct Shared {
     cache: RecCache,
     clock: TickClock,
     batch_size: usize,
-    stats: StatCells,
-}
-
-impl Shared {
-    fn count_served(&self, class: Priority) {
-        self.stats.served.fetch_add(1, Ordering::Relaxed);
-        self.stats.class_served[class.index()].fetch_add(1, Ordering::Relaxed);
-        semrec_obs::counter("serve.requests.served").inc();
-        class_counter(class, "served").inc();
-    }
-
-    fn count_shed_deadline(&self, class: Priority) {
-        self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-        self.stats.class_shed[class.index()].fetch_add(1, Ordering::Relaxed);
-        semrec_obs::counter("serve.requests.shed").inc();
-        semrec_obs::counter("serve.requests.shed.deadline").inc();
-        semrec_obs::counter("serve.slo.violations").inc();
-        class_counter(class, "shed").inc();
-    }
-
-    fn count_shed_admission(&self, class: Priority) {
-        self.stats.shed_admission.fetch_add(1, Ordering::Relaxed);
-        self.stats.class_shed[class.index()].fetch_add(1, Ordering::Relaxed);
-        semrec_obs::counter("serve.requests.shed").inc();
-        semrec_obs::counter("serve.requests.shed.admission").inc();
-        class_counter(class, "shed").inc();
-    }
+    metrics: ServeMetrics,
 }
 
 /// Outcome of one lockstep [`Server::drain_step`].
@@ -289,15 +255,16 @@ impl Server {
     /// checkpoint (see `semrec-store`), which resumes at the epoch the
     /// persisted model had reached instead of restarting at 1.
     pub fn start_at(engine: Recommender, config: ServeConfig, epoch: u64) -> Server {
+        let (metrics, cache) = ServeMetrics::new();
+        metrics.workers.set(config.workers as f64);
         let shared = Arc::new(Shared {
             queue: WeightedFairQueue::with_weights(config.queue_capacity, config.class_weights),
             switch: SnapshotSwitch::new_at(engine, epoch),
-            cache: RecCache::new(config.cache_capacity, config.cache_shards),
+            cache: RecCache::with_counters(config.cache_capacity, config.cache_shards, cache),
             clock: TickClock::new(),
             batch_size: config.batch_size.max(1),
-            stats: StatCells::default(),
+            metrics,
         });
-        semrec_obs::gauge("serve.workers").set(config.workers as f64);
         let workers = (0..config.workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
@@ -348,16 +315,14 @@ impl Server {
             deadline,
             responder: sender,
         };
+        let metrics = &self.shared.metrics;
         match self.shared.queue.push(class, request) {
             Ok(admitted) => {
-                self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                self.shared.stats.class_submitted[class.index()].fetch_add(1, Ordering::Relaxed);
-                semrec_obs::counter("serve.requests.submitted").inc();
-                class_counter(class, "submitted").inc();
-                semrec_obs::gauge("serve.queue.depth").set(admitted.depth as f64);
+                metrics.submitted.inc();
+                metrics.class_submitted[class.index()].inc();
                 if let Some((victim_class, victim)) = admitted.displaced {
-                    self.shared.count_shed_admission(victim_class);
-                    semrec_obs::counter("serve.requests.displaced").inc();
+                    metrics.count_shed_admission(victim_class);
+                    metrics.displaced.inc();
                     let _ = victim.responder.send(Err(ServeError::Overloaded {
                         depth: self.shared.queue.capacity(),
                         capacity: self.shared.queue.capacity(),
@@ -367,7 +332,7 @@ impl Server {
                 Ok(Ticket { receiver })
             }
             Err((_, PushRefused::Full { depth, capacity })) => {
-                self.shared.count_shed_admission(class);
+                metrics.count_shed_admission(class);
                 Err(ServeError::Overloaded { depth, capacity, class })
             }
             Err((_, PushRefused::Closed)) => Err(ServeError::ShuttingDown),
@@ -379,6 +344,7 @@ impl Server {
     /// finish on the generation they pinned; returns the new epoch.
     pub fn publish(&self, engine: Recommender) -> u64 {
         let epoch = self.shared.switch.publish(engine);
+        self.shared.metrics.snapshot_swaps.inc();
         self.shared.cache.invalidate_before(epoch);
         epoch
     }
@@ -397,6 +363,7 @@ impl Server {
     /// mapping is stable whenever the plan allows carrying at all.
     pub fn publish_delta(&self, engine: Recommender, plan: &SwapPlan) -> PublishReport {
         let epoch = self.shared.switch.publish(engine);
+        self.shared.metrics.snapshot_swaps.inc();
         if plan.wholesale() {
             let invalidated = self.shared.cache.invalidate_before(epoch);
             return PublishReport { epoch, carried: 0, invalidated, wholesale: true };
@@ -429,22 +396,23 @@ impl Server {
 
     /// Per-server request counters.
     pub fn stats(&self) -> ServeStats {
-        let cells = &self.shared.stats;
+        let metrics = &self.shared.metrics;
         let mut class = PerClass::<ClassStats>::default();
         for c in Priority::ALL {
-            let i = c.index();
-            *class.get_mut(c) = ClassStats {
-                submitted: cells.class_submitted[i].load(Ordering::Relaxed),
-                served: cells.class_served[i].load(Ordering::Relaxed),
-                shed: cells.class_shed[i].load(Ordering::Relaxed),
+            class[c] = ClassStats {
+                submitted: metrics.class_submitted[c.index()].get(),
+                served: metrics.class_served[c.index()].get(),
+                shed: metrics.class_shed[c.index()].get(),
             };
         }
         ServeStats {
-            submitted: cells.submitted.load(Ordering::Relaxed),
-            served: cells.served.load(Ordering::Relaxed),
-            shed_admission: cells.shed_admission.load(Ordering::Relaxed),
-            shed_deadline: cells.shed_deadline.load(Ordering::Relaxed),
-            failed: cells.failed.load(Ordering::Relaxed),
+            submitted: metrics.submitted.get(),
+            served: metrics.served.get(),
+            shed_admission: metrics.shed_admission.get(),
+            shed_deadline: metrics.shed_deadline.get(),
+            failed: metrics.failed.get(),
+            displaced: metrics.displaced.get(),
+            abandoned: metrics.abandoned.get(),
             class,
         }
     }
@@ -452,6 +420,22 @@ impl Server {
     /// Per-server cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
+    }
+
+    /// Every `serve.*` metric (see the README's serving metric table), from
+    /// the registry this server owns: no other server's traffic shows up
+    /// here, and [`Server::stats`] and [`Server::cache_stats`] read the same
+    /// cells. `serve.queue.depth` and `serve.snapshot.epoch` are sampled now.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let metrics = &self.shared.metrics;
+        metrics.queue_depth.set(self.queue_depth() as f64);
+        metrics.snapshot_epoch.set(self.epoch() as f64);
+        metrics.registry.snapshot()
+    }
+
+    /// The handles behind [`Server::metrics`], for the load drivers.
+    pub(crate) fn handles(&self) -> &ServeMetrics {
+        &self.shared.metrics
     }
 
     /// One synchronous serving step for the lockstep (zero-worker) mode:
@@ -482,14 +466,15 @@ impl Server {
             "drain_step requires a lockstep server (ServeConfig.workers == 0)"
         );
         let shared = &self.shared;
+        let metrics = &shared.metrics;
         let mut outcome = DrainOutcome::default();
         if let Some(slo) = slo.as_mut() {
-            slo.update();
+            metrics.slo_pressure.set(slo.update() as f64);
+            metrics.slo_observed_p99.set(slo.observed_p99() as f64);
         }
         let now = shared.clock.now();
         let snapshot = shared.switch.pin();
         let degraded = snapshot.engine().source_health().is_degraded();
-        let waits = semrec_obs::histogram_with_buckets("serve.wait.ticks", &semrec_obs::TICK_BUCKETS);
 
         /// What a drained request resolved to before compute.
         enum Pending {
@@ -520,22 +505,15 @@ impl Server {
                 let deadline = request.deadline.or_else(|| {
                     slo.as_ref().map(|slo| request.submitted_at + slo.deadline_budget(class))
                 });
-                if let Some(deadline) = deadline {
-                    if now > deadline {
-                        shared.count_shed_deadline(class);
+                let expired = deadline.is_some_and(|deadline| now > deadline);
+                if expired || slo.as_ref().is_some_and(|slo| slo.should_shed(class)) {
+                    metrics.count_shed_deadline(class);
+                    if expired {
                         outcome.shed_deadline += 1;
-                        let _ = request
-                            .responder
-                            .send(Err(ServeError::DeadlineExceeded { deadline, now }));
-                        requests.push(request);
-                        pending.push(Pending::Done);
-                        continue;
+                    } else {
+                        metrics.slo_pressure_sheds.inc();
+                        outcome.shed_pressure += 1;
                     }
-                }
-                if slo.as_ref().is_some_and(|slo| slo.should_shed(class)) {
-                    shared.count_shed_deadline(class);
-                    semrec_obs::counter("serve.slo.pressure_sheds").inc();
-                    outcome.shed_pressure += 1;
                     let _ = request.responder.send(Err(ServeError::DeadlineExceeded {
                         deadline: deadline.unwrap_or(now),
                         now,
@@ -548,7 +526,7 @@ impl Server {
                 // out to be a hit, a miss, or an engine error.
                 survivors += 1;
                 let wait = now.saturating_sub(request.submitted_at);
-                waits.observe(wait as f64);
+                metrics.wait_ticks.observe(wait as f64);
                 if let Some(slo) = slo.as_mut() {
                     slo.record_wait(wait);
                 }
@@ -568,11 +546,10 @@ impl Server {
                 requests.push(request);
             }
         }
-        semrec_obs::gauge("serve.queue.depth").set(shared.queue.len() as f64);
         if requests.is_empty() {
             return outcome;
         }
-        semrec_obs::histogram("serve.batch.size").observe(outcome.drained as f64);
+        metrics.batch_size.observe(outcome.drained as f64);
 
         // Parallel pure compute of the unique misses. Chunked by index:
         // thread count changes who computes, never what or in which slot.
@@ -621,15 +598,14 @@ impl Server {
                 Pending::Miss(index) => match &computed[index] {
                     Ok(recommendations) => (Arc::clone(recommendations), false),
                     Err(e) => {
-                        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                        semrec_obs::counter("serve.requests.failed").inc();
+                        metrics.failed.inc();
                         outcome.failed += 1;
                         let _ = request.responder.send(Err(ServeError::Engine(e.clone())));
                         continue;
                     }
                 },
             };
-            shared.count_served(class);
+            metrics.count_served(class);
             outcome.served += 1;
             let _ = request.responder.send(Ok(ServedResponse {
                 recommendations,
@@ -658,6 +634,7 @@ impl Server {
         // A zero-worker server (or a panicked pool) may leave requests
         // queued: answer them explicitly rather than dropping channels.
         for (_, request) in self.shared.queue.take_all() {
+            self.shared.metrics.abandoned.inc();
             let _ = request.responder.send(Err(ServeError::ShuttingDown));
         }
     }
@@ -672,65 +649,57 @@ impl Drop for Server {
 /// A worker: drain a micro-batch, pin the current snapshot once, serve the
 /// batch, repeat until the queue closes and empties.
 fn worker_loop(shared: &Shared) {
-    let batch_sizes = semrec_obs::histogram("serve.batch.size");
     loop {
         let batch = shared.queue.drain(shared.batch_size);
         if batch.is_empty() {
             return; // closed and drained
         }
-        let _span = semrec_obs::span("serve.batch");
-        batch_sizes.observe(batch.len() as f64);
-        semrec_obs::gauge("serve.queue.depth").set(shared.queue.len() as f64);
+        let started = Instant::now();
+        shared.metrics.batch_size.observe(batch.len() as f64);
         let snapshot = shared.switch.pin();
         for (_, request) in batch {
             serve_one(shared, &snapshot, request);
         }
+        shared.metrics.batch_seconds.observe(started.elapsed().as_secs_f64());
     }
 }
 
 /// Serves one drained request against the batch's pinned snapshot.
 fn serve_one(shared: &Shared, snapshot: &ModelSnapshot, request: Request) {
+    let metrics = &shared.metrics;
     let now = shared.clock.now();
     let class = request.class;
     if let Some(deadline) = request.deadline {
         if now > deadline {
-            shared.count_shed_deadline(class);
+            metrics.count_shed_deadline(class);
             let _ = request.responder.send(Err(ServeError::DeadlineExceeded { deadline, now }));
             return;
         }
     }
-    let degraded = snapshot.engine().source_health().is_degraded();
     let key = (snapshot.epoch(), request.agent, request.n);
-    if let Some(cached) = shared.cache.get(&key) {
-        shared.count_served(class);
-        let _ = request.responder.send(Ok(ServedResponse {
-            recommendations: cached,
-            epoch: snapshot.epoch(),
-            cache_hit: true,
-            class,
-            degraded,
-        }));
-        return;
-    }
-    match snapshot.engine().recommend(request.agent, request.n) {
-        Ok(recommendations) => {
-            let recommendations = Arc::new(recommendations);
-            shared.cache.insert(key, Arc::clone(&recommendations));
-            shared.count_served(class);
-            let _ = request.responder.send(Ok(ServedResponse {
-                recommendations,
-                epoch: snapshot.epoch(),
-                cache_hit: false,
-                class,
-                degraded,
-            }));
-        }
-        Err(e) => {
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            semrec_obs::counter("serve.requests.failed").inc();
-            let _ = request.responder.send(Err(ServeError::Engine(e)));
-        }
-    }
+    let (recommendations, cache_hit) = match shared.cache.get(&key) {
+        Some(cached) => (cached, true),
+        None => match snapshot.engine().recommend(request.agent, request.n) {
+            Ok(recommendations) => {
+                let recommendations = Arc::new(recommendations);
+                shared.cache.insert(key, Arc::clone(&recommendations));
+                (recommendations, false)
+            }
+            Err(e) => {
+                metrics.failed.inc();
+                let _ = request.responder.send(Err(ServeError::Engine(e)));
+                return;
+            }
+        },
+    };
+    metrics.count_served(class);
+    let _ = request.responder.send(Ok(ServedResponse {
+        recommendations,
+        epoch: snapshot.epoch(),
+        cache_hit,
+        class,
+        degraded: snapshot.engine().source_health().is_degraded(),
+    }));
 }
 
 #[cfg(test)]
@@ -842,6 +811,7 @@ mod tests {
         assert!(urgent.try_wait().is_none(), "the urgent request is queued");
         let stats = server.stats();
         assert_eq!(stats.shed_admission, 1);
+        assert_eq!(stats.displaced, 1);
         assert_eq!(stats.class.low.shed, 1);
         assert_eq!(stats.class.high.submitted, 1);
         assert_eq!(server.class_depths(), [1, 0, 1]);
@@ -850,57 +820,24 @@ mod tests {
     #[test]
     fn stale_queued_requests_are_shed_at_dequeue() {
         let (engine, agents) = ring(6);
-        let shared = Arc::new(Shared {
-            queue: WeightedFairQueue::new(8),
-            switch: SnapshotSwitch::new(engine.clone()),
-            cache: RecCache::new(16, 2),
-            clock: TickClock::new(),
-            batch_size: 4,
-            stats: StatCells::default(),
-        });
-        // Queue two requests with deadlines at tick 0 and tick 5, then
-        // advance to tick 3 before any worker runs: exactly one is stale.
-        let (tx1, rx1) = mpsc::channel();
-        let (tx2, rx2) = mpsc::channel();
-        shared
-            .queue
-            .push(
-                Priority::Normal,
-                Request {
-                    agent: agents[0],
-                    n: 5,
-                    class: Priority::Normal,
-                    submitted_at: 0,
-                    deadline: Some(0),
-                    responder: tx1,
-                },
-            )
-            .unwrap();
-        shared
-            .queue
-            .push(
-                Priority::Normal,
-                Request {
-                    agent: agents[1],
-                    n: 5,
-                    class: Priority::Normal,
-                    submitted_at: 0,
-                    deadline: Some(5),
-                    responder: tx2,
-                },
-            )
-            .unwrap();
-        shared.clock.advance(3);
-        shared.queue.close();
-        worker_loop(&shared);
+        // Zero workers: the two requests queue until this thread runs the
+        // worker loop itself. Deadlines at tick 0 and tick 5, clock at tick
+        // 3 before any worker runs: exactly one is stale.
+        let server = Server::start(engine.clone(), config(0));
+        let stale = server.submit_with_deadline(agents[0], 5, Some(0)).unwrap();
+        let live = server.submit_with_deadline(agents[1], 5, Some(5)).unwrap();
+        server.clock().advance(3);
+        server.shared.queue.close();
+        worker_loop(&server.shared);
         assert_eq!(
-            rx1.recv().unwrap(),
+            stale.wait(),
             Err(ServeError::DeadlineExceeded { deadline: 0, now: 3 })
         );
-        let ok = rx2.recv().unwrap().unwrap();
+        let ok = live.wait().unwrap();
         assert_eq!(*ok.recommendations, engine.recommend(agents[1], 5).unwrap());
-        assert_eq!(shared.stats.shed_deadline.load(Ordering::Relaxed), 1);
-        assert_eq!(shared.stats.served.load(Ordering::Relaxed), 1);
+        let stats = server.stats();
+        assert_eq!(stats.shed_deadline, 1);
+        assert_eq!(stats.served, 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! control loop — observed waits → pressure level → shed decisions → worker
 //! count — is a pure function of the arrival trace. That is what lets the
 //! acceptance tests demand byte-identical `serve.slo.*` counters across
-//! runs and thread counts.
+//! runs and thread counts. Neither type records a metric: the server and
+//! the open-loop driver read these accessors and record for them.
 //!
 //! The control policy is deliberately boring:
 //!
@@ -151,8 +152,6 @@ impl SloController {
                 }
             }
         };
-        semrec_obs::gauge("serve.slo.pressure").set(self.pressure as f64);
-        semrec_obs::gauge("serve.slo.observed_p99_ticks").set(p99 as f64);
         self.pressure
     }
 
@@ -213,10 +212,7 @@ impl WorkerScaler {
     pub fn new(config: ScalerConfig) -> Self {
         assert!(config.min_workers > 0, "min_workers must be at least 1");
         assert!(config.max_workers >= config.min_workers, "max_workers must be >= min_workers");
-        let scaler =
-            WorkerScaler { config, active: config.min_workers, streak: 0, scale_events: 0 };
-        semrec_obs::gauge("serve.workers.active").set(scaler.active as f64);
-        scaler
+        WorkerScaler { config, active: config.min_workers, streak: 0, scale_events: 0 }
     }
 
     /// Currently active worker count.
@@ -240,25 +236,19 @@ impl WorkerScaler {
             if self.streak as u64 >= self.config.dwell_ticks {
                 self.active = (self.active * 2).min(self.config.max_workers);
                 self.streak = 0;
-                self.record_scale_event();
+                self.scale_events += 1;
             }
         } else if per_worker <= self.config.low_water && self.active > self.config.min_workers {
             self.streak = if self.streak <= 0 { self.streak - 1 } else { -1 };
             if (-self.streak) as u64 >= self.config.dwell_ticks {
                 self.active -= 1;
                 self.streak = 0;
-                self.record_scale_event();
+                self.scale_events += 1;
             }
         } else {
             self.streak = 0;
         }
         self.active
-    }
-
-    fn record_scale_event(&mut self) {
-        self.scale_events += 1;
-        semrec_obs::counter("serve.workers.scale_events").inc();
-        semrec_obs::gauge("serve.workers.active").set(self.active as f64);
     }
 }
 

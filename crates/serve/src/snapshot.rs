@@ -59,12 +59,10 @@ impl SnapshotSwitch {
     ///
     /// This is the warm-start entry point: a node recovering from a
     /// durable checkpoint (see `semrec-store`) resumes at the epoch its
-    /// persisted model had reached, so epoch-keyed cache semantics and the
-    /// `serve.snapshot.epoch` gauge line up with a node that never
-    /// restarted.
+    /// persisted model had reached, so epoch-keyed cache semantics line up
+    /// with a node that never restarted.
     pub fn new_at(engine: Recommender, epoch: u64) -> Self {
         let snapshot = Arc::new(ModelSnapshot { epoch: epoch.max(1), engine });
-        Self::publish_metrics(&snapshot);
         SnapshotSwitch { current: RwLock::new(snapshot) }
     }
 
@@ -85,15 +83,8 @@ impl SnapshotSwitch {
     pub fn publish(&self, engine: Recommender) -> u64 {
         let mut current = self.current.write().unwrap();
         let epoch = current.epoch + 1;
-        let snapshot = Arc::new(ModelSnapshot { epoch, engine });
-        Self::publish_metrics(&snapshot);
-        semrec_obs::counter("serve.snapshot.swaps").inc();
-        *current = snapshot;
+        *current = Arc::new(ModelSnapshot { epoch, engine });
         epoch
-    }
-
-    fn publish_metrics(snapshot: &ModelSnapshot) {
-        semrec_obs::gauge("serve.snapshot.epoch").set(snapshot.epoch as f64);
     }
 }
 

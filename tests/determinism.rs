@@ -390,11 +390,14 @@ fn checkpoint_restart_resume_is_thread_count_invariant() {
 /// One open-loop SLO-controlled serving run in lockstep mode: a flash-crowd
 /// trace against a seeded community, with deadline shedding, the pressure
 /// controller and the autoscaler all active. Returns the rendered per-class
-/// outcome (counts and exact tick percentiles) and the counter map —
-/// including every `serve.slo.*` / `serve.class.*` / `serve.workers.*`
-/// counter, all of which must be invariant across runs and compute thread
-/// counts.
-fn run_open_loop_slo(seed: u64, threads: usize) -> (String, BTreeMap<String, u64>) {
+/// outcome (counts and exact tick percentiles), the server's own counter
+/// map — every `serve.slo.*` / `serve.class.*` / `serve.workers.*` counter,
+/// read from `Server::metrics` — and the engine's from the global registry,
+/// all of which must be invariant across runs and compute thread counts.
+fn run_open_loop_slo(
+    seed: u64,
+    threads: usize,
+) -> (String, BTreeMap<String, u64>, BTreeMap<String, u64>) {
     use semrec::serve::{
         run_open_loop, ArrivalProcess, OpenLoopConfig, Priority, ScalerConfig, ServeConfig,
         Server,
@@ -428,6 +431,7 @@ fn run_open_loop_slo(seed: u64, threads: usize) -> (String, BTreeMap<String, u64
         ..Default::default()
     };
     let report = run_open_loop(&server, &agents, &config);
+    let serve_counters = server.metrics().counters;
     server.shutdown();
 
     let mut rendered = String::new();
@@ -452,16 +456,16 @@ fn run_open_loop_slo(seed: u64, threads: usize) -> (String, BTreeMap<String, u64
         "ticks={} scale_events={} peak_workers={} lost={}\n",
         report.ticks_run, report.scale_events, report.peak_workers, report.lost
     ));
-    (rendered, obs::global().snapshot().counters)
+    (rendered, serve_counters, obs::global().snapshot().counters)
 }
 
 #[test]
 fn open_loop_slo_run_is_byte_identical_across_runs_and_threads() {
     let _serial = lock();
-    let (report_a, counters_a) = run_open_loop_slo(42, 1);
-    let (report_b, counters_b) = run_open_loop_slo(42, 1);
-    let (report_c, counters_c) = run_open_loop_slo(42, 2);
-    let (report_d, counters_d) = run_open_loop_slo(42, 8);
+    let (report_a, counters_a, engine_a) = run_open_loop_slo(42, 1);
+    let (report_b, counters_b, engine_b) = run_open_loop_slo(42, 1);
+    let (report_c, counters_c, engine_c) = run_open_loop_slo(42, 2);
+    let (report_d, counters_d, engine_d) = run_open_loop_slo(42, 8);
 
     assert!(!report_a.is_empty());
     assert_eq!(report_a, report_b, "same seed, same threads: identical runs");
@@ -484,6 +488,14 @@ fn open_loop_slo_run_is_byte_identical_across_runs_and_threads() {
     assert_eq!(counters_a, counters_b, "counters identical across runs");
     assert_eq!(counters_a, counters_c, "counters identical at 2 threads");
     assert_eq!(counters_a, counters_d, "counters identical at 8 threads");
+    assert!(engine_a["engine.runs"] > 0, "the served misses ran the engine: {engine_a:?}");
+    assert!(
+        !engine_a.keys().any(|name| name.starts_with("serve.")),
+        "serve.* lives on the server, not in the global registry: {engine_a:?}"
+    );
+    assert_eq!(engine_a, engine_b, "engine counters identical across runs");
+    assert_eq!(engine_a, engine_c, "engine counters identical at 2 threads");
+    assert_eq!(engine_a, engine_d, "engine counters identical at 8 threads");
 }
 
 /// One full sharded pass: partition a seeded community into 4 shards,

@@ -203,23 +203,23 @@ fn serving_metrics_do_not_disturb_engine_goldens() {
     let (direct, trace) = recommender.recommend_traced(agents[0], 10).unwrap();
 
     // Serve the same request through a single-worker, cache-less server.
-    // Its serve.* counters land in the same global registry the engine
-    // goldens read from — they must not disturb them.
+    // Its serve.* counters live in the registry the server owns, so the
+    // global registry the engine goldens read from never sees them.
     let server = semrec::serve::Server::start(
         recommender.clone(),
         semrec::serve::ServeConfig { workers: 1, cache_capacity: 0, ..Default::default() },
     );
     let response = server.submit(agents[0], 10).unwrap().wait().unwrap();
     assert_eq!(*response.recommendations, direct, "served must equal direct");
+    let served = server.metrics();
     drop(server);
 
-    let snapshot = obs::global().snapshot();
-    assert!(snapshot.counters["serve.requests.served"] >= 1);
-    // The serve.* namespace is disjoint from the engine metrics: filtering
-    // it away leaves exactly the per-run engine view the goldens compare.
-    let engine_view = snapshot.without_prefix("serve.");
-    assert!(engine_view.counters.keys().all(|name| !name.starts_with("serve.")));
-    assert!(engine_view.histograms.keys().all(|name| !name.starts_with("serve.")));
+    assert_eq!(served.counters["serve.requests.served"], 1);
+    assert_eq!(served.retain_prefix("serve."), served, "a server records serve.* only");
+    // The two registries are disjoint by construction: the global one is
+    // exactly the per-run engine view the goldens compare.
+    let engine_view = obs::global().snapshot();
+    assert!(engine_view.retain_prefix("serve.").is_empty(), "{engine_view:?}");
     assert!(engine_view.counters.keys().any(|name| name.starts_with("engine.")));
     assert_eq!(engine_view.counters["engine.runs"], 2, "direct run + served run");
 

@@ -15,6 +15,10 @@
 //!    classes flow through the weighted-fair queue end to end, and under
 //!    burst load against a degraded-source epoch every admitted request is
 //!    answered with its explanation marked degraded.
+//! 5. **One set of books per server** — `stats()`, `cache_stats()` and
+//!    `metrics()` read the same cells, every admitted request has exactly
+//!    one counted outcome (under a real-thread publish storm too), and no
+//!    `serve.*` name is shared between servers or with the global registry.
 
 use std::sync::Arc;
 
@@ -204,6 +208,8 @@ fn admission_control_refuses_deterministically_and_shutdown_answers() {
     let stats = server.shutdown();
     assert_eq!(stats.submitted, 3);
     assert_eq!(stats.served, 0, "no workers ran, so nothing was served");
+    assert_eq!(stats.abandoned, 3, "what shutdown answered is on the books");
+    assert_eq!(stats.shed_admission, 1);
     for ticket in queued {
         assert!(matches!(ticket.wait(), Err(ServeError::ShuttingDown)));
     }
@@ -406,4 +412,217 @@ fn pressure_sheds_low_before_high() {
         "High is never pressure-shed before its own deadline"
     );
     server.shutdown();
+}
+
+/// Asserts that `stats()` and `cache_stats()` are the `serve.requests.*` /
+/// `serve.class.*` / `serve.cache.*` counters of `metrics()`: one set of
+/// cells, three views. Workers may still be finishing a batch, so the three
+/// are taken between two `metrics()` reads and kept once those agree — the
+/// counters only grow, so equal ends mean nothing was counted in between.
+fn assert_stats_are_the_metrics(server: &Server) {
+    let (counters, stats, cache) = loop {
+        let before = server.metrics().counters;
+        let (stats, cache) = (server.stats(), server.cache_stats());
+        if server.metrics().counters == before {
+            break (before, stats, cache);
+        }
+        std::thread::yield_now();
+    };
+    let expected = [
+        ("serve.requests.submitted", stats.submitted),
+        ("serve.requests.served", stats.served),
+        ("serve.requests.shed", stats.shed()),
+        ("serve.requests.shed.admission", stats.shed_admission),
+        ("serve.requests.shed.deadline", stats.shed_deadline),
+        ("serve.requests.displaced", stats.displaced),
+        ("serve.requests.failed", stats.failed),
+        ("serve.requests.abandoned", stats.abandoned),
+        ("serve.cache.hits", cache.hits),
+        ("serve.cache.misses", cache.misses),
+        ("serve.cache.evictions", cache.evictions),
+        ("serve.cache.invalidated", cache.invalidated),
+        ("serve.cache.carried", cache.carried),
+    ];
+    for (name, value) in expected {
+        assert_eq!(counters[name], value, "{name}");
+    }
+    for class in Priority::ALL {
+        let slice = stats.class.get(class);
+        assert_eq!(counters[&format!("serve.class.{class}.submitted")], slice.submitted);
+        assert_eq!(counters[&format!("serve.class.{class}.served")], slice.served);
+        assert_eq!(counters[&format!("serve.class.{class}.shed")], slice.shed);
+    }
+}
+
+/// The real-thread server under a publish storm, mixed classes, deadlines
+/// and a shutdown that lands while producers are still submitting: every
+/// ticket resolves exactly once, the server's books close
+/// (`submitted == served + shed_deadline + failed + displaced + abandoned`)
+/// and agree with what the clients saw, and the first epoch's model is
+/// dropped.
+#[test]
+fn publish_storm_and_shutdown_mid_submit_close_the_books() {
+    use std::sync::{Barrier, RwLock};
+    use std::time::{Duration, Instant};
+
+    use semrec::serve::Ticket;
+
+    const PRODUCERS: usize = 3;
+
+    /// What one producer saw its submissions and tickets resolve to.
+    #[derive(Default)]
+    struct Seen {
+        admitted: u64,
+        refused: u64,
+        served: u64,
+        shed_deadline: u64,
+        displaced: u64,
+        abandoned: u64,
+        failed: u64,
+    }
+
+    fn resolve(ticket: Ticket, seen: &mut Seen) {
+        match ticket.wait() {
+            Ok(_) => seen.served += 1,
+            Err(ServeError::DeadlineExceeded { .. }) => seen.shed_deadline += 1,
+            Err(ServeError::Overloaded { .. }) => seen.displaced += 1,
+            Err(ServeError::ShuttingDown) => seen.abandoned += 1,
+            Err(ServeError::Engine(_)) => seen.failed += 1,
+            Err(ServeError::Disconnected) => panic!("a ticket was dropped unresolved"),
+        }
+    }
+
+    let (engine, agents) = ring(16);
+    let first_epoch = Arc::downgrade(&engine.shared());
+    // `shutdown` takes the server by value, so the threads reach it through
+    // a slot the main thread empties: a submitter holds the read lock only
+    // for the length of one call and finds `None` once shutdown has begun.
+    let slot = RwLock::new(Some(Server::start(
+        engine,
+        ServeConfig { workers: 2, queue_capacity: 4, batch_size: 2, ..ServeConfig::default() },
+    )));
+    let start = Barrier::new(PRODUCERS + 2);
+
+    let (seen, stats) = std::thread::scope(|scope| {
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (slot, start, agents) = (&slot, &start, &agents);
+                scope.spawn(move || {
+                    let mut seen = Seen::default();
+                    let mut tickets = Vec::new();
+                    start.wait();
+                    for i in 0.. {
+                        let guard = slot.read().unwrap();
+                        let Some(server) = guard.as_ref() else { break };
+                        let class = Priority::ALL[(p + i) % 3];
+                        // Every other request must start within two ticks;
+                        // each submission moves the clock one tick on.
+                        let deadline = (i % 2 == 0).then(|| server.clock().now() + 2);
+                        let agent = agents[(p * 5 + i) % agents.len()];
+                        match server.submit_classed(agent, 5, class, deadline) {
+                            Ok(ticket) => {
+                                seen.admitted += 1;
+                                tickets.push(ticket);
+                            }
+                            Err(ServeError::Overloaded { .. }) => seen.refused += 1,
+                            Err(other) => panic!("a live server refused with {other:?}"),
+                        }
+                        server.clock().advance(1);
+                    }
+                    for ticket in tickets {
+                        resolve(ticket, &mut seen);
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let publisher = {
+            let (slot, start) = (&slot, &start);
+            scope.spawn(move || {
+                start.wait();
+                while let Some(server) = slot.read().unwrap().as_ref() {
+                    server.publish(ring(16).0);
+                }
+            })
+        };
+
+        // The watchdog only turns a storm that stalls into a failure; no
+        // assertion depends on how long anything took.
+        let wait_until = |what: &str, reached: &dyn Fn(&Server) -> bool| {
+            let watchdog = Instant::now();
+            while !reached(slot.read().unwrap().as_ref().expect("not shut down yet")) {
+                assert!(watchdog.elapsed() < Duration::from_secs(120), "never reached: {what}");
+                std::thread::yield_now();
+            }
+        };
+        start.wait();
+        wait_until("every kind of outcome, across two swaps", &|server| {
+            let stats = server.stats();
+            let kinds = [stats.served, stats.shed_deadline, stats.displaced];
+            kinds.iter().all(|&count| count > 0) && server.epoch() >= 3
+        });
+        // Hold the submitters and the publisher off for one look at the
+        // books (the write lock is taken to exclude them, not to write),
+        // then let the storm resume.
+        let resumed_from = {
+            #[allow(clippy::readonly_write_lock)]
+            let paused = slot.write().unwrap();
+            let server = paused.as_ref().expect("not shut down yet");
+            assert_stats_are_the_metrics(server);
+            server.stats().submitted
+        };
+        wait_until("the storm to resume", &|server| server.stats().submitted >= resumed_from + 32);
+        // Shutdown with the producers still running and holding tickets.
+        let server = slot.write().unwrap().take().expect("not shut down yet");
+        let stats = server.shutdown();
+        publisher.join().expect("publisher");
+        let seen: Vec<Seen> =
+            producers.into_iter().map(|h| h.join().expect("producer")).collect();
+        (seen, stats)
+    });
+
+    assert_eq!(
+        stats.submitted,
+        stats.served + stats.shed_deadline + stats.failed + stats.displaced + stats.abandoned,
+        "every admitted request has exactly one outcome: {stats:?}"
+    );
+    // What the clients saw their own tickets resolve to is what the server
+    // counted.
+    let sum = |field: fn(&Seen) -> u64| seen.iter().map(field).sum::<u64>();
+    assert_eq!(sum(|s| s.admitted), stats.submitted);
+    assert_eq!(sum(|s| s.served), stats.served);
+    assert_eq!(sum(|s| s.shed_deadline), stats.shed_deadline);
+    assert_eq!(sum(|s| s.displaced), stats.displaced);
+    assert_eq!(sum(|s| s.abandoned), stats.abandoned);
+    assert_eq!(sum(|s| s.failed), stats.failed);
+    assert_eq!(sum(|s| s.refused) + stats.displaced, stats.shed_admission);
+    assert!(first_epoch.upgrade().is_none(), "the first epoch's model must be dropped");
+}
+
+/// Metrics belong to the server that produced them: traffic on one server
+/// leaves its neighbour's books at zero, and no `serve.*` name reaches the
+/// process-wide registry.
+#[test]
+fn two_servers_in_one_process_keep_separate_books() {
+    let (engine, agents) = ring(8);
+    let busy = Server::start(engine.clone(), ServeConfig { workers: 1, ..Default::default() });
+    let idle = Server::start(engine, ServeConfig { workers: 1, ..Default::default() });
+    for &agent in agents.iter().chain(&agents) {
+        busy.submit(agent, 5).unwrap().wait().unwrap();
+    }
+
+    let counters = busy.metrics().counters;
+    assert_eq!(counters["serve.requests.served"], 16);
+    assert_eq!(counters["serve.cache.hits"], 8);
+    assert_stats_are_the_metrics(&busy);
+
+    assert_eq!(idle.stats(), semrec::serve::ServeStats::default());
+    assert_eq!(idle.cache_stats(), semrec::serve::CacheStats::default());
+    let untouched = idle.metrics();
+    assert!(untouched.counters.values().all(|&count| count == 0), "{untouched:?}");
+    assert!(untouched.histograms.values().all(|h| h.count == 0), "{untouched:?}");
+    assert_eq!(untouched.counters.keys().collect::<Vec<_>>(), counters.keys().collect::<Vec<_>>());
+
+    let leaked = semrec::obs::global().snapshot().retain_prefix("serve.");
+    assert!(leaked.is_empty(), "serve.* reached the process-wide registry: {leaked:?}");
 }
