@@ -5,18 +5,18 @@
 //!
 //! 1. **Compute** — every shard advances the energy wave over its own
 //!    members exactly as the unsharded metric would, walking each node's
-//!    precomputed out-star (local and boundary edges merged in global-id
-//!    order, so normalization sums are performed in the same floating-point
-//!    order as the global graph walk). Energy shares destined for remote
-//!    agents are appended to per-destination-shard *frontier buckets*
-//!    (`Packet`s) instead of being applied directly. Shards are
-//!    independent within a round, so this phase fans out across compute
-//!    threads without affecting results.
-//! 2. **Exchange** — a single-threaded barrier flushes every bucket:
-//!    packets are applied destination shard by destination shard, source
-//!    shard by source shard, in append order. Discovery, the node cap, and
-//!    distrust penalties behave as in the global metric, with rerouted
-//!    energy returned to the source node.
+//!    out-star (local and boundary edges merged in global-id order, so
+//!    normalization sums are performed in the same floating-point order as
+//!    the global graph walk). Energy shares destined for remote agents are
+//!    appended to per-destination-shard *frontier buckets* (`Packet`s)
+//!    instead of being applied directly. Shards only touch their own wave
+//!    and their own buckets in this phase, so the order they are visited in
+//!    never affects results.
+//! 2. **Exchange** — a barrier flushes every bucket: packets are applied
+//!    destination shard by destination shard, source shard by source
+//!    shard, in append order. Discovery, the node cap, and distrust
+//!    penalties behave as in the global metric, with rerouted energy
+//!    returned to the source node.
 //!
 //! The protocol converges when no rank anywhere moved by more than the
 //! convergence threshold during a round. With one shard no packet is ever
@@ -24,13 +24,71 @@
 //! more shards the fixpoint is the same but iteration interleaving differs,
 //! so ranks agree to within the convergence threshold (the equivalence
 //! property suite pins both statements).
+//!
+//! # The kernel
+//!
+//! The design is `semrec_trust::appleseed`'s, per shard. A shard's slice of
+//! the wave is a set of parallel arrays with a dense stamped
+//! `local id → wave index` table, and a node's out-star is *resolved once*,
+//! when the node first holds energy, into flat per-shard arenas:
+//!
+//! * `succ`/`powered` — trust edges to local wave nodes, then distrust
+//!   edges to local wave nodes, each with its weight already raised to
+//!   `spreading_power`;
+//! * `source_powered` — on the source's own shard, trust edges that feed
+//!   the source: statements about it and local edges the shard's node cap
+//!   reroutes;
+//! * `remote` — `(destination shard, destination local id, powered
+//!   weight)` for trust and then distrust edges that leave the shard; on a
+//!   shard that does not own the source, cap-rerouted local edges sit here
+//!   too, addressed to the source, at their place in edge order;
+//! * `total_weight` — the normalisation sum including the backward edge.
+//!
+//! Every later round is then the monolith's multiply-add pass,
+//! `forward * powered[k] / total_weight`, plus one packet push per remote
+//! edge into buckets that are emptied at the barrier and reused. The
+//! barrier resolves a packet's destination through the destination shard's
+//! stamped table. Rounds run on the caller's thread; queries run in
+//! parallel one level up, in `ShardedModel::recommend_batch`.
+//!
+//! Freezing is sound for the monolith's reasons, shard by shard: weights,
+//! hop distances and wave indexes never change, and a shard's wave only
+//! grows, so once its `max_nodes` is hit — in the compute phase or at the
+//! barrier, which test the same wave — an unknown local successor stays
+//! unknown and "reroute to the source" (trust) or "drop" (distrust) is
+//! final. A *remote* edge freezes only what is immutable, its address and
+//! powered weight: whether the destination is known, discoverable or past
+//! its shard's cap is still decided at the barrier, every round, by the
+//! shard that owns it.
+//!
+//! **Bit-identity contract.** At every shard count the kernel returns what
+//! the straightforward loop returns (kept as the test oracle in
+//! `appleseed/oracle.rs`): the same `f64` bits for every rank, the same
+//! `iterations`, `nodes_discovered`, `converged` and `exchange_rounds`, and
+//! the same `shard.*` metrics. No float operation is reassociated — a share
+//! is still `forward * w^p / total`, with the power cached rather than
+//! re-derived — nodes are discovered in the same order, packets are
+//! appended and applied in the same order, and every accumulator receives
+//! the same addends in the same order. As in the monolith, the one liberty
+//! is between *different* accumulators: a star's edges are grouped by where
+//! their share lands (the source, a local node, a frontier bucket), each
+//! group in edge order.
+//!
+//! The two kernels share a design and no code: the shard's pass pushes
+//! packets and addresses the source in two ways, the monolith's does
+//! neither, and one loop serving both would carry that choice — a branch or
+//! a type parameter — into the monolith's inner loop.
+//!
+//! All of it lives in a per-thread scratch reused from query to query, so a
+//! warm query allocates only the ranking it returns. The scratch keeps the
+//! capacity of the largest waves it has held and eight bytes per agent of
+//! the largest shards it has seen.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-use std::thread;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use semrec_trust::appleseed::AppleseedParams;
-use semrec_trust::{AgentId, Result};
+use semrec_trust::Result;
 
 use crate::model::{Shard, Target};
 use crate::partition::GlobalId;
@@ -47,36 +105,6 @@ pub(crate) struct Packet {
     energy: f64,
     /// Terminal distrust penalty to subtract from the rank.
     penalty: f64,
-}
-
-/// Per-shard slice of the energy wave.
-#[derive(Default)]
-struct Wave {
-    nodes: Vec<WaveNode>,
-    index: HashMap<AgentId, usize>,
-}
-
-struct WaveNode {
-    local: AgentId,
-    distance: u32,
-    rank: f64,
-    energy_in: f64,
-    energy_next: f64,
-}
-
-impl Wave {
-    fn discover(&mut self, local: AgentId, distance: u32) -> usize {
-        let idx = self.nodes.len();
-        self.index.insert(local, idx);
-        self.nodes.push(WaveNode {
-            local,
-            distance,
-            rank: 0.0,
-            energy_in: 0.0,
-            energy_next: 0.0,
-        });
-        idx
-    }
 }
 
 /// Result of a sharded Appleseed run, keyed by global ordinal.
@@ -96,30 +124,21 @@ pub struct ShardedAppleseedResult {
     pub exchange_rounds: usize,
 }
 
-/// Outcome of one shard's compute phase in one round.
-struct ComputeOut {
-    max_delta: f64,
-    outbox: Vec<Vec<Packet>>,
-}
-
 /// Runs the boundary-frontier protocol for `source`.
 ///
 /// `local_of` maps global ordinals to owning-shard local indexes
 /// (`u32::MAX` marks an agent no longer present). `schedule` is the order
-/// shards are visited in sequential compute (and chunked over `threads`
-/// workers when parallel); it must be a permutation of `0..shards.len()`
-/// and never affects results.
+/// shards are visited in within a round's compute phase; it must be a
+/// permutation of `0..shards.len()` and never affects results.
 pub(crate) fn sharded_appleseed(
-    shards: &[std::sync::Arc<Shard>],
+    shards: &[Arc<Shard>],
     local_of: &[u32],
     source: GlobalId,
     source_shard: usize,
     params: &AppleseedParams,
-    threads: usize,
     schedule: &[usize],
 ) -> Result<ShardedAppleseedResult> {
     params.validate()?;
-    let n_shards = shards.len();
     let source_local = local_of[source.index()];
     if source_local == u32::MAX {
         return Err(semrec_trust::TrustError::UnknownAgent(source.index()));
@@ -127,328 +146,518 @@ pub(crate) fn sharded_appleseed(
 
     let _span = semrec_obs::span("shard.appleseed.run");
     semrec_obs::counter("shard.appleseed.runs").inc();
-    let iterations_counter = semrec_obs::counter("shard.appleseed.iterations");
-    let exchange_counter = semrec_obs::counter("shard.exchange.rounds");
-    let packets_counter = semrec_obs::counter("shard.frontier.packets");
-    let residual_histogram = semrec_obs::histogram("shard.appleseed.residual");
-    let frontier_histogram = semrec_obs::histogram("shard.frontier.energy");
 
-    let waves: Vec<Mutex<Wave>> = (0..n_shards).map(|_| Mutex::new(Wave::default())).collect();
-    {
-        let mut wave = waves[source_shard].lock().unwrap();
-        let idx = wave.discover(AgentId::from_index(source_local as usize), 0);
-        wave.nodes[idx].energy_in = params.injection;
-    }
+    let result = SCRATCH.with_borrow_mut(|scratch| {
+        scratch.run(shards, source, source_shard, source_local, params, schedule)
+    });
 
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut exchange_rounds = 0;
-    while iterations < params.max_iterations {
-        iterations += 1;
-        iterations_counter.inc();
-
-        // Phase 1: per-shard compute, parallel over disjoint waves.
-        let mut outs: Vec<Option<ComputeOut>> = (0..n_shards).map(|_| None).collect();
-        if threads <= 1 || n_shards == 1 {
-            for &s in schedule {
-                let mut wave = waves[s].lock().unwrap();
-                outs[s] = Some(compute_round(
-                    &shards[s],
-                    &mut wave,
-                    s,
-                    source_shard,
-                    source_local,
-                    params,
-                    n_shards,
-                ));
-            }
-        } else {
-            let chunk = schedule.len().div_ceil(threads);
-            let produced: Vec<Vec<(usize, ComputeOut)>> = thread::scope(|scope| {
-                let handles: Vec<_> = schedule
-                    .chunks(chunk)
-                    .map(|mine| {
-                        let waves = &waves;
-                        scope.spawn(move || {
-                            mine.iter()
-                                .map(|&s| {
-                                    let mut wave = waves[s].lock().unwrap();
-                                    let out = compute_round(
-                                        &shards[s],
-                                        &mut wave,
-                                        s,
-                                        source_shard,
-                                        source_local,
-                                        params,
-                                        n_shards,
-                                    );
-                                    (s, out)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("compute worker")).collect()
-            });
-            for (s, out) in produced.into_iter().flatten() {
-                outs[s] = Some(out);
-            }
-        }
-        let outs: Vec<ComputeOut> = outs.into_iter().map(|o| o.expect("every shard computed")).collect();
-        let mut max_delta = outs.iter().fold(0.0f64, |m, o| m.max(o.max_delta));
-
-        // Phase 2: lockstep exchange barrier — single-threaded, shard-index
-        // order, packet append order. Deterministic by construction.
-        let mut flushed = 0.0;
-        let mut packets = 0u64;
-        let mut rerouted = 0.0;
-        for (dest, wave_slot) in waves.iter().enumerate() {
-            let mut wave = wave_slot.lock().unwrap();
-            for out in &outs {
-                for pkt in &out.outbox[dest] {
-                    packets += 1;
-                    flushed += pkt.energy + pkt.penalty;
-                    let local = AgentId::from_index(pkt.dest_local as usize);
-                    let idx = match wave.index.get(&local) {
-                        Some(&idx) => Some(idx),
-                        None => {
-                            if params.max_nodes.is_some_and(|cap| wave.nodes.len() >= cap) {
-                                None
-                            } else {
-                                Some(wave.discover(local, pkt.distance))
-                            }
-                        }
-                    };
-                    match idx {
-                        Some(idx) => {
-                            wave.nodes[idx].energy_next += pkt.energy;
-                            if pkt.penalty > 0.0 {
-                                wave.nodes[idx].rank -= pkt.penalty;
-                                max_delta = max_delta.max(pkt.penalty);
-                            }
-                        }
-                        // Past the destination cap: energy returns to the
-                        // source (as in the global metric); penalties on
-                        // never-discovered nodes are dropped.
-                        None => rerouted += pkt.energy,
-                    }
-                }
-            }
-        }
-        if rerouted > 0.0 {
-            waves[source_shard].lock().unwrap().nodes[0].energy_next += rerouted;
-        }
-        if packets > 0 {
-            exchange_rounds += 1;
-            exchange_counter.inc();
-            packets_counter.add(packets);
-            frontier_histogram.observe(flushed);
-        }
-
-        // Fold: next round's energy becomes visible everywhere at once.
-        for wave in &waves {
-            let mut wave = wave.lock().unwrap();
-            for node in &mut wave.nodes {
-                node.energy_in += node.energy_next;
-                node.energy_next = 0.0;
-            }
-        }
-
-        residual_histogram.observe(max_delta);
-        if max_delta < params.convergence {
-            converged = true;
-            break;
-        }
-    }
-
-    let mut nodes_discovered = 0;
-    let mut ranks: Vec<(GlobalId, f64)> = Vec::new();
-    for (s, wave) in waves.iter().enumerate() {
-        let wave = wave.lock().unwrap();
-        nodes_discovered += wave.nodes.len();
-        for node in &wave.nodes {
-            let global = shards[s].globals[node.local.index()];
-            if global != source {
-                ranks.push((global, node.rank));
-            }
-        }
-    }
-    ranks.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    semrec_obs::counter("shard.appleseed.nodes_explored").add(nodes_discovered as u64);
-
-    Ok(ShardedAppleseedResult {
-        ranks,
-        iterations,
-        nodes_discovered,
-        converged,
-        exchange_rounds,
-    })
+    semrec_obs::counter("shard.appleseed.nodes_explored").add(result.nodes_discovered as u64);
+    Ok(result)
 }
 
-/// Advances one shard's wave by one round, mirroring the global Appleseed
-/// node loop statement for statement. Shares for remote agents (and energy
-/// rerouted to a remote source) become packets in `outbox`.
-fn compute_round(
-    shard: &Shard,
-    wave: &mut Wave,
-    me: usize,
-    source_shard: usize,
-    source_local: u32,
-    params: &AppleseedParams,
-    n_shards: usize,
-) -> ComputeOut {
-    let d = params.spreading_factor;
-    let power = params.spreading_power;
-    let mut outbox: Vec<Vec<Packet>> = (0..n_shards).map(|_| Vec::new()).collect();
-    let mut max_delta: f64 = 0.0;
+thread_local! {
+    /// One scratch per thread, so a thread's queries allocate nothing in the
+    /// kernel once its buffers have grown to the largest waves (and the
+    /// dense indexes to the largest shards) the thread has seen.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
 
-    let count = wave.nodes.len();
-    for i in 0..count {
-        let energy = wave.nodes[i].energy_in;
-        if energy <= 0.0 {
-            continue;
+/// Where the source lives, seen from one shard.
+#[derive(Clone, Copy)]
+enum SourceAt {
+    /// On this shard, as wave node 0.
+    Here,
+    /// On another shard, reached by packet.
+    Shard { shard: u32, local: u32 },
+}
+
+/// A resolved edge that leaves the shard (or is rerouted to a source that
+/// lives elsewhere).
+#[derive(Clone, Copy)]
+struct RemoteEdge {
+    shard: u32,
+    local: u32,
+    powered: f64,
+}
+
+/// A wave node's resolved out-star, as ranges of its shard's arenas, plus
+/// the normalisation sum over all its statements and the backward edge.
+#[derive(Clone, Copy)]
+struct Star {
+    /// `start..pos_end` of `succ`/`powered`: trust edges into the local wave.
+    start: usize,
+    /// `pos_end..end` of `succ`/`powered`: distrust edges into the local wave.
+    pos_end: usize,
+    end: usize,
+    /// `source_start..source_end` of `source_powered`.
+    source_start: usize,
+    source_end: usize,
+    /// `remote_start..remote_pos_end` of `remote`: trust edges out of the
+    /// shard; `remote_pos_end..remote_end`: distrust edges out of it.
+    remote_start: usize,
+    remote_pos_end: usize,
+    remote_end: usize,
+    total_weight: f64,
+}
+
+impl Star {
+    /// The star of a node that has not forwarded energy yet.
+    const UNEXPANDED: Star = Star {
+        start: usize::MAX,
+        pos_end: 0,
+        end: 0,
+        source_start: 0,
+        source_end: 0,
+        remote_start: 0,
+        remote_pos_end: 0,
+        remote_end: 0,
+        total_weight: 0.0,
+    };
+}
+
+/// One shard's slice of the energy wave and its arenas; see the module docs.
+#[derive(Default)]
+struct ShardWave {
+    // The wave, one entry per discovered member in discovery order, as
+    // parallel arrays. On the source's shard the source is node 0.
+    local: Vec<u32>,
+    /// Hop distance from the source at discovery time.
+    distance: Vec<u32>,
+    rank: Vec<f64>,
+    energy_in: Vec<f64>,
+    energy_next: Vec<f64>,
+    star: Vec<Star>,
+    // The local edge arenas, filled node by node on first expansion: the
+    // successor's wave index and the weight raised to `spreading_power`.
+    succ: Vec<u32>,
+    powered: Vec<f64>,
+    /// Powered weights of the trust edges that feed a source on this shard.
+    source_powered: Vec<f64>,
+    /// Edges whose share travels by packet.
+    remote: Vec<RemoteEdge>,
+    /// Powered weights of the star being resolved, between its two passes.
+    parked: Vec<f64>,
+    // Dense local id → wave index: `wave_index[a]` is valid iff
+    // `stamp[a] == generation`, so starting a query is one increment
+    // instead of a clear.
+    wave_index: Vec<u32>,
+    stamp: Vec<u32>,
+    generation: u32,
+}
+
+impl ShardWave {
+    /// Empties the wave and makes room for a shard of `members` agents.
+    fn reset(&mut self, members: usize) {
+        self.local.clear();
+        self.distance.clear();
+        self.rank.clear();
+        self.energy_in.clear();
+        self.energy_next.clear();
+        self.star.clear();
+        self.succ.clear();
+        self.powered.clear();
+        self.source_powered.clear();
+        self.remote.clear();
+        if self.stamp.len() < members {
+            self.stamp.resize(members, 0);
+            self.wave_index.resize(members, 0);
         }
-        wave.nodes[i].energy_in = 0.0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
 
-        let kept = (1.0 - d) * energy;
-        wave.nodes[i].rank += kept;
-        max_delta = max_delta.max(kept);
-        let forward = d * energy;
+    /// Appends the member `local` to the wave and returns its index.
+    fn discover(&mut self, local: u32, distance: u32) -> u32 {
+        let idx = self.local.len() as u32;
+        self.local.push(local);
+        self.distance.push(distance);
+        self.rank.push(0.0);
+        self.energy_in.push(0.0);
+        self.energy_next.push(0.0);
+        self.star.push(Star::UNEXPANDED);
+        self.wave_index[local as usize] = idx;
+        self.stamp[local as usize] = self.generation;
+        idx
+    }
 
-        let local = wave.nodes[i].local;
-        let distance = wave.nodes[i].distance;
-        let at_range_limit = params.max_range.is_some_and(|r| distance >= r);
-        // The source is always the first node discovered in its shard.
-        let is_source = me == source_shard && i == 0;
-        let star = &shard.outstar[local.index()];
+    /// The wave index of the member `local`, discovering it at `distance`
+    /// if this shard's wave may still grow. Once `max_nodes` is hit no
+    /// member is ever discovered again, so `None` is final for a given
+    /// member: a local edge can freeze it, the barrier simply meets it
+    /// again.
+    fn resolve(&mut self, local: u32, distance: u32, params: &AppleseedParams) -> Option<u32> {
+        if self.stamp[local as usize] == self.generation {
+            Some(self.wave_index[local as usize])
+        } else if params.max_nodes.is_some_and(|cap| self.local.len() >= cap) {
+            None
+        } else {
+            Some(self.discover(local, distance))
+        }
+    }
 
+    /// Files a trust edge whose share goes to the source.
+    fn feed_source(&mut self, source: SourceAt, powered: f64) {
+        match source {
+            SourceAt::Here => self.source_powered.push(powered),
+            SourceAt::Shard { shard, local } => {
+                self.remote.push(RemoteEdge { shard, local, powered })
+            }
+        }
+    }
+
+    /// Resolves node `i`'s out-star into the arenas, discovering its local
+    /// successors. Runs once per node, when it first holds energy — the
+    /// moment the reference loop walks these edges for the first time, so
+    /// discovery order is the same.
+    fn expand(&mut self, i: usize, shard: &Shard, source: SourceAt, params: &AppleseedParams) {
+        let edges = &shard.outstar[self.local[i] as usize];
+        let distance = self.distance[i];
+        let power = params.spreading_power;
+        let start = self.succ.len();
+        let source_start = self.source_powered.len();
+        let remote_start = self.remote.len();
+
+        // First pass: power and sum the weights — trust statements, then
+        // distrust, each in edge order. Nodes at the range limit keep only
+        // the backward edge.
+        self.parked.clear();
         let mut pos_sum = 0.0;
         let mut neg_sum = 0.0;
+        let at_range_limit = params.max_range.is_some_and(|r| distance >= r);
         if !at_range_limit {
-            for edge in star {
-                if edge.weight > 0.0 {
-                    pos_sum += edge.weight.powf(power);
-                }
+            for edge in edges.iter().filter(|e| e.weight > 0.0) {
+                let pw = edge.weight.powf(power);
+                pos_sum += pw;
+                self.parked.push(pw);
             }
             if params.distrust {
-                for edge in star {
-                    if edge.weight < 0.0 {
-                        neg_sum += (-edge.weight).powf(power);
+                for edge in edges.iter().filter(|e| e.weight < 0.0) {
+                    let pw = (-edge.weight).powf(power);
+                    neg_sum += pw;
+                    self.parked.push(pw);
+                }
+            }
+        }
+        let source_here = matches!(source, SourceAt::Here);
+        let backward = if source_here && i == 0 { 0.0 } else { params.backward_weight };
+        let total_weight = pos_sum + neg_sum + backward;
+
+        // Second pass, in the same order: file each edge by where its share
+        // lands. A local trust edge that ends at the source — a statement
+        // about it, or any edge the cap reroutes — feeds the source; a
+        // local distrust edge the cap cuts off is dropped. A source without
+        // positive statements (`total_weight` 0) lets its energy evaporate
+        // and discovers nothing.
+        let mut pos_end = start;
+        let mut remote_pos_end = remote_start;
+        if total_weight > 0.0 && !at_range_limit {
+            let mut parked = 0;
+            for edge in edges.iter().filter(|e| e.weight > 0.0) {
+                let pw = self.parked[parked];
+                parked += 1;
+                match edge.target {
+                    Target::Local(succ) => {
+                        match self.resolve(succ.index() as u32, distance + 1, params) {
+                            Some(idx) if !(source_here && idx == 0) => {
+                                self.succ.push(idx);
+                                self.powered.push(pw);
+                            }
+                            _ => self.feed_source(source, pw),
+                        }
+                    }
+                    Target::Remote { shard, local } => {
+                        self.remote.push(RemoteEdge { shard, local, powered: pw })
                     }
                 }
             }
-        }
-        let backward = if is_source { 0.0 } else { params.backward_weight };
-        let total_weight = pos_sum + neg_sum + backward;
-        if total_weight <= 0.0 {
-            continue;
-        }
-
-        if backward > 0.0 {
-            let share = forward * backward / total_weight;
-            send_to_source(wave, &mut outbox, me, source_shard, source_local, share);
-        }
-        if !at_range_limit {
-            for edge in star {
-                if edge.weight > 0.0 {
-                    let share = forward * edge.weight.powf(power) / total_weight;
+            pos_end = self.succ.len();
+            remote_pos_end = self.remote.len();
+            if params.distrust {
+                for edge in edges.iter().filter(|e| e.weight < 0.0) {
+                    let pw = self.parked[parked];
+                    parked += 1;
                     match edge.target {
                         Target::Local(succ) => {
-                            let idx = match wave.index.get(&succ) {
-                                Some(&idx) => idx,
-                                None => {
-                                    if params
-                                        .max_nodes
-                                        .is_some_and(|cap| wave.nodes.len() >= cap)
-                                    {
-                                        send_to_source(
-                                            wave,
-                                            &mut outbox,
-                                            me,
-                                            source_shard,
-                                            source_local,
-                                            share,
-                                        );
-                                        continue;
-                                    }
-                                    wave.discover(succ, distance + 1)
-                                }
-                            };
-                            wave.nodes[idx].energy_next += share;
-                        }
-                        Target::Remote { shard: dest, local: dest_local } => {
-                            outbox[dest as usize].push(Packet {
-                                dest_local,
-                                distance: distance + 1,
-                                energy: share,
-                                penalty: 0.0,
-                            });
-                        }
-                    }
-                }
-            }
-            if params.distrust {
-                for edge in star {
-                    if edge.weight < 0.0 {
-                        let share = forward * (-edge.weight).powf(power) / total_weight;
-                        match edge.target {
-                            Target::Local(succ) => {
-                                let idx = match wave.index.get(&succ) {
-                                    Some(&idx) => Some(idx),
-                                    None => {
-                                        if params
-                                            .max_nodes
-                                            .is_some_and(|cap| wave.nodes.len() >= cap)
-                                        {
-                                            None
-                                        } else {
-                                            Some(wave.discover(succ, distance + 1))
-                                        }
-                                    }
-                                };
-                                if let Some(idx) = idx {
-                                    wave.nodes[idx].rank -= share;
-                                    max_delta = max_delta.max(share);
-                                }
+                            if let Some(idx) =
+                                self.resolve(succ.index() as u32, distance + 1, params)
+                            {
+                                self.succ.push(idx);
+                                self.powered.push(pw);
                             }
-                            Target::Remote { shard: dest, local: dest_local } => {
-                                outbox[dest as usize].push(Packet {
-                                    dest_local,
-                                    distance: distance + 1,
-                                    energy: 0.0,
-                                    penalty: share,
-                                });
-                            }
+                        }
+                        Target::Remote { shard, local } => {
+                            self.remote.push(RemoteEdge { shard, local, powered: pw })
                         }
                     }
                 }
             }
         }
+        self.star[i] = Star {
+            start,
+            pos_end,
+            end: self.succ.len(),
+            source_start,
+            source_end: self.source_powered.len(),
+            remote_start,
+            remote_pos_end,
+            remote_end: self.remote.len(),
+            total_weight,
+        };
     }
 
-    ComputeOut { max_delta, outbox }
+    /// Advances this shard's wave by one round and returns the largest rank
+    /// movement. Shares for remote agents (and, on a shard that does not
+    /// own the source, the energy owed to it) are appended to `outbox`,
+    /// indexed by destination shard.
+    fn compute_round(
+        &mut self,
+        shard: &Shard,
+        outbox: &mut [Vec<Packet>],
+        source: SourceAt,
+        params: &AppleseedParams,
+    ) -> f64 {
+        let d = params.spreading_factor;
+        let mut max_delta: f64 = 0.0;
+        // `energy_next[0]` of the source's shard, kept in a register: the
+        // backward edge of every local node ends there, and a chain of adds
+        // through one memory cell is the slowest thing the pass could do.
+        let mut to_source = 0.0;
+
+        // Members discovered during this pass hold no energy until the
+        // fold, so the pass covers the wave as it stood.
+        for i in 0..self.local.len() {
+            let energy = self.energy_in[i];
+            if energy <= 0.0 {
+                continue;
+            }
+            self.energy_in[i] = 0.0;
+
+            // Keep (1 - d), forward d.
+            let kept = (1.0 - d) * energy;
+            self.rank[i] += kept;
+            max_delta = max_delta.max(kept);
+            let forward = d * energy;
+
+            if self.star[i].start == Star::UNEXPANDED.start {
+                self.expand(i, shard, source, params);
+            }
+            let star = self.star[i];
+            let total_weight = star.total_weight;
+            if total_weight <= 0.0 {
+                continue;
+            }
+            let distance = self.distance[i] + 1;
+
+            // `forward * w / total_weight` is the reference loop's
+            // expression, and every accumulator and every bucket below
+            // receives its addends in the reference loop's order (the
+            // source: the backward edge, then edge order). Ranks are
+            // bit-identical only as long as neither is rearranged.
+            match source {
+                SourceAt::Here => {
+                    if i != 0 {
+                        to_source += forward * params.backward_weight / total_weight;
+                    }
+                    for &pw in &self.source_powered[star.source_start..star.source_end] {
+                        to_source += forward * pw / total_weight;
+                    }
+                }
+                // The source is discovered before the first round, so this
+                // packet always resolves at the barrier and its distance is
+                // never read.
+                SourceAt::Shard { shard, local } => outbox[shard as usize].push(Packet {
+                    dest_local: local,
+                    distance: 0,
+                    energy: forward * params.backward_weight / total_weight,
+                    penalty: 0.0,
+                }),
+            }
+            let trust = self.succ[star.start..star.pos_end]
+                .iter()
+                .zip(&self.powered[star.start..star.pos_end]);
+            for (&idx, &pw) in trust {
+                self.energy_next[idx as usize] += forward * pw / total_weight;
+            }
+            for edge in &self.remote[star.remote_start..star.remote_pos_end] {
+                outbox[edge.shard as usize].push(Packet {
+                    dest_local: edge.local,
+                    distance,
+                    energy: forward * edge.powered / total_weight,
+                    penalty: 0.0,
+                });
+            }
+            // Distrust: a terminal penalty, deposited as negative rank.
+            let distrust = self.succ[star.pos_end..star.end]
+                .iter()
+                .zip(&self.powered[star.pos_end..star.end]);
+            for (&idx, &pw) in distrust {
+                let share = forward * pw / total_weight;
+                self.rank[idx as usize] -= share;
+                max_delta = max_delta.max(share);
+            }
+            for edge in &self.remote[star.remote_pos_end..star.remote_end] {
+                outbox[edge.shard as usize].push(Packet {
+                    dest_local: edge.local,
+                    distance,
+                    energy: 0.0,
+                    penalty: forward * edge.powered / total_weight,
+                });
+            }
+        }
+
+        if matches!(source, SourceAt::Here) {
+            self.energy_next[0] = to_source;
+        }
+        max_delta
+    }
 }
 
-/// Deposits rerouted or backward energy at the source node: directly when
-/// the source is local, as a frontier packet otherwise. The source is
-/// discovered (node 0 of its shard's wave) before the first round, so the
-/// packet always resolves through the destination wave index.
-fn send_to_source(
-    wave: &mut Wave,
-    outbox: &mut [Vec<Packet>],
-    me: usize,
-    source_shard: usize,
-    source_local: u32,
-    share: f64,
-) {
-    if me == source_shard {
-        wave.nodes[0].energy_next += share;
-    } else {
-        outbox[source_shard].push(Packet {
-            dest_local: source_local,
-            distance: 0,
-            energy: share,
-            penalty: 0.0,
+/// Reusable state of one sharded run: a wave per shard and the frontier
+/// buckets, `outboxes[from * n + to]` for a model of `n` shards.
+#[derive(Default)]
+struct Scratch {
+    waves: Vec<ShardWave>,
+    outboxes: Vec<Vec<Packet>>,
+}
+
+impl Scratch {
+    fn run(
+        &mut self,
+        shards: &[Arc<Shard>],
+        source: GlobalId,
+        source_shard: usize,
+        source_local: u32,
+        params: &AppleseedParams,
+        schedule: &[usize],
+    ) -> ShardedAppleseedResult {
+        // Handles are fetched once per run; the loop only touches atomics.
+        let iterations_counter = semrec_obs::counter("shard.appleseed.iterations");
+        let exchange_counter = semrec_obs::counter("shard.exchange.rounds");
+        let packets_counter = semrec_obs::counter("shard.frontier.packets");
+        let residual_histogram = semrec_obs::histogram("shard.appleseed.residual");
+        let frontier_histogram = semrec_obs::histogram("shard.frontier.energy");
+
+        let n = shards.len();
+        if self.waves.len() < n {
+            self.waves.resize_with(n, ShardWave::default);
+        }
+        if self.outboxes.len() < n * n {
+            self.outboxes.resize_with(n * n, Vec::new);
+        }
+        let waves = &mut self.waves[..n];
+        let outboxes = &mut self.outboxes[..n * n];
+        for (wave, shard) in waves.iter_mut().zip(shards) {
+            wave.reset(shard.len());
+        }
+        // Empty after every barrier; a run that unwound mid-round is the
+        // only way a packet could be left behind.
+        outboxes.iter_mut().for_each(Vec::clear);
+
+        waves[source_shard].discover(source_local, 0);
+        waves[source_shard].energy_in[0] = params.injection;
+
+        let mut iterations = 0;
+        let mut converged = false;
+        let mut exchange_rounds = 0;
+        while iterations < params.max_iterations {
+            iterations += 1;
+            iterations_counter.inc();
+
+            // Phase 1: per-shard compute over disjoint waves and buckets.
+            let mut max_delta: f64 = 0.0;
+            for &s in schedule {
+                let source_at = if s == source_shard {
+                    SourceAt::Here
+                } else {
+                    SourceAt::Shard { shard: source_shard as u32, local: source_local }
+                };
+                let outbox = &mut outboxes[s * n..(s + 1) * n];
+                max_delta =
+                    max_delta.max(waves[s].compute_round(&shards[s], outbox, source_at, params));
+            }
+
+            // Phase 2: lockstep exchange barrier — destination shard by
+            // destination shard, source shard by source shard, packet
+            // append order. Deterministic by construction.
+            let mut flushed = 0.0;
+            let mut packets = 0u64;
+            let mut rerouted = 0.0;
+            for (dest, wave) in waves.iter_mut().enumerate() {
+                for from in 0..n {
+                    for pkt in outboxes[from * n + dest].drain(..) {
+                        packets += 1;
+                        flushed += pkt.energy + pkt.penalty;
+                        match wave.resolve(pkt.dest_local, pkt.distance, params) {
+                            Some(idx) => {
+                                wave.energy_next[idx as usize] += pkt.energy;
+                                if pkt.penalty > 0.0 {
+                                    wave.rank[idx as usize] -= pkt.penalty;
+                                    max_delta = max_delta.max(pkt.penalty);
+                                }
+                            }
+                            // Past the destination cap: energy returns to
+                            // the source (as in the global metric);
+                            // penalties on never-discovered nodes are
+                            // dropped.
+                            None => rerouted += pkt.energy,
+                        }
+                    }
+                }
+            }
+            if rerouted > 0.0 {
+                waves[source_shard].energy_next[0] += rerouted;
+            }
+            if packets > 0 {
+                exchange_rounds += 1;
+                exchange_counter.inc();
+                packets_counter.add(packets);
+                frontier_histogram.observe(flushed);
+            }
+
+            // Fold: next round's energy becomes visible everywhere at once.
+            for wave in waves.iter_mut() {
+                for (energy_in, energy_next) in wave.energy_in.iter_mut().zip(&mut wave.energy_next)
+                {
+                    *energy_in += *energy_next;
+                    *energy_next = 0.0;
+                }
+            }
+
+            residual_histogram.observe(max_delta);
+            if max_delta < params.convergence {
+                converged = true;
+                break;
+            }
+        }
+
+        let nodes_discovered: usize = waves.iter().map(|wave| wave.local.len()).sum();
+        let mut ranks: Vec<(GlobalId, f64)> = Vec::with_capacity(nodes_discovered - 1);
+        for (shard, wave) in shards.iter().zip(waves.iter()) {
+            for (&local, &rank) in wave.local.iter().zip(&wave.rank) {
+                let global = shard.globals[local as usize];
+                if global != source {
+                    ranks.push((global, rank));
+                }
+            }
+        }
+        // Every weight that reaches an out-star is a finite value in
+        // [-1, 1] — `TrustGraph::set_trust` checks statements, recovery
+        // checks the boundary sidecar — so no rank is NaN. Ordinals are
+        // unique, so the comparator is a strict total order and the
+        // unstable sort yields the one possible permutation.
+        ranks.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1).expect("ranks are never NaN").then(a.0.cmp(&b.0))
         });
+
+        ShardedAppleseedResult { ranks, iterations, nodes_discovered, converged, exchange_rounds }
     }
 }
+
+#[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
+mod tests;

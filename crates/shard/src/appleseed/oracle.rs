@@ -1,0 +1,353 @@
+//! The straightforward boundary-frontier loop, frozen as the test oracle.
+//!
+//! This is the loop the crate shipped before the expansion-cached kernel:
+//! every round re-walks every active node's out-star, re-powers every
+//! weight twice, resolves every local successor through a hash map, builds
+//! a fresh set of frontier buckets per shard, and resolves every packet
+//! through the destination's hash map at the barrier. It is slow and reads
+//! like the protocol's definition, which is what an oracle is for: the
+//! kernel in the parent module must reproduce its ranks bit for bit, plus
+//! `iterations`, `nodes_discovered`, `converged` and `exchange_rounds`, at
+//! every shard count.
+//!
+//! Test-only, and in-crate because it reads [`Shard`]'s `pub(crate)`
+//! out-star. Shards are visited in index order (the order never affected
+//! results). It takes parameters that already passed
+//! [`AppleseedParams::validate`] and a source that exists, and it records
+//! no metrics.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use semrec_trust::appleseed::AppleseedParams;
+use semrec_trust::AgentId;
+
+use super::{Packet, ShardedAppleseedResult};
+use crate::model::{Shard, Target};
+use crate::partition::GlobalId;
+
+/// Per-shard slice of the energy wave.
+#[derive(Default)]
+struct Wave {
+    nodes: Vec<WaveNode>,
+    index: HashMap<AgentId, usize>,
+}
+
+struct WaveNode {
+    local: AgentId,
+    distance: u32,
+    rank: f64,
+    energy_in: f64,
+    energy_next: f64,
+}
+
+impl Wave {
+    fn discover(&mut self, local: AgentId, distance: u32) -> usize {
+        let idx = self.nodes.len();
+        self.index.insert(local, idx);
+        self.nodes.push(WaveNode {
+            local,
+            distance,
+            rank: 0.0,
+            energy_in: 0.0,
+            energy_next: 0.0,
+        });
+        idx
+    }
+}
+
+/// Outcome of one shard's compute phase in one round.
+struct ComputeOut {
+    max_delta: f64,
+    outbox: Vec<Vec<Packet>>,
+}
+
+/// Everything the bit-identity contract covers, in comparable form: the
+/// ranking with each rank's `f64` bits, `iterations`, `nodes_discovered`,
+/// `converged` and `exchange_rounds`.
+pub(crate) fn bits(
+    r: &ShardedAppleseedResult,
+) -> (Vec<(GlobalId, u64)>, usize, usize, bool, usize) {
+    let ranks = r.ranks.iter().map(|&(g, rank)| (g, rank.to_bits())).collect();
+    (ranks, r.iterations, r.nodes_discovered, r.converged, r.exchange_rounds)
+}
+
+/// Runs the reference protocol for `source`.
+pub(crate) fn sharded_appleseed_reference(
+    shards: &[Arc<Shard>],
+    local_of: &[u32],
+    source: GlobalId,
+    source_shard: usize,
+    params: &AppleseedParams,
+) -> ShardedAppleseedResult {
+    let n_shards = shards.len();
+    let source_local = local_of[source.index()];
+
+    let mut waves: Vec<Wave> = (0..n_shards).map(|_| Wave::default()).collect();
+    {
+        let wave = &mut waves[source_shard];
+        let idx = wave.discover(AgentId::from_index(source_local as usize), 0);
+        wave.nodes[idx].energy_in = params.injection;
+    }
+
+    let mut iterations = 0;
+    let mut converged = false;
+    let mut exchange_rounds = 0;
+    while iterations < params.max_iterations {
+        iterations += 1;
+
+        // Phase 1: per-shard compute over disjoint waves.
+        let outs: Vec<ComputeOut> = (0..n_shards)
+            .map(|s| {
+                compute_round(
+                    &shards[s],
+                    &mut waves[s],
+                    s,
+                    source_shard,
+                    source_local,
+                    params,
+                    n_shards,
+                )
+            })
+            .collect();
+        let mut max_delta = outs.iter().fold(0.0f64, |m, o| m.max(o.max_delta));
+
+        // Phase 2: lockstep exchange barrier — shard-index order, packet
+        // append order.
+        let mut packets = 0u64;
+        let mut rerouted = 0.0;
+        for (dest, wave) in waves.iter_mut().enumerate() {
+            for out in &outs {
+                for pkt in &out.outbox[dest] {
+                    packets += 1;
+                    let local = AgentId::from_index(pkt.dest_local as usize);
+                    let idx = match wave.index.get(&local) {
+                        Some(&idx) => Some(idx),
+                        None => {
+                            if params.max_nodes.is_some_and(|cap| wave.nodes.len() >= cap) {
+                                None
+                            } else {
+                                Some(wave.discover(local, pkt.distance))
+                            }
+                        }
+                    };
+                    match idx {
+                        Some(idx) => {
+                            wave.nodes[idx].energy_next += pkt.energy;
+                            if pkt.penalty > 0.0 {
+                                wave.nodes[idx].rank -= pkt.penalty;
+                                max_delta = max_delta.max(pkt.penalty);
+                            }
+                        }
+                        // Past the destination cap: energy returns to the
+                        // source (as in the global metric); penalties on
+                        // never-discovered nodes are dropped.
+                        None => rerouted += pkt.energy,
+                    }
+                }
+            }
+        }
+        if rerouted > 0.0 {
+            waves[source_shard].nodes[0].energy_next += rerouted;
+        }
+        if packets > 0 {
+            exchange_rounds += 1;
+        }
+
+        // Fold: next round's energy becomes visible everywhere at once.
+        for wave in &mut waves {
+            for node in &mut wave.nodes {
+                node.energy_in += node.energy_next;
+                node.energy_next = 0.0;
+            }
+        }
+
+        if max_delta < params.convergence {
+            converged = true;
+            break;
+        }
+    }
+
+    let mut nodes_discovered = 0;
+    let mut ranks: Vec<(GlobalId, f64)> = Vec::new();
+    for (s, wave) in waves.iter().enumerate() {
+        nodes_discovered += wave.nodes.len();
+        for node in &wave.nodes {
+            let global = shards[s].globals[node.local.index()];
+            if global != source {
+                ranks.push((global, node.rank));
+            }
+        }
+    }
+    ranks.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+
+    ShardedAppleseedResult { ranks, iterations, nodes_discovered, converged, exchange_rounds }
+}
+
+/// Advances one shard's wave by one round, mirroring the global Appleseed
+/// node loop statement for statement. Shares for remote agents (and energy
+/// rerouted to a remote source) become packets in `outbox`.
+fn compute_round(
+    shard: &Shard,
+    wave: &mut Wave,
+    me: usize,
+    source_shard: usize,
+    source_local: u32,
+    params: &AppleseedParams,
+    n_shards: usize,
+) -> ComputeOut {
+    let d = params.spreading_factor;
+    let power = params.spreading_power;
+    let mut outbox: Vec<Vec<Packet>> = (0..n_shards).map(|_| Vec::new()).collect();
+    let mut max_delta: f64 = 0.0;
+
+    let count = wave.nodes.len();
+    for i in 0..count {
+        let energy = wave.nodes[i].energy_in;
+        if energy <= 0.0 {
+            continue;
+        }
+        wave.nodes[i].energy_in = 0.0;
+
+        let kept = (1.0 - d) * energy;
+        wave.nodes[i].rank += kept;
+        max_delta = max_delta.max(kept);
+        let forward = d * energy;
+
+        let local = wave.nodes[i].local;
+        let distance = wave.nodes[i].distance;
+        let at_range_limit = params.max_range.is_some_and(|r| distance >= r);
+        // The source is always the first node discovered in its shard.
+        let is_source = me == source_shard && i == 0;
+        let star = &shard.outstar[local.index()];
+
+        let mut pos_sum = 0.0;
+        let mut neg_sum = 0.0;
+        if !at_range_limit {
+            for edge in star {
+                if edge.weight > 0.0 {
+                    pos_sum += edge.weight.powf(power);
+                }
+            }
+            if params.distrust {
+                for edge in star {
+                    if edge.weight < 0.0 {
+                        neg_sum += (-edge.weight).powf(power);
+                    }
+                }
+            }
+        }
+        let backward = if is_source { 0.0 } else { params.backward_weight };
+        let total_weight = pos_sum + neg_sum + backward;
+        if total_weight <= 0.0 {
+            continue;
+        }
+
+        if backward > 0.0 {
+            let share = forward * backward / total_weight;
+            send_to_source(wave, &mut outbox, me, source_shard, source_local, share);
+        }
+        if !at_range_limit {
+            for edge in star {
+                if edge.weight > 0.0 {
+                    let share = forward * edge.weight.powf(power) / total_weight;
+                    match edge.target {
+                        Target::Local(succ) => {
+                            let idx = match wave.index.get(&succ) {
+                                Some(&idx) => idx,
+                                None => {
+                                    if params
+                                        .max_nodes
+                                        .is_some_and(|cap| wave.nodes.len() >= cap)
+                                    {
+                                        send_to_source(
+                                            wave,
+                                            &mut outbox,
+                                            me,
+                                            source_shard,
+                                            source_local,
+                                            share,
+                                        );
+                                        continue;
+                                    }
+                                    wave.discover(succ, distance + 1)
+                                }
+                            };
+                            wave.nodes[idx].energy_next += share;
+                        }
+                        Target::Remote { shard: dest, local: dest_local } => {
+                            outbox[dest as usize].push(Packet {
+                                dest_local,
+                                distance: distance + 1,
+                                energy: share,
+                                penalty: 0.0,
+                            });
+                        }
+                    }
+                }
+            }
+            if params.distrust {
+                for edge in star {
+                    if edge.weight < 0.0 {
+                        let share = forward * (-edge.weight).powf(power) / total_weight;
+                        match edge.target {
+                            Target::Local(succ) => {
+                                let idx = match wave.index.get(&succ) {
+                                    Some(&idx) => Some(idx),
+                                    None => {
+                                        if params
+                                            .max_nodes
+                                            .is_some_and(|cap| wave.nodes.len() >= cap)
+                                        {
+                                            None
+                                        } else {
+                                            Some(wave.discover(succ, distance + 1))
+                                        }
+                                    }
+                                };
+                                if let Some(idx) = idx {
+                                    wave.nodes[idx].rank -= share;
+                                    max_delta = max_delta.max(share);
+                                }
+                            }
+                            Target::Remote { shard: dest, local: dest_local } => {
+                                outbox[dest as usize].push(Packet {
+                                    dest_local,
+                                    distance: distance + 1,
+                                    energy: 0.0,
+                                    penalty: share,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    ComputeOut { max_delta, outbox }
+}
+
+/// Deposits rerouted or backward energy at the source node: directly when
+/// the source is local, as a frontier packet otherwise. The source is
+/// discovered (node 0 of its shard's wave) before the first round, so the
+/// packet always resolves through the destination wave index.
+fn send_to_source(
+    wave: &mut Wave,
+    outbox: &mut [Vec<Packet>],
+    me: usize,
+    source_shard: usize,
+    source_local: u32,
+    share: f64,
+) {
+    if me == source_shard {
+        wave.nodes[0].energy_next += share;
+    } else {
+        outbox[source_shard].push(Packet {
+            dest_local: source_local,
+            distance: 0,
+            energy: share,
+            penalty: 0.0,
+        });
+    }
+}

@@ -12,10 +12,14 @@
 //! ([`mod@crate::appleseed`]): spreading activation runs locally per
 //! shard, energy crossing a shard boundary accumulates into per-edge
 //! frontier packets, and lockstep exchange rounds flush those packets
-//! until the global residual converges. The protocol is deterministic
-//! across shard counts, compute-thread counts, and shard scheduling
-//! order — and at N=1 it degenerates to the exact global algorithm,
-//! byte for byte.
+//! until the global residual converges. A query runs on its caller's
+//! thread over flat per-shard arenas in which each node's out-star is
+//! resolved once (the `semrec-trust` kernel's design, per shard), and the
+//! queries of a batch run in parallel. The protocol is deterministic
+//! across compute-thread counts and shard scheduling order, bit-identical
+//! at every shard count to the straightforward loop kept as its test
+//! oracle — and at N=1 it degenerates to the exact global algorithm, byte
+//! for byte.
 //!
 //! * [`ShardedModel`] — partition, serve, and incrementally advance; each
 //!   [`Shard`] carries a `serve_epoch` that an advance moves only on shards

@@ -297,17 +297,17 @@ impl ShardedModel {
         }
     }
 
-    /// Sets the compute-thread fan-out for per-shard work (builds, the
-    /// cross-shard protocol's compute phase, batch serving). Results are
-    /// byte-identical for any value.
+    /// Sets the compute-thread fan-out for per-shard builds and for the
+    /// queries of a batch (a single query runs on its caller's thread).
+    /// Results are byte-identical for any value.
     pub fn with_threads(mut self, threads: usize) -> ShardedModel {
         self.threads = threads.max(1);
         self
     }
 
-    /// Sets the order shards are visited by sequential compute phases and
-    /// chunked over parallel workers. Must be a permutation of
-    /// `0..shards`; results are byte-identical for any permutation.
+    /// Sets the order shards are visited in by the cross-shard protocol's
+    /// compute phase. Must be a permutation of `0..shards`; results are
+    /// byte-identical for any permutation.
     pub fn with_schedule(mut self, schedule: Vec<usize>) -> ShardedModel {
         let mut seen = vec![false; self.shards.len()];
         assert_eq!(schedule.len(), self.shards.len(), "schedule must cover every shard");
@@ -379,7 +379,6 @@ impl ShardedModel {
             source,
             source_shard,
             &self.config.neighborhood.appleseed,
-            self.threads,
             &self.schedule,
         )?;
         Ok(result)

@@ -581,6 +581,21 @@ fn fold_directory(frames: &[Vec<u8>]) -> Result<Vec<(String, u32)>> {
         .collect())
 }
 
+/// A boundary weight goes straight into a shard's out-star, past
+/// `TrustGraph::set_trust`, so the sidecar applies that function's check
+/// itself: a finite value in `[-1, 1]` (a NaN is in no range). The trust
+/// metric relies on it — an infinite weight would turn every share of the
+/// star into `inf / inf`.
+fn checked_weight(weight: f64, truster: &str, trustee: &str) -> Result<f64> {
+    if (-1.0..=1.0).contains(&weight) {
+        Ok(weight)
+    } else {
+        Err(Error::Corrupt(format!(
+            "boundary edge {truster} -> {trustee} carries weight {weight}, outside [-1, 1]"
+        )))
+    }
+}
+
 /// Folds boundary frames into truster → sorted remote edge list.
 fn fold_boundary(frames: &[Vec<u8>]) -> Result<HashMap<String, Vec<(String, f64)>>> {
     let mut map: HashMap<String, Vec<(String, f64)>> = HashMap::new();
@@ -595,7 +610,7 @@ fn fold_boundary(frames: &[Vec<u8>]) -> Result<HashMap<String, Vec<(String, f64)
                     let mut edges = Vec::with_capacity(count);
                     for _ in 0..count {
                         let trustee = r.get_str()?;
-                        let weight = r.get_f64()?;
+                        let weight = checked_weight(r.get_f64()?, &truster, &trustee)?;
                         edges.push((trustee, weight));
                     }
                     map.insert(truster, edges);
@@ -603,7 +618,7 @@ fn fold_boundary(frames: &[Vec<u8>]) -> Result<HashMap<String, Vec<(String, f64)
                 1 => {
                     let truster = r.get_str()?;
                     let trustee = r.get_str()?;
-                    let weight = r.get_f64()?;
+                    let weight = checked_weight(r.get_f64()?, &truster, &trustee)?;
                     let edges = map.entry(truster).or_default();
                     match edges.binary_search_by(|(t, _)| t.as_str().cmp(&trustee)) {
                         Ok(pos) => edges[pos].1 = weight,
@@ -713,6 +728,55 @@ mod tests {
         let frames = read_frames(&path, DIRECTORY_MAGIC).unwrap();
         assert_eq!(frames.len(), 1, "intact prefix survives a torn tail");
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A frame with a valid checksum but a weight no statement may carry:
+    /// recovery must refuse it with the typed error, naming the edge, where
+    /// it used to stitch the weight into the out-star and let the first
+    /// query through that truster panic on a NaN rank.
+    #[test]
+    fn forged_boundary_weight_is_refused_at_recovery() {
+        let c = world();
+        let (model, _) = ShardedModel::partition(
+            &c,
+            RecommenderConfig::default(),
+            Arc::new(HashShardFn),
+            3,
+            1,
+        );
+        let (truster, trustee) = ("http://persist.example.org/0#me", "http://persist.example.org/1#me");
+        for (tag, weight) in [("inf", f64::INFINITY), ("nan", f64::NAN), ("range", -1.5)] {
+            for replace in [false, true] {
+                let root = temp_root(&format!("forged-{tag}-{replace}"));
+                let store = ShardedStore::open(&root).unwrap();
+                store.checkpoint(&model, 1).unwrap();
+                let mut forged = Writer::new();
+                forged.put_len(1);
+                if replace {
+                    forged.put_u8(0); // replace the truster's list
+                    forged.put_str(truster);
+                    forged.put_len(1);
+                } else {
+                    forged.put_u8(1); // set one edge
+                    forged.put_str(truster);
+                }
+                forged.put_str(trustee);
+                forged.put_f64(weight);
+                append_frame(&store.shard_dir(0).join("boundary.bin"), BOUNDARY_MAGIC, forged.as_bytes())
+                    .unwrap();
+                match store.recover(Arc::new(HashShardFn)) {
+                    Err(Error::Corrupt(message)) => {
+                        assert!(
+                            message.contains(truster) && message.contains(trustee),
+                            "the error must name the edge: {message}"
+                        );
+                    }
+                    Err(other) => panic!("expected Error::Corrupt, got {other}"),
+                    Ok(_) => panic!("a {tag} boundary weight was stitched into the model"),
+                }
+                let _ = fs::remove_dir_all(&root);
+            }
+        }
     }
 
     #[test]
