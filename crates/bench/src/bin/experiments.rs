@@ -4,8 +4,10 @@
 //! ```sh
 //! cargo run --release -p semrec-bench --bin experiments -- all
 //! cargo run --release -p semrec-bench --bin experiments -- e7 --scale medium
-//! cargo run --release -p semrec-bench --bin experiments -- e1 --metrics
 //! ```
+//!
+//! Experiments print the `metrics()` of the engines, stores, webs and
+//! swarms they built, beside their tables.
 
 use semrec_bench::{experiments, Scale};
 
@@ -13,7 +15,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ids: Vec<String> = Vec::new();
     let mut scale = Scale::Medium;
-    let mut metrics = false;
 
     let mut i = 0;
     while i < args.len() {
@@ -25,7 +26,6 @@ fn main() {
                     .and_then(|s| Scale::parse(s))
                     .unwrap_or_else(|| usage("unknown scale"));
             }
-            "--metrics" => metrics = true,
             "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),
             id => ids.push(id.to_string()),
         }
@@ -37,30 +37,15 @@ fn main() {
 
     println!("semrec experiment harness — scale: {scale:?}");
     for id in &ids {
-        if metrics {
-            // Per-experiment dump: reset first so each dump covers exactly
-            // one experiment's work (handles survive the in-place reset).
-            semrec_obs::global().reset();
-        }
         if !experiments::run(id, scale) {
             usage(&format!("unknown experiment `{id}`"));
-        }
-        if metrics {
-            println!("\n--- metrics ({id}) ---");
-            let snapshot = semrec_obs::global().snapshot();
-            if snapshot.is_empty() {
-                println!("(no instrumented paths ran)");
-            } else {
-                print!("{}", snapshot.render_text());
-            }
         }
     }
 }
 
 fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}\n");
-    eprintln!("usage: experiments [--scale small|medium|paper] [--metrics] <ids…|all>");
+    eprintln!("usage: experiments [--scale small|medium|paper] <ids…|all>");
     eprintln!("  experiments: {}", semrec_bench::experiments::ALL.join(", "));
-    eprintln!("  --metrics: reset and dump the metrics registry around each experiment");
     std::process::exit(2);
 }

@@ -7,8 +7,8 @@
 //! E1 then feeds the Example 1 catalog into the full pipeline: a four-agent
 //! community (alice trusts bob and dave; eve sits outside the neighborhood)
 //! is evaluated through [`recommend_batch`], exercising every stage —
-//! Appleseed, profile similarity, synthesis, voting — so the `--metrics`
-//! dump after E1 shows the whole pipeline's counters and stage timings.
+//! Appleseed, profile similarity, synthesis, voting — and prints that
+//! engine's `metrics()`: the whole pipeline's counters and stage timings.
 
 use semrec_core::{recommend_batch, Community, Recommender, RecommenderConfig};
 use semrec_eval::table::{fmt, Table};
@@ -23,6 +23,8 @@ pub struct Outcome {
     pub profile_total: f64,
     /// Number of recommendations each of the four pipeline agents received.
     pub recommendation_counts: Vec<usize>,
+    /// `Recommender::metrics()` of the pipeline pass's engine.
+    pub metrics: semrec_obs::MetricsSnapshot,
 }
 
 const PAPER: [(&str, f64); 5] = [
@@ -66,7 +68,7 @@ pub fn run() -> Outcome {
         profile.support(), profile.total());
 
     // Full-pipeline pass over the Example 1 community: every stage of the
-    // engine runs, so observability counters and spans are populated.
+    // engine runs, so its books hold every `engine.*` / `batch.*` name.
     let e = example1();
     let products: Vec<_> = e.catalog.iter().collect();
     let mut community = Community::new(e.fig.taxonomy, e.catalog);
@@ -93,8 +95,11 @@ pub fn run() -> Outcome {
         "\nPipeline pass over the 4-agent Example 1 community: {:?} recommendations",
         recommendation_counts
     );
+    let metrics = recommender.metrics();
+    println!("\nRecommender::metrics() of that engine:");
+    print!("{}", metrics.render_text());
 
-    Outcome { rows, profile_total: profile.total(), recommendation_counts }
+    Outcome { rows, profile_total: profile.total(), recommendation_counts, metrics }
 }
 
 #[cfg(test)]
@@ -119,10 +124,12 @@ mod tests {
         // Alice's trusted, taste-aligned peers produce recommendations.
         assert_eq!(outcome.recommendation_counts.len(), 4);
         assert!(outcome.recommendation_counts[0] >= 1, "alice must get recommendations");
-        // The metrics the `--metrics` dump is contractually expected to show.
-        let snapshot = semrec_obs::global().snapshot();
-        assert!(snapshot.counters["appleseed.iterations"] >= 1);
-        assert!(snapshot.counters["batch.tasks"] >= 4);
-        assert!(snapshot.histograms["engine.stage.synthesis"].count >= 1);
+        // The engine's books hold exactly that pass: four batch tasks,
+        // each one run through every stage.
+        let snapshot = &outcome.metrics;
+        assert_eq!(snapshot.counters["batch.tasks"], 4);
+        assert_eq!(snapshot.counters["engine.runs"], 4);
+        assert!(snapshot.counters["engine.trust_iterations"] >= 4);
+        assert_eq!(snapshot.histograms["engine.stage.synthesis"].count, 4);
     }
 }

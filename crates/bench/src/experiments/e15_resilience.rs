@@ -89,6 +89,7 @@ pub fn run(scale: Scale) -> Outcome {
     ]);
     let mut rows: Vec<Row> = Vec::new();
     let mut baseline: Vec<Option<BTreeSet<String>>> = Vec::new();
+    let mut heaviest_books = String::new();
     for rate in RATES {
         let faulty = FaultyWeb::new(&web, FaultPlan::transient(rate, 15));
         let (result, breaker) =
@@ -159,8 +160,16 @@ pub fn run(scale: Scale) -> Outcome {
             if row.degraded { "yes".into() } else { "no".into() },
         ]);
         rows.push(row);
+        if rate == RATES[RATES.len() - 1] {
+            heaviest_books = result.metrics().render_text() + &engine.metrics().render_text();
+        }
     }
     println!("{}", table.render());
+    println!(
+        "CrawlResult::metrics() and Recommender::metrics() of the {:.0}% row:",
+        RATES[RATES.len() - 1] * 100.0
+    );
+    println!("{heaviest_books}");
     println!("Coverage and overlap shrink smoothly as the web gets flakier; retries absorb");
     println!("moderate fault rates almost entirely, and even past 50% the engine keeps");
     println!("serving the users it can still see — flagged degraded, never failing.");

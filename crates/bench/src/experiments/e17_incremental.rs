@@ -138,6 +138,7 @@ pub fn run(scale: Scale) -> Outcome {
     ]);
     let mut rows = Vec::new();
     let mut server_metrics = Vec::new();
+    let mut low_churn_books = String::new();
 
     for churn in CHURNS {
         let mut source = source.clone();
@@ -237,6 +238,11 @@ pub fn run(scale: Scale) -> Outcome {
             previous = result;
         }
         server_metrics.push(server.metrics());
+        if churn == CHURNS[0] {
+            // The last refresh's delta, and the engine lineage's books:
+            // `advance` carried them through every round.
+            low_churn_books = previous.metrics().render_text() + &engine.metrics().render_text();
+        }
         server.shutdown();
     }
 
@@ -263,6 +269,8 @@ pub fn run(scale: Scale) -> Outcome {
     println!("behaviour, never worse. Full rebuild cost is flat in the churn rate.\n");
     println!("Server::metrics() of the churn-{} server (every swap a publish_delta):", CHURNS[0]);
     print!("{}", server_metrics[0].render_text());
+    println!("\nIts last refresh (CrawlResult::metrics()) and its engine (Recommender::metrics()):");
+    print!("{low_churn_books}");
 
     Outcome { agents, rows, server_metrics }
 }

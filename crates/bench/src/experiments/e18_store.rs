@@ -260,6 +260,8 @@ pub fn run(scale: Scale) -> Outcome {
     println!("appended deltas, not the world, and compaction resets it to zero. Corruption of");
     println!("the newest generation degrades to the previous snapshot + WAL — still");
     println!("bit-for-bit the live model.");
+    println!("\nStore::metrics() of the store every step above went through:");
+    print!("{}", store.metrics().render_text());
 
     std::fs::remove_dir_all(store.dir()).ok();
     Outcome {

@@ -65,6 +65,7 @@ pub fn run(scale: Scale) -> Outcome {
 
     let mut table = Table::new(["blend (sim/act/cent)", "overlap@10", "coverage", "recs"]);
     let mut rows = Vec::new();
+    let mut default_blend_books = String::new();
     for (label, blend) in blends() {
         let ranker = SpreadingActivationRanker::new(SpreadingParams {
             blend,
@@ -95,8 +96,13 @@ pub fn run(scale: Scale) -> Outcome {
         let coverage = reached.len() as f64 / catalog_size as f64;
         table.row([label.to_owned(), fmt(overlap), fmt(coverage), produced.to_string()]);
         rows.push((label.to_owned(), overlap, coverage));
+        if blend == BlendWeights::default() {
+            default_blend_books = engine.metrics().retain_prefix("rank.").render_text();
+        }
     }
     println!("{}", table.render());
+    println!("rank.* of Recommender::metrics() for the default-blend engine:");
+    println!("{default_blend_books}");
     println!("Overlap@10 = fraction of the SimilarityRanker top 10 the blend retains; the");
     println!("similarity-only row is the golden equivalence check (overlap 1). Activation");
     println!("and centrality shift votes toward well-connected peers, trading overlap for");

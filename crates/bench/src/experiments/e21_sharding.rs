@@ -22,7 +22,6 @@
 //! untouched shards recompute **zero** profiles (their `shard.<i>.
 //! profiles.recomputed` counters do not move).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,14 +59,6 @@ pub fn run(scale: Scale) -> Summary {
         Scale::Paper => 1_000_000,
     };
     run_with(agents, 200, 13)
-}
-
-fn counters() -> BTreeMap<String, u64> {
-    semrec_obs::global().snapshot().counters
-}
-
-fn counter_delta(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>, name: &str) -> u64 {
-    after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0)
 }
 
 /// A deliberately lightened generator configuration: the point is agent
@@ -160,6 +151,7 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
     let mut rebuild_eff_at_max = 0.0f64;
     let mut refresh_eff_at_max = 0.0f64;
     let mut exchange_at_max = 0u64;
+    let mut widest_books = String::new();
 
     for &n in &shard_counts {
         let (model, build) =
@@ -178,19 +170,20 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         }
         let refresh_eff = base_refresh_cp / (n as f64 * refresh_cp).max(f64::MIN_POSITIVE);
 
-        let before = counters();
         let serve_started = Instant::now();
         for &target in &panel {
             model.recommend(target, 10).expect("panel target exists");
         }
         let serve_s = serve_started.elapsed().as_secs_f64();
-        let after = counters();
-        let rounds = counter_delta(&before, &after, "shard.exchange.rounds");
-        let runs = counter_delta(&before, &after, "shard.appleseed.runs").max(1);
+        // The panel is the only thing this model has served.
+        let books = model.metrics();
+        let rounds = books.counters["shard.exchange.rounds"];
+        let runs = books.counters["shard.appleseed.runs"].max(1);
         if n == max_shards {
             rebuild_eff_at_max = rebuild_eff;
             refresh_eff_at_max = refresh_eff;
             exchange_at_max = rounds;
+            widest_books = books.render_text();
         }
 
         table.row([
@@ -207,6 +200,8 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         ]);
     }
     println!("{}", table.render());
+    println!("ShardedModel::metrics() of the {max_shards}-shard row (build, refresh, panel):");
+    println!("{widest_books}");
 
     // Localized delta: dirty only agents hash-routed to shard 0 and prove
     // every other shard's profile work is exactly zero.
@@ -222,11 +217,14 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         .map(|a| GlobalId(a.index() as u32))
         .collect();
     let (next, delta) = churn(&community, &local);
-    let before = counters();
+    // `advance` records into the books the next generation shares with
+    // `model`; before it they hold the partition build only.
+    let before = model.metrics().counters;
     let (_, report) = model.advance(&next, &delta);
-    let after = counters();
+    let after = model.metrics().counters;
     let untouched: u64 = (1..max_shards)
-        .map(|s| counter_delta(&before, &after, &format!("shard.{s}.profiles.recomputed")))
+        .map(|s| format!("shard.{s}.profiles.recomputed"))
+        .map(|name| after[&name] - before[&name])
         .sum();
     println!(
         "localized delta ({} agents on shard 0): rebuilt shards {:?}, untouched shards recomputed {} profiles",

@@ -166,6 +166,8 @@ pub fn run(scale: Scale) -> Outcome {
     println!("\nThe v2 snapshot stores the model's arenas verbatim, so loading is bulk copies");
     println!("plus validation — CommunityBuilder, per-record framing, and every per-edge hash");
     println!("insert drop out of the restart path entirely.");
+    println!("\nmodel.* of Recommender::metrics() for the live engine:");
+    print!("{}", engine.metrics().retain_prefix("model.").render_text());
 
     Outcome {
         agents,

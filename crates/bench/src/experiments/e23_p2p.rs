@@ -125,6 +125,8 @@ pub fn run(scale: Scale) -> Outcome {
         faulty_sim.stats().messages_suppressed,
         breaker_opens_faulty,
     );
+    println!("P2pSimulation::metrics() of that swarm:");
+    println!("{}", faulty_sim.metrics().render_text());
 
     // Sub-run 3: fan-out sweep on the fault-free world.
     println!("--- fan-out sweep (fault-free, {SWEEP_ROUNDS} rounds) ---");

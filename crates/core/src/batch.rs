@@ -5,11 +5,12 @@
 //! threads. Experiments E6/E8 evaluate thousands of agents per
 //! configuration; this is their throughput engine.
 //!
-//! Instrumentation: `batch.tasks` counts every completed target across all
-//! workers; `batch.worker.<i>.tasks` splits that by worker so per-thread
-//! throughput is visible (the worker counters always sum to `batch.tasks`
-//! for one run, whatever the thread count); the `batch.run` span times the
-//! whole fan-out.
+//! The batch records into the books of the engine it was handed
+//! ([`Recommender::metrics`]): `batch.tasks` counts every completed target
+//! across all workers; `batch.worker.<i>.tasks` splits that by worker so
+//! per-thread throughput is visible (the worker counters always sum to
+//! `batch.tasks`, whatever the thread count); `batch.threads` is the last
+//! call's fan-out.
 
 use std::thread;
 
@@ -28,43 +29,32 @@ pub fn recommend_batch(
     n: usize,
     threads: usize,
 ) -> Vec<Result<Vec<Recommendation>>> {
-    let _run = semrec_obs::span("batch.run");
-    let tasks = semrec_obs::counter("batch.tasks");
-    if threads <= 1 || targets.len() <= 1 {
-        semrec_obs::gauge("batch.threads").set(1.0);
-        let worker = semrec_obs::counter("batch.worker.0.tasks");
-        return targets
-            .iter()
+    let books = recommender.books();
+    // One worker's share: its `batch.worker.<i>.tasks` name is resolved
+    // once, before its first target.
+    let run = |worker_index: usize, part: &[AgentId]| {
+        let worker = books.registry.counter(&format!("batch.worker.{worker_index}.tasks"));
+        part.iter()
             .map(|&a| {
                 let result = recommender.recommend(a, n);
-                tasks.inc();
+                books.batch_tasks.inc();
                 worker.inc();
                 result
             })
-            .collect();
+            .collect::<Vec<_>>()
+    };
+    if threads <= 1 || targets.len() <= 1 {
+        books.batch_threads.set(1.0);
+        return run(0, targets);
     }
-    semrec_obs::gauge("batch.threads").set(threads as f64);
+    books.batch_threads.set(threads as f64);
     let chunk = targets.len().div_ceil(threads);
-    let chunks: Vec<&[AgentId]> = targets.chunks(chunk).collect();
+    let run = &run;
     thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
+        let handles: Vec<_> = targets
+            .chunks(chunk)
             .enumerate()
-            .map(|(worker_index, part)| {
-                let tasks = tasks.clone();
-                scope.spawn(move || {
-                    let worker =
-                        semrec_obs::counter(&format!("batch.worker.{worker_index}.tasks"));
-                    part.iter()
-                        .map(|&a| {
-                            let result = recommender.recommend(a, n);
-                            tasks.inc();
-                            worker.inc();
-                            result
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
+            .map(|(worker_index, part)| scope.spawn(move || run(worker_index, part)))
             .collect();
         handles
             .into_iter()
@@ -132,11 +122,7 @@ mod tests {
     #[test]
     fn task_counter_advances_by_target_count() {
         let (rec, agents) = build();
-        let tasks = semrec_obs::counter("batch.tasks");
-        let before = tasks.get();
         recommend_batch(&rec, &agents, 3, 4);
-        // Sibling tests share the global counter; assert a lower bound here
-        // and exact equality in the serialized workspace-level tests.
-        assert!(tasks.get() - before >= agents.len() as u64);
+        assert_eq!(rec.metrics().counters["batch.tasks"], agents.len() as u64);
     }
 }

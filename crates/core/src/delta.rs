@@ -114,7 +114,6 @@ impl SwapPlan {
         horizon: Option<u32>,
         max_dirty_fraction: f64,
     ) -> SwapPlan {
-        let _span = semrec_obs::span("model.swap_plan");
         let membership_stable = old.agent_count() == next.agent_count()
             && next
                 .agents()

@@ -14,6 +14,7 @@ use semrec_trust::{AgentId, CsrGraph};
 
 use crate::error::Result;
 use crate::health::SourceHealth;
+use crate::metrics::EngineMetrics;
 use crate::model::Community;
 use crate::profiles::{ProfileStore, SimilarityMeasure};
 use crate::rank::{RankContext, RankedPeer, SharedRanker, SimilarityRanker};
@@ -40,8 +41,8 @@ pub struct RecommenderConfig {
 /// Diagnostic detail of one pipeline run: a per-run value that
 /// [`Recommender::rank_peers`] and [`Recommender::recommend_traced`] return
 /// beside their answer, so it describes exactly the request it came with.
-/// The same numbers accumulate over all runs in the metrics registry
-/// (`engine.*` and `appleseed.*` counters, see `semrec-obs`).
+/// The same numbers accumulate over all runs in the engine's own books
+/// (`engine.*` counters, read with [`Recommender::metrics`]).
 #[derive(Clone, Debug)]
 pub struct PipelineTrace {
     /// Neighborhood size after trust filtering.
@@ -52,18 +53,6 @@ pub struct PipelineTrace {
     pub nodes_explored: usize,
     /// Peers surviving rank synthesization with positive weight.
     pub effective_peers: usize,
-}
-
-impl PipelineTrace {
-    /// Adds this run to a registry's cumulative counters (`engine.runs`,
-    /// `engine.trust_iterations`, `engine.nodes_explored`,
-    /// `engine.effective_peers`).
-    fn publish(&self, registry: &semrec_obs::MetricsRegistry) {
-        registry.counter("engine.runs").inc();
-        registry.counter("engine.trust_iterations").add(self.trust_iterations as u64);
-        registry.counter("engine.nodes_explored").add(self.nodes_explored as u64);
-        registry.counter("engine.effective_peers").add(self.effective_peers as u64);
-    }
 }
 
 /// The immutable model state behind a [`Recommender`]: community,
@@ -85,6 +74,10 @@ pub struct SharedModel {
     config: RecommenderConfig,
     source_health: SourceHealth,
     ranker: SharedRanker,
+    /// The lineage's books: shared by every clone and every generation
+    /// [`SharedModel::advance`] derives, so they span a server's workers
+    /// and its publishes.
+    metrics: Arc<EngineMetrics>,
 }
 
 impl SharedModel {
@@ -105,27 +98,24 @@ impl SharedModel {
     ) -> Self {
         let profiles = ProfileStore::build(&community, &config.profile);
         let trust_csr = CsrGraph::from_graph(&community.trust);
-        let model = SharedModel {
+        SharedModel {
             community,
             trust_csr,
             profiles,
             config,
             source_health: SourceHealth::default(),
             ranker,
-        };
-        model.publish_resident_bytes();
-        model
+            metrics: Arc::new(EngineMetrics::new()),
+        }
+        .with_resident_bytes_recorded()
     }
 
-    /// Publishes the `model.bytes*` gauges: resident bytes of the flat
-    /// model arenas (trust CSR + profile slab), refreshed on every model
-    /// build or advance.
-    fn publish_resident_bytes(&self) {
-        let trust = self.trust_csr.resident_bytes();
-        let profiles = self.profiles.resident_bytes();
-        semrec_obs::gauge("model.bytes.trust_csr").set(trust as f64);
-        semrec_obs::gauge("model.bytes.profile_slab").set(profiles as f64);
-        semrec_obs::gauge("model.bytes").set((trust + profiles) as f64);
+    /// Sets the `model.bytes*` gauges to this generation's flat arenas
+    /// (trust CSR + profile slab): called on every model build or advance.
+    fn with_resident_bytes_recorded(self) -> Self {
+        self.metrics
+            .set_resident_bytes(self.trust_csr.resident_bytes(), self.profiles.resident_bytes());
+        self
     }
 
     /// The community's trust graph in its frozen CSR form.
@@ -218,16 +208,16 @@ impl SharedModel {
             },
             "trust CSR must match the community's adjacency graph"
         );
-        let model = SharedModel {
+        SharedModel {
             community,
             trust_csr,
             profiles,
             config,
             source_health,
             ranker: Arc::new(SimilarityRanker),
-        };
-        model.publish_resident_bytes();
-        model
+            metrics: Arc::new(EngineMetrics::new()),
+        }
+        .with_resident_bytes_recorded()
     }
 
     /// Produces the next model generation from `next` incrementally:
@@ -242,20 +232,18 @@ impl SharedModel {
     /// attached — which is what lets the serving layer carry clean cache
     /// entries across the swap.
     ///
-    /// Bumps the `model.profiles.reused` / `model.profiles.recomputed`
-    /// counters.
+    /// The next generation shares this one's books, which gain the
+    /// returned stats as `model.profiles.reused` / `.recomputed`.
     pub fn advance(
         &self,
         next: Community,
         delta: &crate::delta::ModelDelta,
         source_health: SourceHealth,
     ) -> (SharedModel, crate::delta::AdvanceStats) {
-        let _span = semrec_obs::span("model.advance");
         let dirty: std::collections::HashSet<&str> =
             delta.ratings_changed.iter().map(String::as_str).collect();
         let (profiles, stats) = self.profiles.advance(&self.community, &next, &dirty);
-        semrec_obs::counter("model.profiles.reused").add(stats.reused as u64);
-        semrec_obs::counter("model.profiles.recomputed").add(stats.recomputed as u64);
+        self.metrics.record_advance(&stats);
         let trust_csr = CsrGraph::from_graph(&next.trust);
         let model = SharedModel {
             community: next,
@@ -264,8 +252,9 @@ impl SharedModel {
             config: self.config,
             source_health,
             ranker: Arc::clone(&self.ranker),
-        };
-        model.publish_resident_bytes();
+            metrics: Arc::clone(&self.metrics),
+        }
+        .with_resident_bytes_recorded();
         (model, stats)
     }
 }
@@ -351,6 +340,19 @@ impl Recommender {
         self.model.config()
     }
 
+    /// This engine's books: `engine.*` run counters and `engine.stage.*`
+    /// timings, `profiles.similarity.*`, the ranker's `rank.*` report,
+    /// `model.*` and `batch.*`. They cover every clone of this engine and
+    /// every generation [`Recommender::advance`] derived in its lineage —
+    /// and nothing any other engine did.
+    pub fn metrics(&self) -> semrec_obs::MetricsSnapshot {
+        self.model.metrics.registry.snapshot()
+    }
+
+    pub(crate) fn books(&self) -> &EngineMetrics {
+        &self.model.metrics
+    }
+
     /// Incrementally derives the engine for the next community generation —
     /// see [`SharedModel::advance`].
     pub fn advance(
@@ -374,12 +376,13 @@ impl Recommender {
         target: AgentId,
     ) -> Result<(TrustNeighborhood, Vec<PeerScores>, Vec<RankedPeer>)> {
         let model = &*self.model;
+        let books = &*model.metrics;
         let neighborhood = {
-            let _stage = semrec_obs::span("engine.stage.neighborhood");
+            let _stage = books.stage_neighborhood.start_timer();
             form_neighborhood_csr(&model.trust_csr, target, &model.config.neighborhood)?
         };
         let peers: Vec<PeerScores> = {
-            let _stage = semrec_obs::span("engine.stage.profiles");
+            let _stage = books.stage_profiles.start_timer();
             let target_profile = model.profiles.profile(target);
             neighborhood
                 .normalized()
@@ -394,8 +397,9 @@ impl Recommender {
                 })
                 .collect()
         };
-        let ranked = {
-            let _stage = semrec_obs::span("engine.stage.synthesis");
+        books.record_similarity(model.config.similarity, peers.len());
+        let (ranked, report) = {
+            let _stage = books.stage_synthesis.start_timer();
             let ctx = RankContext {
                 target,
                 neighborhood: &neighborhood,
@@ -404,8 +408,9 @@ impl Recommender {
                 profiles: &model.profiles,
                 config: &model.config,
             };
-            model.ranker.rank(&ctx)
+            model.ranker.rank_reported(&ctx)
         };
+        books.record_rank(&report);
         Ok((neighborhood, peers, ranked))
     }
 
@@ -419,7 +424,7 @@ impl Recommender {
             nodes_explored: neighborhood.nodes_explored,
             effective_peers: ranked.len(),
         };
-        trace.publish(semrec_obs::global());
+        self.model.metrics.record_run(&trace);
         Ok((ranked, trace))
     }
 
@@ -441,15 +446,14 @@ impl Recommender {
         target: AgentId,
         n: usize,
     ) -> Result<(Vec<Recommendation>, PipelineTrace)> {
-        if self.model.source_health.is_degraded() {
-            // The run proceeds on the reachable subset; the registry keeps
-            // score so `--metrics` dumps surface it.
-            semrec_obs::counter("engine.degraded_runs").inc();
+        let model = &*self.model;
+        if model.source_health.is_degraded() {
+            // The run proceeds on the reachable subset; the books keep score.
+            model.metrics.degraded_runs.inc();
         }
         let (weighted, trace) = self.peer_weights(target)?;
-        let model = &*self.model;
         let recs = {
-            let _stage = semrec_obs::span("engine.stage.voting");
+            let _stage = model.metrics.stage_voting.start_timer();
             let mut recs = vote(&model.community, target, &weighted, &model.config.voting);
             if model.config.novel_categories_only {
                 recs = novel_only(&model.community, model.profiles.profile(target), recs);

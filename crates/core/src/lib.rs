@@ -49,6 +49,7 @@ pub mod engine;
 pub mod explain;
 pub mod error;
 pub mod health;
+mod metrics;
 pub mod model;
 pub mod profiles;
 pub mod rank;
@@ -64,7 +65,7 @@ pub use health::SourceHealth;
 pub use model::{AgentInfo, Community};
 pub use profiles::{ProfileStore, SimilarityMeasure};
 pub use rank::{
-    BlendWeights, RankContext, RankedPeer, Ranker, ScoreComponents, SharedRanker,
+    BlendWeights, RankContext, RankReport, RankedPeer, Ranker, ScoreComponents, SharedRanker,
     SimilarityRanker, SpreadResult, SpreadingActivationRanker, SpreadingParams,
 };
 pub use recommend::{Recommendation, VotingParams};

@@ -185,6 +185,30 @@ pub trait Ranker: Send + Sync + std::fmt::Debug {
 
     /// Ranks the neighborhood peers of `ctx.target`.
     fn rank(&self, ctx: &RankContext<'_>) -> Vec<RankedPeer>;
+
+    /// [`Ranker::rank`] plus what the ranker did to get there. A ranker
+    /// records nothing itself: the engine that called it adds the report
+    /// to its own books (`rank.*`). The default reports no extra work.
+    fn rank_reported(&self, ctx: &RankContext<'_>) -> (Vec<RankedPeer>, RankReport) {
+        (self.rank(ctx), RankReport::default())
+    }
+}
+
+/// Work a ranker did beyond producing its ranking, summed by the engine
+/// into `rank.spread.runs`, `rank.activation.{hops,nodes}`,
+/// `rank.universe.explored` and the `rank.frontier.size` histogram.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RankReport {
+    /// Phase-2 spreads executed (see [`spread_activation`]).
+    pub spreads: usize,
+    /// Hops those spreads executed ([`SpreadResult::hops`]).
+    pub hops: usize,
+    /// Agents left holding activation.
+    pub activated: usize,
+    /// Size of the explored universe ([`SpreadResult::explored`]).
+    pub explored: usize,
+    /// Active-node count after each hop ([`SpreadResult::frontier_sizes`]).
+    pub frontier_sizes: Vec<usize>,
 }
 
 /// A shared, snapshot-safe handle to a ranker. Lives inside
@@ -204,7 +228,6 @@ impl Ranker for SimilarityRanker {
     }
 
     fn rank(&self, ctx: &RankContext<'_>) -> Vec<RankedPeer> {
-        semrec_obs::counter("rank.similarity.runs").inc();
         synthesize(ctx.config.synthesis, ctx.peers)
             .into_iter()
             .map(|(agent, weight)| RankedPeer {
@@ -458,12 +481,11 @@ impl Ranker for SpreadingActivationRanker {
     }
 
     fn rank(&self, ctx: &RankContext<'_>) -> Vec<RankedPeer> {
-        let _span = semrec_obs::span("rank.spread");
-        semrec_obs::counter("rank.spread.runs").inc();
+        self.rank_reported(ctx).0
+    }
+
+    fn rank_reported(&self, ctx: &RankContext<'_>) -> (Vec<RankedPeer>, RankReport) {
         let blend = self.params.blend.normalized();
-        semrec_obs::gauge("rank.blend.similarity").set(blend.similarity);
-        semrec_obs::gauge("rank.blend.activation").set(blend.activation);
-        semrec_obs::gauge("rank.blend.centrality").set(blend.centrality);
 
         // Phase-1 similarity signal: exactly the synthesized score the
         // SimilarityRanker would emit (absent peers score 0).
@@ -473,18 +495,10 @@ impl Ranker for SpreadingActivationRanker {
         // Phase 2, skipped entirely when activation carries no weight so
         // the similarity-only blend costs exactly what SimilarityRanker
         // costs (and is byte-identical to it).
-        let spread = if blend.activation > 0.0 {
-            let result = self.spread(ctx);
-            semrec_obs::counter("rank.activation.hops").add(result.hops as u64);
-            semrec_obs::counter("rank.activation.nodes").add(result.activation.len() as u64);
-            semrec_obs::counter("rank.universe.explored").add(result.explored as u64);
-            let frontier = semrec_obs::histogram("rank.frontier.size");
-            for &size in &result.frontier_sizes {
-                frontier.observe(size as f64);
-            }
-            result
+        let (spread, spreads) = if blend.activation > 0.0 {
+            (self.spread(ctx), 1)
         } else {
-            SpreadResult::default()
+            (SpreadResult::default(), 0)
         };
         let max_activation =
             ctx.peers.iter().filter_map(|p| spread.activation.get(&p.agent)).fold(0.0f64, |m, &a| m.max(a));
@@ -529,7 +543,14 @@ impl Ranker for SpreadingActivationRanker {
         out.sort_by(|a, b| {
             b.weight.partial_cmp(&a.weight).unwrap().then(a.agent.cmp(&b.agent))
         });
-        out
+        let report = RankReport {
+            spreads,
+            hops: spread.hops,
+            activated: spread.activation.len(),
+            explored: spread.explored,
+            frontier_sizes: spread.frontier_sizes,
+        };
+        (out, report)
     }
 }
 

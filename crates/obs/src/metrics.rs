@@ -5,8 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-use crate::observer::{Event, EventKind, Observer};
+use std::time::Instant;
 
 /// A monotonically increasing counter.
 ///
@@ -116,6 +115,13 @@ impl Histogram {
         }
     }
 
+    /// Starts a wall-clock timer that records its elapsed seconds here
+    /// when dropped: `let _stage = histogram.start_timer();` times the
+    /// rest of the enclosing block.
+    pub fn start_timer(&self) -> HistogramTimer<'_> {
+        HistogramTimer { histogram: self, started: Instant::now() }
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -153,14 +159,6 @@ impl Histogram {
         self.snapshot().summary()
     }
 
-    fn reset(&self) {
-        for bucket in &self.0.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.0.count.store(0, Ordering::Relaxed);
-        self.0.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.0.bounds.clone(),
@@ -168,6 +166,19 @@ impl Histogram {
             count: self.count(),
             sum: self.sum(),
         }
+    }
+}
+
+/// The guard of [`Histogram::start_timer`].
+#[derive(Debug)]
+pub struct HistogramTimer<'a> {
+    histogram: &'a Histogram,
+    started: Instant,
+}
+
+impl Drop for HistogramTimer<'_> {
+    fn drop(&mut self) {
+        self.histogram.observe(self.started.elapsed().as_secs_f64());
     }
 }
 
@@ -296,6 +307,16 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// A counters-only snapshot: how an owner that already keeps its
+    /// numbers as plain fields (a report struct, a few atomics) renders
+    /// them under metric names.
+    pub fn from_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
+        MetricsSnapshot {
+            counters: counters.into_iter().map(|(name, value)| (name.to_owned(), value)).collect(),
+            ..MetricsSnapshot::default()
+        }
+    }
+
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
@@ -364,15 +385,13 @@ impl MetricsSnapshot {
 /// A thread-safe registry of named metrics.
 ///
 /// Accessors get-or-create: the first `counter("x")` call registers the
-/// counter, later calls return a handle to the same cell. [`MetricsRegistry::reset`]
-/// zeroes values *in place*, so handles cached by hot code stay valid
-/// across experiment runs.
+/// counter, later calls return a handle to the same cell, so an owner
+/// resolves its names once and records through the handles.
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Counter>>,
     gauges: RwLock<BTreeMap<String, Gauge>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
-    observers: RwLock<Vec<Arc<dyn Observer>>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -421,49 +440,6 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_insert_with(|| Histogram::with_bounds(bounds))
             .clone()
-    }
-
-    /// Registers an event sink. See [`Observer`].
-    pub fn add_observer(&self, observer: Arc<dyn Observer>) {
-        self.observers.write().unwrap().push(observer);
-    }
-
-    /// Removes all observers.
-    pub fn clear_observers(&self) {
-        self.observers.write().unwrap().clear();
-    }
-
-    /// Delivers an event to every registered observer.
-    ///
-    /// Counters and histograms do *not* emit on every update — emission is
-    /// for coarse milestones (span ends, crawl fetches, run boundaries)
-    /// where per-event overhead is acceptable.
-    pub fn emit(&self, event: Event) {
-        let observers = self.observers.read().unwrap();
-        for observer in observers.iter() {
-            observer.on_event(&event);
-        }
-    }
-
-    /// Convenience: emit a named marker event with a value.
-    pub fn emit_value(&self, name: &str, kind: EventKind) {
-        if !self.observers.read().unwrap().is_empty() {
-            self.emit(Event { name: name.to_string(), kind });
-        }
-    }
-
-    /// Zeroes every metric in place. Existing handles remain valid and
-    /// keep pointing at the (now zeroed) cells; observers are untouched.
-    pub fn reset(&self) {
-        for counter in self.counters.read().unwrap().values() {
-            counter.0.store(0, Ordering::Relaxed);
-        }
-        for gauge in self.gauges.read().unwrap().values() {
-            gauge.0.store(0f64.to_bits(), Ordering::Relaxed);
-        }
-        for histogram in self.histograms.read().unwrap().values() {
-            histogram.reset();
-        }
     }
 
     /// A point-in-time copy of every metric.
@@ -534,6 +510,17 @@ mod tests {
         assert_eq!(snap.count, 4);
         assert!((snap.sum - 56.2).abs() < 1e-9);
         assert!((snap.mean() - 14.05).abs() < 1e-9);
+    }
+
+    #[test]
+    fn timer_records_one_observation_on_drop() {
+        let histogram = Histogram::with_bounds(&[1.0]);
+        {
+            let _timer = histogram.start_timer();
+            assert_eq!(histogram.count(), 0, "nothing is recorded while the guard lives");
+        }
+        assert_eq!(histogram.count(), 1);
+        assert!(histogram.sum() >= 0.0);
     }
 
     #[test]
@@ -616,6 +603,14 @@ mod tests {
     }
 
     #[test]
+    fn from_counters_names_plain_numbers() {
+        let snapshot = MetricsSnapshot::from_counters([("b", 2), ("a", 1)]);
+        assert_eq!(snapshot.counters.keys().collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(snapshot.counters["b"], 2);
+        assert!(snapshot.gauges.is_empty() && snapshot.histograms.is_empty());
+    }
+
+    #[test]
     fn retain_prefix_keeps_one_namespace() {
         let registry = MetricsRegistry::new();
         registry.counter("engine.runs").add(2);
@@ -629,20 +624,6 @@ mod tests {
         assert_eq!(serve_only.gauges["serve.queue.depth"], 1.0);
         assert_eq!(serve_only.histograms["serve.latency.seconds"].count, 1);
         assert!(!serve_only.counters.contains_key("engine.runs"));
-    }
-
-    #[test]
-    fn reset_zeroes_in_place_keeping_handles() {
-        let registry = MetricsRegistry::new();
-        let counter = registry.counter("n");
-        let histogram = registry.histogram("h");
-        counter.add(7);
-        histogram.observe(0.25);
-        registry.reset();
-        assert_eq!(counter.get(), 0);
-        assert_eq!(histogram.count(), 0);
-        counter.inc(); // the old handle still feeds the registry
-        assert_eq!(registry.counter("n").get(), 1);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! rest of the swarm routes around. Convergence of each peer's top-k
 //! neighborhood toward the centralized model's is measured by
 //! [`measure::centralized_baseline`] / [`sim::P2pSimulation::convergence`]
-//! (overlap@k and rank correlation), and every message is accounted under
-//! the `p2p.*` metric namespace.
+//! (overlap@k and rank correlation), and every message is accounted in the
+//! simulation's own `p2p.*` books ([`sim::P2pSimulation::metrics`]).
 //!
 //! The whole simulation is byte-identical across runs and thread counts:
 //! every random-looking decision is a stateless

@@ -11,7 +11,7 @@
 //!    chunks, results landing in per-peer slots.
 //! 2. **Sequential merge** — exchanges execute one peer at a time in
 //!    sorted URI order: breaker gating, fault rolls, knowledge merging and
-//!    every `p2p.*` counter all mutate single-threaded.
+//!    the [`GossipStats`] tallies all mutate single-threaded.
 //!
 //! No step reads a wall clock or a shared RNG, so runs are byte-identical
 //! across repetitions and thread counts — counters included.
@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use semrec_core::{Recommender, RecommenderConfig};
 use semrec_hash::{stable_hash, unit};
+use semrec_obs::MetricsSnapshot;
 use semrec_store::{CheckpointReport, Store};
 use semrec_taxonomy::{Catalog, Taxonomy};
 use semrec_web::crawler::{assemble_community, crawl_resilient, CrawlConfig};
@@ -33,9 +34,8 @@ use crate::peer::PeerNode;
 use crate::record::AgentRecord;
 use crate::{SALT_GOSSIP, SALT_POLICY};
 
-/// Cumulative gossip traffic accounting, mirrored into the global `p2p.*`
-/// counters; kept on the simulation too so experiments can attribute
-/// traffic to one sub-run without diffing registry snapshots.
+/// Cumulative gossip traffic accounting of one simulation; what
+/// [`P2pSimulation::metrics`] renders under the `p2p.*` names.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GossipStats {
     /// Messages dispatched onto the (virtual) wire: push requests plus
@@ -106,10 +106,7 @@ impl P2pSimulation {
             .enumerate()
             .map(|(i, p)| (Arc::from(p.uri()), i))
             .collect::<BTreeMap<Arc<str>, usize>>();
-        let dead = peers.iter().filter(|p| p.is_dead()).count() as u64;
         let clock = peers.iter().map(|p| p.breaker.now()).max().unwrap_or(0);
-        semrec_obs::counter("p2p.peers").add(peers.len() as u64);
-        semrec_obs::counter("p2p.peers.dead").add(dead);
         P2pSimulation { config, plan, peers, index, round: 0, clock, stats: GossipStats::default() }
     }
 
@@ -148,6 +145,27 @@ impl P2pSimulation {
         self.stats
     }
 
+    /// This swarm's state and [`GossipStats`] under their `p2p.*` metric
+    /// names: peers booted (and how many came up dead), records their
+    /// bootstrap crawls extracted, rounds run, and the gossip traffic.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let stats = &self.stats;
+        let count = |n: usize| n as u64;
+        MetricsSnapshot::from_counters([
+            ("p2p.peers", count(self.peers.len())),
+            ("p2p.peers.dead", count(self.peers.iter().filter(|p| p.is_dead()).count())),
+            ("p2p.crawl.records", count(self.peers.iter().map(|p| p.view().len()).sum())),
+            ("p2p.gossip.rounds", u64::from(self.round)),
+            ("p2p.messages.sent", stats.messages_sent),
+            ("p2p.messages.failed", stats.messages_failed),
+            ("p2p.messages.suppressed", stats.messages_suppressed),
+            ("p2p.breaker.open", stats.breaker_opens),
+            ("p2p.records.merged", stats.records_merged),
+            ("p2p.records.duplicate", stats.records_duplicate),
+            ("p2p.bytes.sent", stats.bytes_sent),
+        ])
+    }
+
     /// Executes `rounds` gossip rounds.
     pub fn run(&mut self, rounds: u32) {
         for _ in 0..rounds {
@@ -156,8 +174,8 @@ impl P2pSimulation {
     }
 
     /// Executes one push/pull gossip round (see the module docs for the
-    /// two-phase structure). Bumps `p2p.gossip.rounds` and advances the
-    /// virtual clock by [`GossipConfig::round_ticks`].
+    /// two-phase structure) and advances the virtual clock by
+    /// [`GossipConfig::round_ticks`].
     pub fn step(&mut self) {
         let round = u64::from(self.round);
         let seed = self.config.seed;
@@ -195,10 +213,6 @@ impl P2pSimulation {
         });
 
         // Phase 2: sequential merge in sorted peer order.
-        let sent = semrec_obs::counter("p2p.messages.sent");
-        let failed = semrec_obs::counter("p2p.messages.failed");
-        let suppressed = semrec_obs::counter("p2p.messages.suppressed");
-        let opened = semrec_obs::counter("p2p.breaker.open");
         for i in 0..self.peers.len() {
             let Some(plan_i) = &plans[i] else { continue };
             for partner in &plan_i.partners {
@@ -208,22 +222,18 @@ impl P2pSimulation {
                 let partner_home =
                     j.map_or_else(|| homepage_uri(partner), |j| self.peers[j].homepage().to_owned());
                 if !self.peers[i].breaker.allow(&partner_home, self.clock) {
-                    suppressed.inc();
                     self.stats.messages_suppressed += 1;
                     continue;
                 }
-                sent.inc();
                 self.stats.messages_sent += 1;
                 let unavailable = self.plan.transient_rate > 0.0
                     && unit(stable_hash(self.plan.seed, &partner_home, round, SALT_GOSSIP))
                         < self.plan.transient_rate;
                 if j.is_none() || self.peers[j.unwrap()].is_dead() || unavailable {
-                    failed.inc();
                     self.stats.messages_failed += 1;
                     let before = self.peers[i].breaker.times_opened();
                     self.peers[i].breaker.record_failure(&partner_home, self.clock);
                     if self.peers[i].breaker.times_opened() > before {
-                        opened.inc();
                         self.stats.breaker_opens += 1;
                     }
                     continue;
@@ -233,7 +243,6 @@ impl P2pSimulation {
                 // Push: sender's payload lands at the partner…
                 self.deliver(&plan_i.payload, j);
                 // …pull: the partner replies with its own payload.
-                sent.inc();
                 self.stats.messages_sent += 1;
                 if let Some(plan_j) = &plans[j] {
                     self.deliver(&plan_j.payload, i);
@@ -246,22 +255,15 @@ impl P2pSimulation {
         for peer in &mut self.peers {
             peer.breaker.advance_to(self.clock);
         }
-        semrec_obs::counter("p2p.gossip.rounds").inc();
     }
 
     fn deliver(&mut self, payload: &[(Arc<AgentRecord>, u32)], to: usize) {
-        let merged = semrec_obs::counter("p2p.records.merged");
-        let duplicate = semrec_obs::counter("p2p.records.duplicate");
-        let bytes = semrec_obs::counter("p2p.bytes.sent");
         for (record, ttl) in payload {
             let size = record.wire_bytes();
-            bytes.add(size);
             self.stats.bytes_sent += size;
             if self.peers[to].merge(record.clone(), ttl.saturating_sub(1)) {
-                merged.inc();
                 self.stats.records_merged += 1;
             } else {
-                duplicate.inc();
                 self.stats.records_duplicate += 1;
             }
         }
@@ -311,7 +313,6 @@ fn bootstrap_peer(
     let faulty = FaultyWeb::new(web, *plan);
     let crawl_config = CrawlConfig { max_range: config.crawl_range, threads: 1, ..CrawlConfig::default() };
     let (result, breaker) = crawl_resilient(&faulty, std::slice::from_ref(&homepage), &crawl_config, &policy);
-    semrec_obs::counter("p2p.crawl.records").add(result.agents.len() as u64);
     PeerNode::new(Arc::from(uri), homepage, false, result.agents, breaker, config.ttl)
 }
 

@@ -15,7 +15,6 @@ pub fn cosine(a: &ProfileVector, b: &ProfileVector) -> Option<f64> {
 
 /// [`cosine`] over borrowed profile views — the slab-backed hot path.
 pub fn cosine_view(a: ProfileView<'_>, b: ProfileView<'_>) -> Option<f64> {
-    semrec_obs::counter("profiles.similarity.cosine").inc();
     let na = a.norm();
     let nb = b.norm();
     if na == 0.0 || nb == 0.0 {
@@ -37,7 +36,6 @@ pub fn pearson(a: &ProfileVector, b: &ProfileVector) -> Option<f64> {
 
 /// [`pearson`] over borrowed profile views — the slab-backed hot path.
 pub fn pearson_view(a: ProfileView<'_>, b: ProfileView<'_>) -> Option<f64> {
-    semrec_obs::counter("profiles.similarity.pearson").inc();
     let union = union_values(a, b);
     let n = union.len();
     if n < 2 {

@@ -38,8 +38,8 @@
 //!
 //! Everything observable is a `serve.*` metric (see the README's serving
 //! metric table) in a registry the [`Server`] owns, counted once on a
-//! handle resolved at start and read back with [`Server::metrics`]; nothing
-//! here writes to the process-wide registry, so servers never share a count.
+//! handle resolved at start and read back with [`Server::metrics`], so
+//! servers never share a count.
 //!
 //! ```
 //! use semrec_core::{Community, Recommender, RecommenderConfig};

@@ -46,7 +46,6 @@
 
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use semrec_core::{AgentId, CoreError, Recommendation, Recommender, SwapPlan};
 use semrec_obs::MetricsSnapshot;
@@ -654,13 +653,12 @@ fn worker_loop(shared: &Shared) {
         if batch.is_empty() {
             return; // closed and drained
         }
-        let started = Instant::now();
+        let _batch = shared.metrics.batch_seconds.start_timer();
         shared.metrics.batch_size.observe(batch.len() as f64);
         let snapshot = shared.switch.pin();
         for (_, request) in batch {
             serve_one(shared, &snapshot, request);
         }
-        shared.metrics.batch_seconds.observe(started.elapsed().as_secs_f64());
     }
 }
 

@@ -64,8 +64,8 @@
 //! **Bit-identity contract.** At every shard count the kernel returns what
 //! the straightforward loop returns (kept as the test oracle in
 //! `appleseed/oracle.rs`): the same `f64` bits for every rank, the same
-//! `iterations`, `nodes_discovered`, `converged` and `exchange_rounds`, and
-//! the same `shard.*` metrics. No float operation is reassociated — a share
+//! `iterations`, `nodes_discovered`, `converged`, `exchange_rounds` and
+//! `frontier_packets`. No float operation is reassociated — a share
 //! is still `forward * w^p / total`, with the power cached rather than
 //! re-derived — nodes are discovered in the same order, packets are
 //! appended and applied in the same order, and every accumulator receives
@@ -122,6 +122,8 @@ pub struct ShardedAppleseedResult {
     pub converged: bool,
     /// Rounds in which at least one frontier packet crossed shards.
     pub exchange_rounds: usize,
+    /// Frontier packets delivered at the barriers of those rounds.
+    pub frontier_packets: usize,
 }
 
 /// Runs the boundary-frontier protocol for `source`.
@@ -144,15 +146,9 @@ pub(crate) fn sharded_appleseed(
         return Err(semrec_trust::TrustError::UnknownAgent(source.index()));
     }
 
-    let _span = semrec_obs::span("shard.appleseed.run");
-    semrec_obs::counter("shard.appleseed.runs").inc();
-
-    let result = SCRATCH.with_borrow_mut(|scratch| {
+    Ok(SCRATCH.with_borrow_mut(|scratch| {
         scratch.run(shards, source, source_shard, source_local, params, schedule)
-    });
-
-    semrec_obs::counter("shard.appleseed.nodes_explored").add(result.nodes_discovered as u64);
-    Ok(result)
+    }))
 }
 
 thread_local! {
@@ -533,13 +529,6 @@ impl Scratch {
         params: &AppleseedParams,
         schedule: &[usize],
     ) -> ShardedAppleseedResult {
-        // Handles are fetched once per run; the loop only touches atomics.
-        let iterations_counter = semrec_obs::counter("shard.appleseed.iterations");
-        let exchange_counter = semrec_obs::counter("shard.exchange.rounds");
-        let packets_counter = semrec_obs::counter("shard.frontier.packets");
-        let residual_histogram = semrec_obs::histogram("shard.appleseed.residual");
-        let frontier_histogram = semrec_obs::histogram("shard.frontier.energy");
-
         let n = shards.len();
         if self.waves.len() < n {
             self.waves.resize_with(n, ShardWave::default);
@@ -562,9 +551,9 @@ impl Scratch {
         let mut iterations = 0;
         let mut converged = false;
         let mut exchange_rounds = 0;
+        let mut frontier_packets = 0;
         while iterations < params.max_iterations {
             iterations += 1;
-            iterations_counter.inc();
 
             // Phase 1: per-shard compute over disjoint waves and buckets.
             let mut max_delta: f64 = 0.0;
@@ -582,14 +571,12 @@ impl Scratch {
             // Phase 2: lockstep exchange barrier — destination shard by
             // destination shard, source shard by source shard, packet
             // append order. Deterministic by construction.
-            let mut flushed = 0.0;
-            let mut packets = 0u64;
+            let mut packets = 0;
             let mut rerouted = 0.0;
             for (dest, wave) in waves.iter_mut().enumerate() {
                 for from in 0..n {
                     for pkt in outboxes[from * n + dest].drain(..) {
                         packets += 1;
-                        flushed += pkt.energy + pkt.penalty;
                         match wave.resolve(pkt.dest_local, pkt.distance, params) {
                             Some(idx) => {
                                 wave.energy_next[idx as usize] += pkt.energy;
@@ -612,9 +599,7 @@ impl Scratch {
             }
             if packets > 0 {
                 exchange_rounds += 1;
-                exchange_counter.inc();
-                packets_counter.add(packets);
-                frontier_histogram.observe(flushed);
+                frontier_packets += packets;
             }
 
             // Fold: next round's energy becomes visible everywhere at once.
@@ -626,7 +611,6 @@ impl Scratch {
                 }
             }
 
-            residual_histogram.observe(max_delta);
             if max_delta < params.convergence {
                 converged = true;
                 break;
@@ -652,7 +636,14 @@ impl Scratch {
             b.1.partial_cmp(&a.1).expect("ranks are never NaN").then(a.0.cmp(&b.0))
         });
 
-        ShardedAppleseedResult { ranks, iterations, nodes_discovered, converged, exchange_rounds }
+        ShardedAppleseedResult {
+            ranks,
+            iterations,
+            nodes_discovered,
+            converged,
+            exchange_rounds,
+            frontier_packets,
+        }
     }
 }
 

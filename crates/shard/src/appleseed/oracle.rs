@@ -7,14 +7,13 @@
 //! through the destination's hash map at the barrier. It is slow and reads
 //! like the protocol's definition, which is what an oracle is for: the
 //! kernel in the parent module must reproduce its ranks bit for bit, plus
-//! `iterations`, `nodes_discovered`, `converged` and `exchange_rounds`, at
-//! every shard count.
+//! `iterations`, `nodes_discovered`, `converged`, `exchange_rounds` and
+//! `frontier_packets`, at every shard count.
 //!
 //! Test-only, and in-crate because it reads [`Shard`]'s `pub(crate)`
 //! out-star. Shards are visited in index order (the order never affected
 //! results). It takes parameters that already passed
-//! [`AppleseedParams::validate`] and a source that exists, and it records
-//! no metrics.
+//! [`AppleseedParams::validate`] and a source that exists.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -64,12 +63,12 @@ struct ComputeOut {
 
 /// Everything the bit-identity contract covers, in comparable form: the
 /// ranking with each rank's `f64` bits, `iterations`, `nodes_discovered`,
-/// `converged` and `exchange_rounds`.
+/// `converged`, `exchange_rounds` and `frontier_packets`.
 pub(crate) fn bits(
     r: &ShardedAppleseedResult,
-) -> (Vec<(GlobalId, u64)>, usize, usize, bool, usize) {
+) -> (Vec<(GlobalId, u64)>, usize, usize, bool, usize, usize) {
     let ranks = r.ranks.iter().map(|&(g, rank)| (g, rank.to_bits())).collect();
-    (ranks, r.iterations, r.nodes_discovered, r.converged, r.exchange_rounds)
+    (ranks, r.iterations, r.nodes_discovered, r.converged, r.exchange_rounds, r.frontier_packets)
 }
 
 /// Runs the reference protocol for `source`.
@@ -93,6 +92,7 @@ pub(crate) fn sharded_appleseed_reference(
     let mut iterations = 0;
     let mut converged = false;
     let mut exchange_rounds = 0;
+    let mut frontier_packets = 0;
     while iterations < params.max_iterations {
         iterations += 1;
 
@@ -114,7 +114,7 @@ pub(crate) fn sharded_appleseed_reference(
 
         // Phase 2: lockstep exchange barrier — shard-index order, packet
         // append order.
-        let mut packets = 0u64;
+        let mut packets = 0;
         let mut rerouted = 0.0;
         for (dest, wave) in waves.iter_mut().enumerate() {
             for out in &outs {
@@ -152,6 +152,7 @@ pub(crate) fn sharded_appleseed_reference(
         }
         if packets > 0 {
             exchange_rounds += 1;
+            frontier_packets += packets;
         }
 
         // Fold: next round's energy becomes visible everywhere at once.
@@ -181,7 +182,14 @@ pub(crate) fn sharded_appleseed_reference(
     }
     ranks.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 
-    ShardedAppleseedResult { ranks, iterations, nodes_discovered, converged, exchange_rounds }
+    ShardedAppleseedResult {
+        ranks,
+        iterations,
+        nodes_discovered,
+        converged,
+        exchange_rounds,
+        frontier_packets,
+    }
 }
 
 /// Advances one shard's wave by one round, mirroring the global Appleseed

@@ -21,6 +21,7 @@ use semrec_core::{
     AdvanceStats, AgentId, Community, ModelDelta, ProductId, ProfileStore, Recommendation,
     RecommenderConfig, Result,
 };
+use semrec_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use semrec_profiles::ProfileView;
 use semrec_trust::TrustError;
 
@@ -179,6 +180,76 @@ impl ShardedAdvanceReport {
     }
 }
 
+/// A sharded universe's books: one handle per `shard.*` name (see the
+/// README's sharding metric table), per-shard handles indexed by shard.
+/// Every generation [`ShardedModel::advance`] derives shares its parent's.
+struct ShardMetrics {
+    registry: MetricsRegistry,
+    rebuild: Histogram,
+    shard_rebuild: Vec<Histogram>,
+    shard_refresh: Vec<Histogram>,
+    profiles_recomputed: Vec<Counter>,
+    profiles_reused: Vec<Counter>,
+    cut_fraction: Gauge,
+    serve_requests: Counter,
+    batch_tasks: Counter,
+    refresh: Histogram,
+    advance_wholesale: Counter,
+    advance_shards_dirty: Counter,
+    advance_shards_clean: Counter,
+    appleseed_runs: Counter,
+    appleseed_iterations: Counter,
+    appleseed_nodes_explored: Counter,
+    exchange_rounds: Counter,
+    frontier_packets: Counter,
+}
+
+impl ShardMetrics {
+    /// A fresh registry for a universe of `shards` shards.
+    fn new(shards: usize) -> Self {
+        let registry = MetricsRegistry::new();
+        let counter = |name: &str| registry.counter(name);
+        let per_shard_histogram = |what: &str| {
+            (0..shards).map(|i| registry.histogram(&format!("shard.{i}.{what}"))).collect()
+        };
+        let per_shard_counter = |what: &str| {
+            (0..shards).map(|i| registry.counter(&format!("shard.{i}.{what}"))).collect()
+        };
+        registry.gauge("shard.count").set(shards as f64);
+        ShardMetrics {
+            rebuild: registry.histogram("shard.rebuild"),
+            shard_rebuild: per_shard_histogram("rebuild"),
+            shard_refresh: per_shard_histogram("refresh"),
+            profiles_recomputed: per_shard_counter("profiles.recomputed"),
+            profiles_reused: per_shard_counter("profiles.reused"),
+            cut_fraction: registry.gauge("shard.partition.cut_fraction"),
+            serve_requests: counter("shard.serve.requests"),
+            batch_tasks: counter("shard.batch.tasks"),
+            refresh: registry.histogram("shard.refresh"),
+            advance_wholesale: counter("shard.advance.wholesale"),
+            advance_shards_dirty: counter("shard.advance.shards_dirty"),
+            advance_shards_clean: counter("shard.advance.shards_clean"),
+            appleseed_runs: counter("shard.appleseed.runs"),
+            appleseed_iterations: counter("shard.appleseed.iterations"),
+            appleseed_nodes_explored: counter("shard.appleseed.nodes_explored"),
+            exchange_rounds: counter("shard.exchange.rounds"),
+            frontier_packets: counter("shard.frontier.packets"),
+            registry,
+        }
+    }
+
+    /// One full partition build, as the report it returned: a fresh build
+    /// recomputes every member's profile and reuses none.
+    fn record_build(&self, report: &ShardBuildReport) {
+        for (i, (&size, elapsed)) in report.sizes.iter().zip(&report.per_shard).enumerate() {
+            self.profiles_recomputed[i].add(size as u64);
+            self.shard_rebuild[i].observe(elapsed.as_secs_f64());
+        }
+        self.cut_fraction.set(report.cut_fraction());
+        self.rebuild.observe(report.total.as_secs_f64());
+    }
+}
+
 /// The partitioned agent universe.
 #[derive(Clone)]
 pub struct ShardedModel {
@@ -191,6 +262,7 @@ pub struct ShardedModel {
     shard_fn: Arc<dyn ShardFn>,
     threads: usize,
     schedule: Vec<usize>,
+    metrics: Arc<ShardMetrics>,
 }
 
 impl std::fmt::Debug for ShardedModel {
@@ -217,7 +289,6 @@ impl ShardedModel {
     ) -> (ShardedModel, ShardBuildReport) {
         assert!(shards >= 1, "at least one shard");
         let started = Instant::now();
-        let _span = semrec_obs::span("shard.rebuild");
 
         let assignment = shard_fn.partition(community, shards);
         let (directory, local_of, members) = index_assignment(community, &assignment, shards);
@@ -239,21 +310,11 @@ impl ShardedModel {
         let mut shard_arcs = Vec::with_capacity(shards);
         let mut per_shard = Vec::with_capacity(shards);
         let mut sizes = Vec::with_capacity(shards);
-        for (i, (shard, stats, elapsed)) in built.into_iter().enumerate() {
-            semrec_obs::counter(&format!("shard.{i}.profiles.recomputed"))
-                .add(stats.recomputed as u64);
-            semrec_obs::counter(&format!("shard.{i}.profiles.reused")).add(stats.reused as u64);
-            semrec_obs::histogram(&format!("shard.{i}.rebuild")).observe(elapsed.as_secs_f64());
+        for (shard, elapsed) in built {
             sizes.push(shard.len());
             per_shard.push(elapsed);
             shard_arcs.push(Arc::new(shard));
         }
-        semrec_obs::gauge("shard.count").set(shards as f64);
-        semrec_obs::gauge("shard.partition.cut_fraction").set(if total_edges == 0 {
-            0.0
-        } else {
-            cut as f64 / total_edges as f64
-        });
 
         let report = ShardBuildReport {
             shard_fn: shard_fn.name(),
@@ -263,6 +324,8 @@ impl ShardedModel {
             per_shard,
             total: started.elapsed(),
         };
+        let metrics = ShardMetrics::new(shards);
+        metrics.record_build(&report);
         let model = ShardedModel {
             shards: shard_arcs,
             directory,
@@ -271,6 +334,7 @@ impl ShardedModel {
             shard_fn,
             threads,
             schedule: (0..shards).collect(),
+            metrics: Arc::new(metrics),
         };
         (model, report)
     }
@@ -294,7 +358,15 @@ impl ShardedModel {
             shard_fn,
             threads: 1,
             schedule: (0..n).collect(),
+            metrics: Arc::new(ShardMetrics::new(n)),
         }
+    }
+
+    /// This universe's books: `shard.*` build, refresh, serving and
+    /// cross-shard trust-walk counters and timings, summed over every
+    /// generation of its lineage — and nothing another model did.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.registry.snapshot()
     }
 
     /// Sets the compute-thread fan-out for per-shard builds and for the
@@ -381,6 +453,12 @@ impl ShardedModel {
             &self.config.neighborhood.appleseed,
             &self.schedule,
         )?;
+        let books = &self.metrics;
+        books.appleseed_runs.inc();
+        books.appleseed_iterations.add(result.iterations as u64);
+        books.appleseed_nodes_explored.add(result.nodes_discovered as u64);
+        books.exchange_rounds.add(result.exchange_rounds as u64);
+        books.frontier_packets.add(result.frontier_packets as u64);
         Ok(result)
     }
 
@@ -428,7 +506,7 @@ impl ShardedModel {
 
     /// Produces the top-`n` recommendations for a target agent.
     pub fn recommend(&self, target: GlobalId, n: usize) -> Result<Vec<Recommendation>> {
-        semrec_obs::counter("shard.serve.requests").inc();
+        self.metrics.serve_requests.inc();
         let weighted = self.peer_weights(target)?;
         let (target_shard, target_local) = self.locate(target)?;
         let shard = &self.shards[target_shard];
@@ -456,7 +534,7 @@ impl ShardedModel {
         targets: &[GlobalId],
         n: usize,
     ) -> Vec<Result<Vec<Recommendation>>> {
-        semrec_obs::counter("shard.batch.tasks").add(targets.len() as u64);
+        self.metrics.batch_tasks.add(targets.len() as u64);
         if self.threads <= 1 || targets.len() <= 1 {
             return targets.iter().map(|&t| self.recommend(t, n)).collect();
         }
@@ -533,11 +611,12 @@ impl ShardedModel {
         delta: &ModelDelta,
     ) -> (ShardedModel, ShardedAdvanceReport) {
         let started = Instant::now();
-        let _span = semrec_obs::span("shard.refresh");
+        let books = &self.metrics;
+        let _span = books.refresh.start_timer();
         let n_shards = self.shards.len();
 
         if !self.membership_stable(next) {
-            semrec_obs::counter("shard.advance.wholesale").inc();
+            books.advance_wholesale.inc();
             let (mut model, build) = ShardedModel::partition(
                 next,
                 self.config,
@@ -545,7 +624,8 @@ impl ShardedModel {
                 n_shards,
                 self.threads,
             );
-            model.threads = self.threads;
+            books.record_build(&build);
+            model.metrics = Arc::clone(books);
             model.schedule = self.schedule.clone();
             // Every generation counter moves forward: all content may have
             // shifted shards, so no cache entry survives.
@@ -590,7 +670,7 @@ impl ShardedModel {
                 continue;
             }
             let shard_started = Instant::now();
-            let _shard_span = semrec_obs::span(&format!("shard.{s}.refresh"));
+            let _shard_span = books.shard_refresh[s].start_timer();
             let (mut shard, stats, _) = build_shard(
                 next,
                 &assignment,
@@ -603,17 +683,15 @@ impl ShardedModel {
             );
             shard.model_epoch = self.shards[s].model_epoch + 1;
             shard.serve_epoch = self.shards[s].serve_epoch;
-            semrec_obs::counter(&format!("shard.{s}.profiles.recomputed"))
-                .add(stats.recomputed as u64);
-            semrec_obs::counter(&format!("shard.{s}.profiles.reused")).add(stats.reused as u64);
+            books.profiles_recomputed[s].add(stats.recomputed as u64);
+            books.profiles_reused[s].add(stats.reused as u64);
             recomputed += stats.recomputed;
             reused += stats.reused;
             per_shard[s] = shard_started.elapsed();
             new_shards.push(Arc::new(shard));
         }
-        semrec_obs::counter("shard.advance.shards_dirty").add(rebuilt.len() as u64);
-        semrec_obs::counter("shard.advance.shards_clean")
-            .add((n_shards - rebuilt.len()) as u64);
+        books.advance_shards_dirty.add(rebuilt.len() as u64);
+        books.advance_shards_clean.add((n_shards - rebuilt.len()) as u64);
 
         // Serve-dirty closure: every shard that can reach a model-dirty
         // shard over boundary edges within the trust horizon — a
@@ -639,6 +717,7 @@ impl ShardedModel {
             shard_fn: Arc::clone(&self.shard_fn),
             threads: self.threads,
             schedule: self.schedule.clone(),
+            metrics: Arc::clone(books),
         };
         let report = ShardedAdvanceReport {
             wholesale: false,
@@ -695,7 +774,7 @@ fn index_assignment(
 }
 
 /// Builds the per-shard models for `order`, fanning out over `threads`.
-/// Returns `(shard, profile stats, elapsed)` in shard-index order.
+/// Returns `(shard, elapsed)` in shard-index order.
 #[allow(clippy::too_many_arguments)]
 fn fan_out_build(
     global: &Community,
@@ -707,11 +786,11 @@ fn fan_out_build(
     config: &RecommenderConfig,
     threads: usize,
     order: &[usize],
-) -> Vec<(Shard, AdvanceStats, Duration)> {
+) -> Vec<(Shard, Duration)> {
     let build_one = |s: usize| {
         let started = Instant::now();
         let prev = previous.get(s).map(|arc| arc.as_ref());
-        let (shard, stats, _) = build_shard(
+        let (shard, _, _) = build_shard(
             global,
             assignment,
             local_of,
@@ -721,26 +800,26 @@ fn fan_out_build(
             config,
             s as u32,
         );
-        (s, shard, stats, started.elapsed())
+        (s, shard, started.elapsed())
     };
-    let mut slots: Vec<Option<(Shard, AdvanceStats, Duration)>> =
+    let mut slots: Vec<Option<(Shard, Duration)>> =
         (0..members.len()).map(|_| None).collect();
     if threads <= 1 || order.len() == 1 {
         for &s in order {
-            let (s, shard, stats, elapsed) = build_one(s);
-            slots[s] = Some((shard, stats, elapsed));
+            let (s, shard, elapsed) = build_one(s);
+            slots[s] = Some((shard, elapsed));
         }
     } else {
         let chunk = order.len().div_ceil(threads);
-        let produced: Vec<Vec<(usize, Shard, AdvanceStats, Duration)>> = thread::scope(|scope| {
+        let produced: Vec<Vec<(usize, Shard, Duration)>> = thread::scope(|scope| {
             let handles: Vec<_> = order
                 .chunks(chunk)
                 .map(|mine| scope.spawn(move || mine.iter().map(|&s| build_one(s)).collect()))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("build worker")).collect()
         });
-        for (s, shard, stats, elapsed) in produced.into_iter().flatten() {
-            slots[s] = Some((shard, stats, elapsed));
+        for (s, shard, elapsed) in produced.into_iter().flatten() {
+            slots[s] = Some((shard, elapsed));
         }
     }
     slots.into_iter().map(|slot| slot.expect("every shard built")).collect()

@@ -36,6 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use semrec_core::{ProfileStore, Recommender, SharedModel, SourceHealth};
+use semrec_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use semrec_profiles::ProfileVector;
 use semrec_store::codec::{fnv1a64, Reader, Writer};
 use semrec_store::{CheckpointReport, Error, Result, Store};
@@ -65,6 +66,19 @@ pub struct ShardedRecovery {
 #[derive(Clone, Debug)]
 pub struct ShardedStore {
     root: PathBuf,
+    /// This handle's books (clones share them).
+    metrics: Arc<ShardedStoreMetrics>,
+}
+
+/// One handle per `shard.store.*` name, resolved when the store is opened.
+#[derive(Debug)]
+struct ShardedStoreMetrics {
+    registry: MetricsRegistry,
+    checkpoints: Counter,
+    checkpoint_seconds: Histogram,
+    wal_appended: Counter,
+    recovered: Counter,
+    recover_seconds: Histogram,
 }
 
 impl ShardedStore {
@@ -72,7 +86,22 @@ impl ShardedStore {
     pub fn open(root: impl Into<PathBuf>) -> Result<ShardedStore> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(ShardedStore { root })
+        let registry = MetricsRegistry::new();
+        let metrics = ShardedStoreMetrics {
+            checkpoints: registry.counter("shard.store.checkpoints"),
+            checkpoint_seconds: registry.histogram("shard.store.checkpoint"),
+            wal_appended: registry.counter("shard.store.wal.appended"),
+            recovered: registry.counter("shard.store.recovered"),
+            recover_seconds: registry.histogram("shard.store.recover"),
+            registry,
+        };
+        Ok(ShardedStore { root, metrics: Arc::new(metrics) })
+    }
+
+    /// Shard snapshots cut, shard WALs appended to and shards recovered
+    /// through this handle, as `shard.store.*` counters and timings.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.registry.snapshot()
     }
 
     /// The store's root directory.
@@ -108,7 +137,7 @@ impl ShardedStore {
         model: &ShardedModel,
         epoch: u64,
     ) -> Result<Vec<CheckpointReport>> {
-        let _span = semrec_obs::span("shard.store.checkpoint");
+        let _span = self.metrics.checkpoint_seconds.start_timer();
         let mut w = Writer::new();
         let directory = model.directory();
         w.put_len(directory.len());
@@ -148,7 +177,7 @@ impl ShardedStore {
             let engine = Recommender::from_shared(Arc::new(shared));
             let store = Store::open(&dir)?;
             reports.push(store.checkpoint(&engine, &view, epoch)?);
-            semrec_obs::counter("shard.store.checkpoints").inc();
+            self.metrics.checkpoints.inc();
         }
         Ok(reports)
     }
@@ -289,7 +318,7 @@ impl ShardedStore {
                 continue;
             }
             Store::open(self.shard_dir(s))?.append_delta(sub, health)?;
-            semrec_obs::counter("shard.store.wal.appended").inc();
+            self.metrics.wal_appended.inc();
             touched += 1;
         }
         Ok(touched)
@@ -299,7 +328,7 @@ impl ShardedStore {
     /// the ordinary `semrec-store` path, then the universe is re-stitched
     /// from the directory and boundary sidecars.
     pub fn recover(&self, shard_fn: Arc<dyn ShardFn>) -> Result<ShardedRecovery> {
-        let _span = semrec_obs::span("shard.store.recover");
+        let _span = self.metrics.recover_seconds.start_timer();
         let n = self.shard_count()?;
         let entries = fold_directory(&read_frames(&self.directory_path(), DIRECTORY_MAGIC)?)?;
         let mut directory = Directory::default();
@@ -366,7 +395,7 @@ impl ShardedStore {
                 &directory,
                 &local_of,
             )));
-            semrec_obs::counter("shard.store.recovered").inc();
+            self.metrics.recovered.inc();
         }
         let model = ShardedModel::from_shards(shards, directory, local_of, config, shard_fn);
         Ok(ShardedRecovery { model, epoch, replayed, degraded })

@@ -36,8 +36,9 @@
 //! all come back as typed [`Error`] variants, and recovery falls back to
 //! the previous good snapshot.
 //!
-//! Everything observable lands in the global `semrec-obs` registry under
-//! the `store.*` namespace (see the README's persistence metric table).
+//! Everything observable lands in the books of the [`Store`] that did it,
+//! under the `store.*` names [`Store::metrics`] reads (see the README's
+//! persistence metric table).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

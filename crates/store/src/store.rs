@@ -14,20 +14,23 @@
 //! under the live name) plus a fresh empty `wal-<seq+1>.log`; refreshes
 //! then [`Store::append_delta`] onto that WAL. [`Store::recover`] walks
 //! snapshots newest-first, skipping corrupt ones with a typed error and a
-//! `store.recovery.fallback` bump, then replays the surviving snapshot's
+//! `store.recovery.fallback` count, then replays the surviving snapshot's
 //! WAL through the exact live-refresh code path
 //! (`CommunityBuilder::apply_delta` → `build` → `Recommender::advance`).
 //! [`Store::compact_if_needed`] folds a WAL that outgrew the
 //! [`CompactionPolicy`] into a fresh snapshot.
 //!
-//! Everything observable lands under the `store.*` metric namespace (see
-//! the README's persistence metric table).
+//! Everything observable lands under the `store.*` names of the store's
+//! own books, read with [`Store::metrics`] (see the README's persistence
+//! metric table).
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use semrec_core::Recommender;
+use semrec_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use semrec_web::crawler::CommunityBuilder;
 use semrec_web::delta::CrawlDelta;
 use semrec_web::extract::ExtractedAgent;
@@ -105,6 +108,52 @@ impl Recovery {
 #[derive(Clone, Debug)]
 pub struct Store {
     dir: PathBuf,
+    /// This handle's books (clones share them).
+    metrics: Arc<StoreMetrics>,
+}
+
+/// One handle per `store.*` name, resolved when the store is opened.
+/// Counter and histogram namespaces are separate, so a timing may share
+/// its counter's name.
+#[derive(Debug)]
+struct StoreMetrics {
+    registry: MetricsRegistry,
+    snapshot_write: Counter,
+    snapshot_write_bytes: Counter,
+    snapshot_write_seconds: Histogram,
+    snapshot_load: Counter,
+    snapshot_load_bytes: Counter,
+    snapshot_load_seconds: Histogram,
+    wal_appended: Counter,
+    wal_appended_bytes: Counter,
+    wal_replayed: Counter,
+    wal_replay_seconds: Histogram,
+    wal_compacted: Counter,
+    recovery_fallback: Counter,
+    recovery_seconds: Histogram,
+}
+
+impl StoreMetrics {
+    fn new() -> Self {
+        let registry = MetricsRegistry::new();
+        let counter = |name: &str| registry.counter(name);
+        StoreMetrics {
+            snapshot_write: counter("store.snapshot.write"),
+            snapshot_write_bytes: counter("store.snapshot.write.bytes"),
+            snapshot_write_seconds: registry.histogram("store.snapshot.write"),
+            snapshot_load: counter("store.snapshot.load"),
+            snapshot_load_bytes: counter("store.snapshot.load.bytes"),
+            snapshot_load_seconds: registry.histogram("store.snapshot.load"),
+            wal_appended: counter("store.wal.appended"),
+            wal_appended_bytes: counter("store.wal.appended.bytes"),
+            wal_replayed: counter("store.wal.replayed"),
+            wal_replay_seconds: registry.histogram("store.wal.replay"),
+            wal_compacted: counter("store.wal.compacted"),
+            recovery_fallback: counter("store.recovery.fallback"),
+            recovery_seconds: registry.histogram("store.recovery"),
+            registry,
+        }
+    }
 }
 
 impl Store {
@@ -112,7 +161,14 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Store> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Store { dir })
+        Ok(Store { dir, metrics: Arc::new(StoreMetrics::new()) })
+    }
+
+    /// What this handle wrote, loaded, replayed and fell back past, as
+    /// `store.*` counters and timings: the sum of the reports its calls
+    /// returned, and nothing another `Store` did.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.registry.snapshot()
     }
 
     /// The store's root directory.
@@ -161,15 +217,15 @@ impl Store {
     /// of re-deriving the model per record. [`Store::recover`] still reads
     /// v1 snapshots written by earlier builds.
     ///
-    /// Bumps `store.snapshot.write` / `store.snapshot.write.bytes` under a
-    /// `store.snapshot.write` span.
+    /// Counts as `store.snapshot.write` / `store.snapshot.write.bytes`,
+    /// timed under `store.snapshot.write`.
     pub fn checkpoint(
         &self,
         engine: &Recommender,
         view: &[ExtractedAgent],
         epoch: u64,
     ) -> Result<CheckpointReport> {
-        let _span = semrec_obs::span("store.snapshot.write");
+        let _span = self.metrics.snapshot_write_seconds.start_timer();
         let seq = self.latest_seq()?.unwrap_or(0) + 1;
         let bytes = encode_v2(engine, view, epoch);
 
@@ -177,8 +233,8 @@ impl Store {
         write_atomically(&path, &bytes)?;
         write_atomically(&self.wal_path(seq), &wal_header())?;
 
-        semrec_obs::counter("store.snapshot.write").inc();
-        semrec_obs::counter("store.snapshot.write.bytes").add(bytes.len() as u64);
+        self.metrics.snapshot_write.inc();
+        self.metrics.snapshot_write_bytes.add(bytes.len() as u64);
         Ok(CheckpointReport { seq, snapshot_bytes: bytes.len() as u64, path })
     }
 
@@ -189,7 +245,7 @@ impl Store {
     /// This is how the `semrec-web` refresh path persists its delta: the
     /// caller that ran `refresh`/`refresh_resilient` hands the
     /// `CrawlResult`'s delta and health straight here (see experiment
-    /// E18). Bumps `store.wal.appended` / `store.wal.appended.bytes`.
+    /// E18). Counts as `store.wal.appended` / `store.wal.appended.bytes`.
     pub fn append_delta(&self, delta: &CrawlDelta, health: &SourceHealth) -> Result<u64> {
         let seq = self.latest_seq()?.ok_or(Error::NoSnapshot)?;
         let path = self.wal_path(seq);
@@ -202,8 +258,8 @@ impl Store {
         }
         file.write_all(&framed)?;
         file.sync_all()?;
-        semrec_obs::counter("store.wal.appended").inc();
-        semrec_obs::counter("store.wal.appended.bytes").add(framed.len() as u64);
+        self.metrics.wal_appended.inc();
+        self.metrics.wal_appended_bytes.add(framed.len() as u64);
         Ok(record.seq)
     }
 
@@ -219,10 +275,11 @@ impl Store {
     /// snapshot-only). Errs with [`Error::NoSnapshot`] when no generation
     /// is loadable at all.
     ///
-    /// Bumps `store.snapshot.load` / `store.snapshot.load.bytes` and one
-    /// `store.wal.replayed` per replayed record, under `store.recovery`.
+    /// Counts `store.snapshot.load` / `store.snapshot.load.bytes` and one
+    /// `store.wal.replayed` per replayed record, timed under
+    /// `store.recovery`.
     pub fn recover(&self) -> Result<Recovery> {
-        let _span = semrec_obs::span("store.recovery");
+        let _span = self.metrics.recovery_seconds.start_timer();
         let mut skipped = Vec::new();
         let mut seqs = self.snapshot_seqs()?;
         seqs.reverse();
@@ -233,7 +290,7 @@ impl Store {
             match self.load_snapshot(seq) {
                 Ok(restored) => return self.replay(seq, restored, skipped),
                 Err(e) => {
-                    semrec_obs::counter("store.recovery.fallback").inc();
+                    self.metrics.recovery_fallback.inc();
                     skipped.push((seq, e));
                 }
             }
@@ -248,15 +305,15 @@ impl Store {
     /// [`Error::BadVersion`]; bytes too damaged to carry a version fall
     /// through to the v1 decoder for its magic/truncation errors.
     fn load_snapshot(&self, seq: u64) -> Result<RestoredModel> {
-        let _span = semrec_obs::span("store.snapshot.load");
+        let _span = self.metrics.snapshot_load_seconds.start_timer();
         let bytes = fs::read(self.snapshot_path(seq))?;
         let restored = match sniff_version(&bytes) {
             Some(SNAPSHOT_V2) => decode_v2(&bytes)?,
             Some(SNAPSHOT_VERSION) | None => Checkpoint::decode(&bytes)?.restore()?,
             Some(found) => return Err(Error::BadVersion { expected: SNAPSHOT_V2, found }),
         };
-        semrec_obs::counter("store.snapshot.load").inc();
-        semrec_obs::counter("store.snapshot.load.bytes").add(bytes.len() as u64);
+        self.metrics.snapshot_load.inc();
+        self.metrics.snapshot_load_bytes.add(bytes.len() as u64);
         Ok(restored)
     }
 
@@ -276,7 +333,7 @@ impl Store {
                 Ok(readout) => (readout.records, readout.torn),
                 Err(fatal) => {
                     // The whole log is untrusted: snapshot-only recovery.
-                    semrec_obs::counter("store.recovery.fallback").inc();
+                    self.metrics.recovery_fallback.inc();
                     (Vec::new(), Some(fatal))
                 }
             }
@@ -286,7 +343,7 @@ impl Store {
 
         let mut replayed = 0;
         for record in &records {
-            let _span = semrec_obs::span("store.wal.replay");
+            let _span = self.metrics.wal_replay_seconds.start_timer();
             let mut builder = CommunityBuilder::new(&view);
             builder.apply_delta(&record.delta);
             let community = engine.community();
@@ -296,7 +353,7 @@ impl Store {
             engine = advanced;
             view = builder.agents().to_vec();
             replayed += 1;
-            semrec_obs::counter("store.wal.replayed").inc();
+            self.metrics.wal_replayed.inc();
         }
         // Surface out-of-order sequence numbers as corruption even when
         // every checksum passed (e.g. records spliced between logs).
@@ -354,7 +411,7 @@ impl Store {
     /// i.e. the WAL already applied) into a fresh snapshot generation
     /// with an empty WAL, if the policy says the log has grown too long.
     ///
-    /// Bumps `store.wal.compacted` when it compacts.
+    /// Counts as `store.wal.compacted` when it compacts.
     pub fn compact_if_needed(
         &self,
         engine: &Recommender,
@@ -366,7 +423,7 @@ impl Store {
             return Ok(None);
         }
         let report = self.checkpoint(engine, view, epoch)?;
-        semrec_obs::counter("store.wal.compacted").inc();
+        self.metrics.wal_compacted.inc();
         Ok(Some(report))
     }
 }

@@ -47,6 +47,8 @@ pub struct AdvogatoResult {
     pub flow: i64,
     /// Per-level node capacities used in the reduction.
     pub capacities: Vec<i64>,
+    /// Augmenting paths the flow solver needed.
+    pub augmenting_paths: usize,
 }
 
 impl AdvogatoResult {
@@ -156,7 +158,12 @@ pub fn advogato(
         .collect();
     accepted.sort_unstable();
 
-    Ok(AdvogatoResult { accepted, flow, capacities })
+    Ok(AdvogatoResult {
+        accepted,
+        flow: flow.value,
+        capacities,
+        augmenting_paths: flow.augmenting_paths,
+    })
 }
 
 #[cfg(test)]

@@ -45,9 +45,8 @@
 //! `appleseed/oracle.rs`, where it walks the adjacency-list
 //! [`crate::graph::TrustGraph`] — an independent representation of the same
 //! statements): the same `f64` bits for every rank, the same
-//! `iterations`, `nodes_discovered` and `converged`, and the same
-//! `appleseed.*` metrics. No tolerance is involved, because no float
-//! operation is reassociated: a share is still `forward * w.powf(p) / total`
+//! `iterations`, `nodes_discovered`, `converged` and `residual`. No
+//! tolerance is involved, because no float operation is reassociated: a share is still `forward * w.powf(p) / total`
 //! (the `powf` result is cached, not re-derived; the division is not turned
 //! into a multiplication by a reciprocal), nodes are discovered in the same
 //! order, and every accumulator receives the same addends in the same
@@ -169,6 +168,9 @@ pub struct AppleseedResult {
     pub nodes_discovered: usize,
     /// True if the fixpoint was reached before `max_iterations`.
     pub converged: bool,
+    /// The last iteration's largest rank change: below
+    /// [`AppleseedParams::convergence`] iff `converged`.
+    pub residual: f64,
 }
 
 impl AppleseedResult {
@@ -202,13 +204,7 @@ pub fn appleseed(
         return Err(TrustError::UnknownAgent(source.index()));
     }
 
-    let _span = semrec_obs::span("appleseed.run");
-    semrec_obs::counter("appleseed.runs").inc();
-
-    let result = SCRATCH.with_borrow_mut(|scratch| scratch.run(graph, source, params));
-
-    semrec_obs::counter("appleseed.nodes_explored").add(result.nodes_discovered as u64);
-    Ok(result)
+    Ok(SCRATCH.with_borrow_mut(|scratch| scratch.run(graph, source, params)))
 }
 
 thread_local! {
@@ -413,12 +409,6 @@ impl Scratch {
         source: AgentId,
         params: &AppleseedParams,
     ) -> AppleseedResult {
-        // Observability: the iterations counter plus the per-iteration
-        // energy residual (`max_delta`) as a histogram. Handles are fetched
-        // once per run; the loop itself only touches atomics.
-        let iterations_counter = semrec_obs::counter("appleseed.iterations");
-        let residual_histogram = semrec_obs::histogram("appleseed.residual");
-
         self.reset(graph.agent_count());
         self.discover(source, 0);
         self.energy_in[0] = params.injection;
@@ -426,9 +416,9 @@ impl Scratch {
         let d = params.spreading_factor;
         let mut iterations = 0;
         let mut converged = false;
+        let mut residual = 0.0;
         while iterations < params.max_iterations {
             iterations += 1;
-            iterations_counter.inc();
             let mut max_delta: f64 = 0.0;
             // `energy_next[0]`, kept in a register: most edges of a capped
             // wave end here, and a chain of adds through one memory cell
@@ -489,7 +479,7 @@ impl Scratch {
                 *energy_next = 0.0;
             }
 
-            residual_histogram.observe(max_delta);
+            residual = max_delta;
             if max_delta < params.convergence {
                 converged = true;
                 break;
@@ -503,7 +493,13 @@ impl Scratch {
             self.agent[1..].iter().copied().zip(self.rank[1..].iter().copied()).collect();
         ranks.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 
-        AppleseedResult { ranks, iterations, nodes_discovered: self.agent.len(), converged }
+        AppleseedResult {
+            ranks,
+            iterations,
+            nodes_discovered: self.agent.len(),
+            converged,
+            residual,
+        }
     }
 }
 

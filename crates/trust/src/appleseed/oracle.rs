@@ -5,7 +5,8 @@
 //! re-powers every weight and resolves every successor through a hash map.
 //! It is slow and obviously faithful to the metric's definition, which is
 //! what an oracle is for: the kernel in the parent module must reproduce its
-//! ranks bit for bit, plus `iterations`, `nodes_discovered` and `converged`.
+//! ranks bit for bit, plus `iterations`, `nodes_discovered`, `converged` and
+//! `residual`.
 //!
 //! Test-only. `semrec-trust` compiles it under `#[cfg(test)]`; the
 //! workspace-level `tests/proptest_appleseed.rs` includes this same file by
@@ -14,8 +15,7 @@
 //! and `TrustGraph`). It walks the adjacency-list [`TrustGraph`] while the
 //! kernel walks the `CsrGraph` frozen from it, so the comparison is also one
 //! between two representations of the same statements. It takes parameters that already passed
-//! [`AppleseedParams::validate`] and an in-range `source`, and it records no
-//! metrics.
+//! [`AppleseedParams::validate`] and an in-range `source`.
 
 use std::collections::HashMap;
 
@@ -37,11 +37,11 @@ impl NodeState {
 }
 
 /// Everything the bit-identity contract covers, in comparable form: the
-/// ranking with each rank's `f64` bits, `iterations`, `nodes_discovered`
-/// and `converged`.
-pub fn bits(r: &AppleseedResult) -> (Vec<(AgentId, u64)>, usize, usize, bool) {
+/// ranking with each rank's `f64` bits, `iterations`, `nodes_discovered`,
+/// `converged` and the bits of `residual`.
+pub fn bits(r: &AppleseedResult) -> (Vec<(AgentId, u64)>, usize, usize, bool, u64) {
     let ranks = r.ranks.iter().map(|&(a, rank)| (a, rank.to_bits())).collect();
-    (ranks, r.iterations, r.nodes_discovered, r.converged)
+    (ranks, r.iterations, r.nodes_discovered, r.converged, r.residual.to_bits())
 }
 
 /// Runs the reference loop for `source`.
@@ -57,6 +57,7 @@ pub fn appleseed_reference(
 
     let mut iterations = 0;
     let mut converged = false;
+    let mut residual = 0.0;
     while iterations < params.max_iterations {
         iterations += 1;
         let mut max_delta: f64 = 0.0;
@@ -149,6 +150,7 @@ pub fn appleseed_reference(
             node.energy_next = 0.0;
         }
 
+        residual = max_delta;
         if max_delta < params.convergence {
             converged = true;
             break;
@@ -159,5 +161,5 @@ pub fn appleseed_reference(
         nodes.iter().filter(|n| n.agent != source).map(|n| (n.agent, n.rank)).collect();
     ranks.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 
-    AppleseedResult { ranks, iterations, nodes_discovered: nodes.len(), converged }
+    AppleseedResult { ranks, iterations, nodes_discovered: nodes.len(), converged, residual }
 }

@@ -19,6 +19,15 @@ pub type FlowNode = u32;
 /// Identifier of an edge (index into the internal edge arrays).
 pub type FlowEdge = u32;
 
+/// Outcome of [`FlowNetwork::max_flow`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MaxFlow {
+    /// The maximum flow from source to sink.
+    pub value: i64,
+    /// Augmenting paths the solver pushed flow along.
+    pub augmenting_paths: usize,
+}
+
 impl FlowNetwork {
     /// Creates an empty network.
     pub fn new() -> Self {
@@ -71,10 +80,8 @@ impl FlowNetwork {
     ///
     /// Mutates residual capacities; call [`FlowNetwork::flow`] afterwards to
     /// read per-edge flows.
-    pub fn max_flow(&mut self, source: FlowNode, sink: FlowNode) -> i64 {
+    pub fn max_flow(&mut self, source: FlowNode, sink: FlowNode) -> MaxFlow {
         assert_ne!(source, sink, "source and sink must differ");
-        let _span = semrec_obs::span("maxflow.run");
-        let augmenting_paths = semrec_obs::counter("maxflow.augmenting_paths");
         let n = self.adj.len();
 
         // Flatten the adjacency into CSR form; edge-id order within each
@@ -88,7 +95,7 @@ impl FlowNetwork {
             offsets.push(edges.len() as u32);
         }
 
-        let mut total = 0i64;
+        let mut flow = MaxFlow { value: 0, augmenting_paths: 0 };
         let mut level = vec![-1i32; n];
         let mut iter = vec![0u32; n];
         loop {
@@ -107,7 +114,7 @@ impl FlowNetwork {
                 }
             }
             if level[sink as usize] < 0 {
-                return total;
+                return flow;
             }
             iter.fill(0);
             loop {
@@ -115,8 +122,8 @@ impl FlowNetwork {
                 if pushed == 0 {
                     break;
                 }
-                augmenting_paths.inc();
-                total += pushed;
+                flow.augmenting_paths += 1;
+                flow.value += pushed;
             }
         }
     }
@@ -171,21 +178,18 @@ mod tests {
         let s = net.add_node();
         let t = net.add_node();
         let e = net.add_edge(s, t, 7);
-        assert_eq!(net.max_flow(s, t), 7);
+        assert_eq!(net.max_flow(s, t).value, 7);
         assert_eq!(net.flow(e), 7);
         assert_eq!(net.residual(e), 0);
     }
 
     #[test]
     fn counts_augmenting_paths() {
-        let paths = semrec_obs::counter("maxflow.augmenting_paths");
-        let before = paths.get();
         let mut net = FlowNetwork::new();
         let s = net.add_node();
         let t = net.add_node();
         net.add_edge(s, t, 1);
-        net.max_flow(s, t);
-        assert!(paths.get() - before >= 1, "one unit path must be counted");
+        assert_eq!(net.max_flow(s, t), MaxFlow { value: 1, augmenting_paths: 1 });
     }
 
     #[test]
@@ -201,7 +205,7 @@ mod tests {
         net.add_edge(a, t, 2);
         net.add_edge(b, t, 3);
         net.add_edge(a, b, 5);
-        assert_eq!(net.max_flow(s, t), 5);
+        assert_eq!(net.max_flow(s, t).value, 5);
     }
 
     #[test]
@@ -211,7 +215,7 @@ mod tests {
         let a = net.add_node();
         let t = net.add_node();
         net.add_edge(s, a, 10);
-        assert_eq!(net.max_flow(s, t), 0);
+        assert_eq!(net.max_flow(s, t).value, 0);
     }
 
     #[test]
@@ -221,7 +225,7 @@ mod tests {
         for (i, w) in [9, 4, 7, 6].iter().enumerate() {
             net.add_edge(nodes[i], nodes[i + 1], *w);
         }
-        assert_eq!(net.max_flow(nodes[0], nodes[4]), 4);
+        assert_eq!(net.max_flow(nodes[0], nodes[4]).value, 4);
     }
 
     #[test]
@@ -231,7 +235,7 @@ mod tests {
         let t = net.add_node();
         net.add_edge(s, t, 3);
         net.add_edge(s, t, 4);
-        assert_eq!(net.max_flow(s, t), 7);
+        assert_eq!(net.max_flow(s, t).value, 7);
     }
 
     #[test]
@@ -254,6 +258,6 @@ mod tests {
         net.add_edge(left[1], right[1], 1);
         net.add_edge(left[2], right[1], 1);
         net.add_edge(left[2], right[2], 1);
-        assert_eq!(net.max_flow(s, t), 3);
+        assert_eq!(net.max_flow(s, t).value, 3);
     }
 }

@@ -115,7 +115,7 @@ proptest! {
         net.add_edge(mid[0], mid[1], caps[6]);
         net.add_edge(mid[1], mid[2], caps[7]);
         net.add_edge(mid[2], mid[0], caps[8]);
-        let flow = net.max_flow(s, t);
+        let flow = net.max_flow(s, t).value;
         prop_assert!(flow <= out_cap.min(in_cap));
         prop_assert!(flow >= 0);
         // Per-edge flow never exceeds capacity (checked via residuals ≥ 0).

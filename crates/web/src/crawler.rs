@@ -19,15 +19,15 @@
 //! [`Error`] list, and downstream recommendation runs carry
 //! the degradation flag (see `CrawlResult::health`).
 //!
-//! Instrumentation: each crawl times itself under the `crawl.run` span and
-//! counts fetch outcomes globally (`crawl.fetch.parsed` / `.missing` /
-//! `.parse_error` / `.reused` / `.retry` / `.gave_up` / `.unreachable` /
-//! `.corrupted`) and per BFS level (`crawl.level.<n>.fetches`); breaker
-//! openings bump `crawl.breaker.open`.
+//! A crawl records nothing: every fetch outcome is a field of the
+//! [`CrawlResult`] it returns (per BFS level in
+//! [`CrawlResult::fetches_per_level`]), and breaker openings are
+//! [`CircuitBreaker::times_opened`].
 
 use std::collections::{HashMap, HashSet};
 
 use semrec_core::{Community, SourceHealth};
+use semrec_obs::MetricsSnapshot;
 use semrec_taxonomy::{Catalog, Taxonomy};
 
 use crate::delta::{AgentDiff, CrawlDelta};
@@ -89,6 +89,8 @@ pub struct CrawlResult {
     pub unreachable: usize,
     /// Corrupted (truncated) responses observed across all attempts.
     pub corrupted: usize,
+    /// Fetches started at each BFS level (index = hops from the seeds).
+    pub fetches_per_level: Vec<usize>,
     /// Virtual ticks this crawl consumed (fetch latency + backoff delays,
     /// parallel within a BFS level).
     pub ticks: u64,
@@ -116,6 +118,29 @@ impl CrawlResult {
             corrupted: self.corrupted,
             parse_errors: self.parse_errors,
         }
+    }
+
+    /// This crawl's fields under their metric names (`crawl.fetch.*`,
+    /// `crawl.level.<n>.fetches`, and `refresh.delta.*` when it was a
+    /// refresh) — the rendering experiments print.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let count = |n: usize| n as u64;
+        let fetch = [
+            ("crawl.fetch.parsed", count(self.documents_fetched - self.parse_errors)),
+            ("crawl.fetch.missing", count(self.missing)),
+            ("crawl.fetch.parse_error", count(self.parse_errors)),
+            ("crawl.fetch.reused", count(self.reused)),
+            ("crawl.fetch.retry", self.retries),
+            ("crawl.fetch.gave_up", count(self.gave_up)),
+            ("crawl.fetch.unreachable", count(self.unreachable)),
+            ("crawl.fetch.corrupted", count(self.corrupted)),
+        ];
+        let delta = self.delta.iter().flat_map(CrawlDelta::counts);
+        let mut snapshot = MetricsSnapshot::from_counters(fetch.into_iter().chain(delta));
+        for (range, &fetches) in self.fetches_per_level.iter().enumerate() {
+            snapshot.counters.insert(format!("crawl.level.{range}.fetches"), fetches as u64);
+        }
+        snapshot
     }
 }
 
@@ -191,16 +216,6 @@ pub fn crawl_with(
     let mut result = CrawlResult::default();
     let mut agents: HashMap<String, ExtractedAgent> = HashMap::new();
 
-    let _run = semrec_obs::span("crawl.run");
-    let fetched_parsed = semrec_obs::counter("crawl.fetch.parsed");
-    let fetched_missing = semrec_obs::counter("crawl.fetch.missing");
-    let fetched_error = semrec_obs::counter("crawl.fetch.parse_error");
-    let fetched_reused = semrec_obs::counter("crawl.fetch.reused");
-    let fetched_retry = semrec_obs::counter("crawl.fetch.retry");
-    let fetched_gave_up = semrec_obs::counter("crawl.fetch.gave_up");
-    let fetched_unreachable = semrec_obs::counter("crawl.fetch.unreachable");
-    let fetched_corrupted = semrec_obs::counter("crawl.fetch.corrupted");
-
     let transitions_before = breaker.transitions().len();
     let clock_start = breaker.now();
     let mut clock = clock_start;
@@ -216,7 +231,6 @@ pub fn crawl_with(
         if policy.deadline.is_some_and(|d| clock - clock_start >= d) {
             result.deadline_exceeded = true;
             result.unreachable += frontier.len();
-            fetched_unreachable.add(frontier.len() as u64);
             break;
         }
         // Breaker gate, in deterministic frontier order: quarantined peers
@@ -230,7 +244,6 @@ pub fn crawl_with(
                 level.push((uri, cap));
             } else {
                 result.unreachable += 1;
-                fetched_unreachable.inc();
                 result.errors.push(Error::Fetch {
                     uri,
                     error: FetchError::Unavailable,
@@ -238,11 +251,11 @@ pub fn crawl_with(
                 });
             }
         }
+        result.fetches_per_level.push(level.len());
         if level.is_empty() {
             range += 1;
             continue;
         }
-        semrec_obs::counter(&format!("crawl.level.{range}.fetches")).add(level.len() as u64);
 
         // Fan fetch+parse out over threads, level-synchronously.
         let threads = config.threads.max(1).min(level.len());
@@ -270,9 +283,7 @@ pub fn crawl_with(
         for (uri, record) in records {
             level_ticks = level_ticks.max(record.ticks);
             result.retries += u64::from(record.retries);
-            fetched_retry.add(u64::from(record.retries));
             result.corrupted += record.corrupted as usize;
-            fetched_corrupted.add(u64::from(record.corrupted));
             for _ in 0..record.failed_attempts() {
                 breaker.record_failure(&uri, clock);
             }
@@ -280,23 +291,19 @@ pub fn crawl_with(
                 FetchOutcome::Missing => {
                     // The peer answered (with "no such document"): reachable.
                     breaker.record_success(&uri);
-                    fetched_missing.inc();
                     result.missing += 1;
                 }
                 FetchOutcome::ParseError { detail } => {
                     breaker.record_success(&uri);
-                    fetched_error.inc();
                     result.documents_fetched += 1;
                     result.parse_errors += 1;
                     result.errors.push(Error::Parse { uri, detail });
                 }
                 FetchOutcome::GaveUp { error } => {
-                    fetched_gave_up.inc();
                     result.gave_up += 1;
                     result.errors.push(Error::Fetch { uri, error, attempts: record.attempts });
                 }
                 FetchOutcome::Dead => {
-                    fetched_unreachable.inc();
                     result.unreachable += 1;
                     result.errors.push(Error::Fetch {
                         uri,
@@ -306,10 +313,8 @@ pub fn crawl_with(
                 }
                 FetchOutcome::Parsed { version, extracted, reused } => {
                     breaker.record_success(&uri);
-                    fetched_parsed.inc();
                     result.documents_fetched += 1;
                     if reused {
-                        fetched_reused.inc();
                         result.reused += 1;
                     }
                     result.documents.insert(
@@ -345,9 +350,7 @@ pub fn crawl_with(
         list
     };
     if let Some(prev) = previous {
-        let delta = CrawlDelta::between(&prev.agents, &result.agents);
-        delta.publish_metrics();
-        result.delta = Some(delta);
+        result.delta = Some(CrawlDelta::between(&prev.agents, &result.agents));
     }
     result
 }

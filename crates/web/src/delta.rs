@@ -127,12 +127,14 @@ impl CrawlDelta {
         self.added.len() + self.changed.len() + self.removed.len()
     }
 
-    /// Publishes the `refresh.delta.*` counters for this delta.
-    pub(crate) fn publish_metrics(&self) {
-        semrec_obs::counter("refresh.delta.added").add(self.added.len() as u64);
-        semrec_obs::counter("refresh.delta.changed").add(self.changed.len() as u64);
-        semrec_obs::counter("refresh.delta.removed").add(self.removed.len() as u64);
-        semrec_obs::counter("refresh.delta.unchanged").add(self.unchanged as u64);
+    /// The delta's sizes under their `refresh.delta.*` metric names.
+    pub fn counts(&self) -> [(&'static str, u64); 4] {
+        [
+            ("refresh.delta.added", self.added.len() as u64),
+            ("refresh.delta.changed", self.changed.len() as u64),
+            ("refresh.delta.removed", self.removed.len() as u64),
+            ("refresh.delta.unchanged", self.unchanged as u64),
+        ]
     }
 
     /// Projects this crawl-level delta down to the model-level

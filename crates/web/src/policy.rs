@@ -217,8 +217,8 @@ impl CircuitBreaker {
     }
 
     /// Records one failed fetch attempt at virtual time `now`. Reaching the
-    /// threshold (or failing a half-open probe) opens the breaker and bumps
-    /// the global `crawl.breaker.open` counter.
+    /// threshold (or failing a half-open probe) opens the breaker, counted in
+    /// [`CircuitBreaker::times_opened`].
     pub fn record_failure(&mut self, key: &str, now: u64) {
         let entry = self.entries.entry(key.to_owned()).or_insert(BreakerEntry {
             state: BreakerState::Closed,
@@ -236,7 +236,6 @@ impl CircuitBreaker {
             entry.opened_at = now;
             self.times_opened += 1;
             self.transitions.push((key.to_owned(), BreakerState::Open));
-            semrec_obs::counter("crawl.breaker.open").inc();
         }
     }
 

@@ -9,16 +9,17 @@
 //! where agents *publish* (create or update, bumping a version counter) and
 //! crawlers *fetch*. There is no direct agent-to-agent channel — by design.
 //!
-//! Instrumentation: every fetch that finds a document bumps the global
-//! `web.store.reads` counter, every fetch that misses bumps `web.store.misses`
-//! (dangling links are not real traffic), and every publish/remove bumps
-//! `web.store.writes` — so crawl dashboards can tell served documents from
-//! 404s, alongside the per-web [`DocumentWeb::fetch_count`] (which counts
-//! both).
+//! Each web keeps its own traffic books, read with
+//! [`DocumentWeb::metrics`]: a fetch that finds a document is a
+//! `web.store.reads`, one that misses a `web.store.misses` (dangling links
+//! are not real traffic), a publish or remove a `web.store.writes`.
+//! [`DocumentWeb::fetch_count`] is reads plus misses.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
+
+use semrec_obs::MetricsSnapshot;
 
 /// A published document: body, media type and monotonically increasing
 /// version (bumped on every re-publish).
@@ -36,7 +37,9 @@ pub struct Document {
 #[derive(Debug, Default)]
 pub struct DocumentWeb {
     docs: RwLock<HashMap<String, Document>>,
-    fetches: AtomicU64,
+    reads: AtomicU64,
+    misses: AtomicU64,
+    writes: AtomicU64,
 }
 
 impl DocumentWeb {
@@ -52,7 +55,7 @@ impl DocumentWeb {
         body: impl Into<String>,
         content_type: impl Into<String>,
     ) -> u64 {
-        semrec_obs::counter("web.store.writes").inc();
+        self.writes.fetch_add(1, Ordering::Relaxed);
         let mut docs = self.docs.write().unwrap();
         let entry = docs.entry(uri.into());
         match entry {
@@ -77,18 +80,15 @@ impl DocumentWeb {
     /// Fetches a document (cloned, like a network response). Hits count as
     /// `web.store.reads`, misses as `web.store.misses`.
     pub fn fetch(&self, uri: &str) -> Option<Document> {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
         let doc = self.docs.read().unwrap().get(uri).cloned();
-        match doc {
-            Some(_) => semrec_obs::counter("web.store.reads").inc(),
-            None => semrec_obs::counter("web.store.misses").inc(),
-        }
+        let book = if doc.is_some() { &self.reads } else { &self.misses };
+        book.fetch_add(1, Ordering::Relaxed);
         doc
     }
 
     /// Removes a document; returns `true` if it existed.
     pub fn remove(&self, uri: &str) -> bool {
-        semrec_obs::counter("web.store.writes").inc();
+        self.writes.fetch_add(1, Ordering::Relaxed);
         self.docs.write().unwrap().remove(uri).is_some()
     }
 
@@ -111,7 +111,16 @@ impl DocumentWeb {
 
     /// Total fetches served (crawler traffic accounting).
     pub fn fetch_count(&self) -> u64 {
-        self.fetches.load(Ordering::Relaxed)
+        self.reads.load(Ordering::Relaxed) + self.misses.load(Ordering::Relaxed)
+    }
+
+    /// This web's traffic counters: `web.store.{reads,misses,writes}`.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot::from_counters([
+            ("web.store.reads", self.reads.load(Ordering::Relaxed)),
+            ("web.store.misses", self.misses.load(Ordering::Relaxed)),
+            ("web.store.writes", self.writes.load(Ordering::Relaxed)),
+        ])
     }
 }
 
@@ -170,22 +179,17 @@ mod tests {
 
     #[test]
     fn read_write_counters_track_traffic() {
-        let reads = semrec_obs::counter("web.store.reads");
-        let misses = semrec_obs::counter("web.store.misses");
-        let writes = semrec_obs::counter("web.store.writes");
-        let (reads_before, misses_before, writes_before) =
-            (reads.get(), misses.get(), writes.get());
         let web = DocumentWeb::new();
         web.publish("http://ex.org/a", "x", "text/turtle");
         web.fetch("http://ex.org/a");
         web.fetch("http://ex.org/missing");
         web.remove("http://ex.org/a");
-        // Other tests in this binary hit the same global counters in
-        // parallel, so assert lower bounds; exact-equality coverage lives
-        // in the serialized workspace-level observability tests.
-        assert!(reads.get() - reads_before >= 1);
-        assert!(misses.get() - misses_before >= 1);
-        assert!(writes.get() - writes_before >= 2);
+        let counters = web.metrics().counters;
+        assert_eq!(counters["web.store.reads"], 1);
+        assert_eq!(counters["web.store.misses"], 1);
+        assert_eq!(counters["web.store.writes"], 2);
+        // A second web in the same process keeps its own books.
+        assert!(DocumentWeb::new().metrics().counters.values().all(|&v| v == 0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | [`web`] | `semrec-web` | simulated document web, homepages, crawler |
 //! | [`datagen`] | `semrec-datagen` | §4.1-scale synthetic communities |
 //! | [`eval`] | `semrec-eval` | splits, metrics, baselines, tables |
-//! | [`obs`] | `semrec-obs` | metrics registry, stage spans, event observers |
+//! | [`obs`] | `semrec-obs` | instance-owned metrics registry, handles, snapshot |
 //! | [`serve`] | `semrec-serve` | concurrent serving: snapshot swap, admission control, batching |
 //! | [`store`] | `semrec-store` | durable checkpoints, delta WAL, crash-recoverable warm starts |
 //! | [`shard`] | `semrec-shard` | partitioned universe, cross-shard Appleseed, per-shard persistence |

@@ -1,19 +1,19 @@
 //! Determinism regression: for a fixed seed and input, two pipeline runs
 //! must produce byte-identical recommendation lists **and** identical
-//! counter values. Wall-clock timers (histograms fed by spans) are the one
-//! intentionally non-deterministic part of the registry and are excluded.
+//! counter values. Wall-clock timers (histograms) are the one intentionally
+//! non-deterministic part of an owner's books and are excluded.
 //!
 //! This is the observability layer's determinism contract (see the
 //! `semrec-obs` crate docs): counters and gauges record *work done*, which
 //! is a pure function of seed + input; histograms record *time*, which is
-//! not.
+//! not. Every run builds its own owners (engine, store, sharded model) and
+//! reads their `metrics()`, so runs share nothing and need no reset.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
 
 use semrec::core::{recommend_batch, Recommender, RecommenderConfig};
 use semrec::datagen::{generate_community, CommunityGenConfig};
-use semrec::obs;
+use semrec::obs::MetricsSnapshot;
 use semrec::web::crawler::{
     assemble_community, crawl_resilient, refresh_resilient, CommunityBuilder, CrawlConfig,
 };
@@ -22,11 +22,10 @@ use semrec::web::policy::FetchPolicy;
 use semrec::web::publish::{homepage_turtle, homepage_uri, publish_community};
 use semrec::web::store::DocumentWeb;
 
-/// Serializes tests touching the global registry (shared across this
-/// binary's test threads).
-fn lock() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// The counters of one run's owners in one map (their namespaces are
+/// disjoint: `crawl.*`, `engine.*`, `store.*`, …).
+fn counters_of<const N: usize>(books: [MetricsSnapshot; N]) -> BTreeMap<String, u64> {
+    books.into_iter().flat_map(|snapshot| snapshot.counters).collect()
 }
 
 /// One full pipeline pass over a freshly generated seeded community:
@@ -36,7 +35,6 @@ fn run_once(seed: u64, threads: usize) -> (String, BTreeMap<String, u64>) {
     let recommender = Recommender::new(generated.community, RecommenderConfig::default());
     let agents: Vec<_> = recommender.community().agents().collect();
 
-    obs::global().reset();
     let batch = recommend_batch(&recommender, &agents, 10, threads);
 
     // Render with full float precision: byte-identical means bit-identical
@@ -49,20 +47,18 @@ fn run_once(seed: u64, threads: usize) -> (String, BTreeMap<String, u64>) {
         }
         rendered.push('\n');
     }
-    (rendered, obs::global().snapshot().counters)
+    (rendered, recommender.metrics().counters)
 }
 
 #[test]
 fn same_seed_same_counters_and_byte_identical_recommendations() {
-    let _serial = lock();
     let (recs_a, counters_a) = run_once(42, 4);
     let (recs_b, counters_b) = run_once(42, 4);
 
     assert!(!recs_a.is_empty());
     assert_eq!(recs_a, recs_b, "recommendation lists must be byte-identical");
     assert!(
-        counters_a.contains_key("appleseed.iterations")
-            && counters_a.contains_key("batch.tasks"),
+        counters_a["engine.trust_iterations"] > 0 && counters_a["batch.tasks"] > 0,
         "pipeline counters present: {counters_a:?}"
     );
     assert_eq!(counters_a, counters_b, "counter values must be identical across runs");
@@ -70,7 +66,6 @@ fn same_seed_same_counters_and_byte_identical_recommendations() {
 
 #[test]
 fn thread_count_does_not_change_recommendations_or_work_totals() {
-    let _serial = lock();
     let (recs_seq, counters_seq) = run_once(7, 1);
     let (recs_par, counters_par) = run_once(7, 4);
 
@@ -91,7 +86,8 @@ fn thread_count_does_not_change_recommendations_or_work_totals() {
 /// through a 30% transient-fault web with retries and breakers, assemble
 /// the reachable subset, and recommend for every assembled agent. Returns
 /// the rendered recommendations (bit-exact scores), the rendered resilience
-/// record (retries, give-ups, breaker transitions), and the counter map.
+/// record (retries, give-ups, breaker transitions), and the counters of
+/// the crawl result and the engine.
 fn run_faulty(seed: u64, threads: usize) -> (String, String, BTreeMap<String, u64>) {
     let generated = generate_community(&CommunityGenConfig::small(seed));
     let community = generated.community;
@@ -102,7 +98,6 @@ fn run_faulty(seed: u64, threads: usize) -> (String, String, BTreeMap<String, u6
     seeds.sort();
     seeds.truncate(3);
 
-    obs::global().reset();
     let faulty = FaultyWeb::new(&web, FaultPlan::transient(0.3, seed));
     let (result, breaker) = crawl_resilient(
         &faulty,
@@ -136,12 +131,11 @@ fn run_faulty(seed: u64, threads: usize) -> (String, String, BTreeMap<String, u6
         }
         rendered.push('\n');
     }
-    (rendered, resilience, obs::global().snapshot().counters)
+    (rendered, resilience, counters_of([result.metrics(), recommender.metrics()]))
 }
 
 #[test]
 fn fault_injected_runs_are_byte_identical_across_runs() {
-    let _serial = lock();
     let (recs_a, res_a, counters_a) = run_faulty(42, 4);
     let (recs_b, res_b, counters_b) = run_faulty(42, 4);
 
@@ -157,7 +151,6 @@ fn fault_injected_runs_are_byte_identical_across_runs() {
 
 #[test]
 fn fault_injection_is_thread_count_invariant() {
-    let _serial = lock();
     let (recs_seq, res_seq, counters_seq) = run_faulty(7, 1);
     let (recs_par, res_par, counters_par) = run_faulty(7, 4);
 
@@ -188,7 +181,6 @@ fn run_incremental(seed: u64, threads: usize) -> (String, String, BTreeMap<Strin
     let seeds: Vec<String> =
         community.agents().map(|a| community.agent(a).unwrap().uri.clone()).collect();
 
-    obs::global().reset();
     let faulty = FaultyWeb::new(&web, FaultPlan::transient(0.3, seed));
     let config = CrawlConfig { threads, ..Default::default() };
     let policy = FetchPolicy::default();
@@ -232,12 +224,13 @@ fn run_incremental(seed: u64, threads: usize) -> (String, String, BTreeMap<Strin
         }
         rendered.push('\n');
     }
-    (rendered, record, obs::global().snapshot().counters)
+    // The refresh's own counters, and the engine lineage's: `advance`
+    // carried the first generation's books into `advanced`.
+    (rendered, record, counters_of([second.metrics(), advanced.metrics()]))
 }
 
 #[test]
 fn incremental_refresh_after_faults_is_byte_identical_across_runs() {
-    let _serial = lock();
     let (recs_a, rec_a, counters_a) = run_incremental(42, 4);
     let (recs_b, rec_b, counters_b) = run_incremental(42, 4);
 
@@ -257,7 +250,6 @@ fn incremental_refresh_after_faults_is_byte_identical_across_runs() {
 
 #[test]
 fn incremental_refresh_is_thread_count_invariant() {
-    let _serial = lock();
     let (recs_seq, rec_seq, counters_seq) = run_incremental(7, 1);
     let (recs_par, rec_par, counters_par) = run_incremental(7, 4);
 
@@ -296,7 +288,6 @@ fn run_checkpointed(seed: u64, threads: usize) -> (String, String, BTreeMap<Stri
     let seeds: Vec<String> =
         community.agents().map(|a| community.agent(a).unwrap().uri.clone()).collect();
 
-    obs::global().reset();
     let faulty = FaultyWeb::new(&web, FaultPlan::transient(0.3, seed));
     let config = CrawlConfig { threads, ..Default::default() };
     let policy = FetchPolicy::default();
@@ -342,14 +333,13 @@ fn run_checkpointed(seed: u64, threads: usize) -> (String, String, BTreeMap<Stri
         }
         rendered.push('\n');
     }
-    let counters = obs::global().snapshot().counters;
+    let counters = counters_of([second.metrics(), store.metrics(), recovery.engine.metrics()]);
     std::fs::remove_dir_all(&scratch).ok();
     (rendered, record, counters)
 }
 
 #[test]
 fn checkpoint_restart_resume_is_byte_identical_across_runs() {
-    let _serial = lock();
     let (recs_a, rec_a, counters_a) = run_checkpointed(42, 4);
     let (recs_b, rec_b, counters_b) = run_checkpointed(42, 4);
 
@@ -371,7 +361,6 @@ fn checkpoint_restart_resume_is_byte_identical_across_runs() {
 
 #[test]
 fn checkpoint_restart_resume_is_thread_count_invariant() {
-    let _serial = lock();
     let (recs_seq, rec_seq, counters_seq) = run_checkpointed(7, 1);
     let (recs_par, rec_par, counters_par) = run_checkpointed(7, 4);
 
@@ -392,8 +381,9 @@ fn checkpoint_restart_resume_is_thread_count_invariant() {
 /// controller and the autoscaler all active. Returns the rendered per-class
 /// outcome (counts and exact tick percentiles), the server's own counter
 /// map — every `serve.slo.*` / `serve.class.*` / `serve.workers.*` counter,
-/// read from `Server::metrics` — and the engine's from the global registry,
-/// all of which must be invariant across runs and compute thread counts.
+/// read from `Server::metrics` — and the engine's, read from the
+/// `Recommender` the server's workers cloned, all of which must be
+/// invariant across runs and compute thread counts.
 fn run_open_loop_slo(
     seed: u64,
     threads: usize,
@@ -407,9 +397,8 @@ fn run_open_loop_slo(
     let recommender = Recommender::new(generated.community, RecommenderConfig::default());
     let agents: Vec<_> = recommender.community().agents().collect();
 
-    obs::global().reset();
     let server = Server::start(
-        recommender,
+        recommender.clone(),
         ServeConfig { workers: 0, queue_capacity: 256, ..Default::default() },
     );
     // A deep queue and a capped pool: the spike outruns the drain, waits
@@ -456,12 +445,11 @@ fn run_open_loop_slo(
         "ticks={} scale_events={} peak_workers={} lost={}\n",
         report.ticks_run, report.scale_events, report.peak_workers, report.lost
     ));
-    (rendered, serve_counters, obs::global().snapshot().counters)
+    (rendered, serve_counters, recommender.metrics().counters)
 }
 
 #[test]
 fn open_loop_slo_run_is_byte_identical_across_runs_and_threads() {
-    let _serial = lock();
     let (report_a, counters_a, engine_a) = run_open_loop_slo(42, 1);
     let (report_b, counters_b, engine_b) = run_open_loop_slo(42, 1);
     let (report_c, counters_c, engine_c) = run_open_loop_slo(42, 2);
@@ -489,10 +477,6 @@ fn open_loop_slo_run_is_byte_identical_across_runs_and_threads() {
     assert_eq!(counters_a, counters_c, "counters identical at 2 threads");
     assert_eq!(counters_a, counters_d, "counters identical at 8 threads");
     assert!(engine_a["engine.runs"] > 0, "the served misses ran the engine: {engine_a:?}");
-    assert!(
-        !engine_a.keys().any(|name| name.starts_with("serve.")),
-        "serve.* lives on the server, not in the global registry: {engine_a:?}"
-    );
     assert_eq!(engine_a, engine_b, "engine counters identical across runs");
     assert_eq!(engine_a, engine_c, "engine counters identical at 2 threads");
     assert_eq!(engine_a, engine_d, "engine counters identical at 8 threads");
@@ -519,7 +503,6 @@ fn run_sharded(
     let generated = generate_community(&CommunityGenConfig::small(seed));
     let community = generated.community;
 
-    obs::global().reset();
     let (model, build) = ShardedModel::partition(
         &community,
         RecommenderConfig::default(),
@@ -573,12 +556,12 @@ fn run_sharded(
         report.profiles_reused,
     );
     rendered.push_str(&render(&advanced.recommend_batch(&targets, 10)));
-    (rendered, record, obs::global().snapshot().counters)
+    // `advanced` shares its parent's books: build, both batches, advance.
+    (rendered, record, advanced.metrics().counters)
 }
 
 #[test]
 fn sharded_pipeline_is_byte_identical_across_runs() {
-    let _serial = lock();
     let (recs_a, rec_a, counters_a) = run_sharded(42, 4, false);
     let (recs_b, rec_b, counters_b) = run_sharded(42, 4, false);
 
@@ -602,7 +585,6 @@ fn sharded_pipeline_is_byte_identical_across_runs() {
 
 #[test]
 fn sharded_pipeline_is_thread_count_invariant() {
-    let _serial = lock();
     let (recs_1, rec_1, counters_1) = run_sharded(7, 1, false);
     let (recs_2, rec_2, counters_2) = run_sharded(7, 2, false);
     let (recs_8, rec_8, counters_8) = run_sharded(7, 8, false);
@@ -617,7 +599,6 @@ fn sharded_pipeline_is_thread_count_invariant() {
 
 #[test]
 fn sharded_pipeline_is_schedule_order_invariant() {
-    let _serial = lock();
     let (recs_fwd, rec_fwd, counters_fwd) = run_sharded(7, 4, false);
     let (recs_rev, rec_rev, counters_rev) = run_sharded(7, 4, true);
 
@@ -631,7 +612,6 @@ fn sharded_pipeline_is_schedule_order_invariant() {
 
 #[test]
 fn different_seeds_diverge() {
-    let _serial = lock();
     // Sanity check that the regression above is not vacuous: a different
     // seed produces different work.
     let (recs_a, _) = run_once(42, 4);

@@ -170,7 +170,7 @@ fn snapshot_corruption_falls_back_to_the_previous_generation() {
     let newest = node.store.snapshot_path(2);
     let good = std::fs::read(&newest).unwrap();
 
-    let fallback_counter = semrec_obs::counter("store.recovery.fallback");
+    let fallbacks = || node.store.metrics().counters["store.recovery.fallback"];
     let scenarios: Vec<(&str, Vec<u8>)> = vec![
         ("truncated", good[..good.len() / 2].to_vec()),
         ("bit-flipped", {
@@ -193,7 +193,7 @@ fn snapshot_corruption_falls_back_to_the_previous_generation() {
 
     for (name, bytes) in scenarios {
         std::fs::write(&newest, &bytes).unwrap();
-        let before = fallback_counter.get();
+        let before = fallbacks();
         let recovery = node.store.recover().unwrap_or_else(|e| {
             panic!("{name}: fallback recovery must succeed, got {e}")
         });
@@ -201,10 +201,7 @@ fn snapshot_corruption_falls_back_to_the_previous_generation() {
         assert_eq!(recovery.skipped.len(), 1, "{name}");
         assert_eq!(recovery.skipped[0].0, 2, "{name}: the damaged generation is skipped");
         assert!(recovery.degraded(), "{name}");
-        assert!(
-            fallback_counter.get() > before,
-            "{name}: store.recovery.fallback must increment"
-        );
+        assert_eq!(fallbacks(), before + 1, "{name}: one skipped generation, one fallback");
         // Generation 1 + its WAL still reconstructs the live model exactly.
         assert_eq!(recovery.replayed, node.rounds, "{name}");
         assert_eq!(recovery.view, node.view, "{name}");

@@ -27,14 +27,6 @@ use semrec::web::fault::FaultPlan;
 use semrec::web::publish::publish_community;
 use semrec::web::store::DocumentWeb;
 use semrec::AgentId;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Serializes tests in this binary: they reset and read the process-global
-/// metrics registry, and the harness runs tests on parallel threads.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A connected world: a trust ring over `n` agents (so every agent is
 /// reachable from every other) plus arbitrary extra edges. URIs are
@@ -78,26 +70,14 @@ fn publish(community: &Community) -> (DocumentWeb, Vec<String>) {
     (web, uris)
 }
 
-/// Everything a run can observably produce, in comparable form.
-type Fingerprint = (
-    std::collections::BTreeMap<String, u64>,
-    (u64, u64, u64, u64, u64, u64, u64),
-    Vec<usize>,
-    Vec<Vec<(String, u64)>>,
-);
+/// Everything a run can observably produce, in comparable form: the
+/// simulation's own `p2p.*` books (its `GossipStats` among them), per-peer
+/// knowledge counts, and every neighborhood score's bits.
+type Fingerprint =
+    (std::collections::BTreeMap<String, u64>, Vec<usize>, Vec<Vec<(String, u64)>>);
 
 fn fingerprint(sim: &P2pSimulation, config: &GossipConfig) -> Fingerprint {
-    let counters = semrec::obs::global().snapshot().retain_prefix("p2p.").counters;
-    let s = sim.stats();
-    let stats = (
-        s.messages_sent,
-        s.messages_failed,
-        s.messages_suppressed,
-        s.records_merged,
-        s.records_duplicate,
-        s.bytes_sent,
-        s.breaker_opens,
-    );
+    let counters = sim.metrics().counters;
     let known: Vec<usize> = sim.peers().iter().map(|p| p.known_count()).collect();
     let hoods: Vec<Vec<(String, u64)>> = sim
         .peers()
@@ -109,7 +89,7 @@ fn fingerprint(sim: &P2pSimulation, config: &GossipConfig) -> Fingerprint {
                 .collect()
         })
         .collect();
-    (counters, stats, known, hoods)
+    (counters, known, hoods)
 }
 
 proptest! {
@@ -123,7 +103,6 @@ proptest! {
         transient in 0.0f64..0.5,
         dead in 0.0f64..0.3,
     ) {
-        let _guard = lock();
         let community = build_world(n, &ring, &extra);
         let (web, uris) = publish(&community);
         let plan = FaultPlan { transient_rate: transient, dead_rate: dead, seed: 7, ..FaultPlan::none() };
@@ -131,7 +110,6 @@ proptest! {
         let mut fingerprints: Vec<Fingerprint> = Vec::new();
         // threads=1 twice: run-to-run stability, not just thread-count.
         for threads in [1usize, 2, 8, 1] {
-            semrec::obs::global().reset();
             let config = GossipConfig {
                 seed: 11,
                 threads,
@@ -157,7 +135,6 @@ proptest! {
     fn fault_free_gossip_learns_monotonically_and_converges_exactly(
         (n, ring, extra) in arb_world(),
     ) {
-        let _guard = lock();
         let community = build_world(n, &ring, &extra);
         let (web, uris) = publish(&community);
         let config = GossipConfig {
@@ -204,7 +181,6 @@ fn per_peer_checkpoints_recover_the_local_slice() {
     use semrec::store::Store;
     use semrec::web::crawler::assemble_community;
 
-    let _guard = lock();
     let community = build_world(6, &[0.9, 0.3, 0.7], &[(0, 2, 0.5), (3, 1, 0.8)]);
     let (web, uris) = publish(&community);
     let config = GossipConfig { seed: 3, ..GossipConfig::default() };
