@@ -6,8 +6,10 @@
 //! cargo run --release -p semrec-bench --bin experiments -- e7 --scale medium
 //! ```
 //!
-//! Experiments print the `metrics()` of the engines, stores, webs and
-//! swarms they built, beside their tables.
+//! Each experiment returns its text — its tables and the `metrics()` of
+//! the engines, stores, webs and swarms it built — and this binary is the
+//! only thing that prints it. `all --scale small` prints exactly
+//! `crates/bench/golden/small.txt`.
 
 use semrec_bench::{experiments, Scale};
 
@@ -26,7 +28,7 @@ fn main() {
                     .and_then(|s| Scale::parse(s))
                     .unwrap_or_else(|| usage("unknown scale"));
             }
-            "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),
+            "all" => ids.extend(experiments::ALL.iter().map(|(id, _)| id.to_string())),
             id => ids.push(id.to_string()),
         }
         i += 1;
@@ -37,8 +39,9 @@ fn main() {
 
     println!("semrec experiment harness — scale: {scale:?}");
     for id in &ids {
-        if !experiments::run(id, scale) {
-            usage(&format!("unknown experiment `{id}`"));
+        match experiments::ALL.iter().find(|(known, _)| known == id) {
+            Some((_, run)) => print!("{}", run(scale)),
+            None => usage(&format!("unknown experiment `{id}`")),
         }
     }
 }
@@ -46,6 +49,7 @@ fn main() {
 fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}\n");
     eprintln!("usage: experiments [--scale small|medium|paper] <ids…|all>");
-    eprintln!("  experiments: {}", semrec_bench::experiments::ALL.join(", "));
+    let ids: Vec<&str> = experiments::ALL.iter().map(|(id, _)| *id).collect();
+    eprintln!("  experiments: {}", ids.join(", "));
     std::process::exit(2);
 }

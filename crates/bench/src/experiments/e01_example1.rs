@@ -8,7 +8,7 @@
 //! community (alice trusts bob and dave; eve sits outside the neighborhood)
 //! is evaluated through [`recommend_batch`], exercising every stage —
 //! Appleseed, profile similarity, synthesis, voting — and prints that
-//! engine's `metrics()`: the whole pipeline's counters and stage timings.
+//! engine's `metrics()`: the whole pipeline's counters and per-stage run counts.
 
 use semrec_core::{recommend_batch, Community, Recommender, RecommenderConfig};
 use semrec_eval::table::{fmt, Table};
@@ -36,15 +36,19 @@ const PAPER: [(&str, f64); 5] = [
 ];
 
 /// Runs E1.
-pub fn run() -> Outcome {
-    super::header("E1", "Example 1 — topic score assignment (s = 1000, 4 books, 5 descriptors)");
+pub fn run() -> (Outcome, String) {
+    let mut out = super::header(
+        "E1",
+        "Example 1 — topic score assignment (s = 1000, 4 books, 5 descriptors)",
+    );
     let e = example1();
 
     let ratings: Vec<_> = e.catalog.iter().map(|p| (p, 1.0)).collect();
     let params = ProfileParams::default();
     let n_desc = e.catalog.descriptors(e.matrix_analysis).len();
     let allotment = params.total_score / (ratings.len() as f64 * n_desc as f64);
-    println!(
+    outln!(
+        out,
         "Allotment for descriptor `Algebra`: s/(|R|·|f(b)|) = 1000/({}·{}) = {}",
         ratings.len(),
         n_desc,
@@ -59,12 +63,12 @@ pub fn run() -> Outcome {
         table.row([label.to_string(), fmt(got), fmt(paper), format!("{:+.3}", got - paper)]);
         rows.push((label.to_owned(), got, paper));
     }
-    println!("{}", table.render());
-    println!("(The paper's printed values round κ slightly differently; the path total");
-    println!(" is exactly 50 in both.)");
+    outln!(out, "{}", table.render());
+    outln!(out, "(The paper's printed values round κ slightly differently; the path total");
+    outln!(out, " is exactly 50 in both.)");
 
     let profile = generate_profile(&e.fig.taxonomy, &e.catalog, &ratings, &params);
-    println!("\nFull Example 1 profile: {} topics scored, total mass {:.3} (= s)",
+    outln!(out, "\nFull Example 1 profile: {} topics scored, total mass {:.3} (= s)",
         profile.support(), profile.total());
 
     // Full-pipeline pass over the Example 1 community: every stage of the
@@ -91,15 +95,16 @@ pub fn run() -> Outcome {
     let batch = recommend_batch(&recommender, &agents, 3, 2);
     let recommendation_counts: Vec<usize> =
         batch.iter().map(|r| r.as_ref().map_or(0, |recs| recs.len())).collect();
-    println!(
+    outln!(
+        out,
         "\nPipeline pass over the 4-agent Example 1 community: {:?} recommendations",
         recommendation_counts
     );
     let metrics = recommender.metrics();
-    println!("\nRecommender::metrics() of that engine:");
-    print!("{}", metrics.render_text());
+    outln!(out, "\nRecommender::metrics() of that engine:");
+    out += &super::books(&metrics);
 
-    Outcome { rows, profile_total: profile.total(), recommendation_counts, metrics }
+    (Outcome { rows, profile_total: profile.total(), recommendation_counts, metrics }, out)
 }
 
 #[cfg(test)]
@@ -108,7 +113,7 @@ mod tests {
 
     #[test]
     fn reproduces_the_papers_numbers() {
-        let outcome = run();
+        let (outcome, text) = run();
         assert_eq!(outcome.rows.len(), 5);
         for (label, got, paper) in &outcome.rows {
             assert!((got - paper).abs() < 0.01, "{label}: {got} vs {paper}");
@@ -116,11 +121,12 @@ mod tests {
         let total: f64 = outcome.rows.iter().map(|&(_, g, _)| g).sum();
         assert!((total - 50.0).abs() < 1e-9);
         assert!((outcome.profile_total - 1000.0).abs() < 1e-6);
+        super::super::assert_golden(&text);
     }
 
     #[test]
     fn pipeline_pass_populates_the_acceptance_metrics() {
-        let outcome = run();
+        let (outcome, _) = run();
         // Alice's trusted, taste-aligned peers produce recommendations.
         assert_eq!(outcome.recommendation_counts.len(), 4);
         assert!(outcome.recommendation_counts[0] >= 1, "alice must get recommendations");

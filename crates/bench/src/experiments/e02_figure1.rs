@@ -18,25 +18,27 @@ pub struct Outcome {
 }
 
 /// Runs E2.
-pub fn run() -> Outcome {
-    super::header("E2", "Figure 1 — fragment of the Amazon book taxonomy");
+pub fn run() -> (Outcome, String) {
+    let mut out = super::header("E2", "Figure 1 — fragment of the Amazon book taxonomy");
     let f = figure1();
     let rendering = stats::render_tree(&f.taxonomy, 64);
-    println!("{rendering}");
+    outln!(out, "{rendering}");
 
     let s = stats::stats(&f.taxonomy);
-    println!(
+    outln!(
+        out,
         "{} topics, {} leaves, max depth {}, mean branching {:.2}",
         s.topics, s.leaves, s.max_depth, s.mean_branching
     );
-    println!("\nSibling counts implied by Example 1 (sib + 1 divisors: 2, 3, 4, 4):");
+    outln!(out, "\nSibling counts implied by Example 1 (sib + 1 divisors: 2, 3, 4, 4):");
     for (child, parent) in [
         (f.algebra, f.pure),
         (f.pure, f.mathematics),
         (f.mathematics, f.science),
         (f.science, TopicId::TOP),
     ] {
-        println!(
+        outln!(
+            out,
             "  sib({}) under {} = {}",
             f.taxonomy.label(child),
             f.taxonomy.label(parent),
@@ -44,7 +46,7 @@ pub fn run() -> Outcome {
         );
     }
 
-    Outcome { rendering, topics: s.topics, algebra_depth: f.taxonomy.depth(f.algebra) }
+    (Outcome { rendering, topics: s.topics, algebra_depth: f.taxonomy.depth(f.algebra) }, out)
 }
 
 #[cfg(test)]
@@ -53,11 +55,12 @@ mod tests {
 
     #[test]
     fn figure_structure_holds() {
-        let outcome = run();
+        let (outcome, text) = run();
         assert_eq!(outcome.algebra_depth, 4);
         assert!(outcome.topics >= 19);
         for label in ["Books", "Science", "Mathematics", "Pure", "Algebra"] {
             assert!(outcome.rendering.contains(label));
         }
+        super::super::assert_golden(&text);
     }
 }

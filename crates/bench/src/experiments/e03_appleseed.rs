@@ -18,19 +18,20 @@ pub struct Outcome {
 }
 
 /// Runs E3.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E3", "Appleseed — convergence and spreading factor (ref [12])");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out = super::header("E3", "Appleseed — convergence and spreading factor (ref [12])");
     let community = generate_community(&scale.community(303)).community;
     let graph = &CsrGraph::from_graph(&community.trust);
     let source = community.agents().next().unwrap();
-    println!(
+    outln!(
+        out,
         "Trust network: {} agents, {} statements; source {source}, injection 200\n",
         graph.agent_count(),
         graph.edge_count()
     );
 
     // (a) iterations vs convergence threshold.
-    println!("(a) Iterations until fixpoint vs T_c (d = 0.85):");
+    outln!(out, "(a) Iterations until fixpoint vs T_c (d = 0.85):");
     let mut table = Table::new(["T_c", "iterations", "nodes", "total rank"]);
     let mut convergence = Vec::new();
     for tc in [1.0, 0.1, 0.01, 0.001, 0.0001] {
@@ -49,10 +50,10 @@ pub fn run(scale: Scale) -> Outcome {
         ]);
         convergence.push((tc, r.iterations));
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
 
     // (b) rank distribution vs spreading factor.
-    println!("(b) Rank distribution vs spreading factor d (T_c = 0.001):");
+    outln!(out, "(b) Rank distribution vs spreading factor d (T_c = 0.001):");
     let mut table = Table::new(["d", "total rank", "top-1 share", "top-10 share", "iterations"]);
     let mut spreading = Vec::new();
     for d in [0.5, 0.65, 0.8, 0.85, 0.9] {
@@ -74,12 +75,12 @@ pub fn run(scale: Scale) -> Outcome {
         ]);
         spreading.push((d, total, top1 / total));
     }
-    println!("{}", table.render());
-    println!("Higher d forwards more energy instead of keeping it near the source: the");
-    println!("head share of the closest peers falls and convergence takes longer —");
-    println!("exactly the knob ref [12] describes for widening the neighborhood.");
+    outln!(out, "{}", table.render());
+    outln!(out, "Higher d forwards more energy instead of keeping it near the source: the");
+    outln!(out, "head share of the closest peers falls and convergence takes longer —");
+    outln!(out, "exactly the knob ref [12] describes for widening the neighborhood.");
 
-    Outcome { convergence, spreading }
+    (Outcome { convergence, spreading }, out)
 }
 
 #[cfg(test)]
@@ -88,7 +89,7 @@ mod tests {
 
     #[test]
     fn shapes_hold_at_small_scale() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         // Iterations are non-decreasing as T_c tightens.
         for w in o.convergence.windows(2) {
             assert!(w[0].0 > w[1].0, "thresholds must tighten");
@@ -98,5 +99,6 @@ mod tests {
         let first = o.spreading.first().unwrap().2;
         let last = o.spreading.last().unwrap().2;
         assert!(first > last, "head share must fall with d: {first} vs {last}");
+        super::super::assert_golden(&text);
     }
 }

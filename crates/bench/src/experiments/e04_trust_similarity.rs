@@ -26,8 +26,8 @@ pub struct Outcome {
 }
 
 /// Runs E4.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E4", "Trust ↔ similarity correlation (ref [5])");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out = super::header("E4", "Trust ↔ similarity correlation (ref [5])");
     let mut table =
         Table::new(["homophily h", "trusted pairs", "random pairs", "ratio", "Welch t"]);
     let mut rows = Vec::new();
@@ -78,11 +78,11 @@ pub fn run(scale: Scale) -> Outcome {
         ]);
         rows.push((h, st.mean, sr.mean, t));
     }
-    println!("{}", table.render());
-    println!("With homophilous trust (the empirical regime of ref [5]) trusted peers are");
-    println!("significantly more similar than random pairs; with h = 0 the effect vanishes.");
+    outln!(out, "{}", table.render());
+    outln!(out, "With homophilous trust (the empirical regime of ref [5]) trusted peers are");
+    outln!(out, "significantly more similar than random pairs; with h = 0 the effect vanishes.");
 
-    Outcome { rows }
+    (Outcome { rows }, out)
 }
 
 #[cfg(test)]
@@ -95,7 +95,7 @@ mod tests {
         // vendored RNG: the claim is *significance*, so it is pinned on the
         // Welch t statistic (mean ratios at Small scale are too noisy for a
         // fixed multiplicative bound across RNG streams).
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         let at = |h: f64| o.rows.iter().find(|r| r.0 == h).unwrap();
         let (_, t9_trusted, t9_random, t9) = *at(0.9);
         assert!(t9_trusted > t9_random, "h=0.9: {t9_trusted} vs {t9_random}");
@@ -107,5 +107,6 @@ mod tests {
         );
         assert!(t0 < 2.0, "h=0 must not be significant, t={t0}");
         assert!(t9 > t0 + 2.0, "homophily must move the statistic: {t9} vs {t0}");
+        super::super::assert_golden(&text);
     }
 }

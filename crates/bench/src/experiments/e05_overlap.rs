@@ -22,8 +22,8 @@ pub struct Outcome {
 }
 
 /// Runs E5.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E5", "Profile overlap vs catalog size (§2 — low profile overlap)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out = super::header("E5", "Profile overlap vs catalog size (§2 — low profile overlap)");
     let sizes: &[usize] = match scale {
         Scale::Small => &[200, 500, 1000, 2000],
         Scale::Medium => &[500, 2000, 5000, 10_000],
@@ -81,11 +81,11 @@ pub fn run(scale: Scale) -> Outcome {
         ]);
         rows.push((m, frac(co), frac(pearson_defined), frac(tax_overlap)));
     }
-    println!("{}", table.render());
-    println!("Classic CF's similarity becomes ⊥ for most pairs as |B| grows; Eq. 3");
-    println!("profiles always overlap through shared super-topics (at worst ⊤).");
+    outln!(out, "{}", table.render());
+    outln!(out, "Classic CF's similarity becomes ⊥ for most pairs as |B| grows; Eq. 3");
+    outln!(out, "profiles always overlap through shared super-topics (at worst ⊤).");
 
-    Outcome { rows }
+    (Outcome { rows }, out)
 }
 
 #[cfg(test)]
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn taxonomy_overlap_survives_catalog_growth() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         let first = o.rows.first().unwrap();
         let last = o.rows.last().unwrap();
         // Co-rating collapses with catalog size …
@@ -108,5 +108,6 @@ mod tests {
         for row in &o.rows {
             assert!(row.3 >= row.1, "taxonomy overlap dominates co-rating");
         }
+        super::super::assert_golden(&text);
     }
 }

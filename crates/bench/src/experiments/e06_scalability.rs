@@ -3,34 +3,31 @@
 //! can only be ensured when restricting latter computations to sufficiently
 //! narrow neighborhoods."
 //!
-//! As the community grows we track, per recommendation query, (a) how many
+//! As the community grows we track, per recommendation query, how many
 //! candidate peers each method *touches* — the deterministic measure of
-//! locality — and (b) wall-clock latency. The trust-bounded pipeline's
-//! exploration plateaus at its configured cap while every centralized CF
-//! variant scans all `n − 1` candidates; wall time follows once `n`
-//! outgrows Appleseed's constant factor (visible at medium/paper scale).
+//! locality. The trust-bounded pipeline's exploration plateaus at its
+//! configured cap while every centralized CF variant scans all `n − 1`
+//! candidates. What a query costs in wall time is `perf/`'s
+//! `core.request_us` (and `trust.neighborhood_us` inside it).
 
-use std::time::Instant;
-
-use semrec_core::{ProfileStore, Recommender, RecommenderConfig};
+use semrec_core::{Recommender, RecommenderConfig};
 use semrec_datagen::community::generate_community;
-use semrec_eval::baselines::{knn_product_cf, knn_taxonomy_cf};
 use semrec_eval::table::Table;
 
 use crate::Scale;
 
 /// Measured rows for shape assertions.
 pub struct Outcome {
-    /// `(n agents, hybrid mean nodes explored, global candidates scanned,
-    ///   hybrid µs, product-CF µs, taxonomy-CF µs)`.
-    pub rows: Vec<(usize, f64, usize, f64, f64, f64)>,
+    /// `(n agents, hybrid mean nodes explored, global candidates scanned)`.
+    pub rows: Vec<(usize, f64, usize)>,
     /// The exploration cap configured in the neighborhood parameters.
     pub exploration_cap: usize,
 }
 
 /// Runs E6.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E6", "Scalability — local trust-bounded pipeline vs global CF scan (§2)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E6", "Scalability — local trust-bounded pipeline vs global CF scan (§2)");
     let sizes: &[usize] = match scale {
         Scale::Small => &[100, 200, 400, 800, 1600],
         Scale::Medium => &[500, 1000, 2000, 4000, 8000],
@@ -40,68 +37,31 @@ pub fn run(scale: Scale) -> Outcome {
     let config = RecommenderConfig::default();
     let exploration_cap = config.neighborhood.appleseed.max_nodes.unwrap_or(usize::MAX);
 
-    let mut table = Table::new([
-        "n agents",
-        "hybrid: nodes touched",
-        "global: candidates",
-        "hybrid µs/rec",
-        "product-CF µs/rec",
-        "taxonomy-CF µs/rec",
-    ]);
+    let mut table = Table::new(["n agents", "hybrid: nodes touched", "global: candidates"]);
     let mut rows = Vec::new();
 
     for &n in sizes {
         let mut gen_config = scale.community(606);
         gen_config.agents = n;
         let community = generate_community(&gen_config).community;
-        let engine = Recommender::new(community.clone(), config);
-        let profiles = ProfileStore::build(
-            &community,
-            &semrec_profiles::generation::ProfileParams::default(),
-        );
         let targets: Vec<_> = community.agents().take(probes).collect();
+        let engine = Recommender::new(community, config);
 
-        let mut explored_sum = 0usize;
-        let hybrid_us = time_per(|| {
-            for &t in &targets {
-                let (_, trace) = engine.recommend_traced(t, 10).unwrap();
-                explored_sum += trace.nodes_explored;
-            }
-        }) / probes as f64;
+        let explored_sum: usize = targets
+            .iter()
+            .map(|&t| engine.recommend_traced(t, 10).unwrap().1.nodes_explored)
+            .sum();
         let explored = explored_sum as f64 / probes as f64;
-        let product_us = time_per(|| {
-            for &t in &targets {
-                std::hint::black_box(knn_product_cf(&community, t, 20, 10));
-            }
-        }) / probes as f64;
-        let taxonomy_us = time_per(|| {
-            for &t in &targets {
-                std::hint::black_box(knn_taxonomy_cf(&community, &profiles, t, 20, 10));
-            }
-        }) / probes as f64;
 
-        table.row([
-            n.to_string(),
-            format!("{explored:.0}"),
-            (n - 1).to_string(),
-            format!("{hybrid_us:.0}"),
-            format!("{product_us:.0}"),
-            format!("{taxonomy_us:.0}"),
-        ]);
-        rows.push((n, explored, n - 1, hybrid_us, product_us, taxonomy_us));
+        table.row([n.to_string(), format!("{explored:.0}"), (n - 1).to_string()]);
+        rows.push((n, explored, n - 1));
     }
-    println!("{}", table.render());
-    println!("The hybrid's exploration plateaus at the configured cap ({exploration_cap}");
-    println!("nodes) — the \"intelligent prefiltering\" of §2 — while every centralized CF");
-    println!("variant must score all n − 1 candidates per query.");
+    outln!(out, "{}", table.render());
+    outln!(out, "The hybrid's exploration plateaus at the configured cap ({exploration_cap}");
+    outln!(out, "nodes) — the \"intelligent prefiltering\" of §2 — while every centralized CF");
+    outln!(out, "variant must score all n − 1 candidates per query.");
 
-    Outcome { rows, exploration_cap }
-}
-
-fn time_per<F: FnOnce()>(f: F) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e6
+    (Outcome { rows, exploration_cap }, out)
 }
 
 #[cfg(test)]
@@ -110,7 +70,7 @@ mod tests {
 
     #[test]
     fn exploration_is_capped_while_global_scan_grows() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         let first = o.rows.first().unwrap();
         let last = o.rows.last().unwrap();
         // Community grew 16×; global candidate count grows with it …
@@ -131,5 +91,6 @@ mod tests {
             "exploration (×{exploration_growth:.1}) must grow far slower than the \
              global scan (×{candidate_growth:.1})"
         );
+        super::super::assert_golden(&text);
     }
 }

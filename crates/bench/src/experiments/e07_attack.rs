@@ -22,8 +22,9 @@ pub struct Outcome {
 }
 
 /// Runs E7.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E7", "Profile-copy attack — plain CF vs trust-filtered hybrid (§2)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E7", "Profile-copy attack — plain CF vs trust-filtered hybrid (§2)");
     let victims = match scale {
         Scale::Small => 8,
         Scale::Medium => 12,
@@ -74,14 +75,14 @@ pub fn run(scale: Scale) -> Outcome {
         table.row([k.to_string(), fmt(rate(plain_hits)), fmt(rate(hybrid_hits))]);
         rows.push((k, rate(plain_hits), rate(hybrid_hits)));
     }
-    println!("{}", table.render());
-    println!("Sybils copying the victim's profile become its nearest CF neighbors and push");
-    println!("their product straight into the top-10; the trust neighborhood never admits");
-    println!("them, so the hybrid's hit rate stays at the no-attack floor (Marsh, ref [8]:");
-    println!("trust makes agents \"less vulnerable to others\").\n");
+    outln!(out, "{}", table.render());
+    outln!(out, "Sybils copying the victim's profile become its nearest CF neighbors and push");
+    outln!(out, "their product straight into the top-10; the trust neighborhood never admits");
+    outln!(out, "them, so the hybrid's hit rate stays at the no-attack floor (Marsh, ref [8]:");
+    outln!(out, "trust makes agents \"less vulnerable to others\").\n");
 
     // Shilling-attack taxonomy comparison at a fixed cabal size.
-    println!("Attack strategy comparison (25 sybils):");
+    outln!(out, "Attack strategy comparison (25 sybils):");
     let mut table = Table::new(["strategy", "plain CF hit rate", "hybrid hit rate"]);
     let mut strategies = Vec::new();
     for strategy in
@@ -123,13 +124,13 @@ pub fn run(scale: Scale) -> Outcome {
         table.row([format!("{strategy:?}"), fmt(rate(plain_hits)), fmt(rate(hybrid_hits))]);
         strategies.push((strategy, rate(plain_hits), rate(hybrid_hits)));
     }
-    println!("{}", table.render());
-    println!("Profile-copy is the strongest targeted attack (guaranteed maximal similarity");
-    println!("to the victim); bandwagon trades targeting for breadth; random is weakest.");
-    println!("The trust-filtered hybrid is immune to all three: cover profiles buy");
-    println!("similarity, never trust.");
+    outln!(out, "{}", table.render());
+    outln!(out, "Profile-copy is the strongest targeted attack (guaranteed maximal similarity");
+    outln!(out, "to the victim); bandwagon trades targeting for breadth; random is weakest.");
+    outln!(out, "The trust-filtered hybrid is immune to all three: cover profiles buy");
+    outln!(out, "similarity, never trust.");
 
-    Outcome { rows, strategies }
+    (Outcome { rows, strategies }, out)
 }
 
 #[cfg(test)]
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn trust_filtering_suppresses_the_attack() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         let no_attack = o.rows.iter().find(|r| r.0 == 0).unwrap();
         let big_attack = o.rows.iter().find(|r| r.0 == 50).unwrap();
         assert_eq!(no_attack.1, 0.0, "obscure product can't appear without the attack");
@@ -156,5 +157,6 @@ mod tests {
         for row in &o.strategies {
             assert!(row.2 <= no_attack.2 + 1e-9, "{:?} must not breach the hybrid", row.0);
         }
+        super::super::assert_golden(&text);
     }
 }

@@ -30,8 +30,8 @@ impl Outcome {
 }
 
 /// Runs E8.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E8", "Recommendation quality — hybrid vs ablations and baselines");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out = super::header("E8", "Recommendation quality — hybrid vs ablations and baselines");
     let (max_users, k, n) = match scale {
         Scale::Small => (60, 20, 10),
         Scale::Medium => (150, 20, 10),
@@ -42,7 +42,8 @@ pub fn run(scale: Scale) -> Outcome {
         &community,
         &SplitConfig { hold_out: 3, min_remaining: 3, max_users, seed: 8 },
     );
-    println!(
+    outln!(
+        out,
         "Community: {} agents, {} books; evaluating {} users, 3 hidden books each, top-{n} lists\n",
         community.agent_count(),
         community.catalog.len(),
@@ -126,7 +127,7 @@ pub fn run(scale: Scale) -> Outcome {
             fmt(m.coverage),
         ]);
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
 
     // Paired bootstrap: is the Borda hybrid's recall difference vs the
     // global taxonomy scan significant on this split?
@@ -148,7 +149,8 @@ pub fn run(scale: Scale) -> Outcome {
     let taxonomy_recalls =
         per_user_recall(&|agent| knn_taxonomy_cf(&split.train, &profiles, agent, k, n));
     let cmp = semrec_eval::paired_bootstrap(&borda_recalls, &taxonomy_recalls, 2000, 8);
-    println!(
+    outln!(
+        out,
         "Paired bootstrap (Borda hybrid − taxonomy CF recall@10): Δ = {}, 95% CI [{}, {}], P(hybrid better) = {}{}",
         fmt(cmp.mean_difference),
         fmt(cmp.ci_low),
@@ -157,7 +159,7 @@ pub fn run(scale: Scale) -> Outcome {
         if cmp.significant() { " — significant" } else { " — not significant" },
     );
 
-    Outcome { methods }
+    (Outcome { methods }, out)
 }
 
 #[cfg(test)]
@@ -166,7 +168,7 @@ mod tests {
 
     #[test]
     fn quality_ordering_matches_the_papers_claims() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         let hybrid = o.get("hybrid (trust + taxonomy CF)");
         let taxonomy = o.get("taxonomy CF (no trust)");
         let plain = o.get("plain product CF (§2)");
@@ -185,5 +187,6 @@ mod tests {
         // The hybrid is competitive with its best single signal (its win is
         // robustness + locality, E6/E7, not raw clean-data accuracy).
         assert!(hybrid.recall >= 0.5 * taxonomy.recall);
+        super::super::assert_golden(&text);
     }
 }

@@ -19,8 +19,9 @@ pub struct Outcome {
 }
 
 /// Runs E9.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E9", "Rank synthesization strategies (§3.4 — left open by the paper)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E9", "Rank synthesization strategies (§3.4 — left open by the paper)");
     let max_users = match scale {
         Scale::Small => 60,
         Scale::Medium => 150,
@@ -31,7 +32,7 @@ pub fn run(scale: Scale) -> Outcome {
         &community,
         &SplitConfig { hold_out: 3, min_remaining: 3, max_users, seed: 9 },
     );
-    println!("Evaluating {} users\n", split.held_out.len());
+    outln!(out, "Evaluating {} users\n", split.held_out.len());
 
     let mut strategies: Vec<(String, SynthesisStrategy)> = [0.0, 0.25, 0.5, 0.75, 1.0]
         .into_iter()
@@ -54,11 +55,11 @@ pub fn run(scale: Scale) -> Outcome {
         table.row([label.clone(), fmt(m.recall), fmt(m.precision), fmt(m.coverage)]);
         rows.push((label, m.recall, m.coverage));
     }
-    println!("{}", table.render());
-    println!("ξ = 0 ranks peers by similarity alone, ξ = 1 by trust alone; the blend and");
-    println!("the Borda merge use both signals — the quantitative comparison §6 calls for.");
+    outln!(out, "{}", table.render());
+    outln!(out, "ξ = 0 ranks peers by similarity alone, ξ = 1 by trust alone; the blend and");
+    outln!(out, "the Borda merge use both signals — the quantitative comparison §6 calls for.");
 
-    Outcome { rows }
+    (Outcome { rows }, out)
 }
 
 #[cfg(test)]
@@ -67,7 +68,7 @@ mod tests {
 
     #[test]
     fn all_strategies_produce_usable_recommendations() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         assert_eq!(o.rows.len(), 7);
         for (label, recall, coverage) in &o.rows {
             assert!(*coverage > 0.5, "{label}: coverage {coverage}");
@@ -77,5 +78,6 @@ mod tests {
         // similarity-free ranking is not the best alternative.
         let best = o.rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
         assert!(best > 0.0, "someone must recover hidden items");
+        super::super::assert_golden(&text);
     }
 }

@@ -27,8 +27,8 @@ pub struct Outcome {
 }
 
 /// Runs E10.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E10", "Taxonomy structure impact (§6 — book-like vs DVD-like)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out = super::header("E10", "Taxonomy structure impact (§6 — book-like vs DVD-like)");
     let max_users = match scale {
         Scale::Small => 60,
         Scale::Medium => 120,
@@ -88,16 +88,16 @@ pub fn run(scale: Scale) -> Outcome {
         ]);
         rows.push((label, shape.mean_leaf_depth, mean_support, tax_cf.recall, hybrid.recall));
     }
-    println!("{}", table.render());
-    println!("Deep (book-like) taxonomies give every rating a long ancestor chain:");
-    println!("profiles span far more topics and similarity becomes finer-grained. Broad,");
-    println!("shallow (DVD-like) taxonomies concentrate mass in fewer, coarser categories");
-    println!("that many products share — which raises leave-n-out recall (hidden items sit");
-    println!("in the same coarse buckets as the training items) at the cost of the");
-    println!("discriminating power the deep taxonomy offers. This is the concrete form of");
-    println!("§6's open question about taxonomy-structure impact.");
+    outln!(out, "{}", table.render());
+    outln!(out, "Deep (book-like) taxonomies give every rating a long ancestor chain:");
+    outln!(out, "profiles span far more topics and similarity becomes finer-grained. Broad,");
+    outln!(out, "shallow (DVD-like) taxonomies concentrate mass in fewer, coarser categories");
+    outln!(out, "that many products share — which raises leave-n-out recall (hidden items sit");
+    outln!(out, "in the same coarse buckets as the training items) at the cost of the");
+    outln!(out, "discriminating power the deep taxonomy offers. This is the concrete form of");
+    outln!(out, "§6's open question about taxonomy-structure impact.");
 
-    Outcome { rows }
+    (Outcome { rows }, out)
 }
 
 #[cfg(test)]
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn deep_taxonomies_yield_richer_profiles() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         let book = o.rows.iter().find(|r| r.0.starts_with("book")).unwrap();
         let dvd = o.rows.iter().find(|r| r.0.starts_with("DVD")).unwrap();
         assert!(book.1 > dvd.1, "book taxonomy must be deeper");
@@ -118,5 +118,6 @@ mod tests {
         );
         // Both shapes still support recommendation.
         assert!(book.3 >= 0.0 && dvd.3 >= 0.0);
+        super::super::assert_golden(&text);
     }
 }

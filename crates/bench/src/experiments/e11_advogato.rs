@@ -23,14 +23,15 @@ pub struct Outcome {
 }
 
 /// Runs E11.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E11", "Appleseed vs Advogato — agreement and attack resistance (§3.2)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E11", "Appleseed vs Advogato — agreement and attack resistance (§3.2)");
     let community = generate_community(&scale.community(1111)).community;
     let graph = &community.trust;
     let source = community.agents().next().unwrap();
 
     // (a) agreement between the boolean and the continuous metric.
-    println!("(a) Accepted-set vs top-k agreement (same seed {source}):");
+    outln!(out, "(a) Accepted-set vs top-k agreement (same seed {source}):");
     let apple =
         appleseed(&CsrGraph::from_graph(graph), source, &AppleseedParams::default()).unwrap();
     let mut agreement = Vec::new();
@@ -49,10 +50,10 @@ pub fn run(scale: Scale) -> Outcome {
         table.row([group.to_string(), k.to_string(), shared.to_string(), fmt(overlap)]);
         agreement.push((group, k, overlap));
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
 
     // (b) sybil resistance: a cabal certified through one cut edge.
-    println!("(b) Sybil cabal hanging off a single honest→sybil edge:");
+    outln!(out, "(b) Sybil cabal hanging off a single honest→sybil edge:");
     let mut attacked: TrustGraph = graph.clone();
     let cabal = 40usize;
     let bridgehead = attacked.add_agent();
@@ -86,14 +87,14 @@ pub fn run(scale: Scale) -> Outcome {
 
     let sybil_advogato = sybil_certified as f64 / cabal as f64;
     let sybil_appleseed = sybil_ranked as f64 / cabal as f64;
-    println!("  {cabal} sybils, full internal clique, one incoming honest edge (0.6):");
-    println!("  advogato certifies  : {sybil_certified}/{cabal} = {}", fmt(sybil_advogato));
-    println!("  appleseed top-50 has: {sybil_ranked}/{cabal} = {}", fmt(sybil_appleseed));
-    println!("\nBoth metrics bound the cabal by the single cut edge's capacity/energy —");
-    println!("the attack-resistance property Levien designed for and Appleseed inherits,");
-    println!("but Appleseed additionally grades everyone it does admit.");
+    outln!(out, "  {cabal} sybils, full internal clique, one incoming honest edge (0.6):");
+    outln!(out, "  advogato certifies  : {sybil_certified}/{cabal} = {}", fmt(sybil_advogato));
+    outln!(out, "  appleseed top-50 has: {sybil_ranked}/{cabal} = {}", fmt(sybil_appleseed));
+    outln!(out, "\nBoth metrics bound the cabal by the single cut edge's capacity/energy —");
+    outln!(out, "the attack-resistance property Levien designed for and Appleseed inherits,");
+    outln!(out, "but Appleseed additionally grades everyone it does admit.");
 
-    Outcome { agreement, sybil_advogato, sybil_appleseed }
+    (Outcome { agreement, sybil_advogato, sybil_appleseed }, out)
 }
 
 #[cfg(test)]
@@ -102,7 +103,7 @@ mod tests {
 
     #[test]
     fn metrics_agree_and_resist_sybils() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         // Meaningful agreement between the two metrics on honest data.
         for &(_, k, overlap) in &o.agreement {
             if k >= 10 {
@@ -112,5 +113,6 @@ mod tests {
         // A 40-sybil cabal with one cut edge captures only a small slice.
         assert!(o.sybil_advogato < 0.25, "advogato: {}", o.sybil_advogato);
         assert!(o.sybil_appleseed < 0.25, "appleseed: {}", o.sybil_appleseed);
+        super::super::assert_golden(&text);
     }
 }

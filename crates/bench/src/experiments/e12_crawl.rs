@@ -1,8 +1,7 @@
 //! **E12 — Decentralized infrastructure** (§4/§4.1): publish the whole
 //! community as machine-readable homepages, then measure crawl coverage vs
-//! range and end-to-end extraction fidelity.
-
-use std::time::Instant;
+//! range and end-to-end extraction fidelity. What publishing and crawling
+//! cost in wall time is `perf/`'s `web.publish_ms` and `web.crawl_ms`.
 
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
@@ -27,39 +26,31 @@ pub struct Outcome {
 }
 
 /// Runs E12.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E12", "Publishing and crawling the decentralized community (§4.1)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E12", "Publishing and crawling the decentralized community (§4.1)");
     let community = generate_community(&scale.community(1212)).community;
     let web = DocumentWeb::new();
-    let start = Instant::now();
     let published = publish_community(&community, &web);
-    let publish_secs = start.elapsed().as_secs_f64();
-    println!(
-        "Published {published} Turtle homepages in {:.2}s ({:.0} docs/s)\n",
-        publish_secs,
-        published as f64 / publish_secs.max(1e-9)
-    );
+    outln!(out, "Published {published} Turtle homepages\n");
 
     let seed = community.agent(community.agents().next().unwrap()).unwrap().uri.clone();
-    let mut table = Table::new(["crawl range", "agents discovered", "docs fetched", "seconds"]);
+    let mut table = Table::new(["crawl range", "agents discovered", "docs fetched"]);
     let mut coverage = Vec::new();
     for range in [1u32, 2, 3, 4, 6, 10] {
-        let start = Instant::now();
         let result = crawl(
             &web,
             std::slice::from_ref(&seed),
             &CrawlConfig { max_range: range, ..Default::default() },
         );
-        let secs = start.elapsed().as_secs_f64();
         table.row([
             range.to_string(),
             result.agents.len().to_string(),
             result.documents_fetched.to_string(),
-            format!("{secs:.3}"),
         ]);
         coverage.push((range, result.agents.len(), result.documents_fetched));
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
 
     // Fidelity of the full round trip (crawl everything via all seeds).
     let seeds: Vec<String> =
@@ -71,7 +62,8 @@ pub fn run(scale: Scale) -> Outcome {
         && stats.ratings == community.rating_count()
         && rebuilt.agent_count() == community.agent_count()
         && result.parse_errors == 0;
-    println!(
+    outln!(
+        out,
         "Full-coverage round trip: {} agents, {} trust edges ({} in source), {} ratings ({} in source), {} parse errors → fidelity {}",
         rebuilt.agent_count(),
         stats.trust_edges,
@@ -98,18 +90,20 @@ pub fn run(scale: Scale) -> Outcome {
     }
     let refreshed = refresh(&web, &seeds, &CrawlConfig::default(), &full);
     let reparsed = refreshed.documents_fetched - refreshed.reused;
-    println!(
+    outln!(
+        out,
         "\nIncremental refresh after {republish_count} agents republished: \
          {} documents reused, {} re-parsed",
         refreshed.reused, reparsed
     );
 
-    Outcome {
+    let outcome = Outcome {
         coverage,
         total_agents: community.agent_count(),
         fidelity_ok,
         refresh: (refreshed.reused, reparsed),
-    }
+    };
+    (outcome, out)
 }
 
 #[cfg(test)]
@@ -118,7 +112,7 @@ mod tests {
 
     #[test]
     fn coverage_grows_with_range_and_fidelity_is_exact() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         for w in o.coverage.windows(2) {
             assert!(w[1].1 >= w[0].1, "coverage must be monotone in range");
         }
@@ -129,5 +123,6 @@ mod tests {
         let (reused, reparsed) = o.refresh;
         assert!(reused > 0);
         assert!(reparsed <= o.total_agents / 20 + 1, "re-parsed {reparsed}");
+        super::super::assert_golden(&text);
     }
 }

@@ -25,8 +25,9 @@ pub struct Outcome {
 }
 
 /// Runs E13.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E13", "Stereotype generation and cold-start behavior modelling (§6)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E13", "Stereotype generation and cold-start behavior modelling (§6)");
     let (max_users, ks, cold_k) = match scale {
         Scale::Small => (60, [4usize, 8, 16], 16),
         Scale::Medium => (150, [8, 16, 32], 32),
@@ -46,7 +47,7 @@ pub fn run(scale: Scale) -> Outcome {
         community.agents().map(|a| strip(store.profile(a))).collect();
 
     // (a) clustering quality vs k.
-    println!("(a) Stereotype separation (spherical k-means over taxonomy profiles):");
+    outln!(out, "(a) Stereotype separation (spherical k-means over taxonomy profiles):");
     let mut table = Table::new(["k", "iterations", "intra-cluster sim", "inter-cluster sim", "ratio"]);
     let mut sep_rows = Vec::new();
     let mut best: Option<StereotypeModel> = None;
@@ -74,7 +75,7 @@ pub fn run(scale: Scale) -> Outcome {
             best = Some(model);
         }
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
     let model = best.expect("cold-start model fitted");
 
     // (b) cold start: users reduced to 1 visible rating.
@@ -165,16 +166,16 @@ pub fn run(scale: Scale) -> Outcome {
         ]);
         cold_start.push((visible_count, st / n, bl / n, gl / n));
     }
-    println!("(b) Cold start (k = {cold_k} stereotypes, 3 hidden items per user):");
-    println!("{}", table.render());
-    println!("Finding: under Zipf-heavy demand, global popularity is a strong cold-start");
-    println!("baseline; stereotype targeting closes the gap monotonically as visible");
-    println!("evidence grows (the global-prior blend helps most when only one rating is");
-    println!("visible and the assignment is noisiest). The stereotypes themselves");
-    println!("separate cleanly — part (a) — which is the behavior-compression property");
-    println!("§6 is after.");
+    outln!(out, "(b) Cold start (k = {cold_k} stereotypes, 3 hidden items per user):");
+    outln!(out, "{}", table.render());
+    outln!(out, "Finding: under Zipf-heavy demand, global popularity is a strong cold-start");
+    outln!(out, "baseline; stereotype targeting closes the gap monotonically as visible");
+    outln!(out, "evidence grows (the global-prior blend helps most when only one rating is");
+    outln!(out, "visible and the assignment is noisiest). The stereotypes themselves");
+    outln!(out, "separate cleanly — part (a) — which is the behavior-compression property");
+    outln!(out, "§6 is after.");
 
-    Outcome { separation: sep_rows, cold_start }
+    (Outcome { separation: sep_rows, cold_start }, out)
 }
 
 /// Products ranked by positive-rating popularity among the given agents.
@@ -201,7 +202,7 @@ mod tests {
 
     #[test]
     fn stereotypes_separate_and_help_cold_start() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         for &(k, intra, inter) in &o.separation {
             assert!(intra > inter, "k={k}: intra {intra} must exceed inter {inter}");
         }
@@ -218,5 +219,6 @@ mod tests {
         let first = o.cold_start.first().unwrap();
         assert!(first.2 >= first.1 - 0.01,
             "blend must not hurt the noisiest case: {:?}", first);
+        super::super::assert_golden(&text);
     }
 }

@@ -22,15 +22,17 @@ pub struct Outcome {
 }
 
 /// Runs E14.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E14", "Freshness vs crawl frequency (§2 — asynchronous message exchange)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E14", "Freshness vs crawl frequency (§2 — asynchronous message exchange)");
     let agents = match scale {
         Scale::Small => 100,
         Scale::Medium => 400,
         Scale::Paper => 1000,
     };
     let ticks = 60;
-    println!(
+    outln!(
+        out,
         "{agents} agents drifting for {ticks} ticks (5% republish/tick); crawler refreshes \
          every k ticks\n"
     );
@@ -74,13 +76,13 @@ pub fn run(scale: Scale) -> Outcome {
             report.republications,
         ));
     }
-    println!("{}", table.render());
-    println!("Staleness rises with the refresh interval while total parse work stays");
-    println!("pinned to the number of actual changes — version-based reuse makes eager");
-    println!("refreshing cheap, so the asynchronous environment model costs latency,");
-    println!("not throughput.");
+    outln!(out, "{}", table.render());
+    outln!(out, "Staleness rises with the refresh interval while total parse work stays");
+    outln!(out, "pinned to the number of actual changes — version-based reuse makes eager");
+    outln!(out, "refreshing cheap, so the asynchronous environment model costs latency,");
+    outln!(out, "not throughput.");
 
-    Outcome { rows }
+    (Outcome { rows }, out)
 }
 
 #[cfg(test)]
@@ -89,7 +91,7 @@ mod tests {
 
     #[test]
     fn staleness_grows_with_interval_while_parse_work_stays_bounded() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         // Monotone staleness in the interval (allowing tiny noise).
         for w in o.rows.windows(2) {
             assert!(
@@ -106,5 +108,6 @@ mod tests {
         for row in &o.rows {
             assert!(row.3 <= row.4, "re-parses {} must not exceed republications {}", row.3, row.4);
         }
+        super::super::assert_golden(&text);
     }
 }

@@ -44,6 +44,8 @@ pub struct Row {
     pub overlap: f64,
     /// Whether the run was flagged degraded.
     pub degraded: bool,
+    /// `engine.degraded_runs` on the row's engine once the panel was served.
+    pub degraded_runs: u64,
 }
 
 /// Measured rows for shape assertions.
@@ -55,8 +57,9 @@ pub struct Outcome {
 const RATES: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.5, 0.7];
 
 /// Runs E15.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E15", "Graceful degradation under fault injection (§2 — robustness)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E15", "Graceful degradation under fault injection (§2 — robustness)");
     let community = generate_community(&scale.community(1515)).community;
     let web = DocumentWeb::new();
     publish_community(&community, &web);
@@ -67,7 +70,8 @@ pub fn run(scale: Scale) -> Outcome {
     uris.sort();
     let crawl_seed = vec![uris[0].clone()];
     let panel: Vec<&String> = uris.iter().take(20).collect();
-    println!(
+    outln!(
+        out,
         "{} agents published once; each row crawls from one seed through a FaultyWeb\n\
          (retry policy: {} attempts, exponential backoff) and recommends for a fixed\n\
          panel of {} users\n",
@@ -147,6 +151,7 @@ pub fn run(scale: Scale) -> Outcome {
             served,
             overlap,
             degraded: health.is_degraded(),
+            degraded_runs: engine.metrics().counters["engine.degraded_runs"],
         };
         table.row([
             format!("{:.0}%", rate * 100.0),
@@ -161,20 +166,21 @@ pub fn run(scale: Scale) -> Outcome {
         ]);
         rows.push(row);
         if rate == RATES[RATES.len() - 1] {
-            heaviest_books = result.metrics().render_text() + &engine.metrics().render_text();
+            heaviest_books = super::books(&result.metrics()) + &super::books(&engine.metrics());
         }
     }
-    println!("{}", table.render());
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "CrawlResult::metrics() and Recommender::metrics() of the {:.0}% row:",
         RATES[RATES.len() - 1] * 100.0
     );
-    println!("{heaviest_books}");
-    println!("Coverage and overlap shrink smoothly as the web gets flakier; retries absorb");
-    println!("moderate fault rates almost entirely, and even past 50% the engine keeps");
-    println!("serving the users it can still see — flagged degraded, never failing.");
+    outln!(out, "{heaviest_books}");
+    outln!(out, "Coverage and overlap shrink smoothly as the web gets flakier; retries absorb");
+    outln!(out, "moderate fault rates almost entirely, and even past 50% the engine keeps");
+    outln!(out, "serving the users it can still see — flagged degraded, never failing.");
 
-    Outcome { rows }
+    (Outcome { rows }, out)
 }
 
 fn jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
@@ -190,7 +196,7 @@ mod tests {
 
     #[test]
     fn degradation_is_smooth_and_honestly_flagged() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         let zero = &o.rows[0];
         // The zero-fault row is the healthy baseline: full coverage, perfect
         // self-overlap, no resilience machinery engaged.
@@ -217,5 +223,12 @@ mod tests {
                 "losses must be flagged: {row:?}"
             );
         }
+        // A degraded engine counts every run it serves as degraded; a
+        // healthy one counts none.
+        assert!(heavy.degraded, "a 70% fault rate must lose sources");
+        for row in &o.rows {
+            assert_eq!(row.degraded_runs > 0, row.degraded, "{row:?}");
+        }
+        super::super::assert_golden(&text);
     }
 }

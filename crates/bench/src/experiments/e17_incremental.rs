@@ -5,11 +5,13 @@
 //! against a large standing model*: a churn fraction of agents republish,
 //! the crawler refreshes, and the model must follow. This experiment
 //! sweeps churn rate × refresh rounds and, each round, advances the model
-//! both ways — incrementally (`CommunityBuilder::apply_delta` +
-//! `Recommender::advance`, recomputing only dirty profiles) and by a full
-//! from-scratch rebuild — then publishes the new generation into a running
-//! server with a [`SwapPlan`]-guided cache carry and measures the
-//! post-swap hit rate over a fixed request panel.
+//! incrementally (`CommunityBuilder::apply_delta` + `Recommender::advance`,
+//! recomputing only dirty profiles), then publishes the new generation
+//! into a running server with a [`SwapPlan`]-guided cache carry and
+//! measures the post-swap hit rate over a fixed request panel. The work is
+//! counted (profiles reused and recomputed, crawl ticks, cache entries
+//! carried); what an advance costs in wall time beside a from-scratch
+//! build is `perf/`'s `core.advance_ms` beside `core.model_build_ms`.
 //!
 //! The trust graph is kept sparse and the neighborhood horizon tight so
 //! the reverse-trust closure of a small delta stays a small fraction of
@@ -19,12 +21,9 @@
 //! and the swap degrades to wholesale invalidation, which the last sweep
 //! rows demonstrate.
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use semrec_core::{AgentId, Recommender, RecommenderConfig, SharedModel, SwapPlan};
+use semrec_core::{AgentId, Recommender, RecommenderConfig, SwapPlan};
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
 use semrec_obs::MetricsSnapshot;
@@ -51,11 +50,6 @@ pub struct Row {
     pub recomputed: usize,
     /// Virtual ticks the refresh crawl consumed.
     pub refresh_ticks: u64,
-    /// Wall time of the incremental path (apply delta + rebuild community
-    /// + advance profiles), in milliseconds.
-    pub incremental_ms: f64,
-    /// Wall time of the from-scratch model rebuild, in milliseconds.
-    pub full_ms: f64,
     /// Agents the swap plan marked dirty.
     pub dirty: usize,
     /// Whether the plan fell back to wholesale cache invalidation.
@@ -92,8 +86,9 @@ pub struct Outcome {
 const CHURNS: [f64; 3] = [0.01, 0.05, 0.25];
 
 /// Runs E17.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E17", "Incremental refresh: churn × rounds, delta vs full rebuild");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E17", "Incremental refresh: churn × rounds, profile work and cache carry");
     let rounds = match scale {
         Scale::Small => 3,
         Scale::Medium => 4,
@@ -124,7 +119,8 @@ pub fn run(scale: Scale) -> Outcome {
     let products: Vec<_> = source.catalog.iter().collect();
     let seeds: Vec<String> =
         source.agents().map(|a| source.agent(a).unwrap().uri.clone()).collect();
-    println!(
+    outln!(
+        out,
         "{agents} agents (mean {:.1} trust edges), horizon {} hops, {} rounds/churn;\n\
          panel of 64 agents replayed after every swap\n",
         gen_config.mean_trust_edges,
@@ -133,8 +129,8 @@ pub fn run(scale: Scale) -> Outcome {
     );
 
     let mut table = Table::new([
-        "churn", "round", "touched", "reused", "recomp", "ticks", "inc ms", "full ms", "dirty",
-        "swap", "carried", "hit rate",
+        "churn", "round", "touched", "reused", "recomp", "ticks", "dirty", "swap", "carried",
+        "hit rate",
     ]);
     let mut rows = Vec::new();
     let mut server_metrics = Vec::new();
@@ -152,9 +148,17 @@ pub fn run(scale: Scale) -> Outcome {
         let mut engine = Recommender::new(community, engine_config);
         let panel: Vec<AgentId> = engine.community().agents().take(64).collect();
 
-        let server = Server::start(engine.clone(), ServeConfig { workers: 2, ..Default::default() });
+        // Lockstep: one request in, one drain step, one answer out, so the
+        // server's books are a function of the seed.
+        let server =
+            Server::start(engine.clone(), ServeConfig { workers: 0, ..Default::default() });
+        let serve = |agent: AgentId| {
+            let ticket = server.submit(agent, 10).expect("an empty queue admits");
+            server.drain_step(1, 1, None);
+            ticket.try_wait().expect("the drain step answers").expect("served")
+        };
         for &agent in &panel {
-            let _ = server.submit(agent, 10).expect("warm-up admission").wait();
+            serve(agent);
         }
 
         let mut rng = StdRng::seed_from_u64(17 + (churn * 1000.0) as u64);
@@ -185,18 +189,11 @@ pub fn run(scale: Scale) -> Outcome {
             // Incremental path: fold the delta into the standing view,
             // re-assemble (byte-identical by construction), advance only
             // the dirty profiles.
-            let started = Instant::now();
             builder.apply_delta(&delta);
             let (next_community, _) =
                 builder.build(source.taxonomy.clone(), source.catalog.clone());
             let (next_engine, stats) =
                 engine.advance(next_community, &model_delta, health);
-            let incremental_ms = started.elapsed().as_secs_f64() * 1e3;
-
-            // Full rebuild of the same generation, for comparison.
-            let started = Instant::now();
-            black_box(SharedModel::new(next_engine.community().clone(), engine_config));
-            let full_ms = started.elapsed().as_secs_f64() * 1e3;
 
             // Plan the swap and publish with cache carry-over.
             let plan = SwapPlan::compute(
@@ -211,9 +208,7 @@ pub fn run(scale: Scale) -> Outcome {
             // Replay the panel against the new generation.
             let mut hits = 0u64;
             for &agent in &panel {
-                let response =
-                    server.submit(agent, 10).expect("replay admission").wait().expect("served");
-                if response.cache_hit {
+                if serve(agent).cache_hit {
                     hits += 1;
                 }
             }
@@ -225,8 +220,6 @@ pub fn run(scale: Scale) -> Outcome {
                 reused: stats.reused,
                 recomputed: stats.recomputed,
                 refresh_ticks,
-                incremental_ms,
-                full_ms,
                 dirty: plan.dirty_count(),
                 wholesale: report.wholesale,
                 carried: report.carried,
@@ -241,7 +234,7 @@ pub fn run(scale: Scale) -> Outcome {
         if churn == CHURNS[0] {
             // The last refresh's delta, and the engine lineage's books:
             // `advance` carried them through every round.
-            low_churn_books = previous.metrics().render_text() + &engine.metrics().render_text();
+            low_churn_books = super::books(&previous.metrics()) + &super::books(&engine.metrics());
         }
         server.shutdown();
     }
@@ -254,25 +247,30 @@ pub fn run(scale: Scale) -> Outcome {
             row.reused.to_string(),
             row.recomputed.to_string(),
             row.refresh_ticks.to_string(),
-            format!("{:.2}", row.incremental_ms),
-            format!("{:.2}", row.full_ms),
             row.dirty.to_string(),
             if row.wholesale { "whole".into() } else { "carry".to_string() },
             row.carried.to_string(),
             fmt(row.post_swap_hit_rate()),
         ]);
     }
-    println!("{}", table.render());
-    println!("At low churn the incremental path recomputes profiles proportional to the");
-    println!("delta and carries most of the cache across the swap; past the dirty-fraction");
-    println!("threshold the plan degrades to a wholesale swap — exactly the old publish()");
-    println!("behaviour, never worse. Full rebuild cost is flat in the churn rate.\n");
-    println!("Server::metrics() of the churn-{} server (every swap a publish_delta):", CHURNS[0]);
-    print!("{}", server_metrics[0].render_text());
-    println!("\nIts last refresh (CrawlResult::metrics()) and its engine (Recommender::metrics()):");
-    print!("{low_churn_books}");
+    outln!(out, "{}", table.render());
+    outln!(out, "At low churn the incremental path recomputes profiles proportional to the");
+    outln!(out, "delta and carries most of the cache across the swap; past the dirty-fraction");
+    outln!(out, "threshold the plan degrades to a wholesale swap — exactly the old publish()");
+    outln!(out, "behaviour, never worse.\n");
+    outln!(
+        out,
+        "Server::metrics() of the churn-{} server (every swap a publish_delta):",
+        CHURNS[0]
+    );
+    out += &super::books(&server_metrics[0]);
+    outln!(
+        out,
+        "\nIts last refresh (CrawlResult::metrics()) and its engine (Recommender::metrics()):"
+    );
+    out += &low_churn_books;
 
-    Outcome { agents, rows, server_metrics }
+    (Outcome { agents, rows, server_metrics }, out)
 }
 
 #[cfg(test)]
@@ -281,7 +279,7 @@ mod tests {
 
     #[test]
     fn incremental_refresh_is_proportional_to_the_delta() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         assert_eq!(o.rows.len(), 9, "3 churn rates × 3 rounds");
 
         for row in &o.rows {
@@ -320,5 +318,6 @@ mod tests {
             assert!(row.wholesale, "25% churn must fall back to wholesale: {row:?}");
             assert_eq!(row.carried, 0);
         }
+        super::super::assert_golden(&text);
     }
 }

@@ -1,5 +1,5 @@
-//! **E18 — Persistence & recovery** (cold rebuild vs snapshot load vs
-//! snapshot + WAL replay): the restart path costed end to end.
+//! **E18 — Persistence & recovery** (snapshot + WAL replay): the restart
+//! path, checked for identity after every refresh.
 //!
 //! A peer in §2's decentralized web that restarts from nothing must
 //! re-derive the whole model — taxonomy assembly, trust graph, and every
@@ -7,11 +7,13 @@
 //! replaces that with a checkpointed warm start: load the newest snapshot
 //! (no float is recomputed; profiles install from their persisted bits)
 //! and replay the delta WAL through the live refresh path. This experiment
-//! measures all three restart strategies after every appended refresh
-//! round, demonstrates the compaction crossover (fold the WAL into a new
-//! snapshot → recovery cost drops back to a pure load), and runs a
-//! corruption sub-run (bit-flip the newest snapshot → typed fallback to
-//! the previous generation, still byte-identical to the live model).
+//! recovers after every appended refresh round, demonstrates the
+//! compaction crossover (fold the WAL into a new snapshot → nothing is left
+//! to replay), and runs a corruption sub-run (bit-flip the newest snapshot
+//! → typed fallback to the previous generation, still byte-identical to
+//! the live model). What the restart costs in wall time beside a cold
+//! rebuild is `perf/`'s `store.recover_ms`, `store.snapshot_decode_ms` and
+//! `store.wal_replay_ms` beside `core.model_build_ms`.
 //!
 //! The headline property checked on every row: **recover-then-serve is
 //! byte-identical to never having restarted** — the recovered standing
@@ -20,38 +22,31 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use semrec_core::{AgentId, ProductId, Recommender, RecommenderConfig};
+use semrec_core::{AgentId, Recommender, RecommenderConfig};
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::Table;
-use semrec_store::{decode_v2, CompactionPolicy, Store};
+use semrec_store::{CompactionPolicy, Store};
 use semrec_web::crawler::{crawl, refresh, CommunityBuilder, CrawlConfig};
 use semrec_web::publish::{homepage_turtle, homepage_uri, publish_community};
 use semrec_web::store::DocumentWeb;
 
+use super::fingerprint;
 use crate::Scale;
 
-/// One restart comparison after `wal_records` appended refreshes.
+/// One recovery after `wal_records` appended refreshes.
 #[derive(Clone, Debug)]
 pub struct Row {
-    /// Refresh round (1-based) — equals the WAL length at measurement time.
+    /// Refresh round (1-based) — equals the WAL length at recovery time.
     pub round: usize,
     /// Agents this round's delta touched.
     pub touched: usize,
-    /// WAL records on disk when the restart was measured.
+    /// WAL records the recovery replayed.
     pub wal_records: usize,
     /// WAL bytes on disk (excluding the header).
     pub wal_bytes: u64,
-    /// Cold restart: re-crawl the web, re-parse every homepage, rebuild
-    /// the community, recompute every profile, ms.
-    pub cold_ms: f64,
-    /// Snapshot-only load (decode + restore, no replay), ms.
-    pub load_ms: f64,
-    /// Full recovery (newest snapshot + WAL replay), ms.
-    pub recover_ms: f64,
     /// Recovered model ≡ live model, bit for bit (view + panel scores).
     pub identical: bool,
 }
@@ -68,8 +63,6 @@ pub struct Outcome {
     pub compacted_seq: u64,
     /// WAL records replayed by a recovery after compaction (must be 0).
     pub post_compaction_replayed: usize,
-    /// Recovery time after compaction, ms.
-    pub post_compaction_recover_ms: f64,
     /// Corrupt generations skipped in the corruption sub-run.
     pub fallback_skipped: usize,
     /// The fallback recovery still matched the live model bit for bit.
@@ -83,22 +76,12 @@ fn scratch() -> PathBuf {
     std::env::temp_dir().join(format!("semrec-e18-{}-{n}", std::process::id()))
 }
 
-/// Bit-exact fingerprint of a panel's recommendations.
-fn fingerprint(engine: &Recommender, panel: &[AgentId]) -> Vec<(AgentId, ProductId, u64)> {
-    let mut out = Vec::new();
-    for &agent in panel {
-        for rec in engine.recommend(agent, 5).expect("recommendation succeeds") {
-            out.push((agent, rec.product, rec.score.to_bits()));
-        }
-    }
-    out
-}
-
 const CHURN: f64 = 0.05;
 
 /// Runs E18.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E18", "Persistence: cold rebuild vs snapshot load vs snapshot+WAL replay");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E18", "Persistence: snapshot + WAL replay, compaction, corruption fallback");
     let rounds = match scale {
         Scale::Small => 3,
         Scale::Medium => 5,
@@ -118,16 +101,16 @@ pub fn run(scale: Scale) -> Outcome {
     let mut previous = crawl(&web, &seeds, &crawl_config);
     let mut builder = CommunityBuilder::new(&previous.agents);
     let (community, _) = builder.build(source.taxonomy.clone(), source.catalog.clone());
-    let engine_config = RecommenderConfig::default();
-    let mut engine = Recommender::new(community, engine_config);
+    let mut engine = Recommender::new(community, RecommenderConfig::default());
     let panel: Vec<AgentId> = engine.community().agents().take(32).collect();
 
     let store = Store::open(scratch()).expect("scratch store opens");
     let report = store.checkpoint(&engine, builder.agents(), 1).expect("checkpoint succeeds");
     let snapshot_bytes = report.snapshot_bytes;
-    println!(
+    outln!(
+        out,
         "{agents} agents, churn {CHURN:.2} × {rounds} rounds; snapshot 1 = {snapshot_bytes} bytes\n\
-         (restart measured after every appended refresh; panel of {} agents checked bit-for-bit)\n",
+         (recovery after every appended refresh; panel of {} agents checked bit-for-bit)\n",
         panel.len(),
     );
 
@@ -156,32 +139,8 @@ pub fn run(scale: Scale) -> Outcome {
         engine = advanced;
         previous = result;
 
-        // Restart strategy 1: cold rebuild. A process with no checkpoint
-        // has no standing view either — it must re-crawl the document web,
-        // re-parse every homepage, and recompute every profile.
-        let started = Instant::now();
-        let cold_crawl = crawl(&web, &seeds, &crawl_config);
-        let cold_builder = CommunityBuilder::new(&cold_crawl.agents);
-        let (cold_community, _) =
-            cold_builder.build(source.taxonomy.clone(), source.catalog.clone());
-        std::hint::black_box(Recommender::new(cold_community, engine_config));
-        let cold_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        // Restart strategy 2: snapshot-only load (what recovery would cost
-        // with an empty WAL) — no float is recomputed. The store writes v2
-        // arena snapshots, so this is the cast-on-load path.
-        let snapshot_path = store.snapshot_path(1);
-        let started = Instant::now();
-        let bytes = std::fs::read(&snapshot_path).expect("snapshot readable");
-        let restored = decode_v2(&bytes).expect("v2 snapshot intact");
-        std::hint::black_box(&restored.engine);
-        let load_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        // Restart strategy 3: full recovery — snapshot + WAL replay.
-        let started = Instant::now();
+        // Restart: newest snapshot + WAL replay.
         let recovery = store.recover().expect("recovery succeeds");
-        let recover_ms = started.elapsed().as_secs_f64() * 1e3;
-
         let identical = recovery.view == builder.agents()
             && fingerprint(&recovery.engine, &panel) == fingerprint(&engine, &panel);
 
@@ -191,45 +150,34 @@ pub fn run(scale: Scale) -> Outcome {
             wal_records: recovery.replayed,
             wal_bytes: store.wal_bytes().expect("wal stat")
                 - semrec_store::wal_header().len() as u64,
-            cold_ms,
-            load_ms,
-            recover_ms,
             identical,
         });
     }
 
-    let mut table = Table::new([
-        "round", "touched", "wal recs", "wal bytes", "cold ms", "load ms", "recover ms",
-        "identical",
-    ]);
+    let mut table = Table::new(["round", "touched", "wal recs", "wal bytes", "identical"]);
     for row in &rows {
         table.row([
             row.round.to_string(),
             row.touched.to_string(),
             row.wal_records.to_string(),
             row.wal_bytes.to_string(),
-            format!("{:.2}", row.cold_ms),
-            format!("{:.2}", row.load_ms),
-            format!("{:.2}", row.recover_ms),
             if row.identical { "yes".into() } else { "NO".to_string() },
         ]);
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
 
-    // Compaction crossover: fold the WAL into snapshot 2; recovery cost
-    // drops back to a pure load because nothing is left to replay.
+    // Compaction crossover: fold the WAL into snapshot 2; recovery is a
+    // pure load again because nothing is left to replay.
     let strict = CompactionPolicy { max_wal_bytes: 1, max_wal_ratio: 0.0 };
     let compacted = store
         .compact_if_needed(&engine, builder.agents(), 1 + rounds as u64, &strict)
         .expect("compaction succeeds")
         .expect("an over-budget WAL compacts");
-    let started = Instant::now();
-    let post = store.recover().expect("post-compaction recovery succeeds");
-    let post_compaction_recover_ms = started.elapsed().as_secs_f64() * 1e3;
-    let post_compaction_replayed = post.replayed;
-    println!(
-        "compaction: WAL folded into snapshot {} ({} bytes); recovery now replays {} records\n\
-         in {post_compaction_recover_ms:.2} ms",
+    let post_compaction_replayed =
+        store.recover().expect("post-compaction recovery succeeds").replayed;
+    outln!(
+        out,
+        "compaction: WAL folded into snapshot {} ({} bytes); recovery now replays {} records",
         compacted.seq, compacted.snapshot_bytes, post_compaction_replayed,
     );
 
@@ -244,7 +192,8 @@ pub fn run(scale: Scale) -> Outcome {
     let fallback_skipped = fallback.skipped.len();
     let fallback_identical = fallback.view == builder.agents()
         && fingerprint(&fallback.engine, &panel) == fingerprint(&engine, &panel);
-    println!(
+    outln!(
+        out,
         "corruption sub-run: snapshot {} bit-flipped → skipped {} generation(s), fell back to\n\
          snapshot {} + {} WAL record(s); recovered ≡ live: {}",
         compacted.seq,
@@ -254,26 +203,24 @@ pub fn run(scale: Scale) -> Outcome {
         if fallback_identical { "yes" } else { "NO" },
     );
 
-    println!("\nSnapshot load skips the crawl, every parse, and every profile computation —");
-    println!("and the in-memory document web already flatters the cold path, which over a");
-    println!("network pays per-homepage latency on top. Replay adds cost proportional to the");
-    println!("appended deltas, not the world, and compaction resets it to zero. Corruption of");
-    println!("the newest generation degrades to the previous snapshot + WAL — still");
-    println!("bit-for-bit the live model.");
-    println!("\nStore::metrics() of the store every step above went through:");
-    print!("{}", store.metrics().render_text());
+    outln!(out, "\nRecovery skips the crawl, every parse, and every profile computation. The WAL");
+    outln!(out, "grows with the appended deltas, not the world, and compaction resets replay to");
+    outln!(out, "zero. Corruption of the newest generation degrades to the previous snapshot +");
+    outln!(out, "WAL — still bit-for-bit the live model.");
+    outln!(out, "\nStore::metrics() of the store every step above went through:");
+    out += &super::books(&store.metrics());
 
     std::fs::remove_dir_all(store.dir()).ok();
-    Outcome {
+    let outcome = Outcome {
         agents,
         snapshot_bytes,
         rows,
         compacted_seq: compacted.seq,
         post_compaction_replayed,
-        post_compaction_recover_ms,
         fallback_skipped,
         fallback_identical,
-    }
+    };
+    (outcome, out)
 }
 
 #[cfg(test)]
@@ -282,7 +229,7 @@ mod tests {
 
     #[test]
     fn recovery_is_byte_identical_and_replay_scales_with_the_wal() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         assert_eq!(o.rows.len(), 3);
         assert!(o.snapshot_bytes > 0);
 
@@ -303,5 +250,6 @@ mod tests {
         // still recovered the live model bit for bit.
         assert_eq!(o.fallback_skipped, 1);
         assert!(o.fallback_identical);
+        super::super::assert_golden(&text);
     }
 }

@@ -17,6 +17,7 @@ use semrec_core::{
 };
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::{fmt, Table};
+use semrec_obs::MetricsSnapshot;
 
 use crate::Scale;
 
@@ -36,11 +37,14 @@ fn blends() -> Vec<(&'static str, BlendWeights)> {
 pub struct Outcome {
     /// `(blend label, mean top-10 overlap vs similarity baseline, coverage)`.
     pub rows: Vec<(String, f64, f64)>,
+    /// `rank.*` of the default-blend engine's `Recommender::metrics()`.
+    pub default_blend_metrics: MetricsSnapshot,
 }
 
 /// Runs E19.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E19", "Spreading-activation ranking: blend-weight sweep (§5 future work)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E19", "Spreading-activation ranking: blend-weight sweep (§5 future work)");
     let panel_size = match scale {
         Scale::Small => 40,
         Scale::Medium => 120,
@@ -61,11 +65,11 @@ pub fn run(scale: Scale) -> Outcome {
                 .unwrap_or_default()
         })
         .collect();
-    println!("Panel of {} users over a {catalog_size}-product catalog\n", panel.len());
+    outln!(out, "Panel of {} users over a {catalog_size}-product catalog\n", panel.len());
 
     let mut table = Table::new(["blend (sim/act/cent)", "overlap@10", "coverage", "recs"]);
     let mut rows = Vec::new();
-    let mut default_blend_books = String::new();
+    let mut default_blend_metrics = MetricsSnapshot::default();
     for (label, blend) in blends() {
         let ranker = SpreadingActivationRanker::new(SpreadingParams {
             blend,
@@ -97,18 +101,18 @@ pub fn run(scale: Scale) -> Outcome {
         table.row([label.to_owned(), fmt(overlap), fmt(coverage), produced.to_string()]);
         rows.push((label.to_owned(), overlap, coverage));
         if blend == BlendWeights::default() {
-            default_blend_books = engine.metrics().retain_prefix("rank.").render_text();
+            default_blend_metrics = engine.metrics().retain_prefix("rank.");
         }
     }
-    println!("{}", table.render());
-    println!("rank.* of Recommender::metrics() for the default-blend engine:");
-    println!("{default_blend_books}");
-    println!("Overlap@10 = fraction of the SimilarityRanker top 10 the blend retains; the");
-    println!("similarity-only row is the golden equivalence check (overlap 1). Activation");
-    println!("and centrality shift votes toward well-connected peers, trading overlap for");
-    println!("a different slice of the catalog.");
+    outln!(out, "{}", table.render());
+    outln!(out, "rank.* of Recommender::metrics() for the default-blend engine:");
+    outln!(out, "{}", super::books(&default_blend_metrics));
+    outln!(out, "Overlap@10 = fraction of the SimilarityRanker top 10 the blend retains; the");
+    outln!(out, "similarity-only row is the golden equivalence check (overlap 1). Activation");
+    outln!(out, "and centrality shift votes toward well-connected peers, trading overlap for");
+    outln!(out, "a different slice of the catalog.");
 
-    Outcome { rows }
+    (Outcome { rows, default_blend_metrics }, out)
 }
 
 #[cfg(test)]
@@ -117,7 +121,7 @@ mod tests {
 
     #[test]
     fn sweep_has_the_expected_shape() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
         assert_eq!(o.rows.len(), 6);
         let (label, overlap, coverage) = &o.rows[0];
         assert!(label.starts_with("similarity only"));
@@ -136,5 +140,10 @@ mod tests {
             o.rows.iter().any(|(_, overlap, _)| *overlap < 1.0),
             "some blend must diverge from the baseline"
         );
+        // Phase 2 spread activation over the merged graph.
+        for counter in ["rank.activation.hops", "rank.spread.runs"] {
+            assert!(o.default_blend_metrics.counters[counter] > 0, "{counter} must move");
+        }
+        super::super::assert_golden(&text);
     }
 }

@@ -70,8 +70,9 @@ pub struct Outcome {
 }
 
 /// Runs E20.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E20", "SLO-aware serving: goodput by class under open-loop traffic");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E20", "SLO-aware serving: goodput by class under open-loop traffic");
     let (ticks, spike) = match scale {
         Scale::Small => (80u64, 32.0),
         Scale::Medium => (120, 32.0),
@@ -117,7 +118,8 @@ pub fn run(scale: Scale) -> Outcome {
     };
     let drive = |cfg: &OpenLoopConfig| drive_metered(cfg).0;
 
-    println!(
+    outln!(
+        out,
         "{} agents, 64-agent panel; {} ticks, spike ×{:.0} over [{}, {});\n\
          budgets H/N/L = 8/16/32 ticks, p99 target 16; queue 256, workers 1–4\n",
         engine.community().agent_count(),
@@ -168,9 +170,10 @@ pub fn run(scale: Scale) -> Outcome {
             ]);
         }
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
     let (b, e) = (baseline.class.high, enforced.class.high);
-    println!(
+    outln!(
+        out,
         "Same trace, SLO off → on: high-class goodput {} → {} ({} → {}); the\n\
          controller spends drain capacity on live requests instead of dead ones,\n\
          and sheds low before normal before high as pressure climbs.\n",
@@ -179,8 +182,8 @@ pub fn run(scale: Scale) -> Outcome {
         fmt(b.goodput_rate()),
         fmt(e.goodput_rate()),
     );
-    println!("Server::metrics() of the enforcing flash-crowd run:");
-    println!("{}", enforced_metrics.render_text());
+    outln!(out, "Server::metrics() of the enforcing flash-crowd run:");
+    outln!(out, "{}", super::books(&enforced_metrics));
 
     // --- sub-run: snapshot publish at mid-spike ---------------------------
     let publish_at = spike_start + spike_len / 2;
@@ -192,7 +195,8 @@ pub fn run(scale: Scale) -> Outcome {
         }
     });
     server.shutdown();
-    println!(
+    outln!(
+        out,
         "Mid-burst publish at tick {}: epoch {} installed under flash-crowd load;\n\
          {} offered, {} served, {} lost — every admitted request resolved.\n",
         publish_at,
@@ -223,7 +227,8 @@ pub fn run(scale: Scale) -> Outcome {
         .expect("healthy engine serves the probe")
         .degraded;
     server.shutdown();
-    println!(
+    outln!(
+        out,
         "Degraded-source epoch ({} of {} sources fetched) under the same burst:\n\
          {} served of {} offered, {} lost; responses marked degraded: {}.\n",
         health.fetched,
@@ -239,13 +244,14 @@ pub fn run(scale: Scale) -> Outcome {
         let (report, metrics) = drive_metered(&OpenLoopConfig { threads, ..config(flash) });
         report == enforced && metrics.counters == enforced_metrics.counters
     });
-    println!(
+    outln!(
+        out,
         "Thread-count invariance: enforcing flash-crowd run at 2 and 8 compute\n\
          threads {} the single-threaded report byte for byte.",
         if identical_across_threads { "matches" } else { "DIVERGES FROM" },
     );
 
-    Outcome {
+    let outcome = Outcome {
         rows,
         baseline,
         enforced,
@@ -255,7 +261,8 @@ pub fn run(scale: Scale) -> Outcome {
         degraded,
         degraded_marked,
         identical_across_threads,
-    }
+    };
+    (outcome, out)
 }
 
 #[cfg(test)]
@@ -264,7 +271,7 @@ mod tests {
 
     #[test]
     fn slo_enforcement_shapes_hold_at_small_scale() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
 
         // Accounting closes on every trace: all admitted requests resolve.
         for row in &o.rows {
@@ -330,5 +337,6 @@ mod tests {
 
         // Lockstep determinism across compute-thread counts.
         assert!(o.identical_across_threads);
+        super::super::assert_golden(&text);
     }
 }

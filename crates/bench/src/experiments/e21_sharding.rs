@@ -1,21 +1,18 @@
 //! **E21 — Sharded universe scaling** (`semrec-shard`): partition a large
-//! synthetic community into N shards and measure how rebuild, incremental
-//! refresh, and cross-shard serving scale with the shard count.
-//!
-//! A single machine runs the sweep, so "speed-up" is reported as
-//! **critical-path efficiency**: per-shard work is timed individually and
-//! the distributed wall-clock is modeled as the slowest shard — what a
-//! one-node-per-shard fleet would observe, since shard builds and
-//! refreshes are independent between exchange barriers. Efficiency at N
-//! shards is `T(1) / (N · max_i T_i(N))`; 1.0 is perfectly linear.
+//! synthetic community into N shards and count what rebuild, incremental
+//! refresh, and cross-shard serving do as the shard count grows. What they
+//! cost in wall time is `perf/`'s `shard.partition_ms`, `shard.advance_ms`
+//! and `shard.query_us` (the `shard_batch` workload).
 //!
 //! Three sweeps per shard count:
 //!
-//! 1. **Rebuild** — full partition + per-shard model build.
-//! 2. **Refresh** — a small rating churn spread across the whole universe;
-//!    every shard is dirtied, each rebuilds only itself.
+//! 1. **Rebuild** — full partition + per-shard model build: the share of
+//!    trust edges the partition cuts and the largest shard's size (the
+//!    work a one-node-per-shard fleet's slowest node holds).
+//! 2. **Refresh** — a small rating churn strided across the whole
+//!    universe; each shard it dirties rebuilds only itself.
 //! 3. **Serve** — a fixed query panel through the cross-shard Appleseed
-//!    protocol, counting exchange rounds actually crossed.
+//!    protocol, counting exchange rounds crossed and packets sent.
 //!
 //! A final **localized-delta** run at the largest shard count dirties only
 //! shard 0 and asserts the partitioning contract of the incremental path:
@@ -23,7 +20,6 @@
 //! profiles.recomputed` counters do not move).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use semrec_core::{Community, ModelDelta, RecommenderConfig};
 use semrec_datagen::catalog_gen::CatalogGenConfig;
@@ -34,31 +30,17 @@ use semrec_shard::{cut_edges, CommunityShardFn, GlobalId, HashShardFn, ShardFn, 
 
 use crate::Scale;
 
-/// Shape summary pinned by tests and asserted by the CI smoke job.
+/// Shape summary pinned by the shape test.
 #[derive(Clone, Debug)]
 pub struct Summary {
     /// Universe size.
     pub agents: usize,
-    /// Critical-path rebuild efficiency at the largest shard count.
-    pub rebuild_efficiency: f64,
-    /// Critical-path refresh efficiency at the largest shard count.
-    pub refresh_efficiency: f64,
     /// Profiles recomputed on untouched shards during the localized-delta
     /// run — the incremental contract demands exactly zero.
     pub untouched_recomputed: u64,
     /// Cross-shard exchange rounds counted during the serve sweep at the
     /// largest shard count (zero would mean the protocol never ran).
     pub exchange_rounds: u64,
-}
-
-/// Runs E21 at the given scale.
-pub fn run(scale: Scale) -> Summary {
-    let agents = match scale {
-        Scale::Small => 20_000,
-        Scale::Medium => 200_000,
-        Scale::Paper => 1_000_000,
-    };
-    run_with(agents, 200, 13)
 }
 
 /// A deliberately lightened generator configuration: the point is agent
@@ -95,18 +77,19 @@ fn churn(community: &Community, targets: &[GlobalId]) -> (Community, ModelDelta)
     (next, ModelDelta { ratings_changed: uris, trust_changed: Vec::new() })
 }
 
-/// The experiment body, parameterized for tests.
-pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
-    super::header("E21", "sharded universe: partition, cross-shard Appleseed, per-shard refresh");
-    println!("generating {agents} agents (lightened density)…");
-    let started = Instant::now();
-    let generated = generate_community(&gen_config(agents, seed));
-    let community = generated.community;
-    println!(
-        "generated in {:.1}s: {} agents",
-        started.elapsed().as_secs_f64(),
-        community.agent_count()
+/// Runs E21 at the given scale.
+pub fn run(scale: Scale) -> (Summary, String) {
+    let mut out = super::header(
+        "E21",
+        "sharded universe: partition, cross-shard Appleseed, per-shard refresh",
     );
+    let (agents, queries) = match scale {
+        Scale::Small => (2_000, 40),
+        Scale::Medium => (200_000, 200),
+        Scale::Paper => (1_000_000, 200),
+    };
+    let community = generate_community(&gen_config(agents, 13)).community;
+    outln!(out, "{} agents (lightened density)", community.agent_count());
 
     let config = RecommenderConfig::default();
     let shard_counts = [1usize, 2, 4, 8];
@@ -118,7 +101,8 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         &community,
         &CommunityShardFn::default().partition(&community, max_shards),
     );
-    println!(
+    outln!(
+        out,
         "cut fraction at {max_shards} shards: hash {:.3}, community-aware {:.3}",
         hash_cut.0 as f64 / hash_cut.1.max(1) as f64,
         community_cut.0 as f64 / community_cut.1.max(1) as f64,
@@ -126,82 +110,61 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
 
     let mut table = Table::new([
         "shards",
-        "rebuild_total_s",
-        "rebuild_cp_s",
-        "rebuild_eff",
-        "refresh_cp_ms",
-        "refresh_eff",
+        "cut_share",
+        "largest_shard",
+        "rebuilt",
         "recomputed",
         "reused",
-        "serve_ms_q",
         "xch_rounds_q",
+        "packets_q",
     ]);
 
-    // Churn panel: 0.2% of agents, strided across the whole universe so
-    // every shard is dirtied at every shard count.
+    // Churn panel: 0.2% of agents (at least 8), strided across the whole
+    // universe so the dirt lands on many shards at every shard count.
     let churn_size = (agents / 500).max(8);
     let spread: Vec<GlobalId> = (0..churn_size)
         .map(|i| GlobalId((i * (agents / churn_size)) as u32))
         .collect();
     let panel: Vec<GlobalId> =
-        (0..queries.min(agents)).map(|i| GlobalId((i * (agents / queries.min(agents))) as u32)).collect();
+        (0..queries).map(|i| GlobalId((i * (agents / queries)) as u32)).collect();
 
-    let mut base_rebuild_cp = 0.0f64;
-    let mut base_refresh_cp = 0.0f64;
-    let mut rebuild_eff_at_max = 0.0f64;
-    let mut refresh_eff_at_max = 0.0f64;
     let mut exchange_at_max = 0u64;
     let mut widest_books = String::new();
 
     for &n in &shard_counts {
         let (model, build) =
             ShardedModel::partition(&community, config, Arc::new(HashShardFn), n, 1);
-        let rebuild_cp = build.critical_path().as_secs_f64();
-        if n == 1 {
-            base_rebuild_cp = rebuild_cp;
-        }
-        let rebuild_eff = base_rebuild_cp / (n as f64 * rebuild_cp).max(f64::MIN_POSITIVE);
 
         let (next, delta) = churn(&community, &spread);
         let (_, refresh) = model.advance(&next, &delta);
-        let refresh_cp = refresh.critical_path().as_secs_f64();
-        if n == 1 {
-            base_refresh_cp = refresh_cp;
-        }
-        let refresh_eff = base_refresh_cp / (n as f64 * refresh_cp).max(f64::MIN_POSITIVE);
 
-        let serve_started = Instant::now();
         for &target in &panel {
             model.recommend(target, 10).expect("panel target exists");
         }
-        let serve_s = serve_started.elapsed().as_secs_f64();
         // The panel is the only thing this model has served.
         let books = model.metrics();
         let rounds = books.counters["shard.exchange.rounds"];
+        let packets = books.counters["shard.frontier.packets"];
         let runs = books.counters["shard.appleseed.runs"].max(1);
         if n == max_shards {
-            rebuild_eff_at_max = rebuild_eff;
-            refresh_eff_at_max = refresh_eff;
             exchange_at_max = rounds;
-            widest_books = books.render_text();
+            widest_books = super::books(&books);
         }
 
         table.row([
             n.to_string(),
-            fmt(build.total.as_secs_f64()),
-            fmt(rebuild_cp),
-            fmt(rebuild_eff),
-            fmt(refresh_cp * 1e3),
-            fmt(refresh_eff),
+            fmt(build.cut_fraction()),
+            build.sizes.iter().max().copied().unwrap_or(0).to_string(),
+            refresh.rebuilt.len().to_string(),
             refresh.profiles_recomputed.to_string(),
             refresh.profiles_reused.to_string(),
-            fmt(serve_s * 1e3 / panel.len() as f64),
             fmt(rounds as f64 / runs as f64),
+            format!("{:.0}", packets as f64 / runs as f64),
         ]);
     }
-    println!("{}", table.render());
-    println!("ShardedModel::metrics() of the {max_shards}-shard row (build, refresh, panel):");
-    println!("{widest_books}");
+    outln!(out, "{}", table.render());
+    outln!(out, "ShardedModel::metrics() of the {max_shards}-shard row (build, refresh, panel):");
+    outln!(out, "{widest_books}");
 
     // Localized delta: dirty only agents hash-routed to shard 0 and prove
     // every other shard's profile work is exactly zero.
@@ -226,23 +189,22 @@ pub fn run_with(agents: usize, queries: usize, seed: u64) -> Summary {
         .map(|s| format!("shard.{s}.profiles.recomputed"))
         .map(|name| after[&name] - before[&name])
         .sum();
-    println!(
+    outln!(
+        out,
         "localized delta ({} agents on shard 0): rebuilt shards {:?}, untouched shards recomputed {} profiles",
         local.len(),
         report.rebuilt,
         untouched
     );
-    println!("modeled efficiency is the critical path over per-shard timings — the");
-    println!("wall-clock a one-node-per-shard deployment would see (§2's decentralized");
-    println!("framing); a single host running all shards in sequence gains nothing.");
+    outln!(out, "the largest shard is what a one-node-per-shard deployment's slowest node");
+    outln!(out, "holds (§2's decentralized framing); every cut edge is a packet per round.");
 
-    Summary {
+    let outcome = Summary {
         agents: community.agent_count(),
-        rebuild_efficiency: rebuild_eff_at_max,
-        refresh_efficiency: refresh_eff_at_max,
         untouched_recomputed: untouched,
         exchange_rounds: exchange_at_max,
-    }
+    };
+    (outcome, out)
 }
 
 #[cfg(test)]
@@ -250,15 +212,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shape_holds_at_test_scale() {
-        let summary = run_with(2_000, 40, 7);
+    fn shape_holds_at_small_scale() {
+        let (summary, text) = run(Scale::Small);
         assert_eq!(summary.agents, 2_000);
         assert_eq!(
             summary.untouched_recomputed, 0,
             "a shard-0-localized delta must not recompute profiles elsewhere"
         );
         assert!(summary.exchange_rounds > 0, "8-shard serving must cross shard boundaries");
-        assert!(summary.rebuild_efficiency > 0.0);
-        assert!(summary.refresh_efficiency > 0.0);
+        super::super::assert_golden(&text);
     }
 }

@@ -75,8 +75,9 @@ const SWEEP_ROUNDS: u32 = 6;
 const K: usize = 10;
 
 /// Runs E23.
-pub fn run(scale: Scale) -> Outcome {
-    super::header("E23", "P2P gossip neighborhood formation (§2 — decentralized deployment)");
+pub fn run(scale: Scale) -> (Outcome, String) {
+    let mut out =
+        super::header("E23", "P2P gossip neighborhood formation (§2 — decentralized deployment)");
     let community = generate_community(&scale.community(2323)).community;
     let web = DocumentWeb::new();
     publish_community(&community, &web);
@@ -96,7 +97,8 @@ pub fn run(scale: Scale) -> Outcome {
         FetchPolicy { breaker_threshold: 4, breaker_cooldown: 64, ..FetchPolicy::default() };
     let config = GossipConfig { seed: 23, policy, ..GossipConfig::default() };
     let baseline = centralized_baseline(&community, &config.neighborhood, &panel, K);
-    println!(
+    outln!(
+        out,
         "{} peers (one node per agent), bounded local crawl range {}, fan-out {},\n\
          message cap {} records, measured panel of {} peers against the centralized\n\
          top-{} neighborhoods\n",
@@ -109,27 +111,29 @@ pub fn run(scale: Scale) -> Outcome {
     );
 
     // Sub-run 1: fault-free convergence.
-    println!("--- fault-free world ---");
-    let (fault_free, _) = converge(&web, &uris, FaultPlan::none(), config, &baseline, ROUNDS);
+    outln!(out, "--- fault-free world ---");
+    let (fault_free, _) =
+        converge(&mut out, &web, &uris, FaultPlan::none(), config, &baseline, ROUNDS);
 
     // Sub-run 2: the 30% fault plan (plus 10% dead peers).
-    println!("--- 30% transient faults, 10% dead peers ---");
+    outln!(out, "--- 30% transient faults, 10% dead peers ---");
     let plan = FaultPlan { transient_rate: 0.3, dead_rate: 0.1, seed: 2323, ..FaultPlan::none() };
-    let (faulty, faulty_sim) = converge(&web, &uris, plan, config, &baseline, ROUNDS);
+    let (faulty, faulty_sim) = converge(&mut out, &web, &uris, plan, config, &baseline, ROUNDS);
     let breaker_opens_faulty = faulty_sim.stats().breaker_opens;
     let dead_peers = faulty_sim.peers().iter().filter(|p| p.is_dead()).count();
-    println!(
+    outln!(
+        out,
         "{} dead peers; {} exchanges failed, {} suppressed by open breakers, {} gossip-phase breaker opens\n",
         dead_peers,
         faulty_sim.stats().messages_failed,
         faulty_sim.stats().messages_suppressed,
         breaker_opens_faulty,
     );
-    println!("P2pSimulation::metrics() of that swarm:");
-    println!("{}", faulty_sim.metrics().render_text());
+    outln!(out, "P2pSimulation::metrics() of that swarm:");
+    outln!(out, "{}", super::books(&faulty_sim.metrics()));
 
     // Sub-run 3: fan-out sweep on the fault-free world.
-    println!("--- fan-out sweep (fault-free, {SWEEP_ROUNDS} rounds) ---");
+    outln!(out, "--- fan-out sweep (fault-free, {SWEEP_ROUNDS} rounds) ---");
     let mut sweep_table = Table::new(["fan-out", "overlap@10", "messages", "kB sent"]);
     let mut fanout_rows = Vec::new();
     for fanout in [1usize, 2, 4, 6] {
@@ -154,20 +158,22 @@ pub fn run(scale: Scale) -> Outcome {
             messages: stats.messages_sent,
         });
     }
-    println!("{}", sweep_table.render());
+    outln!(out, "{}", sweep_table.render());
 
-    println!("Gossip floods knowledge along trust edges, so the records that matter for a");
-    println!("peer's own neighborhood arrive first: overlap@10 climbs monotonically and");
-    println!("crosses 0.9 within a few rounds at fan-out 3. Under the 30% fault plan the");
-    println!("same curve flattens — dead peers never answer and breakers quarantine them —");
-    println!("but it degrades smoothly instead of collapsing. Fan-out trades bandwidth for");
-    println!("convergence speed almost linearly.");
+    outln!(out, "Gossip floods knowledge along trust edges, so the records that matter for a");
+    outln!(out, "peer's own neighborhood arrive first: overlap@10 climbs monotonically and");
+    outln!(out, "crosses 0.9 within a few rounds at fan-out 3. Under the 30% fault plan the");
+    outln!(out, "same curve flattens — dead peers never answer and breakers quarantine them —");
+    outln!(out, "but it degrades smoothly instead of collapsing. Fan-out trades bandwidth for");
+    outln!(out, "convergence speed almost linearly.");
 
-    Outcome { fault_free, faulty, fanout: fanout_rows, breaker_opens_faulty, dead_peers }
+    (Outcome { fault_free, faulty, fanout: fanout_rows, breaker_opens_faulty, dead_peers }, out)
 }
 
-/// Boots a swarm, gossips `rounds` rounds, and measures after each.
+/// Boots a swarm, gossips `rounds` rounds, measures after each, and appends
+/// the table to `out`.
 fn converge(
+    out: &mut String,
     web: &DocumentWeb,
     uris: &[String],
     plan: FaultPlan,
@@ -203,7 +209,7 @@ fn converge(
         ]);
         rows.push(row);
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
     (rows, sim)
 }
 
@@ -213,7 +219,7 @@ mod tests {
 
     #[test]
     fn gossip_converges_monotonically_and_degrades_smoothly() {
-        let o = run(Scale::Small);
+        let (o, text) = run(Scale::Small);
 
         // Fault-free: overlap@10 rises monotonically with rounds, improves
         // on the bootstrap crawl alone, and crosses 0.9 in the budget.
@@ -253,5 +259,6 @@ mod tests {
         let last = o.fanout.last().unwrap();
         assert!(last.messages > first.messages);
         assert!(last.overlap >= first.overlap - 1e-12);
+        super::super::assert_golden(&text);
     }
 }

@@ -21,12 +21,21 @@ impl Table {
     }
 
     /// Appends a row; short rows are padded with empty cells.
+    ///
+    /// # Panics
+    /// Panics if the row has more cells than the table has headers: cutting
+    /// it would print data under the wrong heading.
     pub fn row<I, S>(&mut self, cells: I) -> &mut Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
+        assert!(
+            row.len() <= self.headers.len(),
+            "row {row:?} has more cells than the headers {:?}",
+            self.headers
+        );
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
         self
@@ -119,6 +128,12 @@ mod tests {
         assert!(out.lines().count() == 3);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "more cells than the headers [\"a\", \"b\"]")]
+    fn over_long_row_is_rejected() {
+        Table::new(["a", "b"]).row(["1", "2", "3"]);
     }
 
     #[test]

@@ -30,11 +30,10 @@
 //!   `Low` before `Normal` and never pressure-sheds `High`, and a
 //!   hysteretic queue-depth autoscaler ([`WorkerScaler`]) for the drain
 //!   width.
-//! * **[`loadgen`]** — deterministic load generators: the closed-loop
-//!   [`run_load`] (seeded Zipf over the agent panel) and the open-loop
+//! * **[`loadgen`]** — the deterministic load driver: the open-loop
 //!   [`run_open_loop`] (Poisson / diurnal / flash-crowd arrivals on the
-//!   virtual tick axis) reporting per-class latency percentiles and
-//!   goodput-under-SLO.
+//!   virtual tick axis, seeded Zipf over the agent panel) reporting
+//!   per-class wait percentiles in ticks and goodput-under-SLO.
 //!
 //! Everything observable is a `serve.*` metric (see the README's serving
 //! metric table) in a registry the [`Server`] owns, counted once on a
@@ -68,7 +67,8 @@
 //! for any worker count: the pipeline is a pure function of the pinned
 //! snapshot, the cache only ever returns what the same snapshot computed,
 //! and deadlines are checked against the *virtual* [`TickClock`] that only
-//! the caller advances. Wall time appears solely in latency histograms.
+//! the caller advances. Wall time appears solely in the `serve.batch`
+//! histogram.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,8 +89,8 @@ pub use class::{PerClass, Priority};
 pub use clock::TickClock;
 pub use error::{Result, ServeError};
 pub use loadgen::{
-    run_load, run_open_loop, run_open_loop_with, ArrivalProcess, ClassReport, LoadGenConfig,
-    LoadReport, OpenLoopConfig, OpenLoopReport,
+    run_open_loop, run_open_loop_with, ArrivalProcess, ClassReport, OpenLoopConfig,
+    OpenLoopReport,
 };
 pub use server::{
     ClassStats, DrainOutcome, PublishReport, ServeConfig, ServeStats, ServedResponse, Server,

@@ -1,95 +1,37 @@
-//! Deterministic load generation: a closed-loop burst driver and an
-//! open-loop arrival-process harness.
+//! Deterministic load generation: the open-loop arrival-process driver
+//! ([`run_open_loop`] / [`run_open_loop_with`]).
 //!
-//! ## Closed loop ([`run_load`])
-//!
-//! `clients` threads each issue a fixed number of requests against a
-//! [`Server`], drawing target agents from a seeded Zipf distribution (per
-//! Diaz-Aviles/Ziegler, request popularity in P2P recommender communities
-//! is heavy-tailed — a few agents account for most traffic, which is also
-//! what makes the recommendation cache earn its keep). Each client owns an
-//! independent RNG stream seeded from `(seed, client index)`, so the *set*
-//! of requests issued is identical across runs and worker counts; only
-//! wall-clock interleaving varies.
-//!
-//! Closed-loop with bursts: a client keeps at most `burst` requests in
-//! flight and waits for all of them before issuing the next burst. `burst
-//! × clients` therefore bounds offered concurrency — raise it past the
-//! queue capacity to push the server into admission-controlled shedding.
-//!
-//! ## Open loop ([`run_open_loop`])
-//!
-//! The closed loop can never overload a server for long: clients wait for
+//! A closed loop can never overload a server for long: clients wait for
 //! answers, so offered load self-throttles exactly when the server slows
-//! down — the failure mode SLOs exist for never materializes. The open
-//! loop instead submits according to an [`ArrivalProcess`] on the virtual
-//! tick axis, whatever the server's state: Poisson at a fixed rate, a
-//! diurnal triangle ramp, or a flash crowd that spikes the rate *and*
-//! concentrates it on a small hot agent set. Everything — arrival counts,
+//! down — the failure mode SLOs exist for never materializes. This driver
+//! instead submits according to an [`ArrivalProcess`] on the virtual tick
+//! axis, whatever the server's state: Poisson at a fixed rate, a diurnal
+//! triangle ramp, or a flash crowd that spikes the rate *and* concentrates
+//! it on a small hot agent set. Targets outside a spike are drawn from a
+//! seeded Zipf distribution over the agent panel (per Diaz-Aviles/Ziegler,
+//! request popularity in P2P recommender communities is heavy-tailed — a
+//! few agents account for most traffic, which is also what makes the
+//! recommendation cache earn its keep). Everything — arrival counts,
 //! targets, classes — comes from seeded RNG streams, and the server runs
 //! in lockstep mode ([`Server::drain_step`]), so the entire run, counters
 //! included, is a pure function of `(config, seed)` regardless of how many
-//! compute threads the drain uses.
+//! compute threads the drain uses. The free-running worker pool is driven
+//! by `tests/serving.rs` and timed by `perf/`.
 //!
 //! The headline metric is **goodput-under-SLO**: requests answered within
 //! their class's deadline budget (measured against the [`SloConfig`]
 //! whether or not enforcement is on, so a no-SLO baseline is comparable to
 //! an enforcing run on the same trace).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use semrec_core::AgentId;
 use semrec_datagen::zipf::Zipf;
-use semrec_obs::HistogramSummary;
 
 use crate::class::{PerClass, Priority};
 use crate::error::ServeError;
 use crate::server::{Server, Ticket};
 use crate::slo::{ScalerConfig, SloConfig, SloController, WorkerScaler};
-
-/// Load-generation configuration (closed loop).
-#[derive(Clone, Copy, Debug)]
-pub struct LoadGenConfig {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
-    /// Requests a client keeps in flight before waiting (≥ 1).
-    pub burst: usize,
-    /// Recommendation list length requested.
-    pub top_n: usize,
-    /// Seed for the per-client RNG streams.
-    pub seed: u64,
-    /// Zipf exponent over the agent panel (0 = uniform).
-    pub zipf_exponent: f64,
-    /// Deadline, in virtual ticks after submission, for each request.
-    pub deadline_ticks: Option<u64>,
-    /// Advance the server's virtual clock one tick every this many
-    /// submissions (0 = the clock never moves — deadlines never expire).
-    pub tick_every: u64,
-    /// Probability mass per priority class, aligned with [`Priority::ALL`]
-    /// (all zero = everything [`Priority::Normal`]).
-    pub class_mix: [f64; 3],
-}
-
-impl Default for LoadGenConfig {
-    fn default() -> Self {
-        LoadGenConfig {
-            clients: 4,
-            requests_per_client: 100,
-            burst: 1,
-            top_n: 10,
-            seed: 17,
-            zipf_exponent: 1.1,
-            deadline_ticks: None,
-            tick_every: 0,
-            class_mix: [0.0, 1.0, 0.0],
-        }
-    }
-}
 
 /// Draws a priority class from a (not necessarily normalized) mix.
 fn draw_class(rng: &mut StdRng, mix: &[f64; 3]) -> Priority {
@@ -110,138 +52,6 @@ fn draw_class(rng: &mut StdRng, mix: &[f64; 3]) -> Priority {
 /// Splitmix-style stream separation: one base seed, many disjoint streams.
 fn stream_seed(seed: u64, stream: u64) -> u64 {
     seed ^ (stream + 1).wrapping_mul(0x9e3779b97f4a7c15)
-}
-
-/// Outcome of one closed-loop load run: `attempts` and `wall_seconds`, and
-/// beside them the server's own books ([`Server::stats`], `cache_stats`,
-/// `serve.latency.seconds`) read once the last request has resolved — the
-/// run's outcome on a server that has served nothing else.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Submission attempts (admitted + refused).
-    pub attempts: u64,
-    /// Requests admitted into the queue.
-    pub admitted: u64,
-    /// Requests answered with a recommendation list.
-    pub served: u64,
-    /// Requests refused at admission (queue full) or displaced.
-    pub shed_admission: u64,
-    /// Requests dropped past their deadline.
-    pub shed_deadline: u64,
-    /// Requests that ended in an engine error.
-    pub failed: u64,
-    /// Served requests answered from the cache.
-    pub cache_hits: u64,
-    /// Wall time of the whole run, in seconds.
-    pub wall_seconds: f64,
-    /// Client-observed latency (submission → response), in seconds.
-    pub latency: HistogramSummary,
-}
-
-impl LoadReport {
-    /// Total load shed, whatever the mechanism.
-    pub fn shed(&self) -> u64 {
-        self.shed_admission + self.shed_deadline
-    }
-
-    /// Fraction of attempts that were shed.
-    pub fn shed_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.shed() as f64 / self.attempts as f64
-        }
-    }
-
-    /// Fraction of served requests answered from the cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.served as f64
-        }
-    }
-
-    /// Served requests per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.served as f64 / self.wall_seconds
-        }
-    }
-}
-
-/// Drives `server` with seeded Zipf traffic over `agents` and reports the
-/// aggregate outcome. Blocks until every request has resolved.
-///
-/// # Panics
-/// Panics if `agents` is empty or the config asks for zero clients.
-pub fn run_load(server: &Server, agents: &[AgentId], config: &LoadGenConfig) -> LoadReport {
-    assert!(!agents.is_empty(), "load generation needs a non-empty agent panel");
-    assert!(config.clients > 0, "load generation needs at least one client");
-    let burst = config.burst.max(1);
-
-    let metrics = server.handles();
-    let submissions = AtomicU64::new(0);
-
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..config.clients {
-            let submissions = &submissions;
-            scope.spawn(move || {
-                // Independent per-client stream: splitmix the client
-                // index into the seed so streams never collide.
-                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, client as u64));
-                let zipf = Zipf::new(agents.len(), config.zipf_exponent);
-                let mut remaining = config.requests_per_client;
-                while remaining > 0 {
-                    let round = burst.min(remaining);
-                    remaining -= round;
-                    let mut in_flight = Vec::with_capacity(round);
-                    for _ in 0..round {
-                        let agent = agents[zipf.sample(&mut rng)];
-                        let class = draw_class(&mut rng, &config.class_mix);
-                        let deadline = config
-                            .deadline_ticks
-                            .map(|ticks| server.clock().now() + ticks);
-                        let submitted_at = Instant::now();
-                        // A refusal is already on the server's books.
-                        if let Ok(ticket) =
-                            server.submit_classed(agent, config.top_n, class, deadline)
-                        {
-                            in_flight.push((ticket, submitted_at));
-                        }
-                        if config.tick_every > 0 {
-                            let total = submissions.fetch_add(1, Ordering::Relaxed) + 1;
-                            if total.is_multiple_of(config.tick_every) {
-                                server.clock().advance(1);
-                            }
-                        }
-                    }
-                    for (ticket, submitted_at) in in_flight {
-                        if ticket.wait().is_ok() {
-                            metrics.latency.observe(submitted_at.elapsed().as_secs_f64());
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall_seconds = started.elapsed().as_secs_f64();
-
-    let stats = server.stats();
-    LoadReport {
-        attempts: (config.clients * config.requests_per_client) as u64,
-        admitted: stats.submitted,
-        served: stats.served,
-        shed_admission: stats.shed_admission,
-        shed_deadline: stats.shed_deadline,
-        failed: stats.failed,
-        cache_hits: server.cache_stats().hits,
-        wall_seconds,
-        latency: metrics.latency.summary(),
-    }
 }
 
 /// Deterministic open-loop arrival process on the virtual tick axis.
@@ -655,84 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_resolves_every_request() {
-        let (engine, agents) = ring(16);
-        let server = Server::start(engine, ServeConfig::default());
-        let report = run_load(
-            &server,
-            &agents,
-            &LoadGenConfig { clients: 3, requests_per_client: 40, ..Default::default() },
-        );
-        assert_eq!(report.attempts, 120);
-        assert_eq!(report.admitted, 120, "ample queue: nothing shed");
-        assert_eq!(report.served, 120);
-        assert_eq!(report.shed(), 0);
-        assert_eq!(report.failed, 0);
-        assert_eq!(report.latency.count, 120);
-        assert_eq!(server.stats().class.normal.served, 120, "default mix is all Normal");
-        assert!(report.latency.p50 <= report.latency.p95);
-        assert!(report.latency.p95 <= report.latency.p99);
-        assert!(report.throughput() > 0.0);
-        // Zipf traffic over 16 agents repeats targets: the cache must help.
-        assert!(report.cache_hits > 0);
-        assert!(report.cache_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn closed_loop_class_mix_spreads_load_across_classes() {
-        let (engine, agents) = ring(16);
-        let server = Server::start(engine, ServeConfig::default());
-        let report = run_load(
-            &server,
-            &agents,
-            &LoadGenConfig {
-                clients: 2,
-                requests_per_client: 60,
-                class_mix: [1.0, 1.0, 1.0],
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.served, 120);
-        let served = server.stats().class;
-        let counts = [served.high.served, served.normal.served, served.low.served];
-        assert_eq!(counts.iter().sum::<u64>(), 120);
-        assert!(counts.iter().all(|&c| c > 0), "uniform mix reaches every class: {counts:?}");
-    }
-
-    #[test]
-    fn overload_sheds_instead_of_growing_the_queue() {
-        let (engine, agents) = ring(16);
-        let server = Server::start(
-            engine,
-            ServeConfig {
-                workers: 1,
-                queue_capacity: 2,
-                cache_capacity: 0,
-                ..ServeConfig::default()
-            },
-        );
-        let report = run_load(
-            &server,
-            &agents,
-            &LoadGenConfig {
-                clients: 4,
-                requests_per_client: 50,
-                burst: 8,
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.attempts, 200);
-        assert!(report.shed_admission > 0, "queue of 2 under burst-8×4 load must shed");
-        assert_eq!(report.served + report.shed(), report.attempts);
-        assert!(server.queue_depth() <= 2, "the queue must stay bounded");
-        assert!(report.shed_rate() > 0.0 && report.shed_rate() < 1.0);
-    }
-
-    #[test]
     fn identical_seeds_issue_identical_request_streams() {
-        // The request *stream* (sequence of agents per client) is a pure
-        // function of the seed — verify by draining one client's stream
-        // twice via the same construction the generator uses.
+        // The request *stream* (sequence of target agents) is a pure
+        // function of the seed — verify by draining one stream twice via
+        // the same construction the driver uses.
         let (_, agents) = ring(32);
         let draw = |seed: u64| -> Vec<usize> {
             let mut rng = StdRng::seed_from_u64(stream_seed(seed, 0));
@@ -816,7 +552,7 @@ mod tests {
     #[should_panic(expected = "non-empty agent panel")]
     fn empty_panel_is_rejected() {
         let (engine, _) = ring(4);
-        let server = Server::start(engine, ServeConfig::default());
-        let _ = run_load(&server, &[], &LoadGenConfig::default());
+        let server = Server::start(engine, ServeConfig { workers: 0, ..ServeConfig::default() });
+        let _ = run_open_loop(&server, &[], &OpenLoopConfig::default());
     }
 }

@@ -30,7 +30,6 @@ pub(crate) struct ServeMetrics {
     pub scale_events: Counter,
     pub batch_seconds: Histogram,
     pub batch_size: Histogram,
-    pub latency: Histogram,
     pub wait_ticks: Histogram,
     pub slo_violations: Counter,
     pub slo_pressure_sheds: Counter,
@@ -72,7 +71,6 @@ impl ServeMetrics {
             scale_events: counter("serve.workers.scale_events"),
             batch_seconds: registry.histogram("serve.batch"),
             batch_size: registry.histogram("serve.batch.size"),
-            latency: registry.histogram("serve.latency.seconds"),
             wait_ticks: registry.histogram_with_buckets("serve.wait.ticks", &TICK_BUCKETS),
             slo_violations: counter("serve.slo.violations"),
             slo_pressure_sheds: counter("serve.slo.pressure_sheds"),
