@@ -67,8 +67,9 @@ pub struct PipelineTrace {
 #[derive(Clone, Debug)]
 pub struct SharedModel {
     community: Community,
-    /// `community.trust` frozen once per model generation: the graph every
-    /// query's Appleseed walk reads.
+    /// `community.trust` frozen once per model generation, for the
+    /// configured `spreading_power`: the graph every query's Appleseed walk
+    /// reads.
     trust_csr: CsrGraph,
     profiles: ProfileStore,
     config: RecommenderConfig,
@@ -97,7 +98,8 @@ impl SharedModel {
         ranker: SharedRanker,
     ) -> Self {
         let profiles = ProfileStore::build(&community, &config.profile);
-        let trust_csr = CsrGraph::from_graph(&community.trust);
+        let trust_csr = CsrGraph::from_graph(&community.trust)
+            .with_spreading_power(config.neighborhood.appleseed.spreading_power);
         SharedModel {
             community,
             trust_csr,
@@ -188,7 +190,8 @@ impl SharedModel {
     ///
     /// The caller asserts `trust_csr` is exactly what
     /// [`CsrGraph::from_graph`] would produce for `community.trust` —
-    /// checked in debug builds.
+    /// checked in debug builds. It is re-frozen here for the configured
+    /// `spreading_power`, which no snapshot carries.
     pub fn from_parts_with_trust_csr(
         community: Community,
         profiles: ProfileStore,
@@ -210,7 +213,8 @@ impl SharedModel {
         );
         SharedModel {
             community,
-            trust_csr,
+            trust_csr: trust_csr
+                .with_spreading_power(config.neighborhood.appleseed.spreading_power),
             profiles,
             config,
             source_health,
@@ -244,7 +248,8 @@ impl SharedModel {
             delta.ratings_changed.iter().map(String::as_str).collect();
         let (profiles, stats) = self.profiles.advance(&self.community, &next, &dirty);
         self.metrics.record_advance(&stats);
-        let trust_csr = CsrGraph::from_graph(&next.trust);
+        let trust_csr = CsrGraph::from_graph(&next.trust)
+            .with_spreading_power(self.config.neighborhood.appleseed.spreading_power);
         let model = SharedModel {
             community: next,
             trust_csr,

@@ -8,7 +8,7 @@
 //! categories that a_i has left untouched until now" — creating an
 //! "incentive for trying new product groups".
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 use semrec_taxonomy::ProductId;
 use semrec_trust::AgentId;
@@ -51,36 +51,92 @@ pub fn vote(
     weighted_peers: &[(AgentId, f64)],
     params: &VotingParams,
 ) -> Vec<Recommendation> {
-    let mut scores: HashMap<ProductId, (f64, usize)> = HashMap::new();
-    for &(peer, weight) in weighted_peers {
-        if weight <= 0.0 {
-            continue;
+    let mut out: Vec<Recommendation> = Vec::new();
+    TALLY.with_borrow_mut(|tally| {
+        tally.reset(community.catalog.len());
+        // Never recommend what the user already rated.
+        if target.index() < community.agent_count() {
+            for &(product, _) in community.ratings_of(target) {
+                tally.mark(product, Tally::RATED);
+            }
         }
-        for &(product, rating) in community.ratings_of(peer) {
-            if rating <= params.min_rating {
+        for &(peer, weight) in weighted_peers {
+            if weight <= 0.0 {
                 continue;
             }
-            if community.rating(target, product).is_some() {
-                continue; // never recommend what the user already rated
+            for &(product, rating) in community.ratings_of(peer) {
+                if rating <= params.min_rating {
+                    continue;
+                }
+                let slot = tally.slot(product).unwrap_or_else(|| {
+                    out.push(Recommendation { product, score: 0.0, voters: 0 });
+                    tally.mark(product, out.len() as u32 - 1)
+                });
+                if slot == Tally::RATED {
+                    continue;
+                }
+                let vote = if params.rating_weighted_votes { weight * rating } else { weight };
+                let entry = &mut out[slot as usize];
+                entry.score += vote;
+                entry.voters += 1;
             }
-            let vote = if params.rating_weighted_votes { weight * rating } else { weight };
-            let entry = scores.entry(product).or_insert((0.0, 0));
-            entry.0 += vote;
-            entry.1 += 1;
         }
-    }
-    let mut out: Vec<Recommendation> = scores
-        .into_iter()
-        .filter(|&(_, (_, voters))| voters >= params.min_voters)
-        .map(|(product, (score, voters))| Recommendation { product, score, voters })
-        .collect();
-    out.sort_by(|a, b| {
+    });
+    out.retain(|rec| rec.voters >= params.min_voters);
+    // Products are unique, so the comparator is a strict total order and
+    // the unstable sort yields the one possible permutation.
+    out.sort_unstable_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
             .unwrap()
             .then(a.product.cmp(&b.product))
     });
     out
+}
+
+thread_local! {
+    /// One table per thread, so a serving worker's votes allocate only the
+    /// list they return once the table covers the catalog.
+    static TALLY: RefCell<Tally> = RefCell::default();
+}
+
+/// Dense product id → slot of one [`vote`]: `slot[p]` is valid iff
+/// `stamp[p] == generation`, so starting a vote is one increment instead of
+/// a clear (the Appleseed kernel's idiom).
+#[derive(Default)]
+struct Tally {
+    slot: Vec<u32>,
+    stamp: Vec<u32>,
+    generation: u32,
+}
+
+impl Tally {
+    /// The slot of a product the target rated itself.
+    const RATED: u32 = u32::MAX;
+
+    /// Forgets every product and makes room for a catalog of `products`.
+    fn reset(&mut self, products: usize) {
+        if self.stamp.len() < products {
+            self.stamp.resize(products, 0);
+            self.slot.resize(products, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    fn slot(&self, product: ProductId) -> Option<u32> {
+        (self.stamp[product.index()] == self.generation).then(|| self.slot[product.index()])
+    }
+
+    /// Records `slot` for `product` and returns it.
+    fn mark(&mut self, product: ProductId, slot: u32) -> u32 {
+        self.slot[product.index()] = slot;
+        self.stamp[product.index()] = self.generation;
+        slot
+    }
 }
 
 /// Restricts recommendations to products from categories the target has left
@@ -208,6 +264,24 @@ mod tests {
         let (c, agents, _) = setup();
         let recs = vote(&c, agents[0], &[(agents[1], 0.0)], &VotingParams::default());
         assert!(recs.is_empty());
+    }
+
+    #[test]
+    fn reused_tally_gives_the_result_of_a_fresh_one() {
+        let (mut c, agents, products) = setup();
+        c.set_rating(agents[0], products[3], 0.2).unwrap();
+        let peers = [(agents[1], 1.0), (agents[2], 0.7)];
+        let fresh = std::thread::scope(|scope| {
+            scope.spawn(|| vote(&c, agents[0], &peers, &VotingParams::default())).join().unwrap()
+        });
+        // Another target in between, and the generation counter wrapping
+        // past 0, leave nothing behind in this thread's table.
+        TALLY.with_borrow_mut(|tally| tally.generation = u32::MAX - 2);
+        for _ in 0..4 {
+            vote(&c, agents[1], &[(agents[0], 1.0)], &VotingParams::default());
+            assert_eq!(vote(&c, agents[0], &peers, &VotingParams::default()), fresh);
+        }
+        assert!(TALLY.with_borrow(|tally| tally.generation) < 16, "wrapped past 0");
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub fn centralized_baseline(
     panel: &[String],
     k: usize,
 ) -> Baseline {
-    let trust = CsrGraph::from_graph(&community.trust);
+    let trust = CsrGraph::from_graph(&community.trust)
+        .with_spreading_power(params.appleseed.spreading_power);
     let mut neighborhoods = BTreeMap::new();
     for uri in panel {
         let Some(id) = community.agent_by_uri(uri) else { continue };

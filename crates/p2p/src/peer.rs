@@ -216,7 +216,9 @@ impl PeerNode {
         let source = semrec_trust::agent::AgentId::from_index(
             uris.binary_search(&self.uri).expect("own URI is always a node"),
         );
-        let formed = form_neighborhood_csr(&CsrGraph::from_graph(&graph), source, params)
+        let frozen =
+            CsrGraph::from_graph(&graph).with_spreading_power(params.appleseed.spreading_power);
+        let formed = form_neighborhood_csr(&frozen, source, params)
             .expect("source is a valid agent of its own local graph");
         formed
             .peers

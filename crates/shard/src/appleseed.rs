@@ -27,57 +27,46 @@
 //!
 //! # The kernel
 //!
-//! The design is `semrec_trust::appleseed`'s, per shard. A shard's slice of
-//! the wave is a set of parallel arrays with a dense stamped
-//! `local id → wave index` table, and a node's out-star is *resolved once*,
-//! when the node first holds energy, into flat per-shard arenas:
+//! The share arithmetic (`unit = d·in(x)/Σw`, shares of `unit · |w|^p`, and
+//! `source_weight` for what a node owes the source), the design and the
+//! argument why a resolved star may be frozen are `semrec_trust::appleseed`'s
+//! — its module docs are their one home — applied per shard. What differs
+//! here:
 //!
-//! * `succ`/`powered` — trust edges to local wave nodes, then distrust
-//!   edges to local wave nodes, each with its weight already raised to
-//!   `spreading_power`;
-//! * `source_powered` — on the source's own shard, trust edges that feed
-//!   the source: statements about it and local edges the shard's node cap
-//!   reroutes;
-//! * `remote` — `(destination shard, destination local id, powered
-//!   weight)` for trust and then distrust edges that leave the shard; on a
-//!   shard that does not own the source, cap-rerouted local edges sit here
-//!   too, addressed to the source, at their place in edge order;
-//! * `total_weight` — the normalisation sum including the backward edge.
+//! * A node's out-star is resolved into flat per-shard arenas: `succ`/
+//!   `powered` — wave index and powered weight — for trust and then
+//!   distrust edges to local wave nodes, and `remote` — `(destination shard,
+//!   destination local id, powered weight)` — for trust and then distrust
+//!   edges that leave the shard. The shard's out-stars carry no powered
+//!   weights, so `|w|^p` is taken here, once per wave node per query.
+//! * `source_weight` also takes statements about a source that lives on
+//!   another shard. On the source's shard the pass adds
+//!   `unit · source_weight` to the source; on any other shard it pushes that
+//!   as **one packet per active node per round**, addressed to the source.
+//! * Every other remote edge is one packet push per round into buckets that
+//!   are emptied at the barrier and reused. A remote edge freezes only what
+//!   is immutable, its address and powered weight: whether the destination
+//!   is known, discoverable or past its shard's cap is still decided at the
+//!   barrier, every round, by the shard that owns it, through that shard's
+//!   stamped table. The node cap is per shard — compute phase and barrier
+//!   test the same wave — so "unknown and past the cap" is final for a
+//!   *local* successor exactly as in the monolith.
 //!
-//! Every later round is then the monolith's multiply-add pass,
-//! `forward * powered[k] / total_weight`, plus one packet push per remote
-//! edge into buckets that are emptied at the barrier and reused. The
-//! barrier resolves a packet's destination through the destination shard's
-//! stamped table. Rounds run on the caller's thread; queries run in
-//! parallel one level up, in `ShardedModel::recommend_batch`.
-//!
-//! Freezing is sound for the monolith's reasons, shard by shard: weights,
-//! hop distances and wave indexes never change, and a shard's wave only
-//! grows, so once its `max_nodes` is hit — in the compute phase or at the
-//! barrier, which test the same wave — an unknown local successor stays
-//! unknown and "reroute to the source" (trust) or "drop" (distrust) is
-//! final. A *remote* edge freezes only what is immutable, its address and
-//! powered weight: whether the destination is known, discoverable or past
-//! its shard's cap is still decided at the barrier, every round, by the
-//! shard that owns it.
+//! Rounds run on the caller's thread; queries run in parallel one level up,
+//! in `ShardedModel::recommend_batch`.
 //!
 //! **Bit-identity contract.** At every shard count the kernel returns what
 //! the straightforward loop returns (kept as the test oracle in
 //! `appleseed/oracle.rs`): the same `f64` bits for every rank, the same
 //! `iterations`, `nodes_discovered`, `converged`, `exchange_rounds` and
-//! `frontier_packets`. No float operation is reassociated — a share
-//! is still `forward * w^p / total`, with the power cached rather than
-//! re-derived — nodes are discovered in the same order, packets are
+//! `frontier_packets`. Nodes are discovered in the same order, packets are
 //! appended and applied in the same order, and every accumulator receives
-//! the same addends in the same order. As in the monolith, the one liberty
-//! is between *different* accumulators: a star's edges are grouped by where
-//! their share lands (the source, a local node, a frontier bucket), each
-//! group in edge order.
+//! the same addends in the same order.
 //!
-//! The two kernels share a design and no code: the shard's pass pushes
-//! packets and addresses the source in two ways, the monolith's does
-//! neither, and one loop serving both would carry that choice — a branch or
-//! a type parameter — into the monolith's inner loop.
+//! The two kernels share a definition and a design and no code: the shard's
+//! pass pushes packets and addresses the source in two ways, the monolith's
+//! does neither, and one loop serving both would carry that choice — a
+//! branch or a type parameter — into the monolith's inner loop.
 //!
 //! All of it lives in a per-thread scratch reused from query to query, so a
 //! warm query allocates only the ranking it returns. The scratch keeps the
@@ -167,8 +156,14 @@ enum SourceAt {
     Shard { shard: u32, local: u32 },
 }
 
-/// A resolved edge that leaves the shard (or is rerouted to a source that
-/// lives elsewhere).
+impl SourceAt {
+    /// True if the source is the member `local` of the other shard `shard`.
+    fn is_at(self, shard: u32, local: u32) -> bool {
+        matches!(self, SourceAt::Shard { shard: s, local: l } if s == shard && l == local)
+    }
+}
+
+/// A resolved edge that leaves the shard for an agent other than the source.
 #[derive(Clone, Copy)]
 struct RemoteEdge {
     shard: u32,
@@ -177,7 +172,7 @@ struct RemoteEdge {
 }
 
 /// A wave node's resolved out-star, as ranges of its shard's arenas, plus
-/// the normalisation sum over all its statements and the backward edge.
+/// `semrec_trust::appleseed`'s two weights.
 #[derive(Clone, Copy)]
 struct Star {
     /// `start..pos_end` of `succ`/`powered`: trust edges into the local wave.
@@ -185,14 +180,12 @@ struct Star {
     /// `pos_end..end` of `succ`/`powered`: distrust edges into the local wave.
     pos_end: usize,
     end: usize,
-    /// `source_start..source_end` of `source_powered`.
-    source_start: usize,
-    source_end: usize,
     /// `remote_start..remote_pos_end` of `remote`: trust edges out of the
     /// shard; `remote_pos_end..remote_end`: distrust edges out of it.
     remote_start: usize,
     remote_pos_end: usize,
     remote_end: usize,
+    source_weight: f64,
     total_weight: f64,
 }
 
@@ -202,11 +195,10 @@ impl Star {
         start: usize::MAX,
         pos_end: 0,
         end: 0,
-        source_start: 0,
-        source_end: 0,
         remote_start: 0,
         remote_pos_end: 0,
         remote_end: 0,
+        source_weight: 0.0,
         total_weight: 0.0,
     };
 }
@@ -227,8 +219,6 @@ struct ShardWave {
     // successor's wave index and the weight raised to `spreading_power`.
     succ: Vec<u32>,
     powered: Vec<f64>,
-    /// Powered weights of the trust edges that feed a source on this shard.
-    source_powered: Vec<f64>,
     /// Edges whose share travels by packet.
     remote: Vec<RemoteEdge>,
     /// Powered weights of the star being resolved, between its two passes.
@@ -252,7 +242,6 @@ impl ShardWave {
         self.star.clear();
         self.succ.clear();
         self.powered.clear();
-        self.source_powered.clear();
         self.remote.clear();
         if self.stamp.len() < members {
             self.stamp.resize(members, 0);
@@ -294,16 +283,6 @@ impl ShardWave {
         }
     }
 
-    /// Files a trust edge whose share goes to the source.
-    fn feed_source(&mut self, source: SourceAt, powered: f64) {
-        match source {
-            SourceAt::Here => self.source_powered.push(powered),
-            SourceAt::Shard { shard, local } => {
-                self.remote.push(RemoteEdge { shard, local, powered })
-            }
-        }
-    }
-
     /// Resolves node `i`'s out-star into the arenas, discovering its local
     /// successors. Runs once per node, when it first holds energy — the
     /// moment the reference loop walks these edges for the first time, so
@@ -313,7 +292,6 @@ impl ShardWave {
         let distance = self.distance[i];
         let power = params.spreading_power;
         let start = self.succ.len();
-        let source_start = self.source_powered.len();
         let remote_start = self.remote.len();
 
         // First pass: power and sum the weights — trust statements, then
@@ -342,11 +320,12 @@ impl ShardWave {
         let total_weight = pos_sum + neg_sum + backward;
 
         // Second pass, in the same order: file each edge by where its share
-        // lands. A local trust edge that ends at the source — a statement
-        // about it, or any edge the cap reroutes — feeds the source; a
-        // local distrust edge the cap cuts off is dropped. A source without
-        // positive statements (`total_weight` 0) lets its energy evaporate
-        // and discovers nothing.
+        // lands. A trust edge that ends at the source — a statement about
+        // it, local or not, or any local edge the cap reroutes — adds to
+        // `source_weight`; a local distrust edge the cap cuts off is
+        // dropped. A source without positive statements (`total_weight` 0)
+        // lets its energy evaporate and discovers nothing.
+        let mut source_weight = backward;
         let mut pos_end = start;
         let mut remote_pos_end = remote_start;
         if total_weight > 0.0 && !at_range_limit {
@@ -361,8 +340,11 @@ impl ShardWave {
                                 self.succ.push(idx);
                                 self.powered.push(pw);
                             }
-                            _ => self.feed_source(source, pw),
+                            _ => source_weight += pw,
                         }
+                    }
+                    Target::Remote { shard, local } if source.is_at(shard, local) => {
+                        source_weight += pw
                     }
                     Target::Remote { shard, local } => {
                         self.remote.push(RemoteEdge { shard, local, powered: pw })
@@ -395,11 +377,10 @@ impl ShardWave {
             start,
             pos_end,
             end: self.succ.len(),
-            source_start,
-            source_end: self.source_powered.len(),
             remote_start,
             remote_pos_end,
             remote_end: self.remote.len(),
+            source_weight,
             total_weight,
         };
     }
@@ -417,9 +398,8 @@ impl ShardWave {
     ) -> f64 {
         let d = params.spreading_factor;
         let mut max_delta: f64 = 0.0;
-        // `energy_next[0]` of the source's shard, kept in a register: the
-        // backward edge of every local node ends there, and a chain of adds
-        // through one memory cell is the slowest thing the pass could do.
+        // `energy_next[0]` of the source's shard, which only `source_weight`
+        // feeds during the pass.
         let mut to_source = 0.0;
 
         // Members discovered during this pass hold no energy until the
@@ -447,50 +427,43 @@ impl ShardWave {
             }
             let distance = self.distance[i] + 1;
 
-            // `forward * w / total_weight` is the reference loop's
-            // expression, and every accumulator and every bucket below
-            // receives its addends in the reference loop's order (the
-            // source: the backward edge, then edge order). Ranks are
-            // bit-identical only as long as neither is rearranged.
+            // `semrec_trust::appleseed`'s arithmetic. Every accumulator and
+            // every bucket below receives its addends in the reference
+            // loop's order; ranks are bit-identical only as long as that is
+            // not rearranged.
+            let unit = forward / total_weight;
+            let trust = self.succ[star.start..star.pos_end]
+                .iter()
+                .zip(&self.powered[star.start..star.pos_end]);
+            for (&idx, &pw) in trust {
+                self.energy_next[idx as usize] += unit * pw;
+            }
+            for edge in &self.remote[star.remote_start..star.remote_pos_end] {
+                outbox[edge.shard as usize].push(Packet {
+                    dest_local: edge.local,
+                    distance,
+                    energy: unit * edge.powered,
+                    penalty: 0.0,
+                });
+            }
             match source {
-                SourceAt::Here => {
-                    if i != 0 {
-                        to_source += forward * params.backward_weight / total_weight;
-                    }
-                    for &pw in &self.source_powered[star.source_start..star.source_end] {
-                        to_source += forward * pw / total_weight;
-                    }
-                }
+                SourceAt::Here => to_source += unit * star.source_weight,
                 // The source is discovered before the first round, so this
                 // packet always resolves at the barrier and its distance is
                 // never read.
                 SourceAt::Shard { shard, local } => outbox[shard as usize].push(Packet {
                     dest_local: local,
                     distance: 0,
-                    energy: forward * params.backward_weight / total_weight,
+                    energy: unit * star.source_weight,
                     penalty: 0.0,
                 }),
-            }
-            let trust = self.succ[star.start..star.pos_end]
-                .iter()
-                .zip(&self.powered[star.start..star.pos_end]);
-            for (&idx, &pw) in trust {
-                self.energy_next[idx as usize] += forward * pw / total_weight;
-            }
-            for edge in &self.remote[star.remote_start..star.remote_pos_end] {
-                outbox[edge.shard as usize].push(Packet {
-                    dest_local: edge.local,
-                    distance,
-                    energy: forward * edge.powered / total_weight,
-                    penalty: 0.0,
-                });
             }
             // Distrust: a terminal penalty, deposited as negative rank.
             let distrust = self.succ[star.pos_end..star.end]
                 .iter()
                 .zip(&self.powered[star.pos_end..star.end]);
             for (&idx, &pw) in distrust {
-                let share = forward * pw / total_weight;
+                let share = unit * pw;
                 self.rank[idx as usize] -= share;
                 max_delta = max_delta.max(share);
             }
@@ -499,7 +472,7 @@ impl ShardWave {
                     dest_local: edge.local,
                     distance,
                     energy: 0.0,
-                    penalty: forward * edge.powered / total_weight,
+                    penalty: unit * edge.powered,
                 });
             }
         }

@@ -1,14 +1,14 @@
 //! The straightforward boundary-frontier loop, frozen as the test oracle.
 //!
-//! This is the loop the crate shipped before the expansion-cached kernel:
-//! every round re-walks every active node's out-star, re-powers every
+//! Every round re-walks every active node's out-star, re-powers every
 //! weight twice, resolves every local successor through a hash map, builds
 //! a fresh set of frontier buckets per shard, and resolves every packet
-//! through the destination's hash map at the barrier. It is slow and reads
-//! like the protocol's definition, which is what an oracle is for: the
-//! kernel in the parent module must reproduce its ranks bit for bit, plus
-//! `iterations`, `nodes_discovered`, `converged`, `exchange_rounds` and
-//! `frontier_packets`, at every shard count.
+//! through the destination's hash map at the barrier, freezing nothing. It
+//! is slow and reads like the protocol's definition over the share
+//! arithmetic of `semrec_trust::appleseed`'s docs, which is what an oracle
+//! is for: the kernel in the parent module must reproduce its ranks bit for
+//! bit, plus `iterations`, `nodes_discovered`, `converged`,
+//! `exchange_rounds` and `frontier_packets`, at every shard count.
 //!
 //! Test-only, and in-crate because it reads [`Shard`]'s `pub(crate)`
 //! out-star. Shards are visited in index order (the order never affected
@@ -251,82 +251,79 @@ fn compute_round(
             continue;
         }
 
-        if backward > 0.0 {
-            let share = forward * backward / total_weight;
-            send_to_source(wave, &mut outbox, me, source_shard, source_local, share);
-        }
+        // One division per node; every share is `unit * w^p`.
+        let unit = forward / total_weight;
+        // What the node owes the source: the backward edge, then — in edge
+        // order — its statements about the source (wherever the source
+        // lives) and the local trust edges the node cap reroutes. Deposited
+        // as one addend, or sent as one packet.
+        let mut source_weight = backward;
         if !at_range_limit {
-            for edge in star {
-                if edge.weight > 0.0 {
-                    let share = forward * edge.weight.powf(power) / total_weight;
-                    match edge.target {
-                        Target::Local(succ) => {
-                            let idx = match wave.index.get(&succ) {
-                                Some(&idx) => idx,
-                                None => {
-                                    if params
-                                        .max_nodes
-                                        .is_some_and(|cap| wave.nodes.len() >= cap)
-                                    {
-                                        send_to_source(
-                                            wave,
-                                            &mut outbox,
-                                            me,
-                                            source_shard,
-                                            source_local,
-                                            share,
-                                        );
-                                        continue;
-                                    }
-                                    wave.discover(succ, distance + 1)
+            for edge in star.iter().filter(|e| e.weight > 0.0) {
+                let powered = edge.weight.powf(power);
+                match edge.target {
+                    Target::Local(succ) => {
+                        let idx = match wave.index.get(&succ) {
+                            Some(&idx) => idx,
+                            None => {
+                                if params.max_nodes.is_some_and(|cap| wave.nodes.len() >= cap) {
+                                    source_weight += powered;
+                                    continue;
                                 }
-                            };
-                            wave.nodes[idx].energy_next += share;
+                                wave.discover(succ, distance + 1)
+                            }
+                        };
+                        if me == source_shard && idx == 0 {
+                            source_weight += powered;
+                        } else {
+                            wave.nodes[idx].energy_next += unit * powered;
                         }
-                        Target::Remote { shard: dest, local: dest_local } => {
-                            outbox[dest as usize].push(Packet {
-                                dest_local,
-                                distance: distance + 1,
-                                energy: share,
-                                penalty: 0.0,
-                            });
-                        }
+                    }
+                    Target::Remote { shard: dest, local: dest_local }
+                        if dest as usize == source_shard && dest_local == source_local =>
+                    {
+                        source_weight += powered;
+                    }
+                    Target::Remote { shard: dest, local: dest_local } => {
+                        outbox[dest as usize].push(Packet {
+                            dest_local,
+                            distance: distance + 1,
+                            energy: unit * powered,
+                            penalty: 0.0,
+                        });
                     }
                 }
             }
-            if params.distrust {
-                for edge in star {
-                    if edge.weight < 0.0 {
-                        let share = forward * (-edge.weight).powf(power) / total_weight;
-                        match edge.target {
-                            Target::Local(succ) => {
-                                let idx = match wave.index.get(&succ) {
-                                    Some(&idx) => Some(idx),
-                                    None => {
-                                        if params
-                                            .max_nodes
-                                            .is_some_and(|cap| wave.nodes.len() >= cap)
-                                        {
-                                            None
-                                        } else {
-                                            Some(wave.discover(succ, distance + 1))
-                                        }
-                                    }
-                                };
-                                if let Some(idx) = idx {
-                                    wave.nodes[idx].rank -= share;
-                                    max_delta = max_delta.max(share);
+        }
+        let share = unit * source_weight;
+        send_to_source(wave, &mut outbox, me, source_shard, source_local, share);
+        if params.distrust && !at_range_limit {
+            for edge in star.iter().filter(|e| e.weight < 0.0) {
+                let share = unit * (-edge.weight).powf(power);
+                match edge.target {
+                    Target::Local(succ) => {
+                        let idx = match wave.index.get(&succ) {
+                            Some(&idx) => Some(idx),
+                            None => {
+                                if params.max_nodes.is_some_and(|cap| wave.nodes.len() >= cap) {
+                                    None
+                                } else {
+                                    Some(wave.discover(succ, distance + 1))
                                 }
                             }
-                            Target::Remote { shard: dest, local: dest_local } => {
-                                outbox[dest as usize].push(Packet {
-                                    dest_local,
-                                    distance: distance + 1,
-                                    energy: 0.0,
-                                    penalty: share,
-                                });
-                            }
+                        };
+                        if let Some(idx) = idx {
+                            wave.nodes[idx].rank -= share;
+                            max_delta = max_delta.max(share);
                         }
+                    }
+                    Target::Remote { shard: dest, local: dest_local } => {
+                        outbox[dest as usize].push(Packet {
+                            dest_local,
+                            distance: distance + 1,
+                            energy: 0.0,
+                            penalty: share,
+                        });
                     }
                 }
             }
@@ -336,8 +333,8 @@ fn compute_round(
     ComputeOut { max_delta, outbox }
 }
 
-/// Deposits rerouted or backward energy at the source node: directly when
-/// the source is local, as a frontier packet otherwise. The source is
+/// Deposits what a node owes the source: directly when the source is
+/// local, as a frontier packet otherwise. The source is
 /// discovered (node 0 of its shard's wave) before the first round, so the
 /// packet always resolves through the destination wave index.
 fn send_to_source(

@@ -11,7 +11,7 @@ use semrec_trust::appleseed::AppleseedParams;
 use semrec_trust::neighborhood::NeighborhoodParams;
 
 use super::oracle::{bits, sharded_appleseed_reference};
-use super::{sharded_appleseed, Scratch, ShardWave, ShardedAppleseedResult};
+use super::{sharded_appleseed, Scratch, ShardWave, ShardedAppleseedResult, SourceAt};
 use crate::model::{Shard, ShardedModel};
 use crate::partition::{CommunityShardFn, GlobalId, HashShardFn, ShardFn};
 
@@ -259,6 +259,62 @@ fn edge_first_seen_after_the_cap_stays_rerouted() {
         // The same statements, asked from the other side of the boundary.
         universe.check(GlobalId(x as u32), &params);
     }
+}
+
+/// Whatever a node owes a source on another shard travels as one packet:
+///
+/// ```text
+/// shard 0: s a      shard 1: x y z w      shard 2: u v       cap: 2 per shard
+/// s → a, s → x, s → y, s → u    round 1 fills shard 1's cap
+/// x → z, y → w                  local, past the cap: owed to the source
+/// x → s, v → s                  statements about the source
+/// x → a, v → x, u → v           real edges, which keep their own packets
+/// ```
+#[test]
+fn one_source_bound_packet_per_active_node_per_round() {
+    let (s, a, x, y, z, w, u, v) = (0, 1, 2, 3, 4, 5, 6, 7);
+    let edges = [
+        (s, a, 0.5),
+        (s, x, 1.0),
+        (s, y, 0.8),
+        (s, u, 0.6),
+        (x, z, 0.9),
+        (y, w, 0.7),
+        (x, s, 0.4),
+        (v, s, 0.3),
+        (x, a, 0.6),
+        (v, x, 0.5),
+        (u, v, 1.0),
+    ];
+    let community = community(8, &edges);
+    let universe =
+        Universe::partition(&community, Arc::new(Placed(vec![0, 0, 1, 1, 1, 1, 2, 2])), 3);
+    let source = GlobalId(s as u32);
+    let source_at = SourceAt::Shard { shard: 0, local: universe.local_of[s] };
+    let mut busiest = 0;
+    for rounds in 1..=8 {
+        // Stop after `rounds` rounds, then play the next compute phase of
+        // the shards that do not own the source by hand.
+        let params = AppleseedParams {
+            max_nodes: Some(2),
+            convergence: 1e-12,
+            max_iterations: rounds,
+            ..Default::default()
+        };
+        let mut scratch = Scratch::default();
+        scratch.run(&universe.shards, source, 0, universe.local_of[s], &params, &universe.schedule);
+        for shard in [1, 2] {
+            let wave = &mut scratch.waves[shard];
+            let active = wave.energy_in.iter().filter(|&&energy| energy > 0.0).count();
+            let mut outbox = vec![Vec::new(); 3];
+            wave.compute_round(&universe.shards[shard], &mut outbox, source_at, &params);
+            let source_bound =
+                outbox[0].iter().filter(|pkt| pkt.dest_local == universe.local_of[s]).count();
+            assert_eq!(source_bound, active, "shard {shard} after {rounds} rounds");
+            busiest = busiest.max(active);
+        }
+    }
+    assert_eq!(busiest, 2, "both capped waves were fully active in some round");
 }
 
 /// A resolved star holds addresses, not decisions about the far side:

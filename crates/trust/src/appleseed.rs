@@ -22,44 +22,62 @@
 //! handling Ziegler & Lausen argue for; enable it via
 //! [`AppleseedParams::distrust`].
 //!
+//! # The arithmetic
+//!
+//! A node `x` that holds energy has, in edge order, trust statements,
+//! distrust statements (counted only with [`AppleseedParams::distrust`])
+//! and, unless it is the source, the backward edge. With `Σw` = its powered
+//! trust weights summed in edge order from 0.0, plus its powered distrust
+//! weights summed likewise, plus the backward weight,
+//!
+//! ```text
+//! unit  = d · in(x) / Σw          one division per node
+//! share = unit · |w|^p            per statement, p = spreading_power
+//! ```
+//!
+//! is ref \[12\]'s `d · in(x) · w / Σw`, which prescribes no operation order;
+//! this is the order both kernels (this one and `semrec-shard`'s) and both
+//! oracles compute. A trust share is energy for the successor, a distrust
+//! share a penalty on it. What `x` owes the *source* — the backward edge,
+//! then in edge order its trust statements about the source and those the
+//! node cap reroutes — is summed first, as weights, into `source_weight`,
+//! and reaches the source as the single addend `unit · source_weight`.
+//!
 //! # The kernel
 //!
-//! [`appleseed`] is the one entry, and it reads the frozen [`CsrGraph`]: a
-//! run touches the graph once per wave node, as one CSR row. When a node
-//! first holds energy its out-star is *resolved* into flat per-run arenas:
-//! every weight raised to `spreading_power`, their sum with the backward
-//! edge, and every successor looked up in (or added to) the wave. Each later
-//! iteration is a straight pass
-//! `energy_next[succ[k]] += forward * powered[k] / total` over those arrays
-//! — no `powf`, no lookup, no graph access.
+//! [`appleseed`] is the one entry. It reads the frozen [`CsrGraph`], which
+//! carries what no query can change: `|w|^p` per statement and each row's
+//! two sums, for the one `p` the graph was frozen for
+//! ([`CsrGraph::with_spreading_power`]; a run asking for another is
+//! refused). When a node first holds energy its row is *resolved* into flat
+//! per-run arena — every successor looked up in (or added to) the wave, the
+//! in-wave edges copied as `(wave index, |w|^p)`, the rest folded into
+//! `source_weight` — and each later iteration is a straight pass
+//! `energy_next[idx] += unit * powered` over those `(idx, powered)` pairs: no
+//! exponentiation, no division per edge, no lookup, no graph access.
 //!
 //! Resolving once is sound because nothing it records can change later in
 //! the run: weights and hop distances are fixed, a node's wave index never
-//! moves, and the wave only grows. In particular, once `max_nodes` is hit no
-//! node is ever discovered again, so a successor that is unknown at that
-//! moment stays unknown, and "reroute this edge to the source" (trust) or
-//! "drop this edge" (distrust) can be frozen into the arenas.
+//! moves, and the wave only grows. Once `max_nodes` is hit no node is ever
+//! discovered again, so a successor unknown at that moment stays unknown,
+//! and "reroute this edge to the source" (trust) or "drop this edge"
+//! (distrust) is final. That makes `source_weight` a constant of the run,
+//! and on a trust-only graph `source_weight` plus the in-wave powered
+//! weights is `Σw` up to rounding: energy is conserved.
 //!
 //! **Bit-identity contract.** The kernel returns exactly what the
-//! straightforward loop returns (kept as the test oracle in
-//! `appleseed/oracle.rs`, where it walks the adjacency-list
-//! [`crate::graph::TrustGraph`] — an independent representation of the same
-//! statements): the same `f64` bits for every rank, the same
-//! `iterations`, `nodes_discovered`, `converged` and `residual`. No
-//! tolerance is involved, because no float operation is reassociated: a share is still `forward * w.powf(p) / total`
-//! (the `powf` result is cached, not re-derived; the division is not turned
-//! into a multiplication by a reciprocal), nodes are discovered in the same
-//! order, and every accumulator receives the same addends in the same
-//! order. The one liberty taken is between *different* accumulators: a
-//! star's edges that end at the source are stored apart from those that end
-//! elsewhere, each group in edge order, so that the source's energy — where
-//! most edges of a capped wave end — is summed in a register.
+//! straightforward loop returns — the test oracle `appleseed/oracle.rs`,
+//! which walks the adjacency-list [`crate::graph::TrustGraph`], an
+//! independent representation of the same statements, and freezes nothing:
+//! the same `f64` bits for every rank, the same `iterations`,
+//! `nodes_discovered`, `converged` and `residual`. No tolerance is involved:
+//! the graph's sums are the oracle's in the oracle's order, discovery order
+//! is the same, and every accumulator receives the same addends in order.
 //!
-//! The wave, the arenas and a dense agent-id → wave-index table live in a
-//! per-thread scratch that is reused from run to run, so after warm-up a run
-//! allocates only the ranking it returns. The scratch keeps the capacity of
-//! the largest wave it has held and eight bytes per agent of the largest
-//! graph it has seen.
+//! The wave, the arena and a dense agent-id → wave-index table live in a
+//! per-thread scratch reused from run to run: a warm run allocates only the
+//! ranking it returns, and the scratch keeps the largest wave's capacity
+//! plus eight bytes per agent of the largest graph it has seen.
 
 use std::cell::RefCell;
 
@@ -200,6 +218,13 @@ pub fn appleseed(
     params: &AppleseedParams,
 ) -> Result<AppleseedResult> {
     params.validate()?;
+    if params.spreading_power != graph.spreading_power() {
+        return Err(TrustError::InvalidParameter {
+            name: "spreading_power",
+            value: params.spreading_power,
+            expected: "the exponent the graph was frozen for",
+        });
+    }
     if source.index() >= graph.agent_count() {
         return Err(TrustError::UnknownAgent(source.index()));
     }
@@ -214,31 +239,23 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// A wave node's resolved out-star, as ranges of the arenas, plus the
-/// normalisation sum over all its statements and the backward edge.
+/// A wave node's resolved out-star: ranges of the arena plus the two
+/// weights of the module docs.
 #[derive(Clone, Copy)]
 struct Star {
-    /// `start..pos_end` of the edge arenas: trust edges into the wave.
+    /// `start..pos_end` of the edge arena: trust edges into the wave.
     start: usize,
-    /// `pos_end..end` of the edge arenas: distrust edges into the wave.
+    /// `pos_end..end` of the edge arena: distrust edges into the wave.
     pos_end: usize,
     end: usize,
-    /// `source_start..source_end` of `Scratch::source_powered`.
-    source_start: usize,
-    source_end: usize,
+    source_weight: f64,
     total_weight: f64,
 }
 
 impl Star {
     /// The star of a node that has not forwarded energy yet.
-    const UNEXPANDED: Star = Star {
-        start: usize::MAX,
-        pos_end: 0,
-        end: 0,
-        source_start: 0,
-        source_end: 0,
-        total_weight: 0.0,
-    };
+    const UNEXPANDED: Star =
+        Star { start: usize::MAX, pos_end: 0, end: 0, source_weight: 0.0, total_weight: 0.0 };
 }
 
 /// Reusable state of one Appleseed run; see the module docs.
@@ -253,14 +270,10 @@ struct Scratch {
     energy_in: Vec<f64>,
     energy_next: Vec<f64>,
     star: Vec<Star>,
-    // The edge arenas, filled node by node on first expansion: the
-    // successor's wave index (never 0 for a trust edge) and the weight
-    // raised to `spreading_power`.
-    succ: Vec<u32>,
-    powered: Vec<f64>,
-    /// Powered weights of the trust edges that feed the source: statements
-    /// about the source itself and edges rerouted by `max_nodes`.
-    source_powered: Vec<f64>,
+    /// The edge arena, filled node by node on first expansion: the
+    /// successor's wave index (never 0 for a trust edge) and the graph's
+    /// powered weight.
+    edges: Vec<(u32, f64)>,
     // Dense agent id → wave index: `wave_index[a]` is valid iff
     // `stamp[a] == generation`, so starting a run is one increment instead
     // of a clear.
@@ -278,9 +291,7 @@ impl Scratch {
         self.energy_in.clear();
         self.energy_next.clear();
         self.star.clear();
-        self.succ.clear();
-        self.powered.clear();
-        self.source_powered.clear();
+        self.edges.clear();
         if self.stamp.len() < agents {
             self.stamp.resize(agents, 0);
             self.wave_index.resize(agents, 0);
@@ -306,101 +317,68 @@ impl Scratch {
         idx
     }
 
-    /// The wave index of the agent parked at `succ[k]`, discovering it if
-    /// the wave may still grow. Once `max_nodes` is hit no node is ever
-    /// discovered again, so an unknown successor stays unknown and `None`
-    /// is final: the caller can freeze the cap decision into the arenas.
-    fn resolve(&mut self, k: usize, distance: u32, params: &AppleseedParams) -> Option<u32> {
-        let succ = AgentId(self.succ[k]);
+    /// The wave index of `succ`, discovering it at `distance` if the wave
+    /// may still grow. Once `max_nodes` is hit no node is ever discovered
+    /// again, so an unknown successor stays unknown and `None` is final:
+    /// the caller can freeze the cap decision.
+    fn resolve(&mut self, succ: u32, distance: u32, params: &AppleseedParams) -> Option<u32> {
+        let succ = AgentId(succ);
         if self.stamp[succ.index()] == self.generation {
             Some(self.wave_index[succ.index()])
         } else if params.max_nodes.is_some_and(|cap| self.agent.len() >= cap) {
             None
         } else {
-            Some(self.discover(succ, distance + 1))
+            Some(self.discover(succ, distance))
         }
     }
 
-    /// Moves the edge parked at `k` down to `at`, now with its wave index.
-    fn settle(&mut self, at: &mut usize, k: usize, idx: u32) {
-        self.succ[*at] = idx;
-        self.powered[*at] = self.powered[k];
-        *at += 1;
-    }
-
-    /// Resolves node `i`'s out-star into the arenas, discovering its
+    /// Resolves node `i`'s out-star into the arena, discovering its
     /// successors. Runs once per node, when it first holds energy — the
     /// moment the reference loop walks these edges for the first time, so
     /// discovery order is the same.
     fn expand(&mut self, i: usize, graph: &CsrGraph, params: &AppleseedParams) {
         let agent = self.agent[i];
         let distance = self.distance[i];
-        let power = params.spreading_power;
-        let start = self.succ.len();
-        let source_start = self.source_powered.len();
-
-        // First pass, over the node's CSR row: power and sum the weights,
-        // parking each successor's agent id in `succ` — trust statements
-        // first, then distrust, each in edge order. Nodes at the range limit
-        // keep only the backward edge.
-        let mut pos_sum = 0.0;
-        let mut neg_sum = 0.0;
-        let mut raw_pos_end = start;
+        let start = self.edges.len();
+        // Nodes at the range limit keep only the backward edge.
         let at_range_limit = params.max_range.is_some_and(|r| distance >= r);
-        if !at_range_limit {
-            let row = graph.out_targets(agent).iter().zip(graph.out_weights(agent));
-            for (&succ, &w) in row.clone().filter(|&(_, &w)| w > 0.0) {
-                let pw = w.powf(power);
-                pos_sum += pw;
-                self.succ.push(succ);
-                self.powered.push(pw);
-            }
-            raw_pos_end = self.succ.len();
-            if params.distrust {
-                for (&succ, &w) in row.filter(|&(_, &w)| w < 0.0) {
-                    let pw = (-w).powf(power);
-                    neg_sum += pw;
-                    self.succ.push(succ);
-                    self.powered.push(pw);
-                }
-            }
-        }
-        let raw_end = self.succ.len();
+        let (pos_sum, neg_sum) = if at_range_limit {
+            (0.0, 0.0)
+        } else {
+            let (trust, distrust) = graph.powered_sums(agent);
+            (trust, if params.distrust { distrust } else { 0.0 })
+        };
         let backward = if i == 0 { 0.0 } else { params.backward_weight };
         let total_weight = pos_sum + neg_sum + backward;
 
-        // Second pass, in edge order: agent id → wave index, compacting the
-        // parked edges in place (`at` never overtakes `k`). A trust edge
-        // that ends at the source — a statement about it, or any edge the
-        // cap reroutes — moves to `source_powered`; a distrust edge the cap
-        // cuts off is dropped. A source without positive statements
-        // (`total_weight` 0) lets its energy evaporate and discovers nothing.
-        let mut at = start;
+        // In edge order, trust statements and then distrust: agent id →
+        // wave index. A trust edge that ends at the source — a statement
+        // about it, or any edge the cap reroutes — adds to `source_weight`;
+        // a distrust edge the cap cuts off is dropped. A source without
+        // positive statements (`total_weight` 0) lets its energy evaporate
+        // and discovers nothing.
+        let mut source_weight = backward;
         let mut pos_end = start;
-        if total_weight > 0.0 {
-            for k in start..raw_pos_end {
-                match self.resolve(k, distance, params) {
-                    None | Some(0) => self.source_powered.push(self.powered[k]),
-                    Some(idx) => self.settle(&mut at, k, idx),
+        if total_weight > 0.0 && !at_range_limit {
+            let row = graph.out_targets(agent).iter().zip(graph.out_weights(agent));
+            let row = row.zip(graph.out_powered(agent));
+            for ((&succ, _), &pw) in row.clone().filter(|&((_, &w), _)| w > 0.0) {
+                match self.resolve(succ, distance + 1, params) {
+                    None | Some(0) => source_weight += pw,
+                    Some(idx) => self.edges.push((idx, pw)),
                 }
             }
-            pos_end = at;
-            for k in raw_pos_end..raw_end {
-                if let Some(idx) = self.resolve(k, distance, params) {
-                    self.settle(&mut at, k, idx);
+            pos_end = self.edges.len();
+            if params.distrust {
+                for ((&succ, _), &pw) in row.filter(|&((_, &w), _)| w < 0.0) {
+                    if let Some(idx) = self.resolve(succ, distance + 1, params) {
+                        self.edges.push((idx, pw));
+                    }
                 }
             }
         }
-        self.succ.truncate(at);
-        self.powered.truncate(at);
-        self.star[i] = Star {
-            start,
-            pos_end,
-            end: at,
-            source_start,
-            source_end: self.source_powered.len(),
-            total_weight,
-        };
+        self.star[i] =
+            Star { start, pos_end, end: self.edges.len(), source_weight, total_weight };
     }
 
     fn run(
@@ -420,9 +398,7 @@ impl Scratch {
         while iterations < params.max_iterations {
             iterations += 1;
             let mut max_delta: f64 = 0.0;
-            // `energy_next[0]`, kept in a register: most edges of a capped
-            // wave end here, and a chain of adds through one memory cell
-            // is the slowest thing the pass could do.
+            // `energy_next[0]`, which only `source_weight` feeds.
             let mut to_source = 0.0;
 
             // Nodes discovered during this pass hold no energy until the
@@ -443,31 +419,22 @@ impl Scratch {
                 if self.star[i].start == Star::UNEXPANDED.start {
                     self.expand(i, graph, params);
                 }
-                let Star { start, pos_end, end, source_start, source_end, total_weight } =
-                    self.star[i];
+                let Star { start, pos_end, end, source_weight, total_weight } = self.star[i];
                 if total_weight <= 0.0 {
                     continue;
                 }
 
-                // `forward * w / total_weight` is the reference loop's
-                // expression, and every accumulator below receives its
-                // addends in the reference loop's order (the source: the
-                // backward edge, then edge order). Ranks are bit-identical
-                // only as long as neither is rearranged.
-                if i != 0 {
-                    to_source += forward * params.backward_weight / total_weight;
-                }
-                for &pw in &self.source_powered[source_start..source_end] {
-                    to_source += forward * pw / total_weight;
-                }
-                let trust = self.succ[start..pos_end].iter().zip(&self.powered[start..pos_end]);
-                for (&idx, &pw) in trust {
-                    self.energy_next[idx as usize] += forward * pw / total_weight;
+                // The module docs' arithmetic. Every accumulator receives
+                // its addends in the reference loop's order; ranks are
+                // bit-identical only as long as that is not rearranged.
+                let unit = forward / total_weight;
+                to_source += unit * source_weight;
+                for &(idx, pw) in &self.edges[start..pos_end] {
+                    self.energy_next[idx as usize] += unit * pw;
                 }
                 // Distrust: a terminal penalty, deposited as negative rank.
-                let distrust = self.succ[pos_end..end].iter().zip(&self.powered[pos_end..end]);
-                for (&idx, &pw) in distrust {
-                    let share = forward * pw / total_weight;
+                for &(idx, pw) in &self.edges[pos_end..end] {
+                    let share = unit * pw;
                     self.rank[idx as usize] -= share;
                     max_delta = max_delta.max(share);
                 }
@@ -514,13 +481,14 @@ mod tests {
     use super::oracle::{appleseed_reference, bits};
     use super::*;
 
-    /// The kernel on the frozen form of a builder graph.
+    /// The kernel on a builder graph frozen for the run's exponent.
     fn appleseed(
         g: &TrustGraph,
         source: AgentId,
         params: &AppleseedParams,
     ) -> Result<AppleseedResult> {
-        super::appleseed(&CsrGraph::from_graph(g), source, params)
+        let frozen = CsrGraph::from_graph(g).with_spreading_power(params.spreading_power);
+        super::appleseed(&frozen, source, params)
     }
 
     /// Asserts the kernel (on the CSR) reproduces the oracle (on the
@@ -639,6 +607,36 @@ mod tests {
             assert_eq!(bits(&scratch.run(&csr, ids[2], &params)), expected);
         }
         assert_eq!(scratch.generation, 3, "wrapped past 0 to 1, then two more runs");
+    }
+
+    #[test]
+    fn energy_is_conserved_on_trust_only_graphs() {
+        // `source_weight` plus the in-wave powered weights must make up
+        // `total_weight`, whatever the cap reroutes and the range cuts off:
+        // all injected energy is some node's rank or still in flight.
+        let mut g = TrustGraph::with_agents(60);
+        let ids: Vec<_> = g.agents().collect();
+        for i in 0..60 {
+            g.set_trust(ids[i], ids[(i + 1) % 60], 0.9).unwrap();
+            g.set_trust(ids[i], ids[(i + 7) % 60], 0.4).unwrap();
+            g.set_trust(ids[i], ids[(i * 5 + 2) % 60], 0.15).unwrap();
+        }
+        let mut scratch = Scratch::default();
+        for (max_nodes, max_range, spreading_power) in
+            [(None, None, 1.0), (Some(20), None, 1.0), (Some(25), Some(3), 2.0), (None, Some(2), 2.0)]
+        {
+            let params =
+                AppleseedParams { max_nodes, max_range, spreading_power, ..Default::default() };
+            let csr = CsrGraph::from_graph(&g).with_spreading_power(spreading_power);
+            let res = scratch.run(&csr, ids[11], &params);
+            assert!(res.iterations > 5, "{params:?}");
+            let held: f64 = scratch.rank.iter().chain(&scratch.energy_in).sum();
+            assert!(
+                (held - params.injection).abs() <= 1e-9 * params.injection,
+                "{held} of {} left after {params:?}",
+                params.injection
+            );
+        }
     }
 
     /// s → a (1.0), s → b (0.5), a → c (1.0).

@@ -1,9 +1,10 @@
 //! The straightforward Appleseed loop, frozen as the test oracle.
 //!
-//! This is the loop the library shipped before the expansion-cached kernel:
-//! every iteration re-walks every active node's out-edges through the graph,
-//! re-powers every weight and resolves every successor through a hash map.
-//! It is slow and obviously faithful to the metric's definition, which is
+//! Every iteration re-walks every active node's out-edges through the graph,
+//! re-powers every weight, re-sums the node's weights and resolves every
+//! successor through a hash map, freezing nothing. It is slow and reads like
+//! the arithmetic the parent module's docs define (`unit = d·in(x)/Σw`,
+//! shares of `unit · w^p`, one addend per node for the source), which is
 //! what an oracle is for: the kernel in the parent module must reproduce its
 //! ranks bit for bit, plus `iterations`, `nodes_discovered`, `converged` and
 //! `residual`.
@@ -99,33 +100,40 @@ pub fn appleseed_reference(
                 continue;
             }
 
-            if backward > 0.0 {
-                nodes[0].energy_next += forward * backward / total_weight;
-            }
-            if at_range_limit {
-                continue;
-            }
-            for (succ, w) in graph.positive_out_edges(agent) {
-                let share = forward * w.powf(power) / total_weight;
-                let idx = match local.get(&succ) {
-                    Some(&idx) => idx,
-                    None => {
-                        if params.max_nodes.is_some_and(|cap| nodes.len() >= cap) {
-                            // Capacity reached: reroute to the source.
-                            nodes[0].energy_next += share;
-                            continue;
+            // One division per node; every share is `unit * w^p`.
+            let unit = forward / total_weight;
+            // What the node owes the source: the backward edge, then — in
+            // edge order — its statements about the source and the trust
+            // edges the node cap reroutes. Deposited as one addend.
+            let mut source_weight = backward;
+            if !at_range_limit {
+                for (succ, w) in graph.positive_out_edges(agent) {
+                    let powered = w.powf(power);
+                    let idx = match local.get(&succ) {
+                        Some(&idx) => idx,
+                        None => {
+                            if params.max_nodes.is_some_and(|cap| nodes.len() >= cap) {
+                                // Capacity reached: reroute to the source.
+                                source_weight += powered;
+                                continue;
+                            }
+                            let idx = nodes.len();
+                            local.insert(succ, idx);
+                            nodes.push(NodeState::discovered(succ, distance + 1));
+                            idx
                         }
-                        let idx = nodes.len();
-                        local.insert(succ, idx);
-                        nodes.push(NodeState::discovered(succ, distance + 1));
-                        idx
+                    };
+                    if idx == 0 {
+                        source_weight += powered;
+                    } else {
+                        nodes[idx].energy_next += unit * powered;
                     }
-                };
-                nodes[idx].energy_next += share;
+                }
             }
-            if params.distrust {
+            nodes[0].energy_next += unit * source_weight;
+            if params.distrust && !at_range_limit {
                 for (succ, w) in graph.negative_out_edges(agent) {
-                    let share = forward * (-w).powf(power) / total_weight;
+                    let share = unit * (-w).powf(power);
                     // Terminal penalty, deposited as negative rank.
                     let idx = match local.get(&succ) {
                         Some(&idx) => idx,

@@ -15,6 +15,17 @@
 //! in_sources  : [u32; m]     truster ids, in the graph's insertion order
 //! ```
 //!
+//! and, derived from them for one `spreading_power` `p` (1.0 unless
+//! [`CsrGraph::with_spreading_power`] re-derives them), what Appleseed would
+//! otherwise recompute per query although no query can change it:
+//!
+//! ```text
+//! powered      : [f64; m]         |out_weights[k]|^p
+//! powered_sums : [(f64, f64); n]  agent i's trust and distrust sums of `powered`, each in edge order
+//! ```
+//!
+//! Neither is persisted: they are a function of the five arenas and `p`.
+//!
 //! Edge order is preserved *exactly* — out-edges stay sorted by trustee
 //! (as `TrustGraph` keeps them) and truster lists keep their insertion
 //! order — so every float summation that walks a CSR row accumulates in
@@ -28,13 +39,17 @@ use crate::error::{Result, TrustError};
 use crate::graph::TrustGraph;
 
 /// A read-only trust network in compressed-sparse-row form.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
     out_offsets: Vec<u32>,
     out_targets: Vec<u32>,
     out_weights: Vec<f64>,
     in_offsets: Vec<u32>,
     in_sources: Vec<u32>,
+    /// The exponent `powered` and `powered_sums` are derived for.
+    spreading_power: f64,
+    powered: Vec<f64>,
+    powered_sums: Vec<(f64, f64)>,
 }
 
 impl CsrGraph {
@@ -60,7 +75,7 @@ impl CsrGraph {
             }
             in_offsets.push(in_sources.len() as u32);
         }
-        CsrGraph { out_offsets, out_targets, out_weights, in_offsets, in_sources }
+        CsrGraph::frozen(out_offsets, out_targets, out_weights, in_offsets, in_sources)
     }
 
     /// Reassembles CSR arenas (e.g. read back from a snapshot), validating
@@ -111,7 +126,65 @@ impl CsrGraph {
                 return Err(TrustError::InvalidWeight(w));
             }
         }
-        Ok(CsrGraph { out_offsets, out_targets, out_weights, in_offsets, in_sources })
+        Ok(CsrGraph::frozen(out_offsets, out_targets, out_weights, in_offsets, in_sources))
+    }
+
+    /// The five arenas plus what is derived from them, for the linear
+    /// default `spreading_power` 1.0.
+    fn frozen(
+        out_offsets: Vec<u32>,
+        out_targets: Vec<u32>,
+        out_weights: Vec<f64>,
+        in_offsets: Vec<u32>,
+        in_sources: Vec<u32>,
+    ) -> CsrGraph {
+        let mut graph = CsrGraph {
+            out_offsets,
+            out_targets,
+            out_weights,
+            in_offsets,
+            in_sources,
+            spreading_power: 1.0,
+            powered: Vec::new(),
+            powered_sums: Vec::new(),
+        };
+        graph.derive_powered();
+        graph
+    }
+
+    /// This graph with its powered weights and row sums derived for
+    /// `spreading_power` — the exponent every
+    /// [`appleseed`](crate::appleseed::appleseed) run over it must then ask
+    /// for.
+    pub fn with_spreading_power(mut self, spreading_power: f64) -> CsrGraph {
+        if spreading_power != self.spreading_power {
+            self.spreading_power = spreading_power;
+            self.derive_powered();
+        }
+        self
+    }
+
+    /// Fills `powered` and `powered_sums` from the weights. Each sum runs
+    /// in edge order from 0.0, which is the order (and so the bits) of a
+    /// walk that sums a row's trust and then its distrust statements.
+    fn derive_powered(&mut self) {
+        let power = self.spreading_power;
+        self.powered.clear();
+        self.powered.extend(self.out_weights.iter().map(|w| w.abs().powf(power)));
+        self.powered_sums.clear();
+        self.powered_sums.reserve_exact(self.agent_count());
+        for row in self.out_offsets.windows(2) {
+            let row = row[0] as usize..row[1] as usize;
+            let (mut trust, mut distrust) = (0.0, 0.0);
+            for (&w, &pw) in self.out_weights[row.clone()].iter().zip(&self.powered[row]) {
+                if w > 0.0 {
+                    trust += pw;
+                } else if w < 0.0 {
+                    distrust += pw;
+                }
+            }
+            self.powered_sums.push((trust, distrust));
+        }
     }
 
     /// Expands back into an adjacency-list [`TrustGraph`], bit-identical
@@ -163,6 +236,22 @@ impl CsrGraph {
         &self.out_weights[self.out_range(agent)]
     }
 
+    /// `|w|^p` parallel to [`CsrGraph::out_weights`], for the `p` of
+    /// [`CsrGraph::spreading_power`].
+    pub(crate) fn out_powered(&self, agent: AgentId) -> &[f64] {
+        &self.powered[self.out_range(agent)]
+    }
+
+    /// The sums of `agent`'s powered trust and powered distrust statements.
+    pub(crate) fn powered_sums(&self, agent: AgentId) -> (f64, f64) {
+        self.powered_sums[agent.index()]
+    }
+
+    /// The exponent the powered weights are derived for.
+    pub fn spreading_power(&self) -> f64 {
+        self.spreading_power
+    }
+
     /// Ids of agents that issued a statement about `agent`.
     pub fn trusters_of(&self, agent: AgentId) -> &[u32] {
         &self.in_sources
@@ -201,12 +290,14 @@ impl CsrGraph {
         )
     }
 
-    /// Resident bytes of the five arenas (the `model.bytes` contribution).
+    /// Resident bytes of the five arenas and the two derived arrays (the
+    /// `model.bytes` contribution).
     pub fn resident_bytes(&self) -> usize {
         (self.out_offsets.len() + self.out_targets.len() + self.in_offsets.len()
             + self.in_sources.len())
             * std::mem::size_of::<u32>()
-            + self.out_weights.len() * std::mem::size_of::<f64>()
+            + (self.out_weights.len() + self.powered.len()) * std::mem::size_of::<f64>()
+            + self.powered_sums.len() * std::mem::size_of::<(f64, f64)>()
     }
 }
 
@@ -285,6 +376,30 @@ mod tests {
     }
 
     #[test]
+    fn recovered_graph_freezes_the_bits_a_fresh_one_does() {
+        let fresh = CsrGraph::from_graph(&diamond());
+        let (oo, ot, ow, io, is) = fresh.arenas();
+        let recovered =
+            CsrGraph::from_parts(oo.to_vec(), ot.to_vec(), ow.to_vec(), io.to_vec(), is.to_vec())
+                .unwrap();
+        let derived = |g: &CsrGraph| -> (Vec<u64>, Vec<(u64, u64)>) {
+            (
+                g.powered.iter().map(|pw| pw.to_bits()).collect(),
+                g.powered_sums.iter().map(|&(t, d)| (t.to_bits(), d.to_bits())).collect(),
+            )
+        };
+        assert_eq!(fresh.spreading_power(), 1.0);
+        assert_eq!(derived(&fresh), derived(&recovered));
+        assert_eq!(fresh.powered, [0.9, 0.4, 0.6, 0.7, 0.1]);
+        assert_eq!(fresh.powered_sums, [(0.9 + 0.4, 0.0), (0.0, 0.6), (0.7, 0.0), (0.1, 0.0)]);
+        // Re-frozen for another exponent, both again agree.
+        let (fresh, recovered) = (fresh.with_spreading_power(2.0), recovered.with_spreading_power(2.0));
+        assert_eq!(recovered.spreading_power(), 2.0);
+        assert_eq!(derived(&fresh), derived(&recovered));
+        assert_eq!(fresh.powered_sums[1], (0.0, 0.6f64.powf(2.0)));
+    }
+
+    #[test]
     fn corrupted_parts_are_typed_errors() {
         let g = diamond();
         let (oo, ot, ow, io, is) = {
@@ -323,7 +438,8 @@ mod tests {
     #[test]
     fn resident_bytes_counts_all_arenas() {
         let csr = CsrGraph::from_graph(&diamond());
-        // 2×(n+1) u32 offsets + 2×m u32 ids + m f64 weights.
-        assert_eq!(csr.resident_bytes(), 2 * 5 * 4 + 2 * 5 * 4 + 5 * 8);
+        // 2×(n+1) u32 offsets + 2×m u32 ids + m f64 weights, then the
+        // derived m f64 powered weights + n (f64, f64) row sums.
+        assert_eq!(csr.resident_bytes(), 2 * 5 * 4 + 2 * 5 * 4 + 5 * 8 + 5 * 8 + 4 * 16);
     }
 }

@@ -3,13 +3,15 @@
 //! control flow, the expansion-cached kernel in `semrec-trust` must return
 //! the straightforward loop's ranks bit for bit — plus the same
 //! `iterations`, `nodes_discovered` and `converged`. The kernel reads the
-//! frozen `CsrGraph`, the oracle the adjacency-list `TrustGraph` it was
-//! frozen from: two representations of the same statements.
+//! frozen `CsrGraph` (re-frozen per spreading exponent, since the powered
+//! weights travel with the graph), the oracle the adjacency-list
+//! `TrustGraph` it was frozen from: two representations of the same
+//! statements.
 
 use proptest::prelude::*;
 use semrec::datagen::{generate_community, CommunityGenConfig};
 use semrec::trust::appleseed::{appleseed, AppleseedParams, AppleseedResult};
-use semrec::trust::{CsrGraph, NeighborhoodParams, TrustGraph};
+use semrec::trust::{CsrGraph, NeighborhoodParams, TrustError, TrustGraph};
 use semrec::AgentId;
 
 /// The oracle is test-only code of `semrec-trust`, shared by path.
@@ -25,7 +27,7 @@ fn check(
     source: AgentId,
     params: &AppleseedParams,
 ) -> AppleseedResult {
-    let kernel = appleseed(csr, source, params).expect("valid parameters");
+    let kernel = appleseed(csr, source, params).expect("valid parameters, matching exponent");
     let oracle = appleseed_reference(graph, source, params);
     assert_eq!(bits(&kernel), bits(&oracle), "{source} {params:?}");
     kernel
@@ -82,14 +84,33 @@ proptest! {
     #[test]
     fn kernel_is_bit_identical_to_the_oracle((n, edges) in arb_network()) {
         let graph = build(n, &edges);
-        let csr = CsrGraph::from_graph(&graph);
+        let linear = CsrGraph::from_graph(&graph);
+        let squared = linear.clone().with_spreading_power(2.0);
         // Sources run back to back on this thread, so every run after the
         // first also exercises the reused scratch.
         for params in parameter_matrix() {
+            let csr = if params.spreading_power == 1.0 { &linear } else { &squared };
             for source in graph.agents() {
-                check(&graph, &csr, source, &params);
+                check(&graph, csr, source, &params);
             }
         }
+    }
+
+    #[test]
+    fn another_exponent_than_the_graphs_is_a_typed_error((n, edges) in arb_network()) {
+        let csr = CsrGraph::from_graph(&build(n, &edges));
+        let squared = AppleseedParams { spreading_power: 2.0, ..AppleseedParams::default() };
+        for source in (0..n).map(AgentId::from_index) {
+            let refused = appleseed(&csr, source, &squared);
+            prop_assert!(matches!(
+                refused,
+                Err(TrustError::InvalidParameter { name: "spreading_power", value, .. }) if value == 2.0
+            ));
+        }
+        // Re-frozen, the same parameters run.
+        let csr = csr.with_spreading_power(2.0);
+        prop_assert!(appleseed(&csr, AgentId::from_index(0), &squared).is_ok());
+        prop_assert!(appleseed(&csr, AgentId::from_index(0), &AppleseedParams::default()).is_err());
     }
 }
 
@@ -101,10 +122,10 @@ fn engine_default_bounds_on_a_generated_community() {
     let mut config = CommunityGenConfig::small(12);
     config.agents = 1_500;
     let graph = generate_community(&config).community.trust;
-    let csr = CsrGraph::from_graph(&graph);
     let served = NeighborhoodParams::default().appleseed;
     let mut capped = 0;
     for params in [served, AppleseedParams { distrust: true, spreading_power: 2.0, ..served }] {
+        let csr = CsrGraph::from_graph(&graph).with_spreading_power(params.spreading_power);
         for source in graph.agents().step_by(97) {
             capped += usize::from(check(&graph, &csr, source, &params).nodes_discovered == 400);
         }
