@@ -4,11 +4,11 @@
 //! `core.similarity_us` (pair scoring over the profile slab),
 //! `trust.neighborhood_us`, `store.snapshot_decode_ms`.
 //!
-//! One community, snapshotted both ways: the v1 per-record file (decode +
-//! restore through `CommunityBuilder`) and the v2 arena file
-//! ([`decode_v2`]: the model's arenas written verbatim, so recovery is a
-//! handful of bulk copies). Both restores must serve what the live model
-//! serves, bit for bit, and v2 must be the smaller file.
+//! One community, snapshotted as the v2 arena file ([`decode_v2`]: the
+//! model's arenas written verbatim, so recovery is a handful of bulk
+//! copies). The restore must serve what the live model serves, bit for
+//! bit. (The per-record v1 file this used to be sized against has no
+//! encoder any more; EXPERIMENTS.md keeps the last measured ratio.)
 //!
 //! Resident model bytes (the `model.bytes` gauge family) are reported so
 //! the arena layout's footprint is visible.
@@ -17,7 +17,7 @@ use semrec_core::{AgentId, Recommender, RecommenderConfig};
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::Table;
 use semrec_obs::MetricsSnapshot;
-use semrec_store::{decode_v2, encode_v2, sniff_version, Checkpoint, SNAPSHOT_V2};
+use semrec_store::{decode_v2, encode_v2, sniff_version, SNAPSHOT_V2};
 use semrec_web::crawler::{crawl, CommunityBuilder, CrawlConfig};
 use semrec_web::publish::publish_community;
 use semrec_web::store::DocumentWeb;
@@ -29,11 +29,9 @@ use crate::Scale;
 pub struct Outcome {
     /// Community size.
     pub agents: usize,
-    /// v1 snapshot size, bytes.
-    pub v1_bytes: usize,
     /// v2 snapshot size, bytes.
     pub v2_bytes: usize,
-    /// v1 restore ≡ v2 restore ≡ live model, bit for bit (panel scores).
+    /// v2 restore ≡ live model, bit for bit (panel scores).
     pub load_identical: bool,
     /// Resident model bytes (trust CSR + profile slab + origin stamps).
     pub resident_bytes: usize,
@@ -44,7 +42,7 @@ pub struct Outcome {
 /// Runs E22.
 pub fn run(scale: Scale) -> (Outcome, String) {
     let mut out =
-        super::header("E22", "Zero-copy hot path — arena layout footprint and v1 vs v2 snapshots");
+        super::header("E22", "Zero-copy hot path — arena layout footprint and the v2 snapshot");
     // The same world E18 uses: generate, publish, crawl, build — so the
     // snapshot measurements cover a model with a real standing view.
     let source = generate_community(&scale.community(2222)).community;
@@ -66,27 +64,16 @@ pub fn run(scale: Scale) -> (Outcome, String) {
         shared.community().trust.edge_count(),
     );
 
-    // Snapshot both ways: v1 per-record decode+restore vs v2 arena load.
     let view = builder.agents();
-    let v1 = Checkpoint::capture(&engine, view, 1).encode();
     let v2 = encode_v2(&engine, view, 1);
     assert_eq!(sniff_version(&v2), Some(SNAPSHOT_V2));
 
     let live = fingerprint(&engine, &panel);
-    let from_v1 = Checkpoint::decode(&v1).unwrap().restore().unwrap();
     let from_v2 = decode_v2(&v2).unwrap();
-    let load_identical = from_v1.view == view
-        && from_v2.view == view
-        && fingerprint(&from_v1.engine, &panel) == live
-        && fingerprint(&from_v2.engine, &panel) == live;
+    let load_identical = from_v2.view == view && fingerprint(&from_v2.engine, &panel) == live;
 
-    let mut table = Table::new(["measurement", "v1 per-record", "v2 arena", "ratio"]);
-    table.row([
-        "snapshot bytes".into(),
-        v1.len().to_string(),
-        v2.len().to_string(),
-        format!("{:.2}×", v1.len() as f64 / v2.len() as f64),
-    ]);
+    let mut table = Table::new(["measurement", "v2 arena"]);
+    table.row(["snapshot bytes".into(), v2.len().to_string()]);
     outln!(out, "{}", table.render());
     outln!(out, "byte-identity: recover-then-serve {}", if load_identical { "yes" } else { "NO" });
     outln!(out, "\nThe v2 snapshot stores the model's arenas verbatim, so loading is bulk copies");
@@ -98,7 +85,6 @@ pub fn run(scale: Scale) -> (Outcome, String) {
 
     let outcome = Outcome {
         agents,
-        v1_bytes: v1.len(),
         v2_bytes: v2.len(),
         load_identical,
         resident_bytes,
@@ -112,10 +98,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn restores_are_byte_identical_and_v2_is_smaller() {
+    fn restore_is_byte_identical() {
         let (o, text) = run(Scale::Small);
-        assert!(o.load_identical, "v1 and v2 restores must match the live model");
-        assert!(o.v2_bytes < o.v1_bytes, "v2 {} vs v1 {} bytes", o.v2_bytes, o.v1_bytes);
+        assert!(o.load_identical, "the v2 restore must match the live model");
+        assert!(o.v2_bytes > 0);
         assert!(o.resident_bytes > 0);
         for gauge in ["model.bytes", "model.bytes.trust_csr", "model.bytes.profile_slab"] {
             assert!(o.model_metrics.gauges[gauge] > 0.0, "{gauge} must report the footprint");

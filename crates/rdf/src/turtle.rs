@@ -21,13 +21,6 @@ pub fn parse(input: &str) -> Result<Graph> {
     Ok(parser.graph)
 }
 
-/// Parses a Turtle document, returning the graph and the declared prefixes.
-pub fn parse_with_prefixes(input: &str) -> Result<(Graph, HashMap<String, String>)> {
-    let mut parser = Parser::new(input);
-    parser.run()?;
-    Ok((parser.graph, parser.prefixes))
-}
-
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,

@@ -59,6 +59,10 @@ use crate::slo::SloController;
 use crate::snapshot::{ModelSnapshot, SnapshotSwitch};
 use crate::wfq::{PushRefused, WeightedFairQueue};
 
+/// Recommendation-cache shards, each with its own lock. (The per-class
+/// service weights are [`Priority::DEFAULT_WEIGHTS`].)
+const CACHE_SHARDS: usize = 8;
+
 /// Serving configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -73,11 +77,6 @@ pub struct ServeConfig {
     pub batch_size: usize,
     /// Total recommendation-cache entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Cache shards (each with its own lock).
-    pub cache_shards: usize,
-    /// Weighted-fair service weights per class, aligned with
-    /// [`Priority::ALL`] (length = [`Priority::COUNT`]).
-    pub class_weights: [u32; 3],
 }
 
 impl Default for ServeConfig {
@@ -87,8 +86,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             batch_size: 8,
             cache_capacity: 4096,
-            cache_shards: 8,
-            class_weights: Priority::DEFAULT_WEIGHTS,
         }
     }
 }
@@ -257,9 +254,9 @@ impl Server {
         let (metrics, cache) = ServeMetrics::new();
         metrics.workers.set(config.workers as f64);
         let shared = Arc::new(Shared {
-            queue: WeightedFairQueue::with_weights(config.queue_capacity, config.class_weights),
+            queue: WeightedFairQueue::new(config.queue_capacity),
             switch: SnapshotSwitch::new_at(engine, epoch),
-            cache: RecCache::with_counters(config.cache_capacity, config.cache_shards, cache),
+            cache: RecCache::with_counters(config.cache_capacity, CACHE_SHARDS, cache),
             clock: TickClock::new(),
             batch_size: config.batch_size.max(1),
             metrics,

@@ -602,7 +602,7 @@ impl Scratch {
         }
         // Every weight that reaches an out-star is a finite value in
         // [-1, 1] — `TrustGraph::set_trust` checks statements, recovery
-        // checks the boundary sidecar — so no rank is NaN. Ordinals are
+        // checks the boundary log — so no rank is NaN. Ordinals are
         // unique, so the comparator is a strict total order and the
         // unstable sort yields the one possible permutation.
         ranks.sort_unstable_by(|a, b| {

@@ -25,7 +25,8 @@
 //!   [`Shard`] carries a `serve_epoch` that an advance moves only on shards
 //!   within trust range of the delta, so answers for agents on every other
 //!   shard are bit-identical across it (what a cache in front may rely on)
-//! * [`ShardedStore`] — per-shard durable snapshots + WAL + sidecars
+//! * [`ShardedStore`] — per-shard durable snapshots + WAL, a directory log
+//!   and per-shard boundary logs (layout in [`persist`])
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -138,13 +138,6 @@ pub struct ShardBuildReport {
 }
 
 impl ShardBuildReport {
-    /// The modeled distributed wall-clock: the slowest single shard. With
-    /// one node per shard this is what a fleet would observe, since
-    /// per-shard builds are independent.
-    pub fn critical_path(&self) -> Duration {
-        self.per_shard.iter().max().copied().unwrap_or_default()
-    }
-
     /// Fraction of trust edges crossing shards.
     pub fn cut_fraction(&self) -> f64 {
         if self.total_edges == 0 {
@@ -171,13 +164,6 @@ pub struct ShardedAdvanceReport {
     pub profiles_reused: usize,
     /// Wall-clock of the whole advance on this machine.
     pub total: Duration,
-}
-
-impl ShardedAdvanceReport {
-    /// The modeled distributed refresh wall-clock (slowest dirty shard).
-    pub fn critical_path(&self) -> Duration {
-        self.per_shard.iter().max().copied().unwrap_or_default()
-    }
 }
 
 /// A sharded universe's books: one handle per `shard.*` name (see the
@@ -367,14 +353,6 @@ impl ShardedModel {
     /// generation of its lineage — and nothing another model did.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.registry.snapshot()
-    }
-
-    /// Sets the compute-thread fan-out for per-shard builds and for the
-    /// queries of a batch (a single query runs on its caller's thread).
-    /// Results are byte-identical for any value.
-    pub fn with_threads(mut self, threads: usize) -> ShardedModel {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Sets the order shards are visited in by the cross-shard protocol's

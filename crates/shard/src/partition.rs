@@ -38,15 +38,6 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Builds a directory from `(uri, shard)` pairs in global-ordinal order.
-    pub fn from_assignments(entries: impl IntoIterator<Item = (String, u32)>) -> Directory {
-        let mut directory = Directory::default();
-        for (uri, shard) in entries {
-            directory.push(uri, shard);
-        }
-        directory
-    }
-
     /// Appends one agent, returning its new ordinal.
     pub fn push(&mut self, uri: String, shard: u32) -> GlobalId {
         let ordinal = self.uris.len() as u32;

@@ -265,6 +265,23 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The mutation gauntlet the tests of every decoder of bytes-we-did-not-
+/// write share: `decode` sees `bytes` cut short at every length, then with
+/// one bit flipped in every `stride`-th byte, each time with a label of
+/// what was done. Returning is "did not panic"; what else must hold of each
+/// result is the closure's to assert.
+pub fn for_each_mutation(bytes: &[u8], stride: usize, mut decode: impl FnMut(&str, &[u8])) {
+    for cut in 0..bytes.len() {
+        decode(&format!("cut at {cut}"), &bytes[..cut]);
+    }
+    let mut mutated = bytes.to_vec();
+    for i in (0..bytes.len()).step_by(stride) {
+        mutated[i] ^= 0x04;
+        decode(&format!("bit flipped in byte {i}"), &mutated);
+        mutated[i] ^= 0x04;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,14 +10,16 @@
 //! records** between snapshots. Std-only, consistent with the workspace's
 //! vendored-deps constraint. Three pieces:
 //!
-//! * **[`Checkpoint`]** — capture/encode/decode/restore of one full model
-//!   generation. The restore path reassembles the community through
-//!   `CommunityBuilder` (the same code a live crawl uses, so agent-id
-//!   numbering is preserved) and installs the persisted profile bits
-//!   verbatim — no float is ever re-derived on load.
+//! * **[`encode_v2`] / [`decode_v2`]** — one full model generation as its
+//!   flat arenas, the one snapshot writer. [`Checkpoint`] is the read side
+//!   of the older per-record format v1: it reassembles the community
+//!   through `CommunityBuilder` (the same code a live crawl uses, so
+//!   agent-id numbering is preserved) and installs the persisted profile
+//!   bits verbatim — no float is ever re-derived on load.
 //! * **[`WalRecord`] / [`decode_wal`]** — per-record framed, checksummed
-//!   deltas. A crash mid-append leaves a torn tail: the valid prefix
-//!   replays, the tear surfaces as a typed error.
+//!   deltas over the one frame layer ([`wal::frame`], [`wal::read_frames`])
+//!   that `semrec-shard`'s logs ride too. A crash mid-append leaves a torn
+//!   tail: the valid prefix replays, the tear surfaces as a typed error.
 //! * **[`Store`]** — the directory of numbered snapshot/WAL pairs:
 //!   [`checkpoint`](Store::checkpoint), [`append_delta`](Store::append_delta),
 //!   [`recover`](Store::recover) (newest loadable snapshot + replay, with
@@ -294,28 +296,30 @@ mod tests {
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
+    /// The committed v1 snapshot (`tests/snapshot_compat.rs` recovers it):
+    /// the only v1 bytes there are, now that nothing encodes the format.
+    fn v1_fixture() -> Vec<u8> {
+        let hex: String = include_str!("../../../tests/fixtures/snapshot-v1.hex")
+            .split_whitespace()
+            .collect();
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("two hex digits per byte"))
+            .collect()
+    }
+
     #[test]
     fn every_single_byte_mutation_of_a_snapshot_is_typed_never_a_panic() {
-        let (engine, view) = world();
-        let bytes = Checkpoint::capture(&engine, &view, 1).encode();
-        for cut in 0..bytes.len() {
-            if let Ok(checkpoint) = Checkpoint::decode(&bytes[..cut]) {
-                let _ = checkpoint.restore();
-            }
-        }
-        // Flipping any single bit must be caught by the checksum (or an
+        // No prefix and no single flipped bit gets past the checksum (or an
         // earlier frame check) — decode can never return Ok.
-        for i in (0..bytes.len()).step_by(7) {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x04;
-            assert!(Checkpoint::decode(&mutated).is_err(), "byte {i} flip went unnoticed");
-        }
+        codec::for_each_mutation(&v1_fixture(), 7, |what, mutated| {
+            assert!(Checkpoint::decode(mutated).is_err(), "{what} went unnoticed");
+        });
     }
 
     #[test]
     fn bad_magic_and_bad_version_snapshots_are_typed() {
-        let (engine, view) = world();
-        let good = Checkpoint::capture(&engine, &view, 1).encode();
+        let good = v1_fixture();
         let mut magic = good.clone();
         magic[..8].copy_from_slice(b"NOTMAGIC");
         assert!(matches!(Checkpoint::decode(&magic), Err(Error::BadMagic { .. })));
@@ -330,6 +334,36 @@ mod tests {
             Checkpoint::decode(&versioned),
             Err(Error::BadVersion { found: 9, expected: SNAPSHOT_VERSION })
         ));
-        assert!(Checkpoint::decode(&good).is_ok());
+        assert!(Checkpoint::decode(&good).unwrap().restore().is_ok());
+    }
+
+    /// A record whose checksum is right but whose diff names an agent the
+    /// view never held (FNV-1a is not a MAC; frames can be spliced between
+    /// logs): replay keeps the valid prefix and reports the rest as
+    /// corruption. It used to trip a `debug_assert!` inside `apply_delta`.
+    #[test]
+    fn checksum_valid_record_for_an_unknown_agent_stops_replay_with_a_typed_error() {
+        let (engine, view) = world();
+        let store = Store::open(scratch("stranger")).unwrap();
+        store.checkpoint(&engine, &view, 1).unwrap();
+        let diff = |uri: &str| CrawlDelta {
+            changed: vec![AgentDiff {
+                uri: uri.into(),
+                trust_set: vec![("http://ex.org/u3".into(), 0.5)],
+                ..AgentDiff::default()
+            }],
+            ..CrawlDelta::default()
+        };
+        let health = SourceHealth::default();
+        store.append_delta(&diff("http://ex.org/u0"), &health).unwrap();
+        store.append_delta(&diff("http://ex.org/stranger"), &health).unwrap();
+        store.append_delta(&diff("http://ex.org/u1"), &health).unwrap();
+
+        let recovery = store.recover().unwrap();
+        assert_eq!(recovery.replayed, 1, "the valid prefix replays, nothing past the stranger");
+        assert_eq!(recovery.epoch, 2);
+        assert!(matches!(recovery.wal_error, Some(Error::Corrupt(_))), "{:?}", recovery.wal_error);
+        assert!(recovery.degraded());
+        std::fs::remove_dir_all(store.dir()).ok();
     }
 }

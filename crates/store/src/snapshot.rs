@@ -1,22 +1,13 @@
-//! The versioned, checksummed binary snapshot of the full model.
+//! Snapshot format v1, read side only, and the field codecs both snapshot
+//! formats and the WAL share.
 //!
-//! A [`Checkpoint`] captures everything a node needs to come back after a
-//! restart and answer byte-identically to a node that never went down:
-//!
-//! * the **standing extraction view** (`Vec<ExtractedAgent>`) — the
-//!   crawler-level truth the community is assembled from, so WAL replay
-//!   can keep using `CommunityBuilder::apply_delta` with agent-id
-//!   numbering preserved;
-//! * the **taxonomy** as raw adjacency parts (exact child order — it
-//!   feeds float summation order in profile generation) and the
-//!   **catalog** (products + descriptors, rebuilt through `add_product`
-//!   in id order, which is exact because descriptors are stored sorted);
-//! * the **engine configuration** down to every leaf field;
-//! * the **source health** of the crawl that produced the view;
-//! * the materialized **profiles**, persisted as raw IEEE-754 bits per
-//!   `(topic, score)` entry so no float is ever re-derived on load;
-//! * the **serve epoch**, so a warm-started server resumes its
-//!   epoch-keyed cache semantics instead of restarting at 1.
+//! No build writes v1 any more ([`crate::arena`] is what `Store::checkpoint`
+//! writes); [`Checkpoint::decode`] and [`Checkpoint::restore`] stay so that
+//! a store written by an earlier build keeps recovering, and the committed
+//! `tests/fixtures/snapshot-v1.hex` is the format's contract. A
+//! [`Checkpoint`] holds everything a node needs to come back after a
+//! restart and answer byte-identically to a node that never went down;
+//! its fields say what, and why in that form.
 //!
 //! On-disk layout (all integers little-endian):
 //!
@@ -29,8 +20,8 @@
 //! [`Error`], never a panic.
 
 use semrec_core::{
-    Community, ProfileStore, Recommender, RecommenderConfig, SharedModel, SimilarityMeasure,
-    SourceHealth, SynthesisStrategy,
+    ProfileStore, Recommender, RecommenderConfig, SharedModel, SimilarityMeasure, SourceHealth,
+    SynthesisStrategy,
 };
 use semrec_profiles::ProfileVector;
 use semrec_taxonomy::{Catalog, Taxonomy, TaxonomyParts, TopicId};
@@ -42,26 +33,30 @@ use crate::error::{Error, Result};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SEMRECSN";
-/// The snapshot format version this build writes and reads.
+/// The frozen per-record snapshot format version (read, never written).
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// One serializable capture of the full model state.
+/// One decoded v1 snapshot: the full model state, record by record.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// The serve epoch the model had reached when captured.
+    /// The serve epoch the model had reached when captured, so a
+    /// warm-started server resumes its epoch-keyed cache semantics.
     pub epoch: u64,
     /// Health of the crawl the standing view came from.
     pub health: SourceHealth,
     /// Engine configuration, every leaf field.
     pub config: RecommenderConfig,
-    /// Raw taxonomy adjacency (exact stored order).
+    /// Raw taxonomy adjacency in exact stored order: child order feeds
+    /// float summation order in profile generation.
     pub taxonomy: TaxonomyParts,
-    /// Catalog rows: `(identifier, title, descriptor topic indices)`.
+    /// Catalog rows `(identifier, title, descriptor topic indices)`, rebuilt
+    /// through `add_product` in id order (exact: descriptors are sorted).
     pub products: Vec<(String, String, Vec<u32>)>,
-    /// The standing extraction view the community assembles from.
+    /// The standing extraction view — the crawler-level truth the community
+    /// assembles from, so WAL replay keeps the agent-id numbering.
     pub view: Vec<ExtractedAgent>,
-    /// Per-agent profiles in agent-id order, entries as
-    /// `(topic index, f64 bits)`.
+    /// Per-agent profiles in agent-id order, entries as `(topic index, f64
+    /// bits)`: no float is ever re-derived on load.
     pub profiles: Vec<Vec<(u32, u64)>>,
 }
 
@@ -80,72 +75,8 @@ pub struct RestoredModel {
 }
 
 impl Checkpoint {
-    /// Captures the model behind `engine`, its standing extraction
-    /// `view`, and the serve `epoch` it is published at.
-    pub fn capture(engine: &Recommender, view: &[ExtractedAgent], epoch: u64) -> Checkpoint {
-        let community = engine.community();
-        let catalog = &community.catalog;
-        let products = catalog
-            .iter()
-            .map(|id| {
-                let p = catalog.product(id);
-                let descriptors =
-                    catalog.descriptors(id).iter().map(|d| d.index() as u32).collect();
-                (p.identifier.clone(), p.title.clone(), descriptors)
-            })
-            .collect();
-        let profiles = engine
-            .profiles()
-            .iter()
-            .map(|v| v.iter().map(|(t, s)| (t.index() as u32, s.to_bits())).collect())
-            .collect();
-        Checkpoint {
-            epoch,
-            health: *engine.source_health(),
-            config: *engine.config(),
-            taxonomy: community.taxonomy.to_parts(),
-            products,
-            view: view.to_vec(),
-            profiles,
-        }
-    }
-
-    /// Serializes to the framed, checksummed byte format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_raw(SNAPSHOT_MAGIC);
-        w.put_u32(SNAPSHOT_VERSION);
-        w.put_u64(self.epoch);
-        encode_health(&mut w, &self.health);
-        encode_config(&mut w, &self.config);
-        encode_taxonomy(&mut w, &self.taxonomy);
-        w.put_len(self.products.len());
-        for (identifier, title, descriptors) in &self.products {
-            w.put_str(identifier);
-            w.put_str(title);
-            w.put_len(descriptors.len());
-            for &d in descriptors {
-                w.put_u32(d);
-            }
-        }
-        w.put_len(self.view.len());
-        for agent in &self.view {
-            encode_agent(&mut w, agent);
-        }
-        w.put_len(self.profiles.len());
-        for profile in &self.profiles {
-            w.put_len(profile.len());
-            for &(topic, bits) in profile {
-                w.put_u32(topic);
-                w.put_u64(bits);
-            }
-        }
-        let checksum = fnv1a64(w.as_bytes());
-        w.put_u64(checksum);
-        w.into_bytes()
-    }
-
-    /// Deserializes bytes produced by [`Checkpoint::encode`], verifying
+    /// Deserializes a v1 snapshot (the frozen per-record format earlier
+    /// builds wrote; `tests/fixtures/snapshot-v1.hex` is one), verifying
     /// magic, version, and checksum first.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
         let payload = check_frame(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "snapshot")?;
@@ -208,12 +139,6 @@ impl Checkpoint {
         }
         let builder = CommunityBuilder::new(&self.view);
         let (community, _stats) = builder.build(taxonomy, catalog);
-        self.install(community)
-    }
-
-    /// Installs the profiles/config/health of this checkpoint onto an
-    /// already-reassembled community (shared with [`Checkpoint::restore`]).
-    fn install(&self, community: Community) -> Result<RestoredModel> {
         if self.profiles.len() != community.agent_count() {
             return Err(Error::Corrupt(format!(
                 "{} profiles for {} assembled agents",
@@ -238,9 +163,9 @@ impl Checkpoint {
     }
 }
 
-/// Validates the `magic | version | payload | checksum` frame shared by
-/// snapshot and WAL files, returning the payload slice.
-pub fn check_frame<'a>(
+/// Validates the `magic | version: u32` header every file of this crate
+/// opens with, returning what follows it.
+pub fn check_header<'a>(
     bytes: &'a [u8],
     magic: &'static [u8; 8],
     version: u32,
@@ -254,20 +179,35 @@ pub fn check_frame<'a>(
         found.copy_from_slice(&bytes[..8]);
         return Err(Error::BadMagic { expected: magic, found });
     }
-    if bytes.len() < 8 + 4 + 8 {
+    if bytes.len() < 12 {
         return Err(Error::Truncated { context });
     }
     let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if found != version {
         return Err(Error::BadVersion { expected: version, found });
     }
-    let body_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(&bytes[..body_end]);
+    Ok(&bytes[12..])
+}
+
+/// Validates a snapshot's `magic | version | payload | fnv1a64(everything
+/// preceding)` frame, returning the payload slice.
+pub fn check_frame<'a>(
+    bytes: &'a [u8],
+    magic: &'static [u8; 8],
+    version: u32,
+    context: &'static str,
+) -> Result<&'a [u8]> {
+    let rest = check_header(bytes, magic, version, context)?;
+    let Some(payload_len) = rest.len().checked_sub(8) else {
+        return Err(Error::Truncated { context });
+    };
+    let (payload, stored) = rest.split_at(payload_len);
+    let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
+    let computed = fnv1a64(&bytes[..bytes.len() - 8]);
     if stored != computed {
         return Err(Error::ChecksumMismatch { computed, stored });
     }
-    Ok(&bytes[12..body_end])
+    Ok(payload)
 }
 
 pub(crate) fn encode_health(w: &mut Writer, h: &SourceHealth) {

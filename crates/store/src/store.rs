@@ -248,19 +248,10 @@ impl Store {
     /// E18). Counts as `store.wal.appended` / `store.wal.appended.bytes`.
     pub fn append_delta(&self, delta: &CrawlDelta, health: &SourceHealth) -> Result<u64> {
         let seq = self.latest_seq()?.ok_or(Error::NoSnapshot)?;
-        let path = self.wal_path(seq);
-        let existing = if path.exists() { count_records(&fs::read(&path)?)? } else { 0 };
-        let record = WalRecord { seq: existing + 1, delta: delta.clone(), health: *health };
-        let framed = encode_record(&record);
-        let mut file = fs::OpenOptions::new().create(true).append(true).open(&path)?;
-        if existing == 0 && file.metadata()?.len() == 0 {
-            file.write_all(&wal_header())?;
-        }
-        file.write_all(&framed)?;
-        file.sync_all()?;
+        let (seq, bytes) = append_record(&self.wal_path(seq), delta, health)?;
         self.metrics.wal_appended.inc();
-        self.metrics.wal_appended_bytes.add(framed.len() as u64);
-        Ok(record.seq)
+        self.metrics.wal_appended_bytes.add(bytes);
+        Ok(seq)
     }
 
     /// Recovers the model: newest loadable snapshot + WAL replay.
@@ -341,11 +332,24 @@ impl Store {
             (Vec::new(), None)
         };
 
-        let mut replayed = 0;
+        // A record that passed its checksum is still not trusted to continue
+        // this log (FNV-1a is not a MAC, and frames can be spliced between
+        // logs): replay stops before the first one that is out of sequence
+        // or names an agent the view does not hold.
+        let mut replayed = 0u64;
         for record in &records {
             let _span = self.metrics.wal_replay_seconds.start_timer();
             let mut builder = CommunityBuilder::new(&view);
-            builder.apply_delta(&record.delta);
+            let unplaced = builder.apply_delta(&record.delta);
+            if record.seq != replayed + 1 || unplaced > 0 {
+                wal_error = Some(Error::Corrupt(format!(
+                    "wal record {} (sequence {}, {unplaced} diffs for agents not in the view) \
+                     does not continue the log",
+                    replayed + 1,
+                    record.seq
+                )));
+                break;
+            }
             let community = engine.community();
             let (next, _stats) =
                 builder.build(community.taxonomy.clone(), community.catalog.clone());
@@ -355,24 +359,11 @@ impl Store {
             replayed += 1;
             self.metrics.wal_replayed.inc();
         }
-        // Surface out-of-order sequence numbers as corruption even when
-        // every checksum passed (e.g. records spliced between logs).
-        if wal_error.is_none() {
-            if let Some(position) =
-                records.iter().enumerate().find(|(i, r)| r.seq != *i as u64 + 1)
-            {
-                wal_error = Some(Error::Corrupt(format!(
-                    "wal record {} carries sequence {}",
-                    position.0 + 1,
-                    position.1.seq
-                )));
-            }
-        }
 
         Ok(Recovery {
             engine,
             view,
-            epoch: snapshot_epoch + replayed as u64,
+            epoch: snapshot_epoch + replayed,
             snapshot_seq: seq,
             snapshot_epoch,
             replayed: replayed as usize,
@@ -436,20 +427,42 @@ fn file_len(path: &Path) -> Result<u64> {
     }
 }
 
-/// Counts intact records in WAL bytes (used to assign append sequence
-/// numbers); torn tails and header damage surface as errors upstream, not
-/// here — an append onto a torn log would hide the tear, so refuse it.
-fn count_records(bytes: &[u8]) -> Result<u64> {
-    let readout = decode_wal(bytes)?;
-    match readout.torn {
-        Some(e) => Err(e),
-        None => Ok(readout.records.len() as u64),
+/// Appends one refresh to the WAL file at `path` (created with its header
+/// when missing), numbered after the records already there. Returns the
+/// record's sequence number and its framed size in bytes.
+///
+/// A torn tail or header damage is returned as the error it is: an append
+/// onto a torn log would hide the tear.
+pub fn append_record(path: &Path, delta: &CrawlDelta, health: &SourceHealth) -> Result<(u64, u64)> {
+    let mut existing = 0;
+    if path.exists() {
+        let readout = decode_wal(&fs::read(path)?)?;
+        if let Some(torn) = readout.torn {
+            return Err(torn);
+        }
+        existing = readout.records.len() as u64;
     }
+    let record = WalRecord { seq: existing + 1, delta: delta.clone(), health: *health };
+    let framed = encode_record(&record);
+    append_framed(path, &wal_header(), &framed)?;
+    Ok((record.seq, framed.len() as u64))
+}
+
+/// Appends framed bytes to the log at `path` and syncs them, writing
+/// `header` first when the file is new or empty.
+pub fn append_framed(path: &Path, header: &[u8], framed: &[u8]) -> Result<()> {
+    let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+    if file.metadata()?.len() == 0 {
+        file.write_all(header)?;
+    }
+    file.write_all(framed)?;
+    file.sync_all()?;
+    Ok(())
 }
 
 /// Writes via a temp file + rename, so the target name never holds a
 /// partial file. (Same-directory rename keeps it on one filesystem.)
-fn write_atomically(path: &Path, bytes: &[u8]) -> Result<()> {
+pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut file = fs::File::create(&tmp)?;

@@ -8,18 +8,25 @@
 //! exact code path a live refresh takes, so a replayed model is
 //! byte-identical to the model the appender had.
 //!
-//! On-disk layout:
+//! On-disk layout — this is its one home; every append-only log in the
+//! workspace (this WAL, and `semrec-shard`'s directory and boundary logs)
+//! is a header followed by frames, written by [`frame`] and walked by
+//! [`read_frames`] and by nothing else:
 //!
 //! ```text
-//! "SEMRECWL" | version: u32
+//! magic: 8 bytes | version: u32               ("SEMRECWL", 1 for the WAL)
 //! repeated: payload_len: u32 | fnv1a64(payload): u64 | payload
 //! ```
 //!
-//! Each record is independently checksummed, so a crash mid-append leaves
+//! A WAL payload is `seq: u64 | health | delta` ([`encode_record`]).
+//!
+//! Each frame is independently checksummed, so a crash mid-append leaves
 //! a *torn tail*: the valid prefix replays normally and the tail surfaces
 //! as a typed error ([`WalReadout::torn`]) instead of poisoning the whole
 //! log. Header-level damage (bad magic/version) is fatal for the log and
-//! makes recovery fall back to an older snapshot.
+//! makes recovery fall back to an older snapshot. FNV-1a is a checksum, not
+//! a MAC: a record that passes it is still checked against the view it is
+//! replayed onto (`Store::recover`).
 
 use semrec_core::SourceHealth;
 use semrec_web::delta::{AgentDiff, CrawlDelta};
@@ -27,8 +34,8 @@ use semrec_web::delta::{AgentDiff, CrawlDelta};
 use crate::codec::{fnv1a64, Reader, Writer};
 use crate::error::{Error, Result};
 use crate::snapshot::{
-    decode_agent, decode_health, decode_scored_list, decode_string_list, encode_agent,
-    encode_health, encode_scored_list, encode_string_list,
+    check_header, decode_agent, decode_health, decode_scored_list, decode_string_list,
+    encode_agent, encode_health, encode_scored_list, encode_string_list,
 };
 
 /// Magic bytes opening every WAL file.
@@ -57,12 +64,60 @@ pub struct WalReadout {
     pub torn: Option<Error>,
 }
 
+/// The bytes of an empty log: `magic | version`.
+pub fn log_header(magic: &[u8; 8], version: u32) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_raw(magic);
+    w.put_u32(version);
+    w.into_bytes()
+}
+
 /// The bytes of an empty WAL (header only).
 pub fn wal_header() -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_raw(WAL_MAGIC);
-    w.put_u32(WAL_VERSION);
-    w.into_bytes()
+    log_header(WAL_MAGIC, WAL_VERSION)
+}
+
+/// One frame, ready to append: `payload_len: u32 | fnv1a64(payload): u64 |
+/// payload`.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut framed = Writer::new();
+    framed.put_u32(u32::try_from(payload.len()).expect("a frame payload fits in u32"));
+    framed.put_u64(fnv1a64(payload));
+    framed.put_raw(payload);
+    framed.into_bytes()
+}
+
+/// Walks a whole log: the payload of every intact frame, in order, plus the
+/// typed reason the walk stopped early (`None` when the log ended cleanly).
+///
+/// Header damage (short file, bad magic, unsupported version) is a hard
+/// `Err` — nothing in the log can be trusted. Frame-level damage stops the
+/// walk at the last intact frame.
+pub fn read_frames<'a>(
+    bytes: &'a [u8],
+    magic: &'static [u8; 8],
+    version: u32,
+) -> Result<(Vec<&'a [u8]>, Option<Error>)> {
+    let mut rest = check_header(bytes, magic, version, "log header")?;
+    let mut payloads = Vec::new();
+    while !rest.is_empty() {
+        if rest.len() < 12 {
+            return Ok((payloads, Some(Error::Truncated { context: "log frame" })));
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        let stored = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
+        if rest.len() - 12 < len {
+            return Ok((payloads, Some(Error::Truncated { context: "log frame payload" })));
+        }
+        let payload = &rest[12..12 + len];
+        let computed = fnv1a64(payload);
+        if computed != stored {
+            return Ok((payloads, Some(Error::ChecksumMismatch { computed, stored })));
+        }
+        payloads.push(payload);
+        rest = &rest[12 + len..];
+    }
+    Ok((payloads, None))
 }
 
 /// Serializes one record as a framed, checksummed entry ready to append.
@@ -71,56 +126,19 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     payload.put_u64(record.seq);
     encode_health(&mut payload, &record.health);
     encode_delta(&mut payload, &record.delta);
-    let payload = payload.into_bytes();
-    let mut framed = Writer::new();
-    framed.put_u32(payload.len() as u32);
-    framed.put_u64(fnv1a64(&payload));
-    framed.put_raw(&payload);
-    framed.into_bytes()
+    frame(payload.as_bytes())
 }
 
 /// Reads a whole WAL byte buffer.
 ///
-/// Header damage (short file, bad magic, unsupported version) is a hard
-/// `Err` — nothing in the log can be trusted. Record-level damage stops
-/// the read at the last intact record, with the valid prefix in
-/// [`WalReadout::records`] and the typed cause in [`WalReadout::torn`].
+/// Header damage is a hard `Err` ([`read_frames`]). Record-level damage —
+/// a torn frame, or a payload that is not a record — stops the read at the
+/// last intact record, with the valid prefix in [`WalReadout::records`] and
+/// the typed cause in [`WalReadout::torn`].
 pub fn decode_wal(bytes: &[u8]) -> Result<WalReadout> {
-    if bytes.len() < 8 {
-        return Err(Error::Truncated { context: "wal header" });
-    }
-    if &bytes[..8] != WAL_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[..8]);
-        return Err(Error::BadMagic { expected: WAL_MAGIC, found });
-    }
-    if bytes.len() < 12 {
-        return Err(Error::Truncated { context: "wal header" });
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != WAL_VERSION {
-        return Err(Error::BadVersion { expected: WAL_VERSION, found: version });
-    }
-
-    let mut readout = WalReadout::default();
-    let mut rest = &bytes[12..];
-    while !rest.is_empty() {
-        if rest.len() < 12 {
-            readout.torn = Some(Error::Truncated { context: "wal record frame" });
-            break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let stored = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
-        if rest.len() < 12 + len {
-            readout.torn = Some(Error::Truncated { context: "wal record payload" });
-            break;
-        }
-        let payload = &rest[12..12 + len];
-        let computed = fnv1a64(payload);
-        if computed != stored {
-            readout.torn = Some(Error::ChecksumMismatch { computed, stored });
-            break;
-        }
+    let (payloads, torn) = read_frames(bytes, WAL_MAGIC, WAL_VERSION)?;
+    let mut readout = WalReadout { records: Vec::with_capacity(payloads.len()), torn };
+    for payload in payloads {
         match decode_payload(payload) {
             Ok(record) => readout.records.push(record),
             Err(e) => {
@@ -128,7 +146,6 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalReadout> {
                 break;
             }
         }
-        rest = &rest[12 + len..];
     }
     Ok(readout)
 }
@@ -204,6 +221,7 @@ fn decode_delta(r: &mut Reader<'_>) -> Result<CrawlDelta> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::for_each_mutation;
     use semrec_web::extract::ExtractedAgent;
 
     fn record(seq: u64) -> WalRecord {
@@ -293,16 +311,28 @@ mod tests {
 
     #[test]
     fn no_mutation_of_a_small_log_panics() {
-        // Exhaustive single-byte corruption: every truncation and every
-        // bit-flip must come back as a typed result, never a panic.
-        let bytes = log(&[record(1)]);
-        for cut in 0..bytes.len() {
-            let _ = decode_wal(&bytes[..cut]);
-        }
-        for i in 0..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x01;
-            let _ = decode_wal(&mutated);
-        }
+        // Exhaustive single-byte corruption: every truncation and a bit-flip
+        // in every byte must come back as a typed result, never a panic,
+        // holding a prefix of what was written — the whole of it never (a
+        // cut on a frame boundary is a clean, shorter log).
+        let records = [record(1), record(2)];
+        for_each_mutation(&log(&records), 1, |what, mutated| {
+            if let Ok(readout) = decode_wal(mutated) {
+                assert!(records.starts_with(&readout.records), "{what}: invented a record");
+                assert!(readout.records.len() < records.len(), "{what}: went unnoticed");
+            }
+        });
+    }
+
+    #[test]
+    fn frames_round_trip_under_any_header() {
+        let mut bytes = log_header(b"SOMELOG1", 7);
+        bytes.extend_from_slice(&frame(b"first"));
+        bytes.extend_from_slice(&frame(b""));
+        let (payloads, torn) = read_frames(&bytes, b"SOMELOG1", 7).unwrap();
+        assert_eq!(payloads, [&b"first"[..], &b""[..]]);
+        assert!(torn.is_none());
+        assert!(matches!(read_frames(&bytes, b"SOMELOG1", 8), Err(Error::BadVersion { found: 7, .. })));
+        assert!(matches!(read_frames(&bytes, WAL_MAGIC, 7), Err(Error::BadMagic { .. })));
     }
 }

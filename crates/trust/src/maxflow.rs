@@ -40,11 +40,6 @@ impl FlowNetwork {
         u32::try_from(self.adj.len() - 1).expect("flow network exceeds u32 nodes")
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Adds a directed edge with the given capacity, returning its id.
     ///
     /// A residual reverse edge (capacity 0) is added automatically; edge ids

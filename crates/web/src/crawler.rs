@@ -529,7 +529,12 @@ impl CommunityBuilder {
     /// Folds a refresh round's delta into the standing view. After this,
     /// the list equals what the refresh crawl extracted — byte-identical to
     /// `CommunityBuilder::new(&refresh_result.agents)`.
-    pub fn apply_delta(&mut self, delta: &CrawlDelta) {
+    ///
+    /// Returns how many `changed` diffs named an agent the view does not
+    /// hold and were skipped: 0 for a delta emitted against this view, so
+    /// anything else tells a caller replaying stored deltas that the record
+    /// does not belong to this view.
+    pub fn apply_delta(&mut self, delta: &CrawlDelta) -> usize {
         for uri in &delta.removed {
             if let Ok(pos) = self.agents.binary_search_by(|a| a.uri.as_str().cmp(uri)) {
                 self.agents.remove(pos);
@@ -541,14 +546,14 @@ impl CommunityBuilder {
                 Err(pos) => self.agents.insert(pos, agent.clone()),
             }
         }
+        let mut unplaced = 0;
         for diff in &delta.changed {
-            let Ok(pos) = self.agents.binary_search_by(|a| a.uri.as_str().cmp(&diff.uri))
-            else {
-                debug_assert!(false, "changed agent {} missing from standing view", diff.uri);
-                continue;
-            };
-            apply_diff(&mut self.agents[pos], diff);
+            match self.agents.binary_search_by(|a| a.uri.as_str().cmp(&diff.uri)) {
+                Ok(pos) => apply_diff(&mut self.agents[pos], diff),
+                Err(_) => unplaced += 1,
+            }
         }
+        unplaced
     }
 
     /// Assembles the community: agents in URI order, then trustees seen

@@ -4,14 +4,13 @@
 //! `tests/proptest_appleseed.rs`); for *any* random rating churn the slab
 //! store's incremental `advance` must land on the exact slab a fresh
 //! build produces; and for *any* random crawled world the v2 arena
-//! snapshot must round-trip to a model byte-identical to the v1
-//! per-record path.
+//! snapshot must round-trip to a model byte-identical to the live one.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 use semrec::core::{Community, ProfileStore, Recommender, RecommenderConfig};
-use semrec::store::{decode_v2, encode_v2, sniff_version, Checkpoint, SNAPSHOT_V2};
+use semrec::store::{decode_v2, encode_v2, sniff_version, SNAPSHOT_V2};
 use semrec::taxonomy::fixtures::example1;
 use semrec::trust::CsrGraph;
 use semrec::web::crawler::{crawl, CommunityBuilder, CrawlConfig};
@@ -141,7 +140,7 @@ proptest! {
     }
 
     /// v2 arena snapshots round-trip any crawled world to a model
-    /// byte-identical to the v1 per-record restore path.
+    /// byte-identical to the live one.
     #[test]
     fn v2_snapshot_round_trips_any_world(
         (n, trust, ratings) in arb_world(),
@@ -160,8 +159,6 @@ proptest! {
         let v2 = encode_v2(&engine, builder.agents(), epoch);
         prop_assert_eq!(sniff_version(&v2), Some(SNAPSHOT_V2));
         let restored = decode_v2(&v2).expect("own encoding decodes");
-        let v1 = Checkpoint::capture(&engine, builder.agents(), epoch).encode();
-        let from_v1 = Checkpoint::decode(&v1).unwrap().restore().unwrap();
 
         prop_assert_eq!(restored.epoch, epoch);
         prop_assert_eq!(&restored.view, builder.agents());
@@ -170,10 +167,7 @@ proptest! {
                 .into_iter().map(|r| (r.product, r.score.to_bits())).collect();
             let v2r: Vec<(ProductId, u64)> = restored.engine.recommend(a, 10).unwrap()
                 .into_iter().map(|r| (r.product, r.score.to_bits())).collect();
-            let v1r: Vec<(ProductId, u64)> = from_v1.engine.recommend(a, 10).unwrap()
-                .into_iter().map(|r| (r.product, r.score.to_bits())).collect();
             prop_assert_eq!(&v2r, &live);
-            prop_assert_eq!(&v1r, &live);
         }
     }
 }

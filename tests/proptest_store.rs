@@ -1,16 +1,15 @@
-//! Persistence properties: for *any* random community, a checkpoint must
-//! round-trip through the on-disk snapshot format to a byte-identical
-//! model, and for *any* random republish sequence appended to the WAL,
-//! recovery (snapshot + replay) must land bit-for-bit on the state the
-//! never-restarted pipeline computes — the headline guarantee of
-//! `semrec-store`.
+//! Persistence property: for *any* random community and *any* random
+//! republish sequence appended to the WAL, recovery (snapshot + replay)
+//! must land bit-for-bit on the state the never-restarted pipeline
+//! computes — the headline guarantee of `semrec-store`. (The snapshot
+//! round trip on its own is `tests/proptest_arena.rs`.)
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use semrec::core::{Community, Recommender, RecommenderConfig};
-use semrec::store::{Checkpoint, Store};
+use semrec::store::Store;
 use semrec::taxonomy::fixtures::example1;
 use semrec::web::crawler::{crawl, refresh, CommunityBuilder, CrawlConfig};
 use semrec::web::publish::{homepage_turtle, homepage_uri, publish_community};
@@ -144,44 +143,8 @@ fn arb_world() -> impl Strategy<Value = World> {
     })
 }
 
-/// Crawls the published world into a builder + engine, the way a live
-/// node bootstraps.
-fn bootstrap(source: &Community, web: &DocumentWeb, seeds: &[String]) -> (CommunityBuilder, Recommender) {
-    let first = crawl(web, seeds, &CrawlConfig::default());
-    let builder = CommunityBuilder::new(&first.agents);
-    let (community, _) = builder.build(source.taxonomy.clone(), source.catalog.clone());
-    let engine = Recommender::new(community, RecommenderConfig::default());
-    (builder, engine)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Snapshot round trip: capture → encode → decode → restore lands on a
-    /// byte-identical model, without touching disk state.
-    #[test]
-    fn snapshot_round_trip_is_byte_identical(
-        (n, trust, ratings) in arb_world(),
-        epoch in 1u64..100,
-    ) {
-        let source = build(n, &trust, &ratings);
-        let web = DocumentWeb::new();
-        publish_community(&source, &web);
-        let seeds: Vec<String> =
-            source.agents().map(|a| source.agent(a).unwrap().uri.clone()).collect();
-        let (builder, engine) = bootstrap(&source, &web, &seeds);
-
-        let bytes = Checkpoint::capture(&engine, builder.agents(), epoch).encode();
-        let restored = Checkpoint::decode(&bytes)
-            .expect("own encoding decodes")
-            .restore()
-            .expect("own encoding restores");
-
-        prop_assert_eq!(restored.epoch, epoch);
-        prop_assert_eq!(&restored.view, builder.agents());
-        prop_assert_eq!(render(restored.engine.community()), render(engine.community()));
-        prop_assert_eq!(render_recs(&restored.engine), render_recs(&engine));
-    }
 
     /// Snapshot + WAL: checkpoint once, append every refresh delta, then
     /// recover — the recovered node must be bit-for-bit the node that

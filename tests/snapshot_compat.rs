@@ -7,17 +7,14 @@
 //! checkpoint after such a recovery upgrades the store to v2 through the
 //! same path.
 //!
-//! Regenerate the fixture (only if the *world construction* below changes,
-//! never for format reasons — v1 is frozen) with:
-//!
-//! ```text
-//! cargo test --test snapshot_compat regenerate_v1_fixture -- --ignored
-//! ```
+//! Nothing in the tree can write that file again — the v1 encoder is
+//! deleted, the committed hex is the format's contract — so `world()` below
+//! is what the fixture holds, and must not change.
 
 use std::path::PathBuf;
 
 use semrec::core::{Recommender, RecommenderConfig};
-use semrec::store::{sniff_version, wal_header, Checkpoint, Store, SNAPSHOT_V2, SNAPSHOT_VERSION};
+use semrec::store::{sniff_version, wal_header, Store, SNAPSHOT_V2, SNAPSHOT_VERSION};
 use semrec::taxonomy::fixtures::example1;
 use semrec::web::crawler::CommunityBuilder;
 use semrec::web::extract::ExtractedAgent;
@@ -27,8 +24,8 @@ fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/snapshot-v1.hex")
 }
 
-/// The deterministic six-agent ring world over Example 1 — no RNG, so the
-/// fixture captured from it stays reproducible forever.
+/// The deterministic six-agent ring world over Example 1 the fixture was
+/// captured from.
 fn world() -> (Recommender, Vec<ExtractedAgent>) {
     let e = example1();
     let ids: Vec<String> =
@@ -61,23 +58,6 @@ fn fingerprint(engine: &Recommender) -> Vec<(AgentId, ProductId, u64)> {
         }
     }
     out
-}
-
-/// One-shot fixture writer; `--ignored` only. Kept next to the test so the
-/// world definition cannot drift from what the fixture captured.
-#[test]
-#[ignore]
-fn regenerate_v1_fixture() {
-    let (engine, view) = world();
-    let bytes = Checkpoint::capture(&engine, &view, 1).encode();
-    let mut hex = String::new();
-    for line in bytes.chunks(32) {
-        hex.extend(line.iter().map(|b| format!("{b:02x}")));
-        hex.push('\n');
-    }
-    std::fs::create_dir_all(fixture_path().parent().unwrap()).unwrap();
-    std::fs::write(fixture_path(), hex).unwrap();
-    println!("wrote {} bytes as hex to {}", bytes.len(), fixture_path().display());
 }
 
 /// The committed fixture's bytes.
