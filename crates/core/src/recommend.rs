@@ -51,20 +51,38 @@ pub fn vote(
     weighted_peers: &[(AgentId, f64)],
     params: &VotingParams,
 ) -> Vec<Recommendation> {
+    let target_ratings: &[(ProductId, f64)] = if target.index() < community.agent_count() {
+        community.ratings_of(target)
+    } else {
+        &[]
+    };
+    let peers = weighted_peers.iter().map(|&(peer, weight)| (community.ratings_of(peer), weight));
+    vote_by(community.catalog.len(), target_ratings, peers, params)
+}
+
+/// [`vote`] over ratings the caller looks up: `peers` yields each peer's
+/// ratings with its weight, in peer order, and `target_ratings` are the
+/// products never to recommend. Every product's score receives its addends
+/// in peer order, so a caller that keeps ratings elsewhere — on shards —
+/// gets [`vote`]'s bits.
+pub fn vote_by<'a>(
+    catalog_len: usize,
+    target_ratings: &[(ProductId, f64)],
+    peers: impl IntoIterator<Item = (&'a [(ProductId, f64)], f64)>,
+    params: &VotingParams,
+) -> Vec<Recommendation> {
     let mut out: Vec<Recommendation> = Vec::new();
     TALLY.with_borrow_mut(|tally| {
-        tally.reset(community.catalog.len());
+        tally.reset(catalog_len);
         // Never recommend what the user already rated.
-        if target.index() < community.agent_count() {
-            for &(product, _) in community.ratings_of(target) {
-                tally.mark(product, Tally::RATED);
-            }
+        for &(product, _) in target_ratings {
+            tally.mark(product, Tally::RATED);
         }
-        for &(peer, weight) in weighted_peers {
+        for (ratings, weight) in peers {
             if weight <= 0.0 {
                 continue;
             }
-            for &(product, rating) in community.ratings_of(peer) {
+            for &(product, rating) in ratings {
                 if rating <= params.min_rating {
                     continue;
                 }

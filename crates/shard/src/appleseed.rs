@@ -6,24 +6,43 @@
 //! 1. **Compute** — every shard advances the energy wave over its own
 //!    members exactly as the unsharded metric would, walking each node's
 //!    out-star (local and boundary edges merged in global-id order, so
-//!    normalization sums are performed in the same floating-point order as
-//!    the global graph walk). Energy shares destined for remote agents are
-//!    appended to per-destination-shard *frontier buckets* (`Packet`s)
-//!    instead of being applied directly. Shards only touch their own wave
-//!    and their own buckets in this phase, so the order they are visited in
-//!    never affects results.
-//! 2. **Exchange** — a barrier flushes every bucket: packets are applied
-//!    destination shard by destination shard, source shard by source
-//!    shard, in append order. Discovery, the node cap, and distrust
-//!    penalties behave as in the global metric, with rerouted energy
-//!    returned to the source node.
+//!    every sum sees the global graph walk's edge order). A share for an
+//!    agent on another shard is added, like a local one, to an accumulator
+//!    of that destination on the sending shard (its *ghost*, below), and
+//!    what the shard's nodes owe a source on another shard to one sum.
+//!    Shards only touch their own wave and accumulators in this phase, so
+//!    the order they are visited in never affects results.
+//! 2. **Exchange** — a barrier delivers **one packet per (sending shard,
+//!    destination node) that received a share this round**, carrying the
+//!    summed energy, the summed distrust penalty and the largest single
+//!    penalty share, plus one source-bound packet per shard that owes the
+//!    source anything. Packets are applied destination shard by destination
+//!    shard, sending shard by sending shard (its source-bound packet first,
+//!    then its ghosts in activation order). Discovery, the node cap, and
+//!    distrust penalties behave as in the global metric, with rerouted
+//!    energy returned to the source node; convergence sees each penalty
+//!    share, not their sum.
 //!
 //! The protocol converges when no rank anywhere moved by more than the
 //! convergence threshold during a round. With one shard no packet is ever
-//! created and the computation is bit-identical to the global metric; with
-//! more shards the fixpoint is the same but iteration interleaving differs,
-//! so ranks agree to within the convergence threshold (the equivalence
+//! sent and the computation is bit-identical to the global metric; with
+//! more shards the fixpoint is the same but additions are reassociated, so
+//! ranks agree to within the convergence threshold (the equivalence
 //! property suite pins both statements).
+//!
+//! # Ghosts
+//!
+//! A shard's distinct remote trustees are numbered once, with the model, as
+//! its *ghost table* (`Shard::ghosts`, `(destination shard, destination
+//! local id)`); a boundary edge names its ghost. In a run a ghost is
+//! *activated* when the first star holding it is expanded: it gets the next
+//! slot of the shard's struct-of-arrays ghost arenas, the hop distance
+//! `distance + 1` of that star's node, and a place at the end of its
+//! destination shard's list. That is exactly when, and from where, a
+//! protocol with one packet per edge sends its first packet to the node, so
+//! discovery order, hop distances, each shard's cap decisions,
+//! `iterations` and `nodes_discovered` are what such a protocol gives: only
+//! the order of additions moves.
 //!
 //! # The kernel
 //!
@@ -33,68 +52,60 @@
 //! — its module docs are their one home — applied per shard. What differs
 //! here:
 //!
-//! * A node's out-star is resolved into flat per-shard arenas: `succ`/
-//!   `powered` — wave index and powered weight — for trust and then
-//!   distrust edges to local wave nodes, and `remote` — `(destination shard,
-//!   destination local id, powered weight)` — for trust and then distrust
-//!   edges that leave the shard. The shard's out-stars carry no powered
-//!   weights, so `|w|^p` is taken here, once per wave node per query.
+//! * `|w|^p` per edge and each member's trust and distrust sums are frozen
+//!   with the shard (`Shard::assemble`), for the model's `spreading_power`;
+//!   a run asking for another exponent is a typed
+//!   `TrustError::InvalidParameter`.
+//! * A node's out-star is resolved into flat per-shard arenas in one pass:
+//!   `succ`/`powered` — wave index and powered weight — for trust and then
+//!   distrust edges to local wave nodes, and `remote`/`remote_powered` —
+//!   ghost slot and powered weight — for trust and then distrust edges that
+//!   leave the shard. A remote trust share is then `ghost_energy[slot] +=
+//!   unit·pw`, a remote distrust share adds to `ghost_penalty[slot]` and
+//!   raises `ghost_max[slot]`: dense adds, like a local edge.
 //! * `source_weight` also takes statements about a source that lives on
-//!   another shard. On the source's shard the pass adds
-//!   `unit · source_weight` to the source; on any other shard it pushes that
-//!   as **one packet per active node per round**, addressed to the source.
-//! * Every other remote edge is one packet push per round into buckets that
-//!   are emptied at the barrier and reused. A remote edge freezes only what
-//!   is immutable, its address and powered weight: whether the destination
-//!   is known, discoverable or past its shard's cap is still decided at the
-//!   barrier, every round, by the shard that owns it, through that shard's
-//!   stamped table. The node cap is per shard — compute phase and barrier
-//!   test the same wave — so "unknown and past the cap" is final for a
-//!   *local* successor exactly as in the monolith.
+//!   another shard. On the source's shard the pass adds `unit ·
+//!   source_weight` to the source; any other shard sums it into
+//!   `to_source`, one packet per round.
+//! * A ghost's destination wave index is resolved at the barrier of its
+//!   activation round, by the owning shard through its stamped table, and
+//!   cached in the slot. Both outcomes are final: the destination's wave
+//!   index never moves, and past the owning shard's cap (compute phase and
+//!   barrier test the same wave, which only grows) "unknown" stays unknown
+//!   — its energy goes back to the source and its penalty is dropped, every
+//!   round.
 //!
 //! Rounds run on the caller's thread; queries run in parallel one level up,
 //! in `ShardedModel::recommend_batch`.
 //!
 //! **Bit-identity contract.** At every shard count the kernel returns what
 //! the straightforward loop returns (kept as the test oracle in
-//! `appleseed/oracle.rs`): the same `f64` bits for every rank, the same
-//! `iterations`, `nodes_discovered`, `converged`, `exchange_rounds` and
-//! `frontier_packets`. Nodes are discovered in the same order, packets are
-//! appended and applied in the same order, and every accumulator receives
-//! the same addends in the same order.
+//! `appleseed/oracle.rs`, which keeps one packet per edge and combines them
+//! at the barrier by the rule above): the same `f64` bits for every rank,
+//! the same `iterations`, `nodes_discovered`, `converged`,
+//! `exchange_rounds` and `frontier_packets`. Nodes are discovered in the
+//! same order, packets are applied in the same order, and every accumulator
+//! receives the same addends in the same order.
 //!
 //! The two kernels share a definition and a design and no code: the shard's
-//! pass pushes packets and addresses the source in two ways, the monolith's
-//! does neither, and one loop serving both would carry that choice — a
-//! branch or a type parameter — into the monolith's inner loop.
+//! pass sums into ghosts and addresses the source in two ways, the
+//! monolith's does neither, and one loop serving both would carry that
+//! choice — a branch or a type parameter — into the monolith's inner loop.
 //!
 //! All of it lives in a per-thread scratch reused from query to query, so a
 //! warm query allocates only the ranking it returns. The scratch keeps the
-//! capacity of the largest waves it has held and eight bytes per agent of
-//! the largest shards it has seen.
+//! capacity of the largest waves it has held, eight bytes per agent of the
+//! largest shards it has seen and eight bytes per ghost of the largest
+//! ghost tables.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use semrec_trust::appleseed::AppleseedParams;
-use semrec_trust::Result;
+use semrec_trust::{Result, TrustError};
 
-use crate::model::{Shard, Target};
+use crate::model::{Ghost, Shard, Target};
 use crate::partition::GlobalId;
-
-/// One unit of boundary-frontier traffic: energy (or a distrust penalty)
-/// flushed to an agent owned by another shard.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Packet {
-    /// Destination agent, as the owning shard's local index.
-    dest_local: u32,
-    /// Hop distance assigned if this packet discovers the destination.
-    distance: u32,
-    /// Positive trust energy to deposit into `energy_next`.
-    energy: f64,
-    /// Terminal distrust penalty to subtract from the rank.
-    penalty: f64,
-}
 
 /// Result of a sharded Appleseed run, keyed by global ordinal.
 #[derive(Clone, Debug)]
@@ -111,7 +122,9 @@ pub struct ShardedAppleseedResult {
     pub converged: bool,
     /// Rounds in which at least one frontier packet crossed shards.
     pub exchange_rounds: usize,
-    /// Frontier packets delivered at the barriers of those rounds.
+    /// Frontier packets delivered at the barriers of those rounds: at most
+    /// one per (sending shard, destination node) and one source-bound
+    /// packet per sending shard, per round.
     pub frontier_packets: usize,
 }
 
@@ -130,9 +143,16 @@ pub(crate) fn sharded_appleseed(
     schedule: &[usize],
 ) -> Result<ShardedAppleseedResult> {
     params.validate()?;
+    if shards.iter().any(|shard| shard.spreading_power != params.spreading_power) {
+        return Err(TrustError::InvalidParameter {
+            name: "spreading_power",
+            value: params.spreading_power,
+            expected: "the exponent the shards were frozen for",
+        });
+    }
     let source_local = local_of[source.index()];
     if source_local == u32::MAX {
-        return Err(semrec_trust::TrustError::UnknownAgent(source.index()));
+        return Err(TrustError::UnknownAgent(source.index()));
     }
 
     Ok(SCRATCH.with_borrow_mut(|scratch| {
@@ -148,27 +168,12 @@ thread_local! {
 }
 
 /// Where the source lives, seen from one shard.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum SourceAt {
     /// On this shard, as wave node 0.
     Here,
     /// On another shard, reached by packet.
-    Shard { shard: u32, local: u32 },
-}
-
-impl SourceAt {
-    /// True if the source is the member `local` of the other shard `shard`.
-    fn is_at(self, shard: u32, local: u32) -> bool {
-        matches!(self, SourceAt::Shard { shard: s, local: l } if s == shard && l == local)
-    }
-}
-
-/// A resolved edge that leaves the shard for an agent other than the source.
-#[derive(Clone, Copy)]
-struct RemoteEdge {
-    shard: u32,
-    local: u32,
-    powered: f64,
+    Remote(Ghost),
 }
 
 /// A wave node's resolved out-star, as ranges of its shard's arenas, plus
@@ -180,8 +185,9 @@ struct Star {
     /// `pos_end..end` of `succ`/`powered`: distrust edges into the local wave.
     pos_end: usize,
     end: usize,
-    /// `remote_start..remote_pos_end` of `remote`: trust edges out of the
-    /// shard; `remote_pos_end..remote_end`: distrust edges out of it.
+    /// `remote_start..remote_pos_end` of `remote`/`remote_powered`: trust
+    /// edges out of the shard; `remote_pos_end..remote_end`: distrust edges
+    /// out of it.
     remote_start: usize,
     remote_pos_end: usize,
     remote_end: usize,
@@ -203,6 +209,11 @@ impl Star {
     };
 }
 
+/// `ghost_wave` of a slot whose destination has not been resolved yet.
+const UNRESOLVED: u32 = u32::MAX;
+/// `ghost_wave` of a slot whose destination lies past its shard's cap.
+const CAPPED: u32 = u32::MAX - 1;
+
 /// One shard's slice of the energy wave and its arenas; see the module docs.
 #[derive(Default)]
 struct ShardWave {
@@ -219,21 +230,43 @@ struct ShardWave {
     // successor's wave index and the weight raised to `spreading_power`.
     succ: Vec<u32>,
     powered: Vec<f64>,
-    /// Edges whose share travels by packet.
-    remote: Vec<RemoteEdge>,
-    /// Powered weights of the star being resolved, between its two passes.
-    parked: Vec<f64>,
+    // The remote edge arenas, likewise: the ghost's slot and the powered
+    // weight.
+    remote: Vec<u32>,
+    remote_powered: Vec<f64>,
+    // The activated ghosts, one slot each in activation order, as parallel
+    // arrays: destination local id, hop distance, destination wave index
+    // (`UNRESOLVED`, `CAPPED` or an index), and this round's summed
+    // energy, summed penalty, largest penalty share and whether any share
+    // arrived.
+    ghost_local: Vec<u32>,
+    ghost_distance: Vec<u32>,
+    ghost_wave: Vec<u32>,
+    ghost_energy: Vec<f64>,
+    ghost_penalty: Vec<f64>,
+    ghost_max: Vec<f64>,
+    ghost_touched: Vec<bool>,
+    /// Per destination shard, its activated ghosts' slots in activation
+    /// order.
+    outbound: Vec<Vec<u32>>,
+    /// This round's energy owed to a source on another shard, and whether
+    /// any node forwarded (and so owes a packet, however small).
+    to_source: f64,
+    owes_source: bool,
     // Dense local id → wave index: `wave_index[a]` is valid iff
     // `stamp[a] == generation`, so starting a query is one increment
-    // instead of a clear.
+    // instead of a clear. Ghost id → slot likewise, through `slot_stamp`.
     wave_index: Vec<u32>,
     stamp: Vec<u32>,
+    slot_of: Vec<u32>,
+    slot_stamp: Vec<u32>,
     generation: u32,
 }
 
 impl ShardWave {
-    /// Empties the wave and makes room for a shard of `members` agents.
-    fn reset(&mut self, members: usize) {
+    /// Empties the wave and makes room for `shard` in a model of `shards`
+    /// shards.
+    fn reset(&mut self, shard: &Shard, shards: usize) {
         self.local.clear();
         self.distance.clear();
         self.rank.clear();
@@ -243,13 +276,32 @@ impl ShardWave {
         self.succ.clear();
         self.powered.clear();
         self.remote.clear();
-        if self.stamp.len() < members {
-            self.stamp.resize(members, 0);
-            self.wave_index.resize(members, 0);
+        self.remote_powered.clear();
+        self.ghost_local.clear();
+        self.ghost_distance.clear();
+        self.ghost_wave.clear();
+        self.ghost_energy.clear();
+        self.ghost_penalty.clear();
+        self.ghost_max.clear();
+        self.ghost_touched.clear();
+        if self.outbound.len() < shards {
+            self.outbound.resize_with(shards, Vec::new);
+        }
+        self.outbound.iter_mut().for_each(Vec::clear);
+        self.to_source = 0.0;
+        self.owes_source = false;
+        if self.stamp.len() < shard.len() {
+            self.stamp.resize(shard.len(), 0);
+            self.wave_index.resize(shard.len(), 0);
+        }
+        if self.slot_stamp.len() < shard.ghosts.len() {
+            self.slot_stamp.resize(shard.ghosts.len(), 0);
+            self.slot_of.resize(shard.ghosts.len(), 0);
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             self.stamp.fill(0);
+            self.slot_stamp.fill(0);
             self.generation = 1;
         }
     }
@@ -271,8 +323,7 @@ impl ShardWave {
     /// The wave index of the member `local`, discovering it at `distance`
     /// if this shard's wave may still grow. Once `max_nodes` is hit no
     /// member is ever discovered again, so `None` is final for a given
-    /// member: a local edge can freeze it, the barrier simply meets it
-    /// again.
+    /// member: a local edge or a ghost slot can freeze it.
     fn resolve(&mut self, local: u32, distance: u32, params: &AppleseedParams) -> Option<u32> {
         if self.stamp[local as usize] == self.generation {
             Some(self.wave_index[local as usize])
@@ -283,71 +334,79 @@ impl ShardWave {
         }
     }
 
-    /// Resolves node `i`'s out-star into the arenas, discovering its local
-    /// successors. Runs once per node, when it first holds energy — the
-    /// moment the reference loop walks these edges for the first time, so
-    /// discovery order is the same.
+    /// The slot of `shard`'s ghost `ghost`, activating it at `distance` the
+    /// first time a star holding it is expanded in this run.
+    fn activate(&mut self, shard: &Shard, ghost: u32, distance: u32) -> u32 {
+        let g = ghost as usize;
+        if self.slot_stamp[g] == self.generation {
+            return self.slot_of[g];
+        }
+        let slot = self.ghost_local.len() as u32;
+        let at = shard.ghosts[g];
+        self.ghost_local.push(at.local);
+        self.ghost_distance.push(distance);
+        self.ghost_wave.push(UNRESOLVED);
+        self.ghost_energy.push(0.0);
+        self.ghost_penalty.push(0.0);
+        self.ghost_max.push(0.0);
+        self.ghost_touched.push(false);
+        self.outbound[at.shard as usize].push(slot);
+        self.slot_of[g] = slot;
+        self.slot_stamp[g] = self.generation;
+        slot
+    }
+
+    /// Resolves node `i`'s out-star into the arenas in one pass,
+    /// discovering its local successors and activating its ghosts. Runs
+    /// once per node, when it first holds energy — the moment the reference
+    /// loop walks these edges for the first time, so discovery order is the
+    /// same.
     fn expand(&mut self, i: usize, shard: &Shard, source: SourceAt, params: &AppleseedParams) {
-        let edges = &shard.outstar[self.local[i] as usize];
+        let member = self.local[i] as usize;
+        let edges = &shard.outstar[member];
         let distance = self.distance[i];
-        let power = params.spreading_power;
         let start = self.succ.len();
         let remote_start = self.remote.len();
 
-        // First pass: power and sum the weights — trust statements, then
-        // distrust, each in edge order. Nodes at the range limit keep only
-        // the backward edge.
-        self.parked.clear();
-        let mut pos_sum = 0.0;
-        let mut neg_sum = 0.0;
+        // Nodes at the range limit keep only the backward edge.
         let at_range_limit = params.max_range.is_some_and(|r| distance >= r);
-        if !at_range_limit {
-            for edge in edges.iter().filter(|e| e.weight > 0.0) {
-                let pw = edge.weight.powf(power);
-                pos_sum += pw;
-                self.parked.push(pw);
-            }
-            if params.distrust {
-                for edge in edges.iter().filter(|e| e.weight < 0.0) {
-                    let pw = (-edge.weight).powf(power);
-                    neg_sum += pw;
-                    self.parked.push(pw);
-                }
-            }
-        }
+        let (pos_sum, neg_sum) = match shard.powered_sums[member] {
+            _ if at_range_limit => (0.0, 0.0),
+            (pos, neg) => (pos, if params.distrust { neg } else { 0.0 }),
+        };
         let source_here = matches!(source, SourceAt::Here);
         let backward = if source_here && i == 0 { 0.0 } else { params.backward_weight };
         let total_weight = pos_sum + neg_sum + backward;
 
-        // Second pass, in the same order: file each edge by where its share
-        // lands. A trust edge that ends at the source — a statement about
-        // it, local or not, or any local edge the cap reroutes — adds to
-        // `source_weight`; a local distrust edge the cap cuts off is
-        // dropped. A source without positive statements (`total_weight` 0)
-        // lets its energy evaporate and discovers nothing.
+        // File each edge by where its share lands — trust statements, then
+        // distrust, each in edge order. A trust edge that ends at the source
+        // — a statement about it, local or not, or any local edge the cap
+        // reroutes — adds to `source_weight`; a local distrust edge the cap
+        // cuts off is dropped. A source without positive statements
+        // (`total_weight` 0) lets its energy evaporate and discovers nothing.
         let mut source_weight = backward;
         let mut pos_end = start;
         let mut remote_pos_end = remote_start;
         if total_weight > 0.0 && !at_range_limit {
-            let mut parked = 0;
             for edge in edges.iter().filter(|e| e.weight > 0.0) {
-                let pw = self.parked[parked];
-                parked += 1;
                 match edge.target {
                     Target::Local(succ) => {
                         match self.resolve(succ.index() as u32, distance + 1, params) {
                             Some(idx) if !(source_here && idx == 0) => {
                                 self.succ.push(idx);
-                                self.powered.push(pw);
+                                self.powered.push(edge.powered);
                             }
-                            _ => source_weight += pw,
+                            _ => source_weight += edge.powered,
                         }
                     }
-                    Target::Remote { shard, local } if source.is_at(shard, local) => {
-                        source_weight += pw
-                    }
-                    Target::Remote { shard, local } => {
-                        self.remote.push(RemoteEdge { shard, local, powered: pw })
+                    Target::Remote { ghost } => {
+                        if source == SourceAt::Remote(shard.ghosts[ghost as usize]) {
+                            source_weight += edge.powered;
+                        } else {
+                            let slot = self.activate(shard, ghost, distance + 1);
+                            self.remote.push(slot);
+                            self.remote_powered.push(edge.powered);
+                        }
                     }
                 }
             }
@@ -355,19 +414,19 @@ impl ShardWave {
             remote_pos_end = self.remote.len();
             if params.distrust {
                 for edge in edges.iter().filter(|e| e.weight < 0.0) {
-                    let pw = self.parked[parked];
-                    parked += 1;
                     match edge.target {
                         Target::Local(succ) => {
                             if let Some(idx) =
                                 self.resolve(succ.index() as u32, distance + 1, params)
                             {
                                 self.succ.push(idx);
-                                self.powered.push(pw);
+                                self.powered.push(edge.powered);
                             }
                         }
-                        Target::Remote { shard, local } => {
-                            self.remote.push(RemoteEdge { shard, local, powered: pw })
+                        Target::Remote { ghost } => {
+                            let slot = self.activate(shard, ghost, distance + 1);
+                            self.remote.push(slot);
+                            self.remote_powered.push(edge.powered);
                         }
                     }
                 }
@@ -386,21 +445,16 @@ impl ShardWave {
     }
 
     /// Advances this shard's wave by one round and returns the largest rank
-    /// movement. Shares for remote agents (and, on a shard that does not
-    /// own the source, the energy owed to it) are appended to `outbox`,
-    /// indexed by destination shard.
-    fn compute_round(
-        &mut self,
-        shard: &Shard,
-        outbox: &mut [Vec<Packet>],
-        source: SourceAt,
-        params: &AppleseedParams,
-    ) -> f64 {
+    /// movement. Shares for remote agents are summed into the ghost slots
+    /// and, on a shard that does not own the source, the energy owed to it
+    /// into `to_source`, for the barrier to deliver.
+    fn compute_round(&mut self, shard: &Shard, source: SourceAt, params: &AppleseedParams) -> f64 {
         let d = params.spreading_factor;
         let mut max_delta: f64 = 0.0;
         // `energy_next[0]` of the source's shard, which only `source_weight`
-        // feeds during the pass.
+        // feeds during the pass — or what this shard owes a remote source.
         let mut to_source = 0.0;
+        let mut forwarded = false;
 
         // Members discovered during this pass hold no energy until the
         // fold, so the pass covers the wave as it stood.
@@ -425,12 +479,12 @@ impl ShardWave {
             if total_weight <= 0.0 {
                 continue;
             }
-            let distance = self.distance[i] + 1;
+            forwarded = true;
 
-            // `semrec_trust::appleseed`'s arithmetic. Every accumulator and
-            // every bucket below receives its addends in the reference
-            // loop's order; ranks are bit-identical only as long as that is
-            // not rearranged.
+            // `semrec_trust::appleseed`'s arithmetic. Every accumulator
+            // below receives its addends in the reference loop's order;
+            // ranks are bit-identical only as long as that is not
+            // rearranged.
             let unit = forward / total_weight;
             let trust = self.succ[star.start..star.pos_end]
                 .iter()
@@ -438,26 +492,14 @@ impl ShardWave {
             for (&idx, &pw) in trust {
                 self.energy_next[idx as usize] += unit * pw;
             }
-            for edge in &self.remote[star.remote_start..star.remote_pos_end] {
-                outbox[edge.shard as usize].push(Packet {
-                    dest_local: edge.local,
-                    distance,
-                    energy: unit * edge.powered,
-                    penalty: 0.0,
-                });
+            let remote = self.remote[star.remote_start..star.remote_pos_end]
+                .iter()
+                .zip(&self.remote_powered[star.remote_start..star.remote_pos_end]);
+            for (&slot, &pw) in remote {
+                self.ghost_energy[slot as usize] += unit * pw;
+                self.ghost_touched[slot as usize] = true;
             }
-            match source {
-                SourceAt::Here => to_source += unit * star.source_weight,
-                // The source is discovered before the first round, so this
-                // packet always resolves at the barrier and its distance is
-                // never read.
-                SourceAt::Shard { shard, local } => outbox[shard as usize].push(Packet {
-                    dest_local: local,
-                    distance: 0,
-                    energy: unit * star.source_weight,
-                    penalty: 0.0,
-                }),
-            }
+            to_source += unit * star.source_weight;
             // Distrust: a terminal penalty, deposited as negative rank.
             let distrust = self.succ[star.pos_end..star.end]
                 .iter()
@@ -467,29 +509,33 @@ impl ShardWave {
                 self.rank[idx as usize] -= share;
                 max_delta = max_delta.max(share);
             }
-            for edge in &self.remote[star.remote_pos_end..star.remote_end] {
-                outbox[edge.shard as usize].push(Packet {
-                    dest_local: edge.local,
-                    distance,
-                    energy: 0.0,
-                    penalty: unit * edge.powered,
-                });
+            let remote = self.remote[star.remote_pos_end..star.remote_end]
+                .iter()
+                .zip(&self.remote_powered[star.remote_pos_end..star.remote_end]);
+            for (&slot, &pw) in remote {
+                let share = unit * pw;
+                let slot = slot as usize;
+                self.ghost_penalty[slot] += share;
+                self.ghost_max[slot] = self.ghost_max[slot].max(share);
+                self.ghost_touched[slot] = true;
             }
         }
 
-        if matches!(source, SourceAt::Here) {
-            self.energy_next[0] = to_source;
+        match source {
+            SourceAt::Here => self.energy_next[0] = to_source,
+            SourceAt::Remote(_) => {
+                self.to_source = to_source;
+                self.owes_source = forwarded;
+            }
         }
         max_delta
     }
 }
 
-/// Reusable state of one sharded run: a wave per shard and the frontier
-/// buckets, `outboxes[from * n + to]` for a model of `n` shards.
+/// Reusable state of one sharded run: a wave per shard.
 #[derive(Default)]
 struct Scratch {
     waves: Vec<ShardWave>,
-    outboxes: Vec<Vec<Packet>>,
 }
 
 impl Scratch {
@@ -506,20 +552,12 @@ impl Scratch {
         if self.waves.len() < n {
             self.waves.resize_with(n, ShardWave::default);
         }
-        if self.outboxes.len() < n * n {
-            self.outboxes.resize_with(n * n, Vec::new);
+        for (wave, shard) in self.waves.iter_mut().zip(shards) {
+            wave.reset(shard, n);
         }
-        let waves = &mut self.waves[..n];
-        let outboxes = &mut self.outboxes[..n * n];
-        for (wave, shard) in waves.iter_mut().zip(shards) {
-            wave.reset(shard.len());
-        }
-        // Empty after every barrier; a run that unwound mid-round is the
-        // only way a packet could be left behind.
-        outboxes.iter_mut().for_each(Vec::clear);
 
-        waves[source_shard].discover(source_local, 0);
-        waves[source_shard].energy_in[0] = params.injection;
+        self.waves[source_shard].discover(source_local, 0);
+        self.waves[source_shard].energy_in[0] = params.injection;
 
         let mut iterations = 0;
         let mut converged = false;
@@ -528,55 +566,28 @@ impl Scratch {
         while iterations < params.max_iterations {
             iterations += 1;
 
-            // Phase 1: per-shard compute over disjoint waves and buckets.
+            // Phase 1: per-shard compute over disjoint waves and ghosts.
             let mut max_delta: f64 = 0.0;
             for &s in schedule {
                 let source_at = if s == source_shard {
                     SourceAt::Here
                 } else {
-                    SourceAt::Shard { shard: source_shard as u32, local: source_local }
+                    SourceAt::Remote(Ghost { shard: source_shard as u32, local: source_local })
                 };
-                let outbox = &mut outboxes[s * n..(s + 1) * n];
-                max_delta =
-                    max_delta.max(waves[s].compute_round(&shards[s], outbox, source_at, params));
+                let moved = self.waves[s].compute_round(&shards[s], source_at, params);
+                max_delta = max_delta.max(moved);
             }
 
-            // Phase 2: lockstep exchange barrier — destination shard by
-            // destination shard, source shard by source shard, packet
-            // append order. Deterministic by construction.
-            let mut packets = 0;
-            let mut rerouted = 0.0;
-            for (dest, wave) in waves.iter_mut().enumerate() {
-                for from in 0..n {
-                    for pkt in outboxes[from * n + dest].drain(..) {
-                        packets += 1;
-                        match wave.resolve(pkt.dest_local, pkt.distance, params) {
-                            Some(idx) => {
-                                wave.energy_next[idx as usize] += pkt.energy;
-                                if pkt.penalty > 0.0 {
-                                    wave.rank[idx as usize] -= pkt.penalty;
-                                    max_delta = max_delta.max(pkt.penalty);
-                                }
-                            }
-                            // Past the destination cap: energy returns to
-                            // the source (as in the global metric);
-                            // penalties on never-discovered nodes are
-                            // dropped.
-                            None => rerouted += pkt.energy,
-                        }
-                    }
-                }
-            }
-            if rerouted > 0.0 {
-                waves[source_shard].energy_next[0] += rerouted;
-            }
+            // Phase 2: lockstep exchange barrier.
+            let (packets, penalty_delta) = self.exchange(n, source_shard, params);
+            max_delta = max_delta.max(penalty_delta);
             if packets > 0 {
                 exchange_rounds += 1;
                 frontier_packets += packets;
             }
 
             // Fold: next round's energy becomes visible everywhere at once.
-            for wave in waves.iter_mut() {
+            for wave in &mut self.waves[..n] {
                 for (energy_in, energy_next) in wave.energy_in.iter_mut().zip(&mut wave.energy_next)
                 {
                     *energy_in += *energy_next;
@@ -590,9 +601,10 @@ impl Scratch {
             }
         }
 
+        let waves = &self.waves[..n];
         let nodes_discovered: usize = waves.iter().map(|wave| wave.local.len()).sum();
         let mut ranks: Vec<(GlobalId, f64)> = Vec::with_capacity(nodes_discovered - 1);
-        for (shard, wave) in shards.iter().zip(waves.iter()) {
+        for (shard, wave) in shards.iter().zip(waves) {
             for (&local, &rank) in wave.local.iter().zip(&wave.rank) {
                 let global = shard.globals[local as usize];
                 if global != source {
@@ -617,6 +629,79 @@ impl Scratch {
             exchange_rounds,
             frontier_packets,
         }
+    }
+
+    /// The barrier of one round: delivers every packet the compute phase
+    /// left in the ghosts and `to_source` sums — destination shard by
+    /// destination shard, sending shard by sending shard, its source-bound
+    /// packet and then its ghosts in activation order — and empties them.
+    /// Returns the packets delivered and the largest penalty share applied.
+    fn exchange(
+        &mut self,
+        n: usize,
+        source_shard: usize,
+        params: &AppleseedParams,
+    ) -> (usize, f64) {
+        let waves = &mut self.waves[..n];
+        let mut packets = 0;
+        let mut max_delta: f64 = 0.0;
+        let mut rerouted = 0.0;
+        for dest in 0..n {
+            for from in (0..n).filter(|&from| from != dest) {
+                let (sender, receiver) = pair_mut(waves, from, dest);
+                // The source is discovered before the first round, so this
+                // packet always lands on wave node 0.
+                if dest == source_shard && sender.owes_source {
+                    packets += 1;
+                    receiver.energy_next[0] += sender.to_source;
+                }
+                for &slot in &sender.outbound[dest] {
+                    let slot = slot as usize;
+                    if !sender.ghost_touched[slot] {
+                        continue;
+                    }
+                    packets += 1;
+                    sender.ghost_touched[slot] = false;
+                    let energy = std::mem::take(&mut sender.ghost_energy[slot]);
+                    let penalty = std::mem::take(&mut sender.ghost_penalty[slot]);
+                    let largest = std::mem::take(&mut sender.ghost_max[slot]);
+                    if sender.ghost_wave[slot] == UNRESOLVED {
+                        let local = sender.ghost_local[slot];
+                        let distance = sender.ghost_distance[slot];
+                        sender.ghost_wave[slot] =
+                            receiver.resolve(local, distance, params).unwrap_or(CAPPED);
+                    }
+                    match sender.ghost_wave[slot] {
+                        // Past the destination cap: energy returns to the
+                        // source (as in the global metric); penalties on
+                        // never-discovered nodes are dropped.
+                        CAPPED => rerouted += energy,
+                        idx => {
+                            receiver.energy_next[idx as usize] += energy;
+                            if penalty > 0.0 {
+                                receiver.rank[idx as usize] -= penalty;
+                                max_delta = max_delta.max(largest);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if rerouted > 0.0 {
+            waves[source_shard].energy_next[0] += rerouted;
+        }
+        (packets, max_delta)
+    }
+}
+
+/// `waves[a]` and `waves[b]` (`a != b`), both mutably.
+fn pair_mut(waves: &mut [ShardWave], a: usize, b: usize) -> (&mut ShardWave, &mut ShardWave) {
+    if a < b {
+        let (low, high) = waves.split_at_mut(b);
+        (&mut low[a], &mut high[0])
+    } else {
+        let (low, high) = waves.split_at_mut(a);
+        (&mut high[0], &mut low[b])
     }
 }
 

@@ -1,9 +1,14 @@
 //! The straightforward boundary-frontier loop, frozen as the test oracle.
 //!
 //! Every round re-walks every active node's out-star, re-powers every
-//! weight twice, resolves every local successor through a hash map, builds
-//! a fresh set of frontier buckets per shard, and resolves every packet
-//! through the destination's hash map at the barrier, freezing nothing. It
+//! weight twice, resolves every local successor through a hash map, and
+//! builds a fresh set of frontier buckets per shard holding one packet per
+//! boundary edge (and one source-bound packet per forwarding node). The
+//! barrier then combines them by the protocol's rule — per (sending shard,
+//! destination node) one packet summing its energies and penalties in
+//! append order, the node's place fixed by the first packet that sending
+//! shard ever sent it; per sending shard one source-bound packet — and
+//! resolves each through the destination's hash map, freezing nothing. It
 //! is slow and reads like the protocol's definition over the share
 //! arithmetic of `semrec_trust::appleseed`'s docs, which is what an oracle
 //! is for: the kernel in the parent module must reproduce its ranks bit for
@@ -15,15 +20,39 @@
 //! results). It takes parameters that already passed
 //! [`AppleseedParams::validate`] and a source that exists.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use semrec_trust::appleseed::AppleseedParams;
 use semrec_trust::AgentId;
 
-use super::{Packet, ShardedAppleseedResult};
+use super::ShardedAppleseedResult;
 use crate::model::{Shard, Target};
 use crate::partition::GlobalId;
+
+/// One boundary edge's share in one round: energy (or a distrust penalty)
+/// for an agent owned by another shard.
+#[derive(Clone, Copy, Debug)]
+struct Packet {
+    /// Destination agent, as the owning shard's local index.
+    dest_local: u32,
+    /// Hop distance assigned if this packet discovers the destination.
+    distance: u32,
+    /// Positive trust energy to deposit into `energy_next`.
+    energy: f64,
+    /// Terminal distrust penalty to subtract from the rank.
+    penalty: f64,
+}
+
+/// The packets bound for one destination node from one sending shard in
+/// one round, combined.
+#[derive(Clone, Copy, Default)]
+struct Combined {
+    distance: u32,
+    energy: f64,
+    penalty: f64,
+    largest: f64,
+}
 
 /// Per-shard slice of the energy wave.
 #[derive(Default)]
@@ -58,7 +87,10 @@ impl Wave {
 /// Outcome of one shard's compute phase in one round.
 struct ComputeOut {
     max_delta: f64,
+    /// Per destination shard, one packet per boundary edge share.
     outbox: Vec<Vec<Packet>>,
+    /// What each forwarding node owes a source on another shard.
+    source_bound: Vec<f64>,
 }
 
 /// Everything the bit-identity contract covers, in comparable form: the
@@ -89,6 +121,10 @@ pub(crate) fn sharded_appleseed_reference(
         wave.nodes[idx].energy_in = params.injection;
     }
 
+    // Per (sending shard, destination shard), the destination nodes in the
+    // order the sending shard first sent each a packet.
+    let mut sent_order: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); n_shards]; n_shards];
+    let mut first_sent: HashSet<(usize, usize, u32)> = HashSet::new();
     let mut iterations = 0;
     let mut converged = false;
     let mut exchange_rounds = 0;
@@ -112,15 +148,35 @@ pub(crate) fn sharded_appleseed_reference(
             .collect();
         let mut max_delta = outs.iter().fold(0.0f64, |m, o| m.max(o.max_delta));
 
-        // Phase 2: lockstep exchange barrier — shard-index order, packet
-        // append order.
+        // Phase 2: lockstep exchange barrier — destination shard by
+        // destination shard, sending shard by sending shard: its combined
+        // source-bound packet, then one combined packet per destination
+        // node, in the order that shard first sent the node a packet.
         let mut packets = 0;
         let mut rerouted = 0.0;
         for (dest, wave) in waves.iter_mut().enumerate() {
-            for out in &outs {
-                for pkt in &out.outbox[dest] {
+            for (from, out) in outs.iter().enumerate() {
+                if !out.source_bound.is_empty() && dest == source_shard {
                     packets += 1;
-                    let local = AgentId::from_index(pkt.dest_local as usize);
+                    let owed = out.source_bound.iter().fold(0.0, |sum, share| sum + share);
+                    wave.nodes[0].energy_next += owed;
+                }
+                let mut combined: HashMap<u32, Combined> = HashMap::new();
+                for pkt in &out.outbox[dest] {
+                    if first_sent.insert((from, dest, pkt.dest_local)) {
+                        sent_order[from][dest].push(pkt.dest_local);
+                    }
+                    let c = combined
+                        .entry(pkt.dest_local)
+                        .or_insert(Combined { distance: pkt.distance, ..Combined::default() });
+                    c.energy += pkt.energy;
+                    c.penalty += pkt.penalty;
+                    c.largest = c.largest.max(pkt.penalty);
+                }
+                for local in &sent_order[from][dest] {
+                    let Some(pkt) = combined.get(local) else { continue };
+                    packets += 1;
+                    let local = AgentId::from_index(*local as usize);
                     let idx = match wave.index.get(&local) {
                         Some(&idx) => Some(idx),
                         None => {
@@ -136,7 +192,7 @@ pub(crate) fn sharded_appleseed_reference(
                             wave.nodes[idx].energy_next += pkt.energy;
                             if pkt.penalty > 0.0 {
                                 wave.nodes[idx].rank -= pkt.penalty;
-                                max_delta = max_delta.max(pkt.penalty);
+                                max_delta = max_delta.max(pkt.largest);
                             }
                         }
                         // Past the destination cap: energy returns to the
@@ -193,8 +249,10 @@ pub(crate) fn sharded_appleseed_reference(
 }
 
 /// Advances one shard's wave by one round, mirroring the global Appleseed
-/// node loop statement for statement. Shares for remote agents (and energy
-/// rerouted to a remote source) become packets in `outbox`.
+/// node loop statement for statement. Shares for remote agents become
+/// packets in `outbox`, what a node owes a remote source an entry of
+/// `source_bound`; the source is discovered (node 0 of its shard's wave)
+/// before the first round, so the latter always resolve.
 fn compute_round(
     shard: &Shard,
     wave: &mut Wave,
@@ -207,6 +265,7 @@ fn compute_round(
     let d = params.spreading_factor;
     let power = params.spreading_power;
     let mut outbox: Vec<Vec<Packet>> = (0..n_shards).map(|_| Vec::new()).collect();
+    let mut source_bound = Vec::new();
     let mut max_delta: f64 = 0.0;
 
     let count = wave.nodes.len();
@@ -279,24 +338,28 @@ fn compute_round(
                             wave.nodes[idx].energy_next += unit * powered;
                         }
                     }
-                    Target::Remote { shard: dest, local: dest_local }
-                        if dest as usize == source_shard && dest_local == source_local =>
-                    {
-                        source_weight += powered;
-                    }
-                    Target::Remote { shard: dest, local: dest_local } => {
-                        outbox[dest as usize].push(Packet {
-                            dest_local,
-                            distance: distance + 1,
-                            energy: unit * powered,
-                            penalty: 0.0,
-                        });
+                    Target::Remote { ghost } => {
+                        let dest = shard.ghosts[ghost as usize];
+                        if dest.shard as usize == source_shard && dest.local == source_local {
+                            source_weight += powered;
+                        } else {
+                            outbox[dest.shard as usize].push(Packet {
+                                dest_local: dest.local,
+                                distance: distance + 1,
+                                energy: unit * powered,
+                                penalty: 0.0,
+                            });
+                        }
                     }
                 }
             }
         }
         let share = unit * source_weight;
-        send_to_source(wave, &mut outbox, me, source_shard, source_local, share);
+        if me == source_shard {
+            wave.nodes[0].energy_next += share;
+        } else {
+            source_bound.push(share);
+        }
         if params.distrust && !at_range_limit {
             for edge in star.iter().filter(|e| e.weight < 0.0) {
                 let share = unit * (-edge.weight).powf(power);
@@ -317,9 +380,10 @@ fn compute_round(
                             max_delta = max_delta.max(share);
                         }
                     }
-                    Target::Remote { shard: dest, local: dest_local } => {
-                        outbox[dest as usize].push(Packet {
-                            dest_local,
+                    Target::Remote { ghost } => {
+                        let dest = shard.ghosts[ghost as usize];
+                        outbox[dest.shard as usize].push(Packet {
+                            dest_local: dest.local,
                             distance: distance + 1,
                             energy: 0.0,
                             penalty: share,
@@ -330,29 +394,5 @@ fn compute_round(
         }
     }
 
-    ComputeOut { max_delta, outbox }
-}
-
-/// Deposits what a node owes the source: directly when the source is
-/// local, as a frontier packet otherwise. The source is
-/// discovered (node 0 of its shard's wave) before the first round, so the
-/// packet always resolves through the destination wave index.
-fn send_to_source(
-    wave: &mut Wave,
-    outbox: &mut [Vec<Packet>],
-    me: usize,
-    source_shard: usize,
-    source_local: u32,
-    share: f64,
-) {
-    if me == source_shard {
-        wave.nodes[0].energy_next += share;
-    } else {
-        outbox[source_shard].push(Packet {
-            dest_local: source_local,
-            distance: 0,
-            energy: share,
-            penalty: 0.0,
-        });
-    }
+    ComputeOut { max_delta, outbox, source_bound }
 }

@@ -9,14 +9,16 @@ use semrec_datagen::community::{generate_community, CommunityGenConfig};
 use semrec_taxonomy::fixtures::example1;
 use semrec_trust::appleseed::AppleseedParams;
 use semrec_trust::neighborhood::NeighborhoodParams;
+use semrec_trust::TrustError;
 
 use super::oracle::{bits, sharded_appleseed_reference};
 use super::{sharded_appleseed, Scratch, ShardWave, ShardedAppleseedResult, SourceAt};
-use crate::model::{Shard, ShardedModel};
+use crate::model::{Ghost, Shard, ShardedModel};
 use crate::partition::{CommunityShardFn, GlobalId, HashShardFn, ShardFn};
 
 /// A partitioned universe, opened up the way `ShardedModel::trust_ranks`
-/// sees it, so one partition serves every parameter set.
+/// sees it, so one partition serves every parameter set with the
+/// `spreading_power` it was frozen for.
 struct Universe {
     model: ShardedModel,
     shards: Vec<Arc<Shard>>,
@@ -26,8 +28,18 @@ struct Universe {
 
 impl Universe {
     fn partition(community: &Community, shard_fn: Arc<dyn ShardFn>, shards: usize) -> Universe {
-        let (model, _) =
-            ShardedModel::partition(community, RecommenderConfig::default(), shard_fn, shards, 1);
+        Universe::frozen_for(community, shard_fn, shards, 1.0)
+    }
+
+    fn frozen_for(
+        community: &Community,
+        shard_fn: Arc<dyn ShardFn>,
+        shards: usize,
+        spreading_power: f64,
+    ) -> Universe {
+        let mut config = RecommenderConfig::default();
+        config.neighborhood.appleseed.spreading_power = spreading_power;
+        let (model, _) = ShardedModel::partition(community, config, shard_fn, shards, 1);
         let shards: Vec<Arc<Shard>> = (0..shards).map(|s| Arc::clone(model.shard(s))).collect();
         let mut local_of = vec![u32::MAX; model.agent_count()];
         for shard in &shards {
@@ -126,32 +138,38 @@ impl ShardFn for Placed {
     }
 }
 
-/// Every combination of the parameters that steer the loop: distrust, a
-/// node cap small enough to bind on each shard separately, hop range,
-/// spreading exponent, and loose or near-fixpoint convergence — plus an
-/// iteration cap low enough that the tight runs end unconverged.
-fn parameter_matrix() -> Vec<AppleseedParams> {
+/// Every combination of the parameters that steer the loop for one
+/// spreading exponent: distrust, a node cap small enough to bind on each
+/// shard separately, hop range, and loose or near-fixpoint convergence —
+/// plus an iteration cap low enough that the tight runs end unconverged.
+fn parameter_matrix(spreading_power: f64) -> Vec<AppleseedParams> {
     let mut matrix = Vec::new();
     for distrust in [false, true] {
         for max_nodes in [None, Some(2), Some(3)] {
             for max_range in [None, Some(2)] {
-                for spreading_power in [1.0, 2.0] {
-                    for (convergence, max_iterations) in [(0.01, 10_000), (1e-9, 10_000), (1e-9, 4)] {
-                        matrix.push(AppleseedParams {
-                            distrust,
-                            max_nodes,
-                            max_range,
-                            spreading_power,
-                            convergence,
-                            max_iterations,
-                            ..AppleseedParams::default()
-                        });
-                    }
+                for (convergence, max_iterations) in [(0.01, 10_000), (1e-9, 10_000), (1e-9, 4)] {
+                    matrix.push(AppleseedParams {
+                        distrust,
+                        max_nodes,
+                        max_range,
+                        spreading_power,
+                        convergence,
+                        max_iterations,
+                        ..AppleseedParams::default()
+                    });
                 }
             }
         }
     }
     matrix
+}
+
+/// True if the shard count cannot move where the wave goes under `params`:
+/// no per-shard cap, and no hop range that a node first found by a
+/// distrust statement could see at a distance other than its expansion
+/// round's.
+fn partition_blind(params: &AppleseedParams) -> bool {
+    params.max_nodes.is_none() && !(params.distrust && params.max_range.is_some())
 }
 
 fn arb_network() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
@@ -168,18 +186,34 @@ proptest! {
         (n, edges) in arb_network(),
     ) {
         let community = community(n, &edges);
-        let matrix = parameter_matrix();
+        // `(iterations, nodes_discovered)` of the one-shard run, per
+        // partition-blind parameter set and source.
+        let mut one_shard = std::collections::BTreeMap::new();
         for shards in [1usize, 2, 4, 8] {
             let shard_fns: [Arc<dyn ShardFn>; 2] =
                 [Arc::new(HashShardFn), Arc::new(CommunityShardFn::default())];
             for shard_fn in shard_fns {
-                let universe = Universe::partition(&community, shard_fn, shards);
-                // Sources run back to back on this thread, so every run
-                // after the first also exercises the reused scratch — at a
-                // shard count that changes under it.
-                for params in &matrix {
-                    for source in universe.agents() {
-                        universe.check(source, params);
+                for (p, power) in [1.0, 2.0].into_iter().enumerate() {
+                    let universe =
+                        Universe::frozen_for(&community, Arc::clone(&shard_fn), shards, power);
+                    // Sources run back to back on this thread, so every run
+                    // after the first also exercises the reused scratch — at
+                    // a shard count that changes under it.
+                    for (k, params) in parameter_matrix(power).iter().enumerate() {
+                        for source in universe.agents() {
+                            let result = universe.check(source, params);
+                            prop_assert!(result.exchange_rounds <= result.iterations);
+                            if shards == 1 {
+                                prop_assert_eq!(result.exchange_rounds, 0);
+                            }
+                            if partition_blind(params) {
+                                let walk = (result.iterations, result.nodes_discovered);
+                                let first = *one_shard.entry((p, k, source)).or_insert(walk);
+                                prop_assert_eq!(
+                                    walk, first, "{:?} at {} shards, {:?}", source, shards, params
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -198,8 +232,13 @@ fn engine_default_bounds_on_a_generated_community() {
     let served = NeighborhoodParams::default().appleseed;
     let mut capped = 0;
     for shards in [2usize, 4] {
-        let universe = Universe::partition(&community, Arc::new(HashShardFn), shards);
         for params in [served, AppleseedParams { distrust: true, spreading_power: 2.0, ..served }] {
+            let universe = Universe::frozen_for(
+                &community,
+                Arc::new(HashShardFn),
+                shards,
+                params.spreading_power,
+            );
             for source in universe.agents().step_by(197) {
                 let result = universe.check(source, &params);
                 capped += usize::from(result.nodes_discovered == 400 * shards);
@@ -261,60 +300,96 @@ fn edge_first_seen_after_the_cap_stays_rerouted() {
     }
 }
 
-/// Whatever a node owes a source on another shard travels as one packet:
+/// Shares are summed before the barrier — one packet per (sending shard,
+/// destination node) and one source-bound packet per sending shard, per
+/// round, however many stars feed them:
 ///
 /// ```text
 /// shard 0: s a      shard 1: x y z w      shard 2: u v       cap: 2 per shard
 /// s → a, s → x, s → y, s → u    round 1 fills shard 1's cap
+/// u → v                         fills shard 2's
 /// x → z, y → w                  local, past the cap: owed to the source
 /// x → s, v → s                  statements about the source
-/// x → a, v → x, u → v           real edges, which keep their own packets
+/// x → a, y → a                  two stars on shard 1, one destination
+/// x → v, y ⊣ v                  energy and a penalty in one packet
+/// v → x                         a real edge the other way
 /// ```
+///
+/// Each round is played by hand after the kernel has run the rounds before
+/// it: every shard's compute phase, then the barrier.
 #[test]
-fn one_source_bound_packet_per_active_node_per_round() {
+fn one_packet_per_destination_node_and_source_per_round() {
     let (s, a, x, y, z, w, u, v) = (0, 1, 2, 3, 4, 5, 6, 7);
     let edges = [
         (s, a, 0.5),
         (s, x, 1.0),
         (s, y, 0.8),
         (s, u, 0.6),
+        (u, v, 1.0),
         (x, z, 0.9),
         (y, w, 0.7),
         (x, s, 0.4),
         (v, s, 0.3),
         (x, a, 0.6),
+        (y, a, 0.5),
+        (x, v, 0.8),
+        (y, v, -0.9),
         (v, x, 0.5),
-        (u, v, 1.0),
     ];
     let community = community(8, &edges);
     let universe =
         Universe::partition(&community, Arc::new(Placed(vec![0, 0, 1, 1, 1, 1, 2, 2])), 3);
     let source = GlobalId(s as u32);
-    let source_at = SourceAt::Shard { shard: 0, local: universe.local_of[s] };
-    let mut busiest = 0;
+    let remote_source = SourceAt::Remote(Ghost { shard: 0, local: universe.local_of[s] });
+    let mut summed = 0;
     for rounds in 1..=8 {
-        // Stop after `rounds` rounds, then play the next compute phase of
-        // the shards that do not own the source by hand.
         let params = AppleseedParams {
             max_nodes: Some(2),
+            distrust: true,
             convergence: 1e-12,
             max_iterations: rounds,
             ..Default::default()
         };
         let mut scratch = Scratch::default();
         scratch.run(&universe.shards, source, 0, universe.local_of[s], &params, &universe.schedule);
-        for shard in [1, 2] {
+        // What one packet per boundary edge and per forwarding node would
+        // send, and what this round sends.
+        let (mut per_edge, mut expected) = (0, 0);
+        for shard in 0..3 {
+            let source_at = if shard == 0 { SourceAt::Here } else { remote_source };
             let wave = &mut scratch.waves[shard];
-            let active = wave.energy_in.iter().filter(|&&energy| energy > 0.0).count();
-            let mut outbox = vec![Vec::new(); 3];
-            wave.compute_round(&universe.shards[shard], &mut outbox, source_at, &params);
-            let source_bound =
-                outbox[0].iter().filter(|pkt| pkt.dest_local == universe.local_of[s]).count();
-            assert_eq!(source_bound, active, "shard {shard} after {rounds} rounds");
-            busiest = busiest.max(active);
+            let active: Vec<usize> =
+                (0..wave.local.len()).filter(|&i| wave.energy_in[i] > 0.0).collect();
+            wave.compute_round(&universe.shards[shard], source_at, &params);
+            for &i in &active {
+                let star = wave.star[i];
+                if star.total_weight > 0.0 {
+                    per_edge += star.remote_end - star.remote_start + usize::from(shard != 0);
+                }
+            }
+            let mut pairs: Vec<(usize, u32)> = Vec::new();
+            for (dest, slots) in wave.outbound.iter().enumerate().take(3) {
+                let touched = slots.iter().filter(|&&slot| wave.ghost_touched[slot as usize]);
+                pairs.extend(touched.map(|&slot| (dest, wave.ghost_local[slot as usize])));
+            }
+            let distinct = pairs.len();
+            pairs.sort_unstable();
+            pairs.dedup();
+            assert_eq!(pairs.len(), distinct, "shard {shard} after {rounds} rounds");
+            if shard != 0 {
+                assert_eq!(wave.owes_source, !active.is_empty(), "shard {shard}, {rounds} rounds");
+            }
+            expected += distinct + usize::from(wave.owes_source);
+        }
+        let (packets, _) = scratch.exchange(3, 0, &params);
+        assert_eq!(packets, expected, "after {rounds} rounds");
+        assert!(packets <= per_edge);
+        summed = summed.max(per_edge - packets);
+        for wave in &scratch.waves {
+            assert!(wave.ghost_touched.iter().all(|&touched| !touched), "the barrier empties them");
         }
     }
-    assert_eq!(busiest, 2, "both capped waves were fully active in some round");
+    assert!(summed >= 2, "some round summed both stars' shares for a and both nodes' for s");
 }
 
 /// A resolved star holds addresses, not decisions about the far side:
@@ -349,6 +424,28 @@ fn stars_and_packets_meet_through_the_stamped_table() {
     // the first round's deposit alone.
     let first_deposit = 0.15 * (0.85 * params.injection * 1.0 / 1.3);
     assert!(rank(x) > first_deposit * 1.05, "{} vs {first_deposit}", rank(x));
+}
+
+/// Shards carry `|w|^p` frozen for the model's exponent; a run asking for
+/// another gets the monolith's typed error, not a slow path.
+#[test]
+fn another_exponent_than_the_shards_is_a_typed_error() {
+    let universe = Universe::frozen_for(&ring(9), Arc::new(HashShardFn), 2, 2.0);
+    let source = GlobalId(0);
+    let asked = AppleseedParams { spreading_power: 1.0, ..Default::default() };
+    let refused = sharded_appleseed(
+        &universe.shards,
+        &universe.local_of,
+        source,
+        universe.shard_of(source),
+        &asked,
+        &universe.schedule,
+    );
+    assert!(matches!(
+        refused,
+        Err(TrustError::InvalidParameter { name: "spreading_power", value, .. }) if value == 1.0
+    ));
+    universe.check(source, &AppleseedParams { spreading_power: 2.0, ..asked });
 }
 
 #[test]
@@ -387,8 +484,7 @@ fn stamps_survive_generation_wraparound() {
     let source = GlobalId(2);
     let expected = bits(&universe.oracle(source, &params));
     let about_to_wrap = || ShardWave { generation: u32::MAX - 1, ..Default::default() };
-    let mut scratch =
-        Scratch { waves: vec![about_to_wrap(), about_to_wrap()], ..Default::default() };
+    let mut scratch = Scratch { waves: vec![about_to_wrap(), about_to_wrap()] };
     for _ in 0..4 {
         let result = scratch.run(
             &universe.shards,

@@ -10,12 +10,12 @@
 //!
 //! The load-bearing piece is **cross-shard Appleseed**
 //! ([`mod@crate::appleseed`]): spreading activation runs locally per
-//! shard, energy crossing a shard boundary accumulates into per-edge
-//! frontier packets, and lockstep exchange rounds flush those packets
-//! until the global residual converges. A query runs on its caller's
-//! thread over flat per-shard arenas in which each node's out-star is
-//! resolved once (the `semrec-trust` kernel's design, per shard), and the
-//! queries of a batch run in parallel. The protocol is deterministic
+//! shard, energy crossing a shard boundary is summed per destination node
+//! before the barrier, and lockstep exchange rounds deliver one packet per
+//! (sending shard, destination node) until the global residual converges.
+//! A query runs on its caller's thread over flat per-shard arenas in which
+//! each node's out-star is resolved once (the `semrec-trust` kernel's
+//! design, per shard), and the queries of a batch run in parallel. The protocol is deterministic
 //! across compute-thread counts and shard scheduling order, bit-identical
 //! at every shard count to the straightforward loop kept as its test
 //! oracle — and at N=1 it degenerates to the exact global algorithm, byte

@@ -15,10 +15,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use semrec_core::recommend::novel_only;
+use semrec_core::recommend::{novel_only, vote_by};
 use semrec_core::synthesis::{synthesize, PeerScores};
 use semrec_core::{
-    AdvanceStats, AgentId, Community, ModelDelta, ProductId, ProfileStore, Recommendation,
+    AdvanceStats, AgentId, Community, ModelDelta, ProfileStore, Recommendation,
     RecommenderConfig, Result,
 };
 use semrec_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
@@ -33,13 +33,30 @@ use crate::partition::{cut_edges, Directory, GlobalId, ShardFn};
 pub(crate) enum Target {
     /// The trustee lives on the same shard.
     Local(AgentId),
-    /// The trustee lives on another shard (a *boundary* edge).
+    /// The trustee lives on another shard (a *boundary* edge), as an index
+    /// into the shard's ghost table.
     Remote {
-        /// Owning shard index.
-        shard: u32,
-        /// The trustee's local index on that shard.
-        local: u32,
+        /// Index into [`Shard::ghosts`].
+        ghost: u32,
     },
+}
+
+/// A distinct agent on another shard that this shard's out-stars reach.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Ghost {
+    /// Owning shard index.
+    pub shard: u32,
+    /// The agent's local index on that shard.
+    pub local: u32,
+}
+
+/// Where a trustee lives, before a shard's boundary is frozen into ghosts.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Trustee {
+    /// On the shard itself.
+    Local(AgentId),
+    /// On another shard.
+    Remote(Ghost),
 }
 
 /// One outgoing trust statement in a shard's merged out-star.
@@ -49,6 +66,8 @@ pub(crate) struct StarEdge {
     pub global: GlobalId,
     /// Signed trust weight.
     pub weight: f64,
+    /// `|weight|^p` for the shard's [`Shard::spreading_power`].
+    pub powered: f64,
     /// Resolved destination.
     pub target: Target,
 }
@@ -67,6 +86,17 @@ pub struct Shard {
     /// Per-member merged out-star (local + boundary), sorted by global
     /// ordinal — the same edge order the global trust graph iterates.
     pub(crate) outstar: Vec<Vec<StarEdge>>,
+    /// Per member, the sums of `powered` over its trust and over its
+    /// distrust statements, each in edge order from 0.0 (`CsrGraph`'s
+    /// `powered_sums`, per shard).
+    pub(crate) powered_sums: Vec<(f64, f64)>,
+    /// The exponent `powered` and `powered_sums` are derived for: the
+    /// model's `spreading_power`, the one every cross-shard run must ask
+    /// for.
+    pub(crate) spreading_power: f64,
+    /// The distinct remote trustees of the out-stars, numbered in order of
+    /// first appearance (member order, then edge order).
+    pub(crate) ghosts: Vec<Ghost>,
     /// Number of boundary (cross-shard) edges in the out-star.
     pub(crate) boundary_out: usize,
     /// Bumped whenever the shard's model content is rebuilt.
@@ -77,6 +107,67 @@ pub struct Shard {
 }
 
 impl Shard {
+    /// Assembles a shard, freezing its out-stars for `spreading_power`: each
+    /// star sorted by global ordinal, `|w|^p` per edge and the two sums per
+    /// member, and every distinct remote trustee numbered once as a ghost.
+    /// The one place out-stars are frozen — a fresh build and a recovery
+    /// both come through here.
+    pub(crate) fn assemble(
+        community: Community,
+        profiles: ProfileStore,
+        globals: Vec<GlobalId>,
+        stars: Vec<Vec<(GlobalId, f64, Trustee)>>,
+        spreading_power: f64,
+        epoch: u64,
+    ) -> Shard {
+        let mut ghost_of: HashMap<GlobalId, u32> = HashMap::new();
+        let mut ghosts = Vec::new();
+        let mut boundary_out = 0;
+        let mut powered_sums = Vec::with_capacity(stars.len());
+        let mut outstar = Vec::with_capacity(stars.len());
+        for mut star in stars {
+            star.sort_by_key(|&(global, _, _)| global);
+            let (mut trust, mut distrust) = (0.0, 0.0);
+            let edges: Vec<StarEdge> = star
+                .into_iter()
+                .map(|(global, weight, trustee)| {
+                    let powered = weight.abs().powf(spreading_power);
+                    if weight > 0.0 {
+                        trust += powered;
+                    } else if weight < 0.0 {
+                        distrust += powered;
+                    }
+                    let target = match trustee {
+                        Trustee::Local(local) => Target::Local(local),
+                        Trustee::Remote(at) => {
+                            boundary_out += 1;
+                            let ghost = *ghost_of.entry(global).or_insert_with(|| {
+                                ghosts.push(at);
+                                ghosts.len() as u32 - 1
+                            });
+                            Target::Remote { ghost }
+                        }
+                    };
+                    StarEdge { global, weight, powered, target }
+                })
+                .collect();
+            powered_sums.push((trust, distrust));
+            outstar.push(edges);
+        }
+        Shard {
+            community,
+            profiles,
+            globals,
+            outstar,
+            powered_sums,
+            spreading_power,
+            ghosts,
+            boundary_out,
+            model_epoch: epoch,
+            serve_epoch: epoch,
+        }
+    }
+
     /// The shard's local community.
     pub fn community(&self) -> &Community {
         &self.community
@@ -541,40 +632,17 @@ impl ShardedModel {
         target_local: AgentId,
         weighted: &[(GlobalId, f64)],
     ) -> Vec<Recommendation> {
-        let params = &self.config.voting;
         let target_community = &self.shards[target_shard].community;
-        let mut scores: HashMap<ProductId, (f64, usize)> = HashMap::new();
-        for &(peer, weight) in weighted {
-            if weight <= 0.0 {
-                continue;
-            }
-            let (peer_shard, peer_local) = match self.locate(peer) {
-                Ok(at) => at,
-                Err(_) => continue,
-            };
-            for &(product, rating) in self.shards[peer_shard].community.ratings_of(peer_local) {
-                if rating <= params.min_rating {
-                    continue;
-                }
-                if target_community.rating(target_local, product).is_some() {
-                    continue; // never recommend what the user already rated
-                }
-                let vote =
-                    if params.rating_weighted_votes { weight * rating } else { weight };
-                let entry = scores.entry(product).or_insert((0.0, 0));
-                entry.0 += vote;
-                entry.1 += 1;
-            }
-        }
-        let mut out: Vec<Recommendation> = scores
-            .into_iter()
-            .filter(|&(_, (_, voters))| voters >= params.min_voters)
-            .map(|(product, (score, voters))| Recommendation { product, score, voters })
-            .collect();
-        out.sort_by(|a, b| {
-            b.score.partial_cmp(&a.score).unwrap().then(a.product.cmp(&b.product))
+        let peers = weighted.iter().filter_map(|&(peer, weight)| {
+            let (shard, local) = self.locate(peer).ok()?;
+            Some((self.shards[shard].community.ratings_of(local), weight))
         });
-        out
+        vote_by(
+            target_community.catalog.len(),
+            target_community.ratings_of(target_local),
+            peers,
+            &self.config.voting,
+        )
     }
 
     /// Advances the model to the `next` community generation, rebuilding
@@ -649,7 +717,7 @@ impl ShardedModel {
             }
             let shard_started = Instant::now();
             let _shard_span = books.shard_refresh[s].start_timer();
-            let (mut shard, stats, _) = build_shard(
+            let (mut shard, stats) = build_shard(
                 next,
                 &assignment,
                 &self.local_of,
@@ -768,7 +836,7 @@ fn fan_out_build(
     let build_one = |s: usize| {
         let started = Instant::now();
         let prev = previous.get(s).map(|arc| arc.as_ref());
-        let (shard, _, _) = build_shard(
+        let (shard, _) = build_shard(
             global,
             assignment,
             local_of,
@@ -814,14 +882,13 @@ pub(crate) fn build_shard(
     dirty: &HashSet<&str>,
     config: &RecommenderConfig,
     me: u32,
-) -> (Shard, AdvanceStats, usize) {
+) -> (Shard, AdvanceStats) {
     let mut community = Community::new(global.taxonomy.clone(), global.catalog.clone());
     for &g in members {
         let uri = &global.agent(AgentId::from_index(g.index())).expect("member exists").uri;
         community.add_agent(uri.clone()).expect("unique member URIs");
     }
-    let mut outstar: Vec<Vec<StarEdge>> = Vec::with_capacity(members.len());
-    let mut boundary_out = 0;
+    let mut stars = Vec::with_capacity(members.len());
     for (local_idx, &g) in members.iter().enumerate() {
         let global_id = AgentId::from_index(g.index());
         let local_id = AgentId::from_index(local_idx);
@@ -831,20 +898,19 @@ pub(crate) fn build_shard(
         let mut star = Vec::new();
         for &(trustee, weight) in global.trust.out_edges(global_id) {
             let t = trustee.index();
-            let target = if assignment[t] == me {
+            let trustee = if assignment[t] == me {
                 let trustee_local = AgentId::from_index(local_of[t] as usize);
                 community
                     .trust
                     .set_trust(local_id, trustee_local, weight)
                     .expect("valid copied trust edge");
-                Target::Local(trustee_local)
+                Trustee::Local(trustee_local)
             } else {
-                boundary_out += 1;
-                Target::Remote { shard: assignment[t], local: local_of[t] }
+                Trustee::Remote(Ghost { shard: assignment[t], local: local_of[t] })
             };
-            star.push(StarEdge { global: GlobalId(t as u32), weight, target });
+            star.push((GlobalId(t as u32), weight, trustee));
         }
-        outstar.push(star);
+        stars.push(star);
     }
     let (profiles, stats) = match previous {
         Some(prev) => prev.profiles.advance(&prev.community, &community, dirty),
@@ -854,16 +920,9 @@ pub(crate) fn build_shard(
             (profiles, stats)
         }
     };
-    let shard = Shard {
-        community,
-        profiles,
-        globals: members.to_vec(),
-        outstar,
-        boundary_out,
-        model_epoch: 0,
-        serve_epoch: 0,
-    };
-    (shard, stats, boundary_out)
+    let power = config.neighborhood.appleseed.spreading_power;
+    let shard = Shard::assemble(community, profiles, members.to_vec(), stars, power, 0);
+    (shard, stats)
 }
 
 /// Reverse BFS over the shard boundary graph: which shards can reach a
@@ -878,12 +937,8 @@ fn serve_dirty_closure(
     // reachers[t] = shards with a boundary edge into t.
     let mut reachers: Vec<HashSet<usize>> = vec![HashSet::new(); n];
     for (s, shard) in shards.iter().enumerate() {
-        for star in &shard.outstar {
-            for edge in star {
-                if let Target::Remote { shard: t, .. } = edge.target {
-                    reachers[t as usize].insert(s);
-                }
-            }
+        for ghost in &shard.ghosts {
+            reachers[ghost.shard as usize].insert(s);
         }
     }
     let mut dirty: Vec<bool> = model_dirty.to_vec();
@@ -912,6 +967,7 @@ fn serve_dirty_closure(
 mod tests {
     use super::*;
     use crate::partition::HashShardFn;
+    use semrec_core::ProductId;
     use semrec_taxonomy::fixtures::example1;
 
     fn world() -> Community {

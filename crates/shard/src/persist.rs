@@ -39,7 +39,7 @@
 //! persistence time (the unsharded builder would register them as bare
 //! dangling agents; a sharded universe has no shard to own them).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,7 +53,7 @@ use semrec_store::wal::{decode_wal, encode_record, frame, log_header, read_frame
 use semrec_store::{CheckpointReport, Error, Result, Store, WalRecord};
 use semrec_web::{AgentDiff, CommunityBuilder, CrawlDelta, ExtractedAgent};
 
-use crate::model::{Shard, ShardedModel, StarEdge, Target};
+use crate::model::{Ghost, Shard, ShardedModel, Target, Trustee};
 use crate::partition::{Directory, GlobalId, ShardFn};
 
 const DIRECTORY_MAGIC: &[u8; 8] = b"SEMRECDR";
@@ -189,9 +189,11 @@ impl ShardedStore {
     /// the statements that stay on the shard and those that cross to
     /// another, and appends each non-empty local part to its shard's WAL,
     /// each non-empty crossing part to its boundary log, and the membership
-    /// changes to the directory log. Returns the number of shard WALs
-    /// touched — untouched shards pay nothing and replay nothing at
-    /// recovery.
+    /// changes to the directory log. A leaver takes the statements about it
+    /// with it: those of its own shard's members as `trust_removed` diffs
+    /// in that shard's part, the crossing ones by dropping out of the
+    /// directory. Returns the number of shard WALs touched — untouched
+    /// shards pay nothing and replay nothing at recovery.
     pub fn append_delta(
         &self,
         model: &ShardedModel,
@@ -221,11 +223,14 @@ impl ShardedStore {
                 .map(|shard| shard as usize)
         };
 
+        let leaving: HashSet<&str> = delta.removed.iter().map(String::as_str).collect();
+
         // An agent's statements, split into those that stay on its shard `s`
         // and those that cross to another; any about an agent outside the
-        // universe is dropped.
+        // universe, or leaving it with this delta, is dropped.
         let split = |s: usize, trust: &[(String, f64)]| {
-            let known = trust.iter().filter(|(trustee, _)| owner(trustee).is_some()).cloned();
+            let staying = |trustee: &str| owner(trustee).is_some() && !leaving.contains(trustee);
+            let known = trust.iter().filter(|(trustee, _)| staying(trustee)).cloned();
             known.partition::<Vec<_>, _>(|(trustee, _)| owner(trustee) == Some(s))
         };
 
@@ -245,6 +250,10 @@ impl ShardedStore {
         }
 
         for diff in &delta.changed {
+            // A leaver's own diff would not find it at replay.
+            if leaving.contains(diff.uri.as_str()) {
+                continue;
+            }
             let Some(s) = owner(&diff.uri) else { continue };
             let (set_here, set_there) = split(s, &diff.trust_set);
             // A removal is a no-op for the side that never held the edge, so
@@ -265,6 +274,22 @@ impl ShardedStore {
 
         for uri in &delta.removed {
             let Some(s) = owner(uri) else { continue };
+            // The shard holds the leaver's in-edges from its own members;
+            // their statements about it go with it, or the shard's view
+            // would register the leaver again as a dangling trustee.
+            let community = model.shard(s).community();
+            if let Some(leaver) = community.agent_by_uri(uri) {
+                for &truster in community.trust.trusters_of(leaver) {
+                    let truster = &community.agent(truster).expect("dense").uri;
+                    if !leaving.contains(truster.as_str()) {
+                        local[s].changed.push(AgentDiff {
+                            uri: truster.clone(),
+                            trust_removed: vec![uri.clone()],
+                            ..AgentDiff::default()
+                        });
+                    }
+                }
+            }
             local[s].removed.push(uri.clone());
             remote[s].removed.push(uri.clone());
             ops.put_u8(1);
@@ -459,19 +484,14 @@ fn stitch_shard(
             directory.by_uri(uri).expect("validated against directory")
         })
         .collect();
-    let mut outstar = Vec::with_capacity(globals.len());
-    let mut boundary_out = 0;
+    let mut stars = Vec::with_capacity(globals.len());
     for local in community.agents() {
         let uri = &community.agent(local).expect("dense").uri;
-        let mut star: Vec<StarEdge> = community
+        let mut star: Vec<(GlobalId, f64, Trustee)> = community
             .trust
             .out_edges(local)
             .iter()
-            .map(|&(trustee, weight)| StarEdge {
-                global: globals[trustee.index()],
-                weight,
-                target: Target::Local(trustee),
-            })
+            .map(|&(trustee, weight)| (globals[trustee.index()], weight, Trustee::Local(trustee)))
             .collect();
         if let Ok(at) = boundary.binary_search_by(|a| a.uri.as_str().cmp(uri)) {
             for (trustee, weight) in &boundary[at].trust {
@@ -482,26 +502,14 @@ fn stitch_shard(
                 if shard as usize == me || local_of[g.index()] == u32::MAX {
                     continue;
                 }
-                star.push(StarEdge {
-                    global: g,
-                    weight: *weight,
-                    target: Target::Remote { shard, local: local_of[g.index()] },
-                });
-                boundary_out += 1;
+                let ghost = Ghost { shard, local: local_of[g.index()] };
+                star.push((g, *weight, Trustee::Remote(ghost)));
             }
         }
-        star.sort_by_key(|e| e.global);
-        outstar.push(star);
+        stars.push(star);
     }
-    Shard {
-        community,
-        profiles,
-        globals,
-        outstar,
-        boundary_out,
-        model_epoch: recovery.epoch,
-        serve_epoch: recovery.epoch,
-    }
+    let power = recovery.engine.config().neighborhood.appleseed.spreading_power;
+    Shard::assemble(community, profiles, globals, stars, power, recovery.epoch)
 }
 
 /// Derives one shard's snapshot inputs: the URI-sorted local extraction
@@ -693,6 +701,61 @@ mod tests {
         assert_eq!(star.len(), 9);
         let remote = star.iter().filter(|e| matches!(e.target, Target::Remote { .. })).count();
         assert_eq!(remote, crossing);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    /// A leaver that a member of its own shard trusts: the shard's WAL must
+    /// drop that member's statement with it, and a neighbor's diff in the
+    /// same delta that re-values its statement about the leaver is dropped
+    /// too. Recovery used to re-register the leaver as a dangling trustee
+    /// and refuse the shard ("holds n + 1 agents but the directory assigns
+    /// it n").
+    #[test]
+    fn removing_a_locally_trusted_agent_recovers_to_the_live_advance() {
+        let (store, model) = checkpointed("leaver", 3);
+        let c = world();
+        let ids: Vec<_> = c.agents().collect();
+        let shard_of = |i: usize| model.directory().shard_of(GlobalId(i as u32));
+        let trusted_at_home = |j: usize| {
+            c.trust.trusters_of(ids[j]).iter().any(|t| shard_of(t.index()) == shard_of(j))
+        };
+        let leaver = (0..ids.len()).find(|&j| trusted_at_home(j)).expect("a locally trusted agent");
+
+        // The live side: the same world without the leaver or any statement
+        // about it, which `advance` repartitions wholesale.
+        let e = example1();
+        let products: Vec<_> = e.catalog.iter().collect();
+        let mut next = Community::new(e.fig.taxonomy, e.catalog);
+        let stay: Vec<usize> = (0..ids.len()).filter(|&i| i != leaver).collect();
+        let new_ids: Vec<_> = stay.iter().map(|&i| next.add_agent(uri(i)).unwrap()).collect();
+        for (&i, &a) in stay.iter().zip(&new_ids) {
+            next.set_rating(a, products[i % products.len()], 0.7).unwrap();
+            for &(trustee, weight) in c.trust.out_edges(ids[i]) {
+                if let Some(k) = stay.iter().position(|&j| j == trustee.index()) {
+                    next.trust.set_trust(a, new_ids[k], weight).unwrap();
+                }
+            }
+        }
+        let (live, report) = model.advance(&next, &ModelDelta::default());
+        assert!(report.wholesale);
+
+        let neighbor = stay.iter().copied().find(|&i| shard_of(i) == shard_of(leaver));
+        let neighbor = neighbor.expect("the trusters at home stay");
+        let revalued = AgentDiff {
+            uri: uri(neighbor),
+            trust_set: vec![(uri(leaver), 0.5)],
+            ..AgentDiff::default()
+        };
+        let crawl = CrawlDelta {
+            changed: vec![revalued],
+            removed: vec![uri(leaver)],
+            ..CrawlDelta::default()
+        };
+        store.append_delta(&model, &crawl, &SourceHealth::default()).unwrap();
+        let recovery = store.recover(Arc::new(HashShardFn)).unwrap();
+        assert!(!recovery.degraded);
+        assert_eq!(recovery.model.directory().by_uri(&uri(leaver)), None);
+        assert_serves_the_same(&live, &recovery.model);
         let _ = fs::remove_dir_all(store.root());
     }
 
