@@ -197,7 +197,7 @@ pub fn run(scale: Scale) -> (Summary, String) {
         untouched
     );
     outln!(out, "the largest shard is what a one-node-per-shard deployment's slowest node");
-    outln!(out, "holds (§2's decentralized framing); every cut edge is a packet per round.");
+    outln!(out, "holds (§2's decentralized framing); a round sends one packet per destination node.");
 
     let outcome = Summary {
         agents: community.agent_count(),

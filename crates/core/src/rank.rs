@@ -30,10 +30,11 @@
 //! [`ScoreComponents`] that sum exactly to the final weight — the
 //! invariants `tests/proptest_ranking.rs` enforces for any impl.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use semrec_trust::neighborhood::TrustNeighborhood;
+use semrec_trust::stamped::StampedIndex;
 use semrec_trust::AgentId;
 
 use crate::engine::RecommenderConfig;
@@ -276,16 +277,32 @@ impl Default for SpreadingParams {
 /// plus the work the spread performed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpreadResult {
-    /// Accumulated activation per agent. Only agents reachable from the
-    /// anchor set within the horizon (and the universe cap) appear; an
-    /// absent agent has activation 0 by construction.
-    pub activation: BTreeMap<AgentId, f64>,
+    /// `(agent, accumulated activation)`, sorted by agent. Only agents
+    /// reachable from the anchor set within the horizon (and the universe
+    /// cap) appear; an absent agent has activation 0 by construction.
+    pub activation: Vec<(AgentId, f64)>,
     /// Hops actually executed (≤ horizon; fewer when energy dies out).
     pub hops: usize,
     /// Size of the explored universe (anchors + trust-reachable frontier).
     pub explored: usize,
     /// Active-node count after each executed hop.
     pub frontier_sizes: Vec<usize>,
+}
+
+impl SpreadResult {
+    /// The accumulated activation of `agent`: 0 for an agent the spread
+    /// never reached.
+    pub fn activation_of(&self, agent: AgentId) -> f64 {
+        let found = self.activation.binary_search_by_key(&agent, |&(a, _)| a);
+        found.map_or(0.0, |i| self.activation[i].1)
+    }
+}
+
+thread_local! {
+    /// Agent id → universe index of one spread, one table per thread, so
+    /// discovering the universe costs what the universe holds, not what the
+    /// community holds.
+    static MEMBER: RefCell<StampedIndex> = RefCell::default();
 }
 
 /// Phase 2: spreads anchor activation over the merged trust + taxonomy
@@ -313,53 +330,67 @@ pub fn spread_activation(
 ) -> SpreadResult {
     let decay = params.decay.clamp(0.0, 1.0);
     if anchors.is_empty() || params.horizon == 0 || decay == 0.0 {
+        // A repeated anchor keeps its last value, first after the reversal.
+        let mut activation: Vec<(AgentId, f64)> = anchors.iter().rev().copied().collect();
+        activation.sort_by_key(|&(agent, _)| agent);
+        activation.dedup_by_key(|&mut (agent, _)| agent);
         return SpreadResult {
-            activation: anchors.iter().copied().collect(),
+            activation,
             hops: 0,
             explored: anchors.len(),
             frontier_sizes: Vec::new(),
         };
     }
+    // Universe discovery (BFS over positive trust edges from the anchors),
+    // the trust half of the merged edges and the anchors' energy, on this
+    // thread's agent → universe-index table.
+    let (universe, mut adjacency, mut active) = MEMBER.with_borrow_mut(|member| {
+        let mut universe: Vec<AgentId> = anchors.iter().map(|&(a, _)| a).collect();
+        universe.sort();
+        universe.dedup();
+        member.reset(community.trust.agent_count());
+        for (i, &agent) in universe.iter().enumerate() {
+            member.insert(agent.index(), i as u32);
+        }
+        let mut frontier: Vec<AgentId> = universe.clone();
+        for _ in 0..params.horizon {
+            let mut next = Vec::new();
+            for &node in &frontier {
+                for (nbr, _) in community.trust.positive_out_edges(node) {
+                    let full = universe.len() >= params.max_nodes.max(anchors.len());
+                    if nbr == target || member.get(nbr.index()).is_some() || full {
+                        continue;
+                    }
+                    member.insert(nbr.index(), universe.len() as u32);
+                    universe.push(nbr);
+                    next.push(nbr);
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            frontier = next;
+        }
 
-    // Universe discovery: BFS over positive trust edges from the anchors.
-    let mut universe: Vec<AgentId> = anchors.iter().map(|&(a, _)| a).collect();
-    universe.sort();
-    universe.dedup();
-    let mut member: BTreeMap<AgentId, usize> =
-        universe.iter().enumerate().map(|(i, &a)| (a, i)).collect();
-    let mut frontier: Vec<AgentId> = universe.clone();
-    for _ in 0..params.horizon {
-        let mut next = Vec::new();
-        for &node in &frontier {
-            for (nbr, _) in community.trust.positive_out_edges(node) {
-                if nbr == target || member.contains_key(&nbr) {
-                    continue;
+        let mut adjacency: Vec<Vec<(usize, f64)>> = vec![Vec::new(); universe.len()];
+        for (i, &node) in universe.iter().enumerate() {
+            for (nbr, w) in community.trust.positive_out_edges(node) {
+                if let Some(j) = member.get(nbr.index()) {
+                    adjacency[i].push((j as usize, w));
                 }
-                if universe.len() >= params.max_nodes.max(anchors.len()) {
-                    continue;
-                }
-                member.insert(nbr, universe.len());
-                universe.push(nbr);
-                next.push(nbr);
             }
         }
-        if next.is_empty() {
-            break;
+        let mut active = vec![0.0f64; universe.len()];
+        for &(agent, anchor) in anchors {
+            active[member.get(agent.index()).expect("anchors are members") as usize] += anchor;
         }
-        frontier = next;
-    }
+        (universe, adjacency, active)
+    });
 
-    // Merged edges, indexed over the universe: positive trust statements
-    // plus taxonomy-similarity links.
+    // The taxonomy half of the merged edges: each node's trust statements
+    // in edge order come first, then its similarity links in ascending
+    // universe index.
     let n = universe.len();
-    let mut adjacency: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (i, &node) in universe.iter().enumerate() {
-        for (nbr, w) in community.trust.positive_out_edges(node) {
-            if let Some(&j) = member.get(&nbr) {
-                adjacency[i].push((j, w));
-            }
-        }
-    }
     for i in 0..n {
         for j in (i + 1)..n {
             let Some(sim) = profiles.similarity(measure, universe[i], universe[j]) else {
@@ -373,13 +404,7 @@ pub fn spread_activation(
     }
 
     // Iterative spread: `active` holds the energy that arrived last hop.
-    let mut active = vec![0.0f64; n];
-    let mut accumulated = vec![0.0f64; n];
-    for &(agent, anchor) in anchors {
-        let i = member[&agent];
-        active[i] += anchor;
-        accumulated[i] += anchor;
-    }
+    let mut accumulated = active.clone();
     let mut hops = 0;
     let mut frontier_sizes = Vec::new();
     for _ in 0..params.horizon {
@@ -409,12 +434,13 @@ pub fn spread_activation(
         active = next;
     }
 
-    let activation = universe
+    let mut activation: Vec<(AgentId, f64)> = universe
         .iter()
         .zip(&accumulated)
         .filter(|&(_, &a)| a > 0.0)
         .map(|(&agent, &a)| (agent, a))
         .collect();
+    activation.sort_unstable_by_key(|&(agent, _)| agent);
     SpreadResult { activation, hops, explored: n, frontier_sizes }
 }
 
@@ -488,9 +514,12 @@ impl Ranker for SpreadingActivationRanker {
         let blend = self.params.blend.normalized();
 
         // Phase-1 similarity signal: exactly the synthesized score the
-        // SimilarityRanker would emit (absent peers score 0).
-        let base: BTreeMap<AgentId, f64> =
-            synthesize(ctx.config.synthesis, ctx.peers).into_iter().collect();
+        // SimilarityRanker would emit (absent peers score 0), by agent.
+        let mut base = synthesize(ctx.config.synthesis, ctx.peers);
+        base.sort_unstable_by_key(|&(agent, _)| agent);
+        let base_of = |agent: AgentId| {
+            base.binary_search_by_key(&agent, |&(a, _)| a).map_or(0.0, |i| base[i].1)
+        };
 
         // Phase 2, skipped entirely when activation carries no weight so
         // the similarity-only blend costs exactly what SimilarityRanker
@@ -501,7 +530,7 @@ impl Ranker for SpreadingActivationRanker {
             (SpreadResult::default(), 0)
         };
         let max_activation =
-            ctx.peers.iter().filter_map(|p| spread.activation.get(&p.agent)).fold(0.0f64, |m, &a| m.max(a));
+            ctx.peers.iter().map(|p| spread.activation_of(p.agent)).fold(0.0f64, f64::max);
 
         // Structural centrality: positive trust in-degree, normalized over
         // the candidate set.
@@ -525,8 +554,8 @@ impl Ranker for SpreadingActivationRanker {
             .iter()
             .zip(&centrality)
             .map(|(p, &cent)| {
-                let sim = base.get(&p.agent).copied().unwrap_or(0.0);
-                let act = spread.activation.get(&p.agent).copied().unwrap_or(0.0);
+                let sim = base_of(p.agent);
+                let act = spread.activation_of(p.agent);
                 let act = if max_activation > 0.0 { act / max_activation } else { act };
                 let cent = if max_centrality > 0.0 { cent / max_centrality } else { cent };
                 RankedPeer::new(
@@ -540,9 +569,9 @@ impl Ranker for SpreadingActivationRanker {
             })
             .filter(|p| p.weight > 0.0)
             .collect();
-        out.sort_by(|a, b| {
-            b.weight.partial_cmp(&a.weight).unwrap().then(a.agent.cmp(&b.agent))
-        });
+        // `total_cmp` orders as `partial_cmp` did: no weight is NaN (every
+        // component is finite) or −0.0 (weights are filtered > 0).
+        out.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.agent.cmp(&b.agent)));
         let report = RankReport {
             spreads,
             hops: spread.hops,
@@ -644,11 +673,12 @@ mod tests {
             &[(agents[1], 1.0)],
             &params,
         );
-        assert!(result.activation.contains_key(&agents[1]));
-        assert!(result.activation.contains_key(&agents[3]), "u3 is one hop out");
+        assert!(result.activation_of(agents[1]) > 0.0);
+        assert!(result.activation_of(agents[3]) > 0.0, "u3 is one hop out");
         for far in [agents[2], agents[4], agents[5]] {
-            assert!(
-                !result.activation.contains_key(&far),
+            assert_eq!(
+                result.activation_of(far),
+                0.0,
                 "{far:?} is unreachable within horizon 1 from u1"
             );
         }
@@ -672,9 +702,9 @@ mod tests {
         };
         let low = at(0.3);
         let high = at(0.9);
-        for (agent, &a) in &low.activation {
+        for &(agent, a) in &low.activation {
             assert!(
-                high.activation.get(agent).copied().unwrap_or(0.0) >= a - 1e-15,
+                high.activation_of(agent) >= a - 1e-15,
                 "activation must not shrink when retention grows: {agent:?}"
             );
         }
@@ -693,8 +723,7 @@ mod tests {
             &SpreadingParams { horizon: 0, ..SpreadingParams::default() },
         );
         assert_eq!(result.hops, 0);
-        assert_eq!(result.activation.len(), 1);
-        assert_eq!(result.activation[&agents[1]], 0.8);
+        assert_eq!(result.activation, [(agents[1], 0.8)]);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::cell::RefCell;
 
 use semrec_taxonomy::ProductId;
+use semrec_trust::stamped::StampedIndex;
 use semrec_trust::AgentId;
 
 use crate::model::Community;
@@ -72,11 +73,11 @@ pub fn vote_by<'a>(
     params: &VotingParams,
 ) -> Vec<Recommendation> {
     let mut out: Vec<Recommendation> = Vec::new();
-    TALLY.with_borrow_mut(|tally| {
-        tally.reset(catalog_len);
+    TALLY.with_borrow_mut(|slot_of| {
+        slot_of.reset(catalog_len);
         // Never recommend what the user already rated.
         for &(product, _) in target_ratings {
-            tally.mark(product, Tally::RATED);
+            slot_of.insert(product.index(), RATED);
         }
         for (ratings, weight) in peers {
             if weight <= 0.0 {
@@ -86,13 +87,16 @@ pub fn vote_by<'a>(
                 if rating <= params.min_rating {
                     continue;
                 }
-                let slot = tally.slot(product).unwrap_or_else(|| {
-                    out.push(Recommendation { product, score: 0.0, voters: 0 });
-                    tally.mark(product, out.len() as u32 - 1)
-                });
-                if slot == Tally::RATED {
-                    continue;
-                }
+                let slot = match slot_of.get(product.index()) {
+                    Some(RATED) => continue,
+                    Some(slot) => slot,
+                    None => {
+                        out.push(Recommendation { product, score: 0.0, voters: 0 });
+                        let slot = out.len() as u32 - 1;
+                        slot_of.insert(product.index(), slot);
+                        slot
+                    }
+                };
                 let vote = if params.rating_weighted_votes { weight * rating } else { weight };
                 let entry = &mut out[slot as usize];
                 entry.score += vote;
@@ -102,59 +106,21 @@ pub fn vote_by<'a>(
     });
     out.retain(|rec| rec.voters >= params.min_voters);
     // Products are unique, so the comparator is a strict total order and
-    // the unstable sort yields the one possible permutation.
-    out.sort_unstable_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap()
-            .then(a.product.cmp(&b.product))
-    });
+    // the unstable sort yields the one possible permutation. `total_cmp`
+    // orders as `partial_cmp` did: no score is NaN (weights and ratings are
+    // finite) or −0.0 (scores start at +0.0, and weights are filtered > 0).
+    out.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.product.cmp(&b.product)));
     out
 }
 
+/// The tally's slot of a product the target rated itself.
+const RATED: u32 = u32::MAX;
+
 thread_local! {
-    /// One table per thread, so a serving worker's votes allocate only the
+    /// Product id → slot in the list one [`vote`] returns (or [`RATED`]),
+    /// one table per thread, so a serving worker's votes allocate only the
     /// list they return once the table covers the catalog.
-    static TALLY: RefCell<Tally> = RefCell::default();
-}
-
-/// Dense product id → slot of one [`vote`]: `slot[p]` is valid iff
-/// `stamp[p] == generation`, so starting a vote is one increment instead of
-/// a clear (the Appleseed kernel's idiom).
-#[derive(Default)]
-struct Tally {
-    slot: Vec<u32>,
-    stamp: Vec<u32>,
-    generation: u32,
-}
-
-impl Tally {
-    /// The slot of a product the target rated itself.
-    const RATED: u32 = u32::MAX;
-
-    /// Forgets every product and makes room for a catalog of `products`.
-    fn reset(&mut self, products: usize) {
-        if self.stamp.len() < products {
-            self.stamp.resize(products, 0);
-            self.slot.resize(products, 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
-    }
-
-    fn slot(&self, product: ProductId) -> Option<u32> {
-        (self.stamp[product.index()] == self.generation).then(|| self.slot[product.index()])
-    }
-
-    /// Records `slot` for `product` and returns it.
-    fn mark(&mut self, product: ProductId, slot: u32) -> u32 {
-        self.slot[product.index()] = slot;
-        self.stamp[product.index()] = self.generation;
-        slot
-    }
+    static TALLY: RefCell<StampedIndex> = RefCell::default();
 }
 
 /// Restricts recommendations to products from categories the target has left
@@ -292,14 +258,11 @@ mod tests {
         let fresh = std::thread::scope(|scope| {
             scope.spawn(|| vote(&c, agents[0], &peers, &VotingParams::default())).join().unwrap()
         });
-        // Another target in between, and the generation counter wrapping
-        // past 0, leave nothing behind in this thread's table.
-        TALLY.with_borrow_mut(|tally| tally.generation = u32::MAX - 2);
+        // Another target in between leaves nothing behind in this thread's table.
         for _ in 0..4 {
             vote(&c, agents[1], &[(agents[0], 1.0)], &VotingParams::default());
             assert_eq!(vote(&c, agents[0], &peers, &VotingParams::default()), fresh);
         }
-        assert!(TALLY.with_borrow(|tally| tally.generation) < 16, "wrapped past 0");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use semrec_core::{Community, ProfileStore, SimilarityMeasure};
+use semrec_core::recommend::vote;
+use semrec_core::{Community, ProfileStore, SimilarityMeasure, VotingParams};
 use semrec_profiles::flat::generate_flat_profile;
 use semrec_profiles::generation::ProfileParams;
 use semrec_profiles::{ProductVector, ProfileVector};
@@ -20,29 +21,16 @@ use semrec_taxonomy::ProductId;
 use semrec_trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams};
 use semrec_trust::{AgentId, CsrGraph};
 
-/// Weighted voting shared by the k-NN baselines: peers vote for their
-/// positively rated products with their similarity weight.
-fn vote_top_n(
+/// The engine's weighted vote, shared by the k-NN and trust-only baselines:
+/// peers vote for their positively rated products with their weight.
+fn top_n(
     community: &Community,
     target: AgentId,
     peers: &[(AgentId, f64)],
     n: usize,
 ) -> Vec<ProductId> {
-    let mut scores: std::collections::HashMap<ProductId, f64> = std::collections::HashMap::new();
-    for &(peer, weight) in peers {
-        if weight <= 0.0 {
-            continue;
-        }
-        for &(product, rating) in community.ratings_of(peer) {
-            if rating > 0.0 && community.rating(target, product).is_none() {
-                *scores.entry(product).or_insert(0.0) += weight * rating;
-            }
-        }
-    }
-    let mut ranked: Vec<(ProductId, f64)> = scores.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    ranked.truncate(n);
-    ranked.into_iter().map(|(p, _)| p).collect()
+    let recs = vote(community, target, peers, &VotingParams::default());
+    recs.into_iter().take(n).map(|rec| rec.product).collect()
 }
 
 /// Top-k most similar peers under a per-pair similarity function, scanning
@@ -76,7 +64,7 @@ pub fn knn_product_cf(
         // systems when overlap is too small for correlation.
         mine.pearson(&theirs).or_else(|| mine.cosine(&theirs))
     });
-    vote_top_n(community, target, &peers, n)
+    top_n(community, target, &peers, n)
 }
 
 /// k-NN CF over taxonomy-based (Eq. 3) profiles — similarity-only hybrid
@@ -91,7 +79,7 @@ pub fn knn_taxonomy_cf(
     let peers = top_k_peers(community, target, k, |a| {
         profiles.similarity(SimilarityMeasure::Cosine, target, a)
     });
-    vote_top_n(community, target, &peers, n)
+    top_n(community, target, &peers, n)
 }
 
 /// k-NN CF over flat category profiles (ref \[14\] baseline).
@@ -106,7 +94,7 @@ pub fn knn_flat_cf(
     let peers = top_k_peers(community, target, k, |a| {
         semrec_profiles::similarity::cosine(mine, &flat_profiles[a.index()])
     });
-    vote_top_n(community, target, &peers, n)
+    top_n(community, target, &peers, n)
 }
 
 /// Materializes flat category profiles for every agent.
@@ -130,7 +118,7 @@ pub fn trust_only(
     let Ok(neighborhood) = form_neighborhood_csr(trust, target, params) else {
         return Vec::new();
     };
-    vote_top_n(community, target, &neighborhood.normalized(), n)
+    top_n(community, target, &neighborhood.normalized(), n)
 }
 
 /// Random unrated products — the evaluation floor.

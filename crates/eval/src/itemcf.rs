@@ -9,7 +9,8 @@
 
 use std::collections::HashMap;
 
-use semrec_core::Community;
+use semrec_core::recommend::vote_by;
+use semrec_core::{Community, VotingParams};
 use semrec_taxonomy::ProductId;
 use semrec_trust::AgentId;
 
@@ -64,29 +65,20 @@ impl ItemItemModel {
         &self.neighbors[product.index()]
     }
 
-    /// Recommends top-`n` unrated products for a user: each rated item votes
-    /// for its neighbors with `similarity × rating`.
+    /// Recommends top-`n` unrated products for a user: each positively
+    /// rated item votes for its neighbors with `rating × similarity`, through
+    /// the engine's voting loop (every similarity is > 0, so every neighbor
+    /// counts as appreciated).
     pub fn recommend(
         &self,
         community: &Community,
         target: AgentId,
         n: usize,
     ) -> Vec<ProductId> {
-        let mut scores: HashMap<ProductId, f64> = HashMap::new();
-        for &(rated, rating) in community.ratings_of(target) {
-            if rating <= 0.0 {
-                continue;
-            }
-            for &(neighbor, sim) in self.neighbors(rated) {
-                if community.rating(target, neighbor).is_none() {
-                    *scores.entry(neighbor).or_insert(0.0) += sim * rating;
-                }
-            }
-        }
-        let mut ranked: Vec<(ProductId, f64)> = scores.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        ranked.truncate(n);
-        ranked.into_iter().map(|(p, _)| p).collect()
+        let rated = community.ratings_of(target);
+        let voters = rated.iter().map(|&(product, rating)| (self.neighbors(product), rating));
+        let recs = vote_by(community.catalog.len(), rated, voters, &VotingParams::default());
+        recs.into_iter().take(n).map(|rec| rec.product).collect()
     }
 }
 

@@ -68,7 +68,7 @@
 //!   source_weight` to the source; any other shard sums it into
 //!   `to_source`, one packet per round.
 //! * A ghost's destination wave index is resolved at the barrier of its
-//!   activation round, by the owning shard through its stamped table, and
+//!   activation round, by the owning shard through its wave index, and
 //!   cached in the slot. Both outcomes are final: the destination's wave
 //!   index never moves, and past the owning shard's cap (compute phase and
 //!   barrier test the same wave, which only grows) "unknown" stays unknown
@@ -93,15 +93,16 @@
 //! choice — a branch or a type parameter — into the monolith's inner loop.
 //!
 //! All of it lives in a per-thread scratch reused from query to query, so a
-//! warm query allocates only the ranking it returns. The scratch keeps the
-//! capacity of the largest waves it has held, eight bytes per agent of the
-//! largest shards it has seen and eight bytes per ghost of the largest
-//! ghost tables.
+//! warm query allocates only the ranking it returns. The member → wave-index
+//! and ghost → slot tables are two [`StampedIndex`]es per shard; the scratch
+//! keeps the capacity of the largest waves it has held and the indexes of
+//! the largest shards and ghost tables it has seen.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use semrec_trust::appleseed::AppleseedParams;
+use semrec_trust::stamped::StampedIndex;
 use semrec_trust::{Result, TrustError};
 
 use crate::model::{Ghost, Shard, Target};
@@ -253,14 +254,10 @@ struct ShardWave {
     /// any node forwarded (and so owes a packet, however small).
     to_source: f64,
     owes_source: bool,
-    // Dense local id → wave index: `wave_index[a]` is valid iff
-    // `stamp[a] == generation`, so starting a query is one increment
-    // instead of a clear. Ghost id → slot likewise, through `slot_stamp`.
-    wave_index: Vec<u32>,
-    stamp: Vec<u32>,
-    slot_of: Vec<u32>,
-    slot_stamp: Vec<u32>,
-    generation: u32,
+    /// Member local id → wave index.
+    wave_index: StampedIndex,
+    /// Ghost id → slot.
+    ghost_slot: StampedIndex,
 }
 
 impl ShardWave {
@@ -290,20 +287,8 @@ impl ShardWave {
         self.outbound.iter_mut().for_each(Vec::clear);
         self.to_source = 0.0;
         self.owes_source = false;
-        if self.stamp.len() < shard.len() {
-            self.stamp.resize(shard.len(), 0);
-            self.wave_index.resize(shard.len(), 0);
-        }
-        if self.slot_stamp.len() < shard.ghosts.len() {
-            self.slot_stamp.resize(shard.ghosts.len(), 0);
-            self.slot_of.resize(shard.ghosts.len(), 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(0);
-            self.slot_stamp.fill(0);
-            self.generation = 1;
-        }
+        self.wave_index.reset(shard.len());
+        self.ghost_slot.reset(shard.ghosts.len());
     }
 
     /// Appends the member `local` to the wave and returns its index.
@@ -315,8 +300,7 @@ impl ShardWave {
         self.energy_in.push(0.0);
         self.energy_next.push(0.0);
         self.star.push(Star::UNEXPANDED);
-        self.wave_index[local as usize] = idx;
-        self.stamp[local as usize] = self.generation;
+        self.wave_index.insert(local as usize, idx);
         idx
     }
 
@@ -325,21 +309,17 @@ impl ShardWave {
     /// member is ever discovered again, so `None` is final for a given
     /// member: a local edge or a ghost slot can freeze it.
     fn resolve(&mut self, local: u32, distance: u32, params: &AppleseedParams) -> Option<u32> {
-        if self.stamp[local as usize] == self.generation {
-            Some(self.wave_index[local as usize])
-        } else if params.max_nodes.is_some_and(|cap| self.local.len() >= cap) {
-            None
-        } else {
-            Some(self.discover(local, distance))
-        }
+        let full = params.max_nodes.is_some_and(|cap| self.local.len() >= cap);
+        let known = self.wave_index.get(local as usize);
+        known.or_else(|| (!full).then(|| self.discover(local, distance)))
     }
 
     /// The slot of `shard`'s ghost `ghost`, activating it at `distance` the
     /// first time a star holding it is expanded in this run.
     fn activate(&mut self, shard: &Shard, ghost: u32, distance: u32) -> u32 {
         let g = ghost as usize;
-        if self.slot_stamp[g] == self.generation {
-            return self.slot_of[g];
+        if let Some(slot) = self.ghost_slot.get(g) {
+            return slot;
         }
         let slot = self.ghost_local.len() as u32;
         let at = shard.ghosts[g];
@@ -351,8 +331,7 @@ impl ShardWave {
         self.ghost_max.push(0.0);
         self.ghost_touched.push(false);
         self.outbound[at.shard as usize].push(slot);
-        self.slot_of[g] = slot;
-        self.slot_stamp[g] = self.generation;
+        self.ghost_slot.insert(g, slot);
         slot
     }
 
@@ -614,12 +593,12 @@ impl Scratch {
         }
         // Every weight that reaches an out-star is a finite value in
         // [-1, 1] — `TrustGraph::set_trust` checks statements, recovery
-        // checks the boundary log — so no rank is NaN. Ordinals are
-        // unique, so the comparator is a strict total order and the
-        // unstable sort yields the one possible permutation.
-        ranks.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("ranks are never NaN").then(a.0.cmp(&b.0))
-        });
+        // checks the boundary log — so no rank is NaN, and none is −0.0
+        // (ranks start at +0.0 and move by shares of weights > 0): the
+        // total order is the one `partial_cmp` gives. Ordinals are unique,
+        // so the comparator is strict and the unstable sort yields the one
+        // possible permutation.
+        ranks.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
         ShardedAppleseedResult {
             ranks,

@@ -12,7 +12,7 @@ use semrec_trust::neighborhood::NeighborhoodParams;
 use semrec_trust::TrustError;
 
 use super::oracle::{bits, sharded_appleseed_reference};
-use super::{sharded_appleseed, Scratch, ShardWave, ShardedAppleseedResult, SourceAt};
+use super::{sharded_appleseed, Scratch, ShardedAppleseedResult, SourceAt};
 use crate::model::{Ghost, Shard, ShardedModel};
 use crate::partition::{CommunityShardFn, GlobalId, HashShardFn, ShardFn};
 
@@ -474,29 +474,5 @@ fn reused_scratch_gives_the_result_of_a_fresh_one() {
         });
         assert_eq!(reused, &fresh);
         assert_eq!(reused, &bits(&universe.oracle(s, &capped)));
-    }
-}
-
-#[test]
-fn stamps_survive_generation_wraparound() {
-    let universe = Universe::partition(&ring(9), Arc::new(HashShardFn), 2);
-    let params = AppleseedParams::default();
-    let source = GlobalId(2);
-    let expected = bits(&universe.oracle(source, &params));
-    let about_to_wrap = || ShardWave { generation: u32::MAX - 1, ..Default::default() };
-    let mut scratch = Scratch { waves: vec![about_to_wrap(), about_to_wrap()] };
-    for _ in 0..4 {
-        let result = scratch.run(
-            &universe.shards,
-            source,
-            universe.shard_of(source),
-            universe.local_of[source.index()],
-            &params,
-            &universe.schedule,
-        );
-        assert_eq!(bits(&result), expected);
-    }
-    for wave in &scratch.waves {
-        assert_eq!(wave.generation, 3, "wrapped past 0 to 1, then two more runs");
     }
 }

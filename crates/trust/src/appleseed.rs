@@ -74,16 +74,17 @@
 //! the graph's sums are the oracle's in the oracle's order, discovery order
 //! is the same, and every accumulator receives the same addends in order.
 //!
-//! The wave, the arena and a dense agent-id → wave-index table live in a
-//! per-thread scratch reused from run to run: a warm run allocates only the
-//! ranking it returns, and the scratch keeps the largest wave's capacity
-//! plus eight bytes per agent of the largest graph it has seen.
+//! The wave, the arena and the agent-id → wave-index table (a
+//! [`StampedIndex`]) live in a per-thread scratch reused from run to run: a
+//! warm run allocates only the ranking it returns, and the scratch keeps the
+//! largest wave's capacity plus the index of the largest graph it has seen.
 
 use std::cell::RefCell;
 
 use crate::agent::AgentId;
 use crate::csr::CsrGraph;
 use crate::error::{Result, TrustError};
+use crate::stamped::StampedIndex;
 
 /// Parameters of the Appleseed metric.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -274,12 +275,8 @@ struct Scratch {
     /// successor's wave index (never 0 for a trust edge) and the graph's
     /// powered weight.
     edges: Vec<(u32, f64)>,
-    // Dense agent id → wave index: `wave_index[a]` is valid iff
-    // `stamp[a] == generation`, so starting a run is one increment instead
-    // of a clear.
-    wave_index: Vec<u32>,
-    stamp: Vec<u32>,
-    generation: u32,
+    /// Agent id → wave index.
+    wave_index: StampedIndex,
 }
 
 impl Scratch {
@@ -292,15 +289,7 @@ impl Scratch {
         self.energy_next.clear();
         self.star.clear();
         self.edges.clear();
-        if self.stamp.len() < agents {
-            self.stamp.resize(agents, 0);
-            self.wave_index.resize(agents, 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
+        self.wave_index.reset(agents);
     }
 
     /// Appends `agent` to the wave and returns its index.
@@ -312,8 +301,7 @@ impl Scratch {
         self.energy_in.push(0.0);
         self.energy_next.push(0.0);
         self.star.push(Star::UNEXPANDED);
-        self.wave_index[agent.index()] = idx;
-        self.stamp[agent.index()] = self.generation;
+        self.wave_index.insert(agent.index(), idx);
         idx
     }
 
@@ -322,14 +310,9 @@ impl Scratch {
     /// again, so an unknown successor stays unknown and `None` is final:
     /// the caller can freeze the cap decision.
     fn resolve(&mut self, succ: u32, distance: u32, params: &AppleseedParams) -> Option<u32> {
-        let succ = AgentId(succ);
-        if self.stamp[succ.index()] == self.generation {
-            Some(self.wave_index[succ.index()])
-        } else if params.max_nodes.is_some_and(|cap| self.agent.len() >= cap) {
-            None
-        } else {
-            Some(self.discover(succ, distance))
-        }
+        let full = params.max_nodes.is_some_and(|cap| self.agent.len() >= cap);
+        let known = self.wave_index.get(succ as usize);
+        known.or_else(|| (!full).then(|| self.discover(AgentId(succ), distance)))
     }
 
     /// Resolves node `i`'s out-star into the arena, discovering its
@@ -455,10 +438,12 @@ impl Scratch {
 
         // The source is node 0 and appears nowhere else. Agents are unique,
         // so the comparator is a strict total order and the unstable sort
-        // yields the one possible permutation.
+        // yields the one possible permutation. `total_cmp` orders as
+        // `partial_cmp` did: no rank is NaN (weights are checked finite) or
+        // −0.0 (ranks start at +0.0 and move by shares of weights > 0).
         let mut ranks: Vec<(AgentId, f64)> =
             self.agent[1..].iter().copied().zip(self.rank[1..].iter().copied()).collect();
-        ranks.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranks.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
         AppleseedResult {
             ranks,
@@ -594,19 +579,6 @@ mod tests {
             assert_eq!(reused, &fresh);
             assert_eq!(reused, &bits(&appleseed_reference(g, s, &capped)));
         }
-    }
-
-    #[test]
-    fn stamps_survive_generation_wraparound() {
-        let (g, ids) = ring(9);
-        let params = AppleseedParams::default();
-        let expected = bits(&appleseed_reference(&g, ids[2], &params));
-        let csr = CsrGraph::from_graph(&g);
-        let mut scratch = Scratch { generation: u32::MAX - 1, ..Default::default() };
-        for _ in 0..4 {
-            assert_eq!(bits(&scratch.run(&csr, ids[2], &params)), expected);
-        }
-        assert_eq!(scratch.generation, 3, "wrapped past 0 to 1, then two more runs");
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   boolean baseline, on top of a Dinic solver ([`maxflow`]);
 //! * [`scalar`] — pairwise baselines (multiplicative path trust, global
 //!   mean reputation) the paper argues are insufficient;
-//! * [`neighborhood`] — neighborhood formation: threshold/cap the ranking.
+//! * [`neighborhood`] — neighborhood formation: threshold/cap the ranking;
+//! * [`stamped`] — the dense stamped index every per-query scratch in the
+//!   workspace keys its dense ids with.
 //!
 //! ```
 //! use semrec_trust::{CsrGraph, TrustGraph, appleseed::{appleseed, AppleseedParams}};
@@ -40,6 +42,7 @@ pub mod graph;
 pub mod maxflow;
 pub mod neighborhood;
 pub mod scalar;
+pub mod stamped;
 
 pub use agent::AgentId;
 pub use csr::CsrGraph;

@@ -180,8 +180,8 @@ proptest! {
         let (lo, hi) = (retention_a.min(retention_b), retention_a.max(retention_b));
         let low = spread(lo);
         let high = spread(hi);
-        for (agent, &a) in &low.activation {
-            let b = high.activation.get(agent).copied().unwrap_or(0.0);
+        for &(agent, a) in &low.activation {
+            let b = high.activation_of(agent);
             prop_assert!(
                 b >= a - 1e-15,
                 "activation of {:?} shrank when retention grew: {} -> {}", agent, a, b
@@ -206,7 +206,7 @@ proptest! {
         }
         for result in [&low, &high] {
             prop_assert!(result.hops <= horizon);
-            for agent in result.activation.keys() {
+            for (agent, _) in &result.activation {
                 prop_assert!(
                     reachable.contains(agent),
                     "{:?} is unreachable within horizon {} yet was activated", agent, horizon
@@ -214,6 +214,42 @@ proptest! {
             }
         }
     }
+}
+
+/// Every agent's `rank_peers` weights on a generated community, under each
+/// of E19's six blends, hashed bit for bit. E19 prints three decimals and
+/// the properties above compare rankers with each other; this pins the
+/// low-order bits of the spreading ranker itself.
+const RANKER_DIGEST: u64 = 0x2e60_c7be_b92a_440e;
+
+#[test]
+fn spreading_ranker_weights_match_the_pinned_digest() {
+    use semrec_hash::{fnv1a64_continue, FNV1A64_OFFSET};
+    let blend =
+        |similarity, activation, centrality| BlendWeights { similarity, activation, centrality };
+    let blends = [
+        BlendWeights::SIMILARITY_ONLY,
+        blend(0.7, 0.2, 0.1),
+        BlendWeights::default(),
+        blend(0.3, 0.5, 0.2),
+        blend(0.0, 1.0, 0.0),
+        blend(0.0, 0.0, 1.0),
+    ];
+    let community = generate_community(&CommunityGenConfig::small(42)).community;
+    let mut digest = FNV1A64_OFFSET;
+    for blend in blends {
+        let params = SpreadingParams { blend, ..Default::default() };
+        let engine = spreading_engine(community.clone(), params);
+        for agent in engine.community().agents() {
+            let (ranked, _) = engine.rank_peers(agent).unwrap();
+            digest = fnv1a64_continue(digest, &(ranked.len() as u64).to_le_bytes());
+            for peer in &ranked {
+                digest = fnv1a64_continue(digest, &(peer.agent.index() as u64).to_le_bytes());
+                digest = fnv1a64_continue(digest, &peer.weight.to_bits().to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(digest, RANKER_DIGEST, "digest {digest:#018x}");
 }
 
 /// The determinism contract at generated-community scale (the
