@@ -109,8 +109,10 @@ impl Recommender {
         if voters.is_empty() {
             return Ok(None);
         }
+        // Weights are > 0 and ratings > `min_rating` (0 by default), so a
+        // contribution is −0.0 only for a −0.0 rating under a negative one.
         voters.sort_by(|a, b| {
-            b.contribution.partial_cmp(&a.contribution).unwrap().then(a.agent.cmp(&b.agent))
+            b.contribution.total_cmp(&a.contribution).then(a.agent.cmp(&b.agent))
         });
 
         // Content-side provenance: taxonomy branches the target already
@@ -129,7 +131,8 @@ impl Recommender {
                 }
             }
         }
-        shared_topics.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap().then(a.0.cmp(&b.0)));
+        // Product scores are sums of positive Eq. 3 shares.
+        shared_topics.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
 
         let degraded =
             if self.source_health().is_degraded() { Some(*self.source_health()) } else { None };

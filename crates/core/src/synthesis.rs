@@ -77,12 +77,14 @@ pub fn synthesize(strategy: SynthesisStrategy, peers: &[PeerScores]) -> Vec<(Age
         SynthesisStrategy::BordaMerge => {
             let n = peers.len();
             let mut by_trust: Vec<usize> = (0..n).collect();
-            by_trust.sort_by(|&a, &b| peers[b].trust.partial_cmp(&peers[a].trust).unwrap());
+            // Trust ranks are Appleseed energies over their maximum, ≥ +0.0.
+            by_trust.sort_by(|&a, &b| peers[b].trust.total_cmp(&peers[a].trust));
             let mut by_sim: Vec<usize> = (0..n).collect();
             by_sim.sort_by(|&a, &b| {
                 let sa = peers[a].similarity.unwrap_or(f64::NEG_INFINITY);
                 let sb = peers[b].similarity.unwrap_or(f64::NEG_INFINITY);
-                sb.partial_cmp(&sa).unwrap()
+                // A similarity is a clamped quotient of sums from +0.0: not −0.0.
+                sb.total_cmp(&sa)
             });
             let mut scores = vec![0.0f64; n];
             for (pos, &i) in by_trust.iter().enumerate() {
@@ -104,7 +106,8 @@ pub fn synthesize(strategy: SynthesisStrategy, peers: &[PeerScores]) -> Vec<(Age
             .collect(),
     };
     out.retain(|&(_, w)| w > 0.0);
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    // `retain` kept `w > 0.0`, which drops NaN and both zeros.
+    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     out
 }
 

@@ -155,12 +155,16 @@ pub fn generate_community(config: &CommunityGenConfig) -> GeneratedCommunity {
         })
         .collect();
 
-    // Products under each used interest root, cached.
-    let mut pools: HashMap<TopicId, Vec<ProductId>> = HashMap::new();
+    // Products under each used interest root, with the Zipf law over them
+    // built once (`None` for an empty pool: `Zipf::new` needs n > 0).
+    let local_exponent = config.zipf_exponent * 0.5;
+    let mut pools: HashMap<TopicId, (Vec<ProductId>, Option<Zipf>)> = HashMap::new();
     for roots in &interests {
         for &root in roots {
             pools.entry(root).or_insert_with(|| {
-                community.catalog.products_under(&community.taxonomy, root)
+                let pool = community.catalog.products_under(&community.taxonomy, root);
+                let local = (!pool.is_empty()).then(|| Zipf::new(pool.len(), local_exponent));
+                (pool, local)
             });
         }
     }
@@ -172,13 +176,10 @@ pub fn generate_community(config: &CommunityGenConfig) -> GeneratedCommunity {
             let product = if rng.random::<f64>() < config.interest_fidelity {
                 let roots = &interests[idx];
                 let root = roots[rng.random_range(0..roots.len())];
-                let pool = &pools[&root];
-                if pool.is_empty() {
-                    rank_to_product[popularity.sample(&mut rng)]
-                } else {
+                match &pools[&root] {
                     // Prefer popular products within the interest pool.
-                    let local = Zipf::new(pool.len(), config.zipf_exponent * 0.5);
-                    pool[local.sample(&mut rng)]
+                    (pool, Some(local)) => pool[local.sample(&mut rng)],
+                    (_, None) => rank_to_product[popularity.sample(&mut rng)],
                 }
             } else {
                 rank_to_product[popularity.sample(&mut rng)]
@@ -220,7 +221,8 @@ pub fn generate_community(config: &CommunityGenConfig) -> GeneratedCommunity {
                 (c, config.homophily * overlap + (1.0 - config.homophily) * pa / 4.0 + noise)
             })
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        // A score is finite and ends in a noise draw ≥ +0.0, so never −0.0.
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
 
         for &(target_idx, _) in scored.iter().take(degree) {
             let target = agents[target_idx];

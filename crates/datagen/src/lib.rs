@@ -8,6 +8,15 @@
 //! taxonomies — with every knob the experiments sweep exposed and seeded
 //! determinism throughout. See DESIGN.md §1 for the substitution argument.
 //!
+//! **Cost.** Each Zipf law is built once per domain — the catalog's, and
+//! one per interest pool, kept beside the pool — and then only sampled, at
+//! one binary search a draw. The taxonomy's ancestry tests climb parent
+//! chains without allocating. Generation is therefore linear in the
+//! ratings drawn, in the pool sizes (each distinct interest root costs one
+//! catalog scan to collect its pool) and in the trust candidates scored:
+//! the 9,100-agent `paper_scale` world takes about 0.3 s in release on a
+//! 2-CPU host.
+//!
 //! ```
 //! use semrec_datagen::community::{generate_community, CommunityGenConfig};
 //!

@@ -18,6 +18,9 @@ pub struct Zipf {
 impl Zipf {
     /// Creates a sampler over `0..n` with exponent `s ≥ 0`.
     ///
+    /// Costs n `powf`s: build once, sample many. Each sample is one binary
+    /// search.
+    ///
     /// # Panics
     /// Panics if `n == 0` or `s` is negative/non-finite.
     pub fn new(n: usize, s: f64) -> Self {
@@ -49,7 +52,8 @@ impl Zipf {
     /// Samples an index in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
+        // The CDF is finite and positive, and `u ∈ [0, 1)` is never −0.0.
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

@@ -317,7 +317,8 @@ impl<'a> ProfileView<'a> {
     /// The highest-scored topics, descending.
     pub fn top_topics(&self, k: usize) -> Vec<(TopicId, f64)> {
         let mut sorted: Vec<(TopicId, f64)> = self.iter().collect();
-        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        // Stored scores are finite and non-zero: every build drops zeros.
+        sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         sorted.truncate(k);
         sorted
     }

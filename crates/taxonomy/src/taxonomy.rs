@@ -108,19 +108,35 @@ impl Taxonomy {
     }
 
     /// True if `ancestor ⊒ descendant` in the partial order (reflexive).
+    ///
+    /// Allocates nothing on a tree: the walk climbs single-parent chains
+    /// with no visited set, since a chain reaches each node once. From the
+    /// first node with several parents it walks depth-first and remembers
+    /// what it reached above that node, in a sorted list as long as the
+    /// ancestry it explores. Nothing below the branch can be reached
+    /// again: it descends from the branch, and the graph is acyclic.
     pub fn is_ancestor(&self, ancestor: TopicId, descendant: TopicId) -> bool {
         if ancestor == descendant {
             return true;
         }
-        let mut stack = vec![descendant];
-        let mut seen = vec![false; self.topics.len()];
+        let mut node = descendant;
+        let branch = loop {
+            match *self.parents(node) {
+                [] => return false,
+                [p] if p == ancestor => return true,
+                [p] => node = p,
+                _ => break node,
+            }
+        };
+        let mut seen: Vec<TopicId> = Vec::new();
+        let mut stack = vec![branch];
         while let Some(node) = stack.pop() {
             for &p in self.parents(node) {
                 if p == ancestor {
                     return true;
                 }
-                if !seen[p.index()] {
-                    seen[p.index()] = true;
+                if let Err(slot) = seen.binary_search(&p) {
+                    seen.insert(slot, p);
                     stack.push(p);
                 }
             }
@@ -129,16 +145,23 @@ impl Taxonomy {
     }
 
     /// All ancestors of a topic (excluding itself), deduplicated, nearest first.
+    ///
+    /// Nearest is by [`depth`](Self::depth), deepest first; ties keep the
+    /// order of a depth-first walk up the parent lists, each list in stored
+    /// order. The list it returns is also the walk's visited set, and a
+    /// stack is allocated only at a node with two parents not yet seen, so
+    /// on a tree the walk allocates nothing else.
     pub fn ancestors(&self, id: TopicId) -> Vec<TopicId> {
         let mut out = Vec::new();
-        let mut seen = vec![false; self.topics.len()];
-        let mut frontier = vec![id];
-        while let Some(node) = frontier.pop() {
-            for &p in self.parents(node) {
-                if !seen[p.index()] {
-                    seen[p.index()] = true;
+        let mut stack = Vec::new();
+        let mut node = Some(id);
+        while let Some(at) = node.take().or_else(|| stack.pop()) {
+            for &p in self.parents(at) {
+                if !out.contains(&p) {
                     out.push(p);
-                    frontier.push(p);
+                    // The newest unseen parent is walked next, as if it had
+                    // been pushed last; the older ones wait on the stack.
+                    stack.extend(node.replace(p));
                 }
             }
         }

@@ -24,6 +24,25 @@ fn grow(seed_parents: &[usize], dag_edges: &[(usize, usize)]) -> Taxonomy {
     b.build()
 }
 
+/// The dense-table walk `ancestors` replaced, kept as the oracle for the
+/// order `ancestors` must keep.
+fn dense_ancestors(t: &Taxonomy, id: TopicId) -> Vec<TopicId> {
+    let mut out = Vec::new();
+    let mut seen = vec![false; t.len()];
+    let mut frontier = vec![id];
+    while let Some(node) = frontier.pop() {
+        for &p in t.parents(node) {
+            if !seen[p.index()] {
+                seen[p.index()] = true;
+                out.push(p);
+                frontier.push(p);
+            }
+        }
+    }
+    out.sort_by_key(|&t2| std::cmp::Reverse(t.depth(t2)));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -81,6 +100,33 @@ proptest! {
                 prop_assert!(t.ancestors(d).contains(&a));
                 prop_assert!(t.is_ancestor(a, d));
             }
+        }
+    }
+
+    /// Negative cases too: on DAGs dense with extra parents, `is_ancestor`
+    /// and `ancestors` agree with the dense `descendants` walk on every
+    /// pair, and `ancestors` keeps its order.
+    #[test]
+    fn ancestry_agrees_with_descendants_on_every_pair(
+        parents in prop::collection::vec(0usize..1000, 1..40),
+        edges in prop::collection::vec((0usize..1000, 0usize..1000), 0..32),
+    ) {
+        let t = grow(&parents, &edges);
+        let below: Vec<Vec<TopicId>> = t.iter().map(|a| t.descendants(a)).collect();
+        for b in t.iter() {
+            let mut want = Vec::new();
+            for a in t.iter() {
+                let related = a == b || below[a.index()].contains(&b);
+                prop_assert_eq!(t.is_ancestor(a, b), related, "is_ancestor({:?}, {:?})", a, b);
+                if related && a != b {
+                    want.push(a);
+                }
+            }
+            let got = t.ancestors(b);
+            prop_assert_eq!(&got, &dense_ancestors(&t, b));
+            let mut sorted = got.clone();
+            sorted.sort();
+            prop_assert_eq!(sorted, want, "ancestors({:?}) = {:?}", b, got);
         }
     }
 

@@ -84,7 +84,8 @@ impl CsrGraph {
     /// offsets must be monotone and span their edge arrays exactly, every
     /// target/source id must be `< n`, weights must be in `[-1, 1]` and
     /// non-NaN, targets must be strictly sorted within each agent's range
-    /// (no self-edges), and forward/reverse edge counts must agree.
+    /// (no self-edges), and the reverse arenas must mirror the forward ones:
+    /// each agent's trusters are exactly the agents whose out-row holds it.
     pub fn from_parts(
         out_offsets: Vec<u32>,
         out_targets: Vec<u32>,
@@ -121,6 +122,7 @@ impl CsrGraph {
                 return Err(TrustError::InvalidCsr("in-source id out of range"));
             }
         }
+        check_mirror(&out_offsets, &out_targets, &in_offsets, &in_sources)?;
         for &w in &out_weights {
             if !(-1.0..=1.0).contains(&w) || w.is_nan() {
                 return Err(TrustError::InvalidWeight(w));
@@ -319,6 +321,40 @@ fn check_offsets(offsets: &[u32], edges: usize) -> Result<usize> {
     Ok(offsets.len() - 1)
 }
 
+/// Checks that every agent's in-list names each source whose out-row holds
+/// the agent, once: the in-degrees match the out-targets' counts, and each
+/// in-entry claims a distinct edge of its source's row, found by binary
+/// search (rows are sorted). Ids and offsets are already in range.
+fn check_mirror(
+    out_offsets: &[u32],
+    out_targets: &[u32],
+    in_offsets: &[u32],
+    in_sources: &[u32],
+) -> Result<()> {
+    let mut in_degree = vec![0u32; in_offsets.len() - 1];
+    for &t in out_targets {
+        in_degree[t as usize] += 1;
+    }
+    let mut claimed = vec![false; out_targets.len()];
+    for (agent, &degree) in in_degree.iter().enumerate() {
+        let (start, end) = (in_offsets[agent] as usize, in_offsets[agent + 1] as usize);
+        if end - start != degree as usize {
+            return Err(TrustError::InvalidCsr("in-degree differs from the out-rows' count"));
+        }
+        for &s in &in_sources[start..end] {
+            let row = out_offsets[s as usize] as usize..out_offsets[s as usize + 1] as usize;
+            let edge = match out_targets[row.clone()].binary_search(&(agent as u32)) {
+                Ok(k) => row.start + k,
+                Err(_) => return Err(TrustError::InvalidCsr("in-source does not trust the agent")),
+            };
+            if std::mem::replace(&mut claimed[edge], true) {
+                return Err(TrustError::InvalidCsr("in-source listed twice"));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,5 +477,22 @@ mod tests {
         // 2×(n+1) u32 offsets + 2×m u32 ids + m f64 weights, then the
         // derived m f64 powered weights + n (f64, f64) row sums.
         assert_eq!(csr.resident_bytes(), 2 * 5 * 4 + 2 * 5 * 4 + 5 * 8 + 5 * 8 + 4 * 16);
+    }
+
+    /// A reverse arena with every in-degree right but the wrong trusters
+    /// behind them is refused: permuted, or naming one truster twice.
+    #[test]
+    fn reverse_arenas_that_do_not_mirror_are_typed_errors() {
+        let csr = CsrGraph::from_graph(&diamond());
+        let (oo, ot, ow, io, is) = csr.arenas();
+        assert_eq!(is, [3, 0, 0, 1, 2]);
+        let with = |in_sources: [u32; 5]| {
+            let is = in_sources.to_vec();
+            CsrGraph::from_parts(oo.to_vec(), ot.to_vec(), ow.to_vec(), io.to_vec(), is)
+        };
+        // Agents 0 and 3 trade a truster: 1 trusts neither of them.
+        assert!(matches!(with([1, 0, 0, 3, 2]), Err(TrustError::InvalidCsr(_))));
+        // 2 does trust 3, but so does 1, which is missing.
+        assert!(matches!(with([3, 0, 0, 2, 2]), Err(TrustError::InvalidCsr(_))));
     }
 }

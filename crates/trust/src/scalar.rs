@@ -54,7 +54,8 @@ pub fn strongest_path(
     impl Eq for State {}
     impl Ord for State {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.partial_cmp(&other.0).unwrap().then(self.1.cmp(&other.1).reverse())
+            // Products of positive weights from 1.0: finite and ≥ +0.0.
+            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1).reverse())
         }
     }
     impl PartialOrd for State {

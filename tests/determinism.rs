@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use semrec::core::{recommend_batch, Recommender, RecommenderConfig};
-use semrec::datagen::{generate_community, CommunityGenConfig};
+use semrec::datagen::{generate_community, CommunityGenConfig, GeneratedCommunity};
 use semrec::obs::MetricsSnapshot;
 use semrec::web::crawler::{
     assemble_community, crawl_resilient, refresh_resilient, CommunityBuilder, CrawlConfig,
@@ -617,4 +617,75 @@ fn different_seeds_diverge() {
     let (recs_a, _) = run_once(42, 4);
     let (recs_c, _) = run_once(43, 4);
     assert_ne!(recs_a, recs_c, "different seeds should give different lists");
+}
+
+/// Every byte a generated world carries, hashed: agent URIs, latent
+/// interests, each rating's product and bits, each trust edge's target and
+/// bits, the taxonomy's parent lists and the catalog's descriptors. Every
+/// list is length-prefixed, so two different worlds feed different bytes.
+fn world_digest(generated: &GeneratedCommunity) -> u64 {
+    use semrec_hash::{fnv1a64_continue, FNV1A64_OFFSET};
+    let mut digest = FNV1A64_OFFSET;
+    let mut put = |value: u64| digest = fnv1a64_continue(digest, &value.to_le_bytes());
+    let community = &generated.community;
+    put(community.agent_count() as u64);
+    for agent in community.agents() {
+        let uri = &community.agent(agent).expect("listed agent").uri;
+        put(uri.len() as u64);
+        uri.bytes().for_each(|b| put(u64::from(b)));
+        let interests = &generated.interests[agent.index()];
+        put(interests.len() as u64);
+        interests.iter().for_each(|topic| put(topic.index() as u64));
+        let ratings = community.ratings_of(agent);
+        put(ratings.len() as u64);
+        for &(product, rating) in ratings {
+            put(product.index() as u64);
+            put(rating.to_bits());
+        }
+        let edges = community.trust.out_edges(agent);
+        put(edges.len() as u64);
+        for &(target, weight) in edges {
+            put(target.index() as u64);
+            put(weight.to_bits());
+        }
+    }
+    let taxonomy = &community.taxonomy;
+    put(taxonomy.len() as u64);
+    for topic in taxonomy.iter() {
+        let parents = taxonomy.parents(topic);
+        put(parents.len() as u64);
+        parents.iter().for_each(|parent| put(parent.index() as u64));
+    }
+    let catalog = &community.catalog;
+    put(catalog.len() as u64);
+    for product in catalog.iter() {
+        let descriptors = catalog.descriptors(product);
+        put(descriptors.len() as u64);
+        descriptors.iter().for_each(|topic| put(topic.index() as u64));
+    }
+    digest
+}
+
+/// The generator's output at two scales, pinned bit for bit: a change to
+/// `semrec-datagen` or to the taxonomy walks it calls must leave these
+/// digests alone unless it means to move every experiment's world.
+#[test]
+fn generated_worlds_match_the_pinned_digest() {
+    for (config, want) in [
+        (CommunityGenConfig::small(42), 0xd41a_2526_651c_a0c8),
+        (CommunityGenConfig::medium(42), 0x0863_71c6_5baf_0a6f),
+    ] {
+        let digest = world_digest(&generate_community(&config));
+        assert_eq!(digest, want, "{} agents: digest {digest:#018x}", config.agents);
+    }
+}
+
+/// The §4.1-scale world that `perf/`'s `serve_cold` and every `--scale
+/// paper` experiment start from, pinned the same way. Run it in release:
+/// `cargo test --release --test determinism -- --ignored`.
+#[test]
+#[ignore = "paper scale: run in release with --ignored"]
+fn paper_scale_world_matches_the_pinned_digest() {
+    let digest = world_digest(&generate_community(&CommunityGenConfig::paper_scale(42)));
+    assert_eq!(digest, 0xba19_bf7e_9f29_1fa3, "digest {digest:#018x}");
 }
