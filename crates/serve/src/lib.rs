@@ -17,14 +17,14 @@
 //!   dequeue is deficit-round-robin weighted by class, and requests whose
 //!   virtual-tick deadline passed while queued are shed at dequeue
 //!   ([`ServeError::DeadlineExceeded`]) rather than served late.
-//! * **[`Server`]** — the worker pool. Workers drain micro-batches (up to
-//!   `batch_size` per lock acquisition), pin one snapshot per batch, and
-//!   consult a sharded per-snapshot LRU ([`RecCache`]) keyed by
-//!   `(epoch, agent, n)` — swap invalidation is wholesale and a stale
-//!   generation can never answer, because the epoch is part of the key.
-//!   Zero-worker servers instead drain through the lockstep
-//!   [`Server::drain_step`], the deterministic path the SLO machinery
-//!   rides on.
+//! * **[`Server`]** — one batch rule under two drivers. A batch pins one
+//!   snapshot and one virtual `now`, sheds what expired, answers hits from
+//!   a sharded per-snapshot LRU ([`RecCache`]) keyed by `(epoch, agent, n)`
+//!   — a stale generation can never answer, because the epoch is part of
+//!   the key — and computes each distinct miss once. Pool workers drain
+//!   micro-batches (up to `batch_size` per lock acquisition); zero-worker
+//!   servers drain through the lockstep [`Server::drain_step`], the
+//!   deterministic driver the SLO machinery rides on.
 //! * **[`slo`]** — SLO enforcement: per-class deadline budgets, an exact
 //!   sliding-window p99 pressure controller ([`SloController`]) that sheds
 //!   `Low` before `Normal` and never pressure-sheds `High`, and a

@@ -1,6 +1,5 @@
-//! The serving core: a classed, weighted-fair request queue with two drain
-//! modes — a free-running worker pool, and a lockstep [`Server::drain_step`]
-//! for deterministic SLO-controlled serving.
+//! The serving core: a classed, weighted-fair request queue whose drained
+//! batches one batch rule serves, under either of two drivers.
 //!
 //! Life of a request:
 //!
@@ -9,29 +8,35 @@
 //!    newest strictly-lower-class queued request (the victim resolves with
 //!    [`ServeError::Overloaded`]) or is itself refused the same way
 //!    (load-shedding, counted as `serve.requests.shed.admission`).
-//! 2. **Batching** — a drain hands out up to `batch_size` requests in
-//!    deficit-round-robin order and pins the current [`ModelSnapshot`] once
-//!    for the whole batch, so every request in a batch is answered from a
-//!    single consistent generation.
+//! 2. **Batching** — a drain hands out requests in deficit-round-robin
+//!    order; the batch pins the current [`ModelSnapshot`] and reads the
+//!    virtual clock once, so all its requests see one generation and `now`.
 //! 3. **Deadline check** — a request whose deadline (explicit, or derived
 //!    from its class's SLO budget) passed while it queued is shed
 //!    (`serve.requests.shed.deadline`) rather than served late. Under SLO
 //!    pressure, `Low` and then `Normal` requests are shed pre-compute while
 //!    `High` only ever misses its own hard deadline.
 //! 4. **Cache / compute** — the sharded LRU is consulted under the pinned
-//!    epoch; a miss runs the full pipeline and populates the cache.
+//!    epoch; the batch's misses are computed once per `(epoch, agent, n)`
+//!    and cached in first-occurrence order.
 //!
-//! ## Two drain modes
+//! ## One batch rule, two drivers
 //!
-//! `ServeConfig::workers > 0` starts the classic free-running pool:
-//! convenient, but wall-clock scheduling makes cache and shed counters
-//! depend on thread interleaving. `workers == 0` builds a *lockstep*
-//! server: nothing drains until the harness calls [`Server::drain_step`],
-//! which makes every decision (shed, cache, response order) sequentially
-//! and parallelizes only the pure recommendation compute of deduplicated
-//! cache misses — chunked by index so the result is byte-identical for any
-//! `threads`. The open-loop load generator drives this mode one virtual
-//! tick at a time.
+//! Steps 2–4 are one private `Batch`: `admit` sheds a request, answers its
+//! hit or queues it on its miss, and `finish` computes, caches and answers
+//! the misses. `workers == 0` builds a *lockstep* server: nothing drains
+//! until the harness calls [`Server::drain_step`], which refills the batch
+//! until `max` requests survive, runs the [`SloController`] on the virtual
+//! clock only it advances, and computes on `threads` lanes chunked by index
+//! — byte-identical for any `threads`; the open-loop load generator drives
+//! it one tick at a time. `workers > 0` starts a free-running pool: each
+//! worker finishes its drained batch on one lane, answering a miss's
+//! waiters the moment it returns, with no SLO controller; only the pool
+//! times batches (`serve.batch`). Through the shared rule the pool checks
+//! explicit deadlines against one `now` per batch, records
+//! `serve.wait.ticks`, and computes a miss duplicated within a batch once
+//! (the duplicate answers `cache_hit: false`, as in lockstep). Its counters
+//! still depend on thread interleaving.
 //!
 //! Snapshot swap ([`Server::publish`]) happens between batches from the
 //! workers' point of view: requests already drained finish on the old
@@ -50,7 +55,7 @@ use std::thread::JoinHandle;
 use semrec_core::{AgentId, CoreError, Recommendation, Recommender, SwapPlan};
 use semrec_obs::MetricsSnapshot;
 
-use crate::cache::{CacheStats, RecCache};
+use crate::cache::{CacheKey, CacheStats, RecCache};
 use crate::class::{PerClass, Priority};
 use crate::clock::TickClock;
 use crate::error::ServeError;
@@ -155,8 +160,8 @@ struct Request {
     class: Priority,
     /// Virtual tick the request was admitted at (queue-wait accounting).
     submitted_at: u64,
-    /// Explicit virtual-tick start-by deadline, if any. When absent, the
-    /// lockstep path derives one from the class's SLO budget.
+    /// Explicit virtual-tick start-by deadline, if any. When absent, a
+    /// drain with an SLO controller derives one from the class's budget.
     deadline: Option<u64>,
     responder: mpsc::Sender<ServeResult>,
 }
@@ -437,11 +442,9 @@ impl Server {
     /// One synchronous serving step for the lockstep (zero-worker) mode:
     /// pops requests in weighted-fair order until up to `max` of them
     /// *survive* shedding (dropping an expired request runs no compute, so
-    /// it costs no serving slot), makes every shed/cache decision
-    /// sequentially, and computes the deduplicated cache misses on up to
-    /// `threads` scoped threads. The compute is pure and chunked by index,
-    /// so counters and responses are byte-identical for any `threads`
-    /// value.
+    /// it costs no serving slot) and serves them as one batch whose misses
+    /// are computed on up to `threads` lanes. Counters and responses are
+    /// byte-identical for any `threads` value (see the module docs).
     ///
     /// With an [`SloController`], requests without an explicit deadline get
     /// `submitted_at + class budget` as their hard deadline, served waits
@@ -450,7 +453,7 @@ impl Server {
     ///
     /// # Panics
     /// Panics if the server was started with worker threads — mixing the
-    /// two drain modes would race the queue.
+    /// two drivers would race the queue.
     pub fn drain_step(
         &self,
         max: usize,
@@ -461,157 +464,32 @@ impl Server {
             self.workers.is_empty(),
             "drain_step requires a lockstep server (ServeConfig.workers == 0)"
         );
-        let shared = &self.shared;
-        let metrics = &shared.metrics;
-        let mut outcome = DrainOutcome::default();
+        let (shared, metrics) = (&*self.shared, &self.shared.metrics);
         if let Some(slo) = slo.as_mut() {
             metrics.slo_pressure.set(slo.update() as f64);
             metrics.slo_observed_p99.set(slo.observed_p99() as f64);
         }
-        let now = shared.clock.now();
-        let snapshot = shared.switch.pin();
-        let degraded = snapshot.engine().source_health().is_degraded();
-
-        /// What a drained request resolved to before compute.
-        enum Pending {
-            /// Already responded (shed).
-            Done,
-            /// Answered from cache.
-            Hit(Arc<Vec<Recommendation>>),
-            /// Waiting on the compute of unique miss `index`.
-            Miss(usize),
-        }
-
+        let mut batch = Batch::default();
+        batch.open(shared);
         let max = max.max(1);
-        let mut requests = Vec::with_capacity(max);
-        let mut pending = Vec::with_capacity(max);
-        let mut unique: Vec<(u64, AgentId, usize)> = Vec::new();
-        let mut survivors = 0usize;
+        let mut survivors = 0;
         // `max` budgets *service*, not queue pops: shedding a dead request
         // runs no compute, so it must not burn a serving slot. Dropping the
         // expired head of a lane is exactly what converts queue backlog
         // into goodput for the live requests behind it.
         while survivors < max {
-            let batch = shared.queue.try_drain(max - survivors);
-            if batch.is_empty() {
+            let drained = shared.queue.try_drain(max - survivors);
+            if drained.is_empty() {
                 break;
             }
-            outcome.drained += batch.len();
-            for (class, request) in batch {
-                let deadline = request.deadline.or_else(|| {
-                    slo.as_ref().map(|slo| request.submitted_at + slo.deadline_budget(class))
-                });
-                let expired = deadline.is_some_and(|deadline| now > deadline);
-                if expired || slo.as_ref().is_some_and(|slo| slo.should_shed(class)) {
-                    metrics.count_shed_deadline(class);
-                    if expired {
-                        outcome.shed_deadline += 1;
-                    } else {
-                        metrics.slo_pressure_sheds.inc();
-                        outcome.shed_pressure += 1;
-                    }
-                    let _ = request.responder.send(Err(ServeError::DeadlineExceeded {
-                        deadline: deadline.unwrap_or(now),
-                        now,
-                    }));
-                    requests.push(request);
-                    pending.push(Pending::Done);
-                    continue;
-                }
-                // Survivor: its wait feeds the SLO window whether it turns
-                // out to be a hit, a miss, or an engine error.
-                survivors += 1;
-                let wait = now.saturating_sub(request.submitted_at);
-                metrics.wait_ticks.observe(wait as f64);
-                if let Some(slo) = slo.as_mut() {
-                    slo.record_wait(wait);
-                }
-                let key = (snapshot.epoch(), request.agent, request.n);
-                if let Some(cached) = shared.cache.get(&key) {
-                    pending.push(Pending::Hit(cached));
-                } else {
-                    let index = match unique.iter().position(|&u| u == key) {
-                        Some(index) => index,
-                        None => {
-                            unique.push(key);
-                            unique.len() - 1
-                        }
-                    };
-                    pending.push(Pending::Miss(index));
-                }
-                requests.push(request);
+            for (class, request) in drained {
+                survivors += usize::from(batch.admit(shared, class, request, slo.as_deref_mut()));
             }
         }
-        if requests.is_empty() {
-            return outcome;
+        if batch.outcome.drained > 0 {
+            metrics.batch_size.observe(batch.outcome.drained as f64);
         }
-        metrics.batch_size.observe(outcome.drained as f64);
-
-        // Parallel pure compute of the unique misses. Chunked by index:
-        // thread count changes who computes, never what or in which slot.
-        let computed: Vec<Result<Arc<Vec<Recommendation>>, CoreError>> = if unique.is_empty() {
-            Vec::new()
-        } else {
-            let lanes = threads.max(1).min(unique.len());
-            let chunk = unique.len().div_ceil(lanes);
-            let engine = snapshot.engine();
-            let mut results: Vec<Option<Result<Arc<Vec<Recommendation>>, CoreError>>> =
-                (0..unique.len()).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = unique
-                    .chunks(chunk)
-                    .map(|keys| {
-                        scope.spawn(move || {
-                            keys.iter()
-                                .map(|&(_, agent, n)| engine.recommend(agent, n).map(Arc::new))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut slot = 0;
-                for handle in handles {
-                    for result in handle.join().expect("drain_step compute lane") {
-                        results[slot] = Some(result);
-                        slot += 1;
-                    }
-                }
-            });
-            results.into_iter().map(|r| r.expect("every slot filled")).collect()
-        };
-        // Populate the cache in first-occurrence order, sequentially.
-        for (key, result) in unique.iter().zip(&computed) {
-            if let Ok(recommendations) = result {
-                shared.cache.insert(*key, Arc::clone(recommendations));
-            }
-        }
-
-        // Respond in drained (weighted-fair) order.
-        for (request, state) in requests.into_iter().zip(pending) {
-            let class = request.class;
-            let (recommendations, cache_hit) = match state {
-                Pending::Done => continue,
-                Pending::Hit(cached) => (cached, true),
-                Pending::Miss(index) => match &computed[index] {
-                    Ok(recommendations) => (Arc::clone(recommendations), false),
-                    Err(e) => {
-                        metrics.failed.inc();
-                        outcome.failed += 1;
-                        let _ = request.responder.send(Err(ServeError::Engine(e.clone())));
-                        continue;
-                    }
-                },
-            };
-            metrics.count_served(class);
-            outcome.served += 1;
-            let _ = request.responder.send(Ok(ServedResponse {
-                recommendations,
-                epoch: snapshot.epoch(),
-                cache_hit,
-                class,
-                degraded,
-            }));
-        }
-        outcome
+        batch.finish(shared, threads)
     }
 
     /// Closes the queue, drains it, joins the workers, and returns the
@@ -642,59 +520,173 @@ impl Drop for Server {
     }
 }
 
-/// A worker: drain a micro-batch, pin the current snapshot once, serve the
-/// batch, repeat until the queue closes and empties.
+/// A worker: drain a micro-batch, serve it as one batch on one lane, repeat
+/// until the queue closes and empties. The batch's buffers live as long as
+/// the worker.
 fn worker_loop(shared: &Shared) {
+    let mut batch = Batch::default();
     loop {
-        let batch = shared.queue.drain(shared.batch_size);
-        if batch.is_empty() {
+        let drained = shared.queue.drain(shared.batch_size);
+        if drained.is_empty() {
             return; // closed and drained
         }
         let _batch = shared.metrics.batch_seconds.start_timer();
-        shared.metrics.batch_size.observe(batch.len() as f64);
-        let snapshot = shared.switch.pin();
-        for (_, request) in batch {
-            serve_one(shared, &snapshot, request);
+        shared.metrics.batch_size.observe(drained.len() as f64);
+        batch.open(shared);
+        for (class, request) in drained {
+            batch.admit(shared, class, request, None);
         }
+        batch.finish(shared, 1);
     }
 }
 
-/// Serves one drained request against the batch's pinned snapshot.
-fn serve_one(shared: &Shared, snapshot: &ModelSnapshot, request: Request) {
-    let metrics = &shared.metrics;
-    let now = shared.clock.now();
-    let class = request.class;
-    if let Some(deadline) = request.deadline {
-        if now > deadline {
-            metrics.count_shed_deadline(class);
-            let _ = request.responder.send(Err(ServeError::DeadlineExceeded { deadline, now }));
-            return;
-        }
+/// A recommendation list, or the engine error computing it.
+type Computed = Result<Arc<Vec<Recommendation>>, CoreError>;
+
+/// One drained batch: the only place a request is shed, answered from the
+/// cache or computed. Both drivers run it (see the module docs).
+#[derive(Default)]
+struct Batch {
+    /// Held from `open` to `finish` only: an idle worker pins no model.
+    snapshot: Option<Arc<ModelSnapshot>>,
+    epoch: u64,
+    degraded: bool,
+    /// The virtual tick every deadline in the batch is checked against.
+    now: u64,
+    /// The unique cache misses, in first-occurrence order.
+    misses: Vec<CacheKey>,
+    /// Survivors waiting on a miss: its index in `misses`, drained order.
+    waiting: Vec<(usize, Request)>,
+    outcome: DrainOutcome,
+}
+
+impl Batch {
+    /// Pins the current snapshot and reads the clock, once for the batch.
+    fn open(&mut self, shared: &Shared) {
+        let snapshot = shared.switch.pin();
+        self.epoch = snapshot.epoch();
+        self.degraded = snapshot.engine().source_health().is_degraded();
+        self.snapshot = Some(snapshot);
+        self.now = shared.clock.now();
     }
-    let key = (snapshot.epoch(), request.agent, request.n);
-    let (recommendations, cache_hit) = match shared.cache.get(&key) {
-        Some(cached) => (cached, true),
-        None => match snapshot.engine().recommend(request.agent, request.n) {
+
+    /// Triage of one drained request: shed it if its deadline (explicit,
+    /// or derived from `slo`'s class budget) has passed or `slo` is under
+    /// pressure for its class; else answer it from the cache, or queue it
+    /// on its miss, computed once per `(epoch, agent, n)` in the batch.
+    /// Returns whether the request survived shedding.
+    fn admit(
+        &mut self,
+        shared: &Shared,
+        class: Priority,
+        request: Request,
+        slo: Option<&mut SloController>,
+    ) -> bool {
+        let metrics = &shared.metrics;
+        let now = self.now;
+        self.outcome.drained += 1;
+        let deadline = request.deadline.or_else(|| {
+            slo.as_ref().map(|slo| request.submitted_at + slo.deadline_budget(class))
+        });
+        let expired = deadline.is_some_and(|deadline| now > deadline);
+        if expired || slo.as_ref().is_some_and(|slo| slo.should_shed(class)) {
+            metrics.count_shed_deadline(class);
+            if expired {
+                self.outcome.shed_deadline += 1;
+            } else {
+                metrics.slo_pressure_sheds.inc();
+                self.outcome.shed_pressure += 1;
+            }
+            let _ = request.responder.send(Err(ServeError::DeadlineExceeded {
+                deadline: deadline.unwrap_or(now),
+                now,
+            }));
+            return false;
+        }
+        // Survivor: its wait feeds the SLO window whether it turns out to
+        // be a hit, a miss, or an engine error.
+        let wait = now.saturating_sub(request.submitted_at);
+        metrics.wait_ticks.observe(wait as f64);
+        if let Some(slo) = slo {
+            slo.record_wait(wait);
+        }
+        let key = (self.epoch, request.agent, request.n);
+        match shared.cache.get(&key) {
+            Some(cached) => self.answer(shared, &request, &Ok(cached), true),
+            None => {
+                let index = self.misses.iter().position(|&miss| miss == key).unwrap_or_else(|| {
+                    self.misses.push(key);
+                    self.misses.len() - 1
+                });
+                self.waiting.push((index, request));
+            }
+        }
+        true
+    }
+
+    /// Computes the unique misses and, in first-occurrence order, inserts
+    /// each into the cache and answers its waiters; then releases the pin.
+    /// On one lane a miss is computed inline, so its waiters are answered
+    /// the moment it returns. On more, every miss is computed up front,
+    /// chunked by index over scoped threads: a lane changes who computes,
+    /// never what or into which slot.
+    fn finish(&mut self, shared: &Shared, lanes: usize) -> DrainOutcome {
+        let snapshot = self.snapshot.take().expect("a batch is opened before it finishes");
+        let compute = |&(_, agent, n): &CacheKey| -> Computed {
+            snapshot.engine().recommend(agent, n).map(Arc::new)
+        };
+        let (mut misses, mut waiting) =
+            (std::mem::take(&mut self.misses), std::mem::take(&mut self.waiting));
+        let lanes = lanes.max(1).min(misses.len());
+        let computed: Vec<Computed> = if lanes > 1 {
+            std::thread::scope(|scope| {
+                let lanes: Vec<_> = misses
+                    .chunks(misses.len().div_ceil(lanes))
+                    .map(|keys| scope.spawn(move || keys.iter().map(compute).collect::<Vec<_>>()))
+                    .collect();
+                lanes.into_iter().flat_map(|lane| lane.join().expect("compute lane")).collect()
+            })
+        } else {
+            Vec::new()
+        };
+        for (index, key) in misses.iter().enumerate() {
+            let inline = computed.is_empty().then(|| compute(key));
+            let result = inline.as_ref().unwrap_or_else(|| &computed[index]);
+            if let Ok(recommendations) = result {
+                shared.cache.insert(*key, Arc::clone(recommendations));
+            }
+            for (_, request) in waiting.iter().filter(|&&(miss, _)| miss == index) {
+                self.answer(shared, request, result, false);
+            }
+        }
+        misses.clear();
+        waiting.clear();
+        (self.misses, self.waiting) = (misses, waiting);
+        std::mem::take(&mut self.outcome)
+    }
+
+    /// Sends one survivor its answer and counts it.
+    fn answer(&mut self, shared: &Shared, request: &Request, result: &Computed, cache_hit: bool) {
+        let response = match result {
             Ok(recommendations) => {
-                let recommendations = Arc::new(recommendations);
-                shared.cache.insert(key, Arc::clone(&recommendations));
-                (recommendations, false)
+                shared.metrics.count_served(request.class);
+                self.outcome.served += 1;
+                Ok(ServedResponse {
+                    recommendations: Arc::clone(recommendations),
+                    epoch: self.epoch,
+                    cache_hit,
+                    class: request.class,
+                    degraded: self.degraded,
+                })
             }
             Err(e) => {
-                metrics.failed.inc();
-                let _ = request.responder.send(Err(ServeError::Engine(e)));
-                return;
+                shared.metrics.failed.inc();
+                self.outcome.failed += 1;
+                Err(ServeError::Engine(e.clone()))
             }
-        },
-    };
-    metrics.count_served(class);
-    let _ = request.responder.send(Ok(ServedResponse {
-        recommendations,
-        epoch: snapshot.epoch(),
-        cache_hit,
-        class,
-        degraded: snapshot.engine().source_health().is_degraded(),
-    }));
+        };
+        let _ = request.responder.send(response);
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use semrec_core::{
 };
 use semrec_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use semrec_profiles::ProfileView;
-use semrec_trust::TrustError;
+use semrec_trust::{neighborhood::normalize, TrustError};
 
 use crate::appleseed::{sharded_appleseed, ShardedAppleseedResult};
 use crate::partition::{cut_edges, Directory, GlobalId, ShardFn};
@@ -535,21 +535,7 @@ impl ShardedModel {
     /// counterpart of the engine's `peer_weights`.
     pub fn peer_weights(&self, target: GlobalId) -> Result<Vec<(GlobalId, f64)>> {
         let ranks = self.trust_ranks(target)?;
-        let nb = &self.config.neighborhood;
-        let peers: Vec<(GlobalId, f64)> = ranks
-            .ranks
-            .iter()
-            .copied()
-            .filter(|&(_, r)| r > nb.min_rank)
-            .take(nb.max_peers)
-            .collect();
-        // Normalize exactly as TrustNeighborhood::normalized does.
-        let max = peers.first().map_or(0.0, |&(_, r)| r);
-        let normalized: Vec<(GlobalId, f64)> = if max <= 0.0 {
-            peers
-        } else {
-            peers.iter().map(|&(p, r)| (p, (r / max).max(0.0))).collect()
-        };
+        let normalized = normalize(&self.config.neighborhood.select(&ranks.ranks));
         let target_profile = self.profile_of(target)?;
         let scores: Vec<PeerScores> = normalized
             .into_iter()

@@ -70,17 +70,33 @@ impl TrustNeighborhood {
         self.peers.iter().any(|&(p, _)| p == peer)
     }
 
-    /// Trust ranks normalized to `[0, 1]` by the maximum rank.
-    ///
-    /// Used by rank synthesization (§3.4) to make trust comparable with
-    /// similarity scores.
+    /// Trust ranks normalized to `[0, 1]` by the maximum rank (see
+    /// [`normalize`]).
     pub fn normalized(&self) -> Vec<(AgentId, f64)> {
-        let max = self.peers.first().map_or(0.0, |&(_, r)| r);
-        if max <= 0.0 {
-            return self.peers.clone();
-        }
-        self.peers.iter().map(|&(p, r)| (p, (r / max).max(0.0))).collect()
+        normalize(&self.peers)
     }
+}
+
+impl NeighborhoodParams {
+    /// The neighborhood cut of a ranking sorted by descending rank: the
+    /// peers ranked above `min_rank`, at most `max_peers` of them. Generic
+    /// over the id, so the monolith and the sharded model cut alike.
+    pub fn select<I: Copy>(&self, ranks: &[(I, f64)]) -> Vec<(I, f64)> {
+        ranks.iter().copied().filter(|&(_, r)| r > self.min_rank).take(self.max_peers).collect()
+    }
+}
+
+/// Ranks sorted by descending rank, normalized to `[0, 1]` by the first
+/// (maximum) one; returned as they are when that maximum is not positive.
+///
+/// Used by rank synthesization (§3.4) to make trust comparable with
+/// similarity scores.
+pub fn normalize<I: Copy>(peers: &[(I, f64)]) -> Vec<(I, f64)> {
+    let max = peers.first().map_or(0.0, |&(_, r)| r);
+    if max <= 0.0 {
+        return peers.to_vec();
+    }
+    peers.iter().map(|&(p, r)| (p, (r / max).max(0.0))).collect()
 }
 
 /// Forms the trust neighborhood of `source` with Appleseed over the frozen
@@ -91,16 +107,9 @@ pub fn form_neighborhood_csr(
     params: &NeighborhoodParams,
 ) -> Result<TrustNeighborhood> {
     let result = appleseed(graph, source, &params.appleseed)?;
-    let peers = result
-        .ranks
-        .iter()
-        .copied()
-        .filter(|&(_, r)| r > params.min_rank)
-        .take(params.max_peers)
-        .collect();
     Ok(TrustNeighborhood {
         source,
-        peers,
+        peers: params.select(&result.ranks),
         iterations: result.iterations,
         nodes_explored: result.nodes_discovered,
     })

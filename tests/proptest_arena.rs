@@ -11,37 +11,14 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 use semrec::core::{Community, ProfileStore, Recommender, RecommenderConfig};
 use semrec::store::{decode_v2, encode_v2, sniff_version, SNAPSHOT_V2};
-use semrec::taxonomy::fixtures::example1;
 use semrec::trust::CsrGraph;
 use semrec::web::crawler::{crawl, CommunityBuilder, CrawlConfig};
 use semrec::web::publish::publish_community;
 use semrec::web::store::DocumentWeb;
 use semrec::{AgentId, ProductId};
 
-/// Builds a community over the Example 1 world from generated edge/rating
-/// lists (indexes taken modulo the population).
-fn build(
-    n_agents: usize,
-    trust: &[(usize, usize, f64)],
-    ratings: &[(usize, usize, f64)],
-) -> Community {
-    let e = example1();
-    let mut c = Community::new(e.fig.taxonomy, e.catalog);
-    let agents: Vec<AgentId> = (0..n_agents)
-        .map(|i| c.add_agent(format!("http://ex.org/u{i}")).unwrap())
-        .collect();
-    for &(a, b, w) in trust {
-        let (a, b) = (a % n_agents, b % n_agents);
-        if a != b {
-            c.trust.set_trust(agents[a], agents[b], w).unwrap();
-        }
-    }
-    let m = c.catalog.len();
-    for &(a, p, r) in ratings {
-        c.set_rating(agents[a % n_agents], ProductId::from_index(p % m), r).unwrap();
-    }
-    c
-}
+mod common;
+use common::build;
 
 /// Bit-exact rendering of one agent's rating list.
 fn ratings_bits(c: &Community, a: AgentId) -> Vec<(usize, u64)> {

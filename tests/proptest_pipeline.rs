@@ -3,34 +3,10 @@
 //! pattern and configuration.
 
 use proptest::prelude::*;
-use semrec::core::{Community, Recommender, RecommenderConfig, SynthesisStrategy};
-use semrec::taxonomy::fixtures::example1;
-use semrec::{AgentId, ProductId};
+use semrec::core::{Recommender, RecommenderConfig, SynthesisStrategy};
 
-/// Builds a community over the Example 1 world from generated edge/rating
-/// lists (indexes taken modulo the population).
-fn build(
-    n_agents: usize,
-    trust: &[(usize, usize, f64)],
-    ratings: &[(usize, usize, f64)],
-) -> Community {
-    let e = example1();
-    let mut c = Community::new(e.fig.taxonomy, e.catalog);
-    let agents: Vec<AgentId> = (0..n_agents)
-        .map(|i| c.add_agent(format!("http://ex.org/u{i}")).unwrap())
-        .collect();
-    for &(a, b, w) in trust {
-        let (a, b) = (a % n_agents, b % n_agents);
-        if a != b {
-            c.trust.set_trust(agents[a], agents[b], w).unwrap();
-        }
-    }
-    let m = c.catalog.len();
-    for &(a, p, r) in ratings {
-        c.set_rating(agents[a % n_agents], ProductId::from_index(p % m), r).unwrap();
-    }
-    c
-}
+mod common;
+use common::build;
 
 type World = (usize, Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
 

@@ -14,36 +14,14 @@
 //!    floating-point additions, it never reroutes energy differently.
 
 use proptest::prelude::*;
-use semrec::core::{Community, Recommender, RecommenderConfig};
+use semrec::core::{Recommender, RecommenderConfig};
 use semrec::shard::{CommunityShardFn, GlobalId, HashShardFn, ShardFn, ShardedModel};
-use semrec::taxonomy::fixtures::example1;
 use semrec::trust::appleseed::{appleseed, AppleseedParams};
 use semrec::trust::neighborhood::NeighborhoodParams;
-use semrec::{AgentId, ProductId};
 use std::sync::Arc;
 
-fn build(
-    n_agents: usize,
-    trust: &[(usize, usize, f64)],
-    ratings: &[(usize, usize, f64)],
-) -> Community {
-    let e = example1();
-    let mut c = Community::new(e.fig.taxonomy, e.catalog);
-    let agents: Vec<AgentId> = (0..n_agents)
-        .map(|i| c.add_agent(format!("http://ex.org/u{i}")).unwrap())
-        .collect();
-    for &(a, b, w) in trust {
-        let (a, b) = (a % n_agents, b % n_agents);
-        if a != b {
-            c.trust.set_trust(agents[a], agents[b], w).unwrap();
-        }
-    }
-    let m = c.catalog.len();
-    for &(a, p, r) in ratings {
-        c.set_rating(agents[a % n_agents], ProductId::from_index(p % m), r).unwrap();
-    }
-    c
-}
+mod common;
+use common::build;
 
 type World = (usize, Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
 

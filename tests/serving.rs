@@ -6,7 +6,9 @@
 //!    worker count, and whether they came from the engine or the cache.
 //! 2. **Hot swap** — publishing a new snapshot mid-load loses no in-flight
 //!    request, routes every post-publish request to the new generation,
-//!    and lets the old generation's model drop with its last reader.
+//!    and lets the old generation's model drop with its last reader. Under
+//!    a real-thread `publish_delta` storm every answer is its epoch's
+//!    model's, bit for bit, carried cache entries included.
 //! 3. **Admission control** — at capacity the server sheds with a typed
 //!    `Overloaded` error instead of queuing without bound, and shutdown
 //!    answers still-queued requests instead of dropping them.
@@ -29,6 +31,10 @@ use semrec::serve::{
 };
 use semrec::taxonomy::fixtures::example1;
 use semrec::{AgentId, Community};
+
+mod common;
+use common::{apply, arb_op, build};
+use proptest::prelude::*;
 
 /// A ring community: agent i trusts agent i+1 and rates one product.
 fn ring(n: usize) -> (Recommender, Vec<AgentId>) {
@@ -597,6 +603,119 @@ fn publish_storm_and_shutdown_mid_submit_close_the_books() {
     assert_eq!(sum(|s| s.failed), stats.failed);
     assert_eq!(sum(|s| s.refused) + stats.displaced, stats.shed_admission);
     assert!(first_epoch.upgrade().is_none(), "the first epoch's model must be dropped");
+}
+
+/// The real-thread pool under a `publish_delta` storm. Per generated world,
+/// clients cycle over every agent while a publisher walks a chain of
+/// generations, each built from random republish ops and published with its
+/// `SwapPlan` once every agent has been answered at the current epoch. Every
+/// answer must be its epoch's model's, bit for bit — carried entries and
+/// in-batch duplicates included — and the books must close. A ring backbone
+/// keeps the 6-hop reverse closure of a change a minority, so plans carry.
+#[test]
+fn publish_delta_storm_answers_every_request_from_its_epochs_model() {
+    use proptest::test_runner::TestRng;
+    use semrec::core::{ModelDelta, Recommendation, SwapPlan};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+    use std::time::{Duration, Instant};
+
+    let worlds = (20usize..28).prop_flat_map(|n| {
+        (
+            Just(n),
+            prop::collection::vec((0..n, 0..n, 0.05f64..=1.0), 0..4),
+            prop::collection::vec((0..n, 0usize..4, -1.0f64..=1.0), n..2 * n),
+            prop::collection::vec(prop::collection::vec(arb_op(), 1..3), 2..5),
+        )
+    });
+    let bits = |recs: &[Recommendation]| -> Vec<(semrec::ProductId, u64)> {
+        recs.iter().map(|r| (r.product, r.score.to_bits())).collect()
+    };
+    let mut rng = TestRng::for_test("serving::publish_delta_storm");
+    let (mut carried_publishes, carried_hits) = (0, AtomicU64::new(0));
+    for _ in 0..8 {
+        let (n, chords, ratings, generations) = worlds.generate(&mut rng);
+        let trust: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, 0.9)).chain(chords).collect();
+        let source = build(n, &trust, &ratings);
+        // engine_at[epoch - 1] is the model that answers at `epoch`.
+        let mut engine_at = vec![Recommender::new(source, RecommenderConfig::default())];
+        let (mut plans, mut extra) = (Vec::new(), 0);
+        for ops in &generations {
+            let old = engine_at.last().unwrap();
+            let mut next = old.community().clone();
+            let mut touched = Vec::new();
+            for op in ops {
+                for agent in apply(&mut next, op, &mut extra) {
+                    touched.push(next.agent(agent).unwrap().uri.clone());
+                }
+            }
+            let delta = ModelDelta { ratings_changed: touched.clone(), trust_changed: touched };
+            let horizon = old.config().neighborhood.appleseed.max_range;
+            let max_dirty = SwapPlan::DEFAULT_MAX_DIRTY_FRACTION;
+            plans.push(SwapPlan::compute(old.community(), &next, &delta, horizon, max_dirty));
+            let advanced = old.advance(next, &delta, *old.source_health()).0;
+            engine_at.push(advanced);
+        }
+        let agents: Vec<AgentId> = (0..n).map(AgentId::from_index).collect();
+        let expected: Vec<Vec<_>> = engine_at
+            .iter()
+            .map(|engine| agents.iter().map(|&a| bits(&engine.recommend(a, 10).unwrap())).collect())
+            .collect();
+        let config =
+            ServeConfig { workers: 2, queue_capacity: 64, batch_size: 4, ..Default::default() };
+        let server = Server::start(engine_at[0].clone(), config);
+        let answered: Vec<AtomicU64> = agents.iter().map(|_| AtomicU64::new(0)).collect();
+        let all_answered_at = |epoch| answered.iter().all(|a| a.load(Relaxed) >= epoch);
+        let (served, wrong) = (AtomicU64::new(0), AtomicU64::new(0));
+        let stalled = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                // Counts rather than asserts: a panicking client would stall
+                // the publisher waiting for its answers.
+                scope.spawn(|| {
+                    while !all_answered_at(engine_at.len() as u64) && !stalled.load(Relaxed) {
+                        let tickets: Vec<_> =
+                            agents.iter().map(|&a| server.submit(a, 10).unwrap()).collect();
+                        for (a, ticket) in tickets.into_iter().enumerate() {
+                            let response = ticket.wait().unwrap();
+                            let epoch = response.epoch as usize;
+                            served.fetch_add(1, Relaxed);
+                            if bits(&response.recommendations) != expected[epoch - 1][a] {
+                                wrong.fetch_add(1, Relaxed);
+                            }
+                            let hit = response.cache_hit && epoch > 1;
+                            if hit && plans[epoch - 2].carryable(agents[a]) {
+                                carried_hits.fetch_add(1, Relaxed);
+                            }
+                            answered[a].fetch_max(response.epoch, Relaxed);
+                        }
+                    }
+                });
+            }
+            // The watchdog only turns a storm that stalls into a failure.
+            let watchdog = Instant::now();
+            for (epoch, (engine, plan)) in (1..).zip(engine_at[1..].iter().zip(&plans)) {
+                while !all_answered_at(epoch) && !stalled.load(Relaxed) {
+                    stalled.store(watchdog.elapsed() > Duration::from_secs(60), Relaxed);
+                    std::thread::yield_now();
+                }
+                let report = server.publish_delta(engine.clone(), plan);
+                carried_publishes += usize::from(!report.wholesale && report.carried > 0);
+            }
+        });
+        assert!(!stalled.into_inner(), "the storm stalled");
+        assert_eq!(wrong.into_inner(), 0, "every answer must be its epoch's model's");
+        assert_stats_are_the_metrics(&server);
+        let stats = server.shutdown();
+        assert_eq!(stats.served, served.into_inner());
+        assert_eq!(
+            stats.submitted,
+            stats.served + stats.shed_deadline + stats.failed + stats.displaced + stats.abandoned,
+            "every admitted request has exactly one outcome: {stats:?}"
+        );
+    }
+    // A storm whose dirty sets never bind checks nothing.
+    assert!(carried_publishes > 0, "no publish carried an entry");
+    assert!(carried_hits.into_inner() > 0, "no answer came from a carried entry");
 }
 
 /// Metrics belong to the server that produced them: traffic on one server
