@@ -25,10 +25,14 @@
 //!
 //! The protocol converges when no rank anywhere moved by more than the
 //! convergence threshold during a round. With one shard no packet is ever
-//! sent and the computation is bit-identical to the global metric; with
-//! more shards the fixpoint is the same but additions are reassociated, so
-//! ranks agree to within the convergence threshold (the equivalence
-//! property suite pins both statements).
+//! sent and the computation is bit-identical to the global metric. With
+//! more shards, no binding node cap and no hop range over distrust, the
+//! fixpoint is the same but additions are reassociated, so ranks agree to
+//! within the convergence threshold. The cap binds per shard; and under a
+//! hop range a node first found by a distrust statement takes its hop
+//! distance from the star that discovers it, which the barrier can defer,
+//! so there the wave itself can differ (ROADMAP 15). The conformance table
+//! (`tests/conformance.rs`) pins each statement.
 //!
 //! # Ghosts
 //!

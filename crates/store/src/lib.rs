@@ -296,7 +296,7 @@ mod tests {
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
-    /// The committed v1 snapshot (`tests/snapshot_compat.rs` recovers it):
+    /// The committed v1 snapshot (`tests/conformance.rs` recovers it):
     /// the only v1 bytes there are, now that nothing encodes the format.
     fn v1_fixture() -> Vec<u8> {
         let hex: String = include_str!("../../../tests/fixtures/snapshot-v1.hex")

@@ -22,6 +22,9 @@ use semrec::web::policy::FetchPolicy;
 use semrec::web::publish::{homepage_turtle, homepage_uri, publish_community};
 use semrec::web::store::DocumentWeb;
 
+mod common;
+use common::{digest, scratch, work_totals, Digest};
+
 /// The counters of one run's owners in one map (their namespaces are
 /// disjoint: `crawl.*`, `engine.*`, `store.*`, …).
 fn counters_of<const N: usize>(books: [MetricsSnapshot; N]) -> BTreeMap<String, u64> {
@@ -29,25 +32,14 @@ fn counters_of<const N: usize>(books: [MetricsSnapshot; N]) -> BTreeMap<String, 
 }
 
 /// One full pipeline pass over a freshly generated seeded community:
-/// returns the rendered recommendation lists and the counter map.
-fn run_once(seed: u64, threads: usize) -> (String, BTreeMap<String, u64>) {
+/// returns the recommendation lists, bit for bit, and the counter map.
+fn run_once(seed: u64, threads: usize) -> (Digest, BTreeMap<String, u64>) {
     let generated = generate_community(&CommunityGenConfig::small(seed));
     let recommender = Recommender::new(generated.community, RecommenderConfig::default());
     let agents: Vec<_> = recommender.community().agents().collect();
 
     let batch = recommend_batch(&recommender, &agents, 10, threads);
-
-    // Render with full float precision: byte-identical means bit-identical
-    // scores, not merely equal after display rounding.
-    let mut rendered = String::new();
-    for (agent, result) in agents.iter().zip(&batch) {
-        rendered.push_str(&format!("{agent:?}:"));
-        for rec in result.as_ref().expect("recommendation succeeds") {
-            rendered.push_str(&format!(" {:?}={}", rec.product, rec.score.to_bits()));
-        }
-        rendered.push('\n');
-    }
-    (rendered, recommender.metrics().counters)
+    (digest(recommender.community(), &agents, &batch), recommender.metrics().counters)
 }
 
 #[test]
@@ -70,25 +62,18 @@ fn thread_count_does_not_change_recommendations_or_work_totals() {
     let (recs_par, counters_par) = run_once(7, 4);
 
     assert_eq!(recs_seq, recs_par, "parallel batch must match the sequential lists");
-    // Work totals (everything except the per-worker task split and the
-    // thread gauge) are thread-count invariant.
-    let totals = |counters: &BTreeMap<String, u64>| -> BTreeMap<String, u64> {
-        counters
-            .iter()
-            .filter(|(name, _)| !name.starts_with("batch.worker."))
-            .map(|(name, &count)| (name.clone(), count))
-            .collect()
-    };
-    assert_eq!(totals(&counters_seq), totals(&counters_par));
+    // Work totals (everything except the per-worker task split) are
+    // thread-count invariant.
+    assert_eq!(work_totals(&counters_seq), work_totals(&counters_par));
 }
 
 /// One fault-injected end-to-end pass: publish a seeded community, crawl it
 /// through a 30% transient-fault web with retries and breakers, assemble
 /// the reachable subset, and recommend for every assembled agent. Returns
-/// the rendered recommendations (bit-exact scores), the rendered resilience
-/// record (retries, give-ups, breaker transitions), and the counters of
-/// the crawl result and the engine.
-fn run_faulty(seed: u64, threads: usize) -> (String, String, BTreeMap<String, u64>) {
+/// the recommendations (bit-exact scores), the rendered resilience record
+/// (retries, give-ups, breaker transitions), and the counters of the crawl
+/// result and the engine.
+fn run_faulty(seed: u64, threads: usize) -> (Digest, String, BTreeMap<String, u64>) {
     let generated = generate_community(&CommunityGenConfig::small(seed));
     let community = generated.community;
     let web = DocumentWeb::new();
@@ -122,16 +107,8 @@ fn run_faulty(seed: u64, threads: usize) -> (String, String, BTreeMap<String, u6
         .with_source_health(result.health());
     let agents: Vec<_> = recommender.community().agents().collect();
     let batch = recommend_batch(&recommender, &agents, 10, threads);
-
-    let mut rendered = String::new();
-    for (agent, result) in agents.iter().zip(&batch) {
-        rendered.push_str(&format!("{agent:?}:"));
-        for rec in result.as_ref().expect("recommendation succeeds") {
-            rendered.push_str(&format!(" {:?}={}", rec.product, rec.score.to_bits()));
-        }
-        rendered.push('\n');
-    }
-    (rendered, resilience, counters_of([result.metrics(), recommender.metrics()]))
+    let recs = digest(recommender.community(), &agents, &batch);
+    (recs, resilience, counters_of([result.metrics(), recommender.metrics()]))
 }
 
 #[test]
@@ -156,24 +133,17 @@ fn fault_injection_is_thread_count_invariant() {
 
     assert_eq!(recs_seq, recs_par, "thread count must not change degraded recommendations");
     assert_eq!(res_seq, res_par, "thread count must not change the resilience record");
-    let totals = |counters: &BTreeMap<String, u64>| -> BTreeMap<String, u64> {
-        counters
-            .iter()
-            .filter(|(name, _)| !name.starts_with("batch.worker."))
-            .map(|(name, &count)| (name.clone(), count))
-            .collect()
-    };
-    assert_eq!(totals(&counters_seq), totals(&counters_par));
+    assert_eq!(work_totals(&counters_seq), work_totals(&counters_par));
 }
 
 /// One fault-injected *incremental* pass: crawl through a transient-fault
 /// web, apply one deterministic churn round, refresh through the same
 /// faulty web, and advance the model along the delta path
 /// (`CommunityBuilder::apply_delta` + `Recommender::advance`). Returns the
-/// rendered recommendations (bit-exact scores), the rendered advance
-/// record, and the counter map — all of which must be invariant across
-/// runs and thread counts.
-fn run_incremental(seed: u64, threads: usize) -> (String, String, BTreeMap<String, u64>) {
+/// recommendations (bit-exact scores), the rendered advance record, and
+/// the counter map — all of which must be invariant across runs and thread
+/// counts.
+fn run_incremental(seed: u64, threads: usize) -> (Digest, String, BTreeMap<String, u64>) {
     let generated = generate_community(&CommunityGenConfig::small(seed));
     let mut community = generated.community;
     let web = DocumentWeb::new();
@@ -216,17 +186,10 @@ fn run_incremental(seed: u64, threads: usize) -> (String, String, BTreeMap<Strin
 
     let agents: Vec<_> = advanced.community().agents().collect();
     let batch = recommend_batch(&advanced, &agents, 10, threads);
-    let mut rendered = String::new();
-    for (agent, result) in agents.iter().zip(&batch) {
-        rendered.push_str(&format!("{agent:?}:"));
-        for rec in result.as_ref().expect("recommendation succeeds") {
-            rendered.push_str(&format!(" {:?}={}", rec.product, rec.score.to_bits()));
-        }
-        rendered.push('\n');
-    }
+    let recs = digest(advanced.community(), &agents, &batch);
     // The refresh's own counters, and the engine lineage's: `advance`
     // carried the first generation's books into `advanced`.
-    (rendered, record, counters_of([second.metrics(), advanced.metrics()]))
+    (recs, record, counters_of([second.metrics(), advanced.metrics()]))
 }
 
 #[test]
@@ -255,31 +218,17 @@ fn incremental_refresh_is_thread_count_invariant() {
 
     assert_eq!(recs_seq, recs_par, "thread count must not change incremental recommendations");
     assert_eq!(rec_seq, rec_par, "thread count must not change the advance record");
-    let totals = |counters: &BTreeMap<String, u64>| -> BTreeMap<String, u64> {
-        counters
-            .iter()
-            .filter(|(name, _)| !name.starts_with("batch.worker."))
-            .map(|(name, &count)| (name.clone(), count))
-            .collect()
-    };
-    assert_eq!(totals(&counters_seq), totals(&counters_par));
+    assert_eq!(work_totals(&counters_seq), work_totals(&counters_par));
 }
 
 /// One fault-injected checkpoint→restart→resume pass: crawl through a
 /// transient-fault web, checkpoint the model, run one deterministic churn
 /// round through the same faulty web appending the delta to the WAL, then
 /// *recover from disk* and recommend from the recovered engine. Returns
-/// the rendered recommendations (bit-exact scores), the rendered recovery
-/// record, and the counter map including the `store.*` namespace — all of
-/// which must be invariant across runs and thread counts.
-fn run_checkpointed(seed: u64, threads: usize) -> (String, String, BTreeMap<String, u64>) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let scratch = std::env::temp_dir().join(format!(
-        "semrec-determinism-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
+/// the recommendations (bit-exact scores), the rendered recovery record,
+/// and the counter map including the `store.*` namespace — all of which
+/// must be invariant across runs and thread counts.
+fn run_checkpointed(seed: u64, threads: usize) -> (Digest, String, BTreeMap<String, u64>) {
 
     let generated = generate_community(&CommunityGenConfig::small(seed));
     let mut community = generated.community;
@@ -298,7 +247,7 @@ fn run_checkpointed(seed: u64, threads: usize) -> (String, String, BTreeMap<Stri
     let engine = Recommender::new(initial, RecommenderConfig::default())
         .with_source_health(first.health());
 
-    let store = semrec::store::Store::open(&scratch).expect("scratch store opens");
+    let store = semrec::store::Store::open(scratch("checkpointed")).expect("scratch store opens");
     store.checkpoint(&engine, builder.agents(), 1).expect("checkpoint succeeds");
 
     // Deterministic churn, as in `run_incremental`.
@@ -325,17 +274,10 @@ fn run_checkpointed(seed: u64, threads: usize) -> (String, String, BTreeMap<Stri
 
     let agents: Vec<_> = recovery.engine.community().agents().collect();
     let batch = recommend_batch(&recovery.engine, &agents, 10, threads);
-    let mut rendered = String::new();
-    for (agent, result) in agents.iter().zip(&batch) {
-        rendered.push_str(&format!("{agent:?}:"));
-        for rec in result.as_ref().expect("recommendation succeeds") {
-            rendered.push_str(&format!(" {:?}={}", rec.product, rec.score.to_bits()));
-        }
-        rendered.push('\n');
-    }
+    let recs = digest(recovery.engine.community(), &agents, &batch);
     let counters = counters_of([second.metrics(), store.metrics(), recovery.engine.metrics()]);
-    std::fs::remove_dir_all(&scratch).ok();
-    (rendered, record, counters)
+    std::fs::remove_dir_all(store.dir()).ok();
+    (recs, record, counters)
 }
 
 #[test]
@@ -366,14 +308,7 @@ fn checkpoint_restart_resume_is_thread_count_invariant() {
 
     assert_eq!(recs_seq, recs_par, "thread count must not change recovered recommendations");
     assert_eq!(rec_seq, rec_par, "thread count must not change the recovery record");
-    let totals = |counters: &BTreeMap<String, u64>| -> BTreeMap<String, u64> {
-        counters
-            .iter()
-            .filter(|(name, _)| !name.starts_with("batch.worker."))
-            .map(|(name, &count)| (name.clone(), count))
-            .collect()
-    };
-    assert_eq!(totals(&counters_seq), totals(&counters_par));
+    assert_eq!(work_totals(&counters_seq), work_totals(&counters_par));
 }
 
 /// One open-loop SLO-controlled serving run in lockstep mode: a flash-crowd
@@ -485,15 +420,15 @@ fn open_loop_slo_run_is_byte_identical_across_runs_and_threads() {
 /// One full sharded pass: partition a seeded community into 4 shards,
 /// batch-serve every agent through the cross-shard protocol, apply one
 /// deterministic churn round via the sharded `advance`, and batch-serve
-/// again. Returns the rendered recommendation lists (bit-exact scores),
-/// the rendered advance record, and the counter map — including the whole
-/// `shard.*` namespace, all of which must be invariant across runs,
-/// compute thread counts, and shard scheduling order.
+/// again. Returns the recommendation lists before and after (bit-exact
+/// scores), the rendered advance record, and the counter map — including
+/// the whole `shard.*` namespace, all of which must be invariant across
+/// runs, compute thread counts, and shard scheduling order.
 fn run_sharded(
     seed: u64,
     threads: usize,
     reverse_schedule: bool,
-) -> (String, String, BTreeMap<String, u64>) {
+) -> ([Digest; 2], String, BTreeMap<String, u64>) {
     use std::sync::Arc;
 
     use semrec::core::ModelDelta;
@@ -515,21 +450,9 @@ fn run_sharded(
     } else {
         model
     };
-    let targets: Vec<GlobalId> =
-        (0..model.agent_count()).map(|i| GlobalId(i as u32)).collect();
-
-    let render = |batch: &[semrec::core::Result<Vec<semrec::Recommendation>>]| {
-        let mut rendered = String::new();
-        for (g, result) in targets.iter().zip(batch) {
-            rendered.push_str(&format!("{g:?}:"));
-            for rec in result.as_ref().expect("recommendation succeeds") {
-                rendered.push_str(&format!(" {:?}={}", rec.product, rec.score.to_bits()));
-            }
-            rendered.push('\n');
-        }
-        rendered
-    };
-    let mut rendered = render(&model.recommend_batch(&targets, 10));
+    let agents: Vec<_> = community.agents().collect();
+    let targets: Vec<GlobalId> = agents.iter().map(|a| GlobalId(a.index() as u32)).collect();
+    let before = digest(&community, &agents, &model.recommend_batch(&targets, 10));
 
     // Deterministic churn, localized to shard 0 so clean shards exist: the
     // first five shard-0 agents re-rate one product each.
@@ -555,9 +478,9 @@ fn run_sharded(
         report.profiles_recomputed,
         report.profiles_reused,
     );
-    rendered.push_str(&render(&advanced.recommend_batch(&targets, 10)));
+    let after = digest(&community, &agents, &advanced.recommend_batch(&targets, 10));
     // `advanced` shares its parent's books: build, both batches, advance.
-    (rendered, record, advanced.metrics().counters)
+    ([before, after], record, advanced.metrics().counters)
 }
 
 #[test]
@@ -565,7 +488,7 @@ fn sharded_pipeline_is_byte_identical_across_runs() {
     let (recs_a, rec_a, counters_a) = run_sharded(42, 4, false);
     let (recs_b, rec_b, counters_b) = run_sharded(42, 4, false);
 
-    assert!(!recs_a.is_empty());
+    assert!(!recs_a[0].is_empty());
     assert_eq!(recs_a, recs_b, "sharded recommendations must be byte-identical");
     assert_eq!(rec_a, rec_b, "the sharded advance record must be identical");
     assert!(

@@ -10,9 +10,6 @@
 //!    values, recovery falls back to the previous good generation (bumping
 //!    `store.recovery.fallback`), and no mutated input ever panics.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use semrec::core::{Recommender, RecommenderConfig};
 use semrec::serve::{ServeConfig, Server};
 use semrec::store::{Error, Store};
@@ -22,12 +19,8 @@ use semrec::web::publish::{homepage_turtle, homepage_uri, publish_community};
 use semrec::web::store::DocumentWeb;
 use semrec::{AgentId, Community};
 
-/// A unique per-test scratch directory (no external tempfile crate).
-fn scratch(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("semrec-persistence-{}-{tag}-{n}", std::process::id()))
-}
+mod common;
+use common::scratch;
 
 /// A ring community: agent i trusts agents i+1 and i+2 and rates products.
 fn ring(n: usize) -> Community {

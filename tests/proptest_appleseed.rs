@@ -72,6 +72,7 @@ fn build(n: usize, edges: &[(usize, usize, f64)]) -> TrustGraph {
     g
 }
 
+/// Not `common::arb_world`: this judges the kernel's loop, not a route, over the whole matrix per world.
 fn arb_network() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
     (2usize..16).prop_flat_map(|n| {
         (Just(n), prop::collection::vec((0..n, 0..n, -1.0f64..=1.0), 0..(n * 4)))

@@ -1,40 +1,24 @@
 //! Arena-layout properties: for *any* random trust network the CSR form
 //! must mirror the adjacency-list graph edge for edge (that Appleseed over
 //! it then answers as the adjacency-list oracle does is
-//! `tests/proptest_appleseed.rs`); for *any* random rating churn the slab
-//! store's incremental `advance` must land on the exact slab a fresh
-//! build produces; and for *any* random crawled world the v2 arena
-//! snapshot must round-trip to a model byte-identical to the live one.
+//! `tests/proptest_appleseed.rs`), and for *any* random rating churn the
+//! slab store's incremental `advance` must land on the exact slab a fresh
+//! build produces. (The v2 snapshot round trip is a row of
+//! `tests/conformance.rs`.)
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use semrec::core::{Community, ProfileStore, Recommender, RecommenderConfig};
-use semrec::store::{decode_v2, encode_v2, sniff_version, SNAPSHOT_V2};
+use semrec::core::{Community, ProfileStore, RecommenderConfig};
 use semrec::trust::CsrGraph;
-use semrec::web::crawler::{crawl, CommunityBuilder, CrawlConfig};
-use semrec::web::publish::publish_community;
-use semrec::web::store::DocumentWeb;
-use semrec::{AgentId, ProductId};
+use semrec::AgentId;
 
 mod common;
-use common::build;
+use common::{arb_world, World};
 
 /// Bit-exact rendering of one agent's rating list.
 fn ratings_bits(c: &Community, a: AgentId) -> Vec<(usize, u64)> {
     c.ratings_of(a).iter().map(|&(p, r)| (p.index(), r.to_bits())).collect()
-}
-
-type World = (usize, Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
-
-fn arb_world() -> impl Strategy<Value = World> {
-    (3usize..12).prop_flat_map(|n| {
-        (
-            Just(n),
-            prop::collection::vec((0..n, 0..n, -1.0f64..=1.0), 0..32),
-            prop::collection::vec((0..n, 0usize..4, -1.0f64..=1.0), 0..32),
-        )
-    })
 }
 
 proptest! {
@@ -45,8 +29,8 @@ proptest! {
     /// and both conversions (`from_graph`/`to_graph`, `arenas`/
     /// `from_parts`) are lossless.
     #[test]
-    fn csr_graph_mirrors_trust_graph((n, trust, ratings) in arb_world()) {
-        let c = build(n, &trust, &ratings);
+    fn csr_graph_mirrors_trust_graph(world in arb_world()) {
+        let c = world.community();
         let graph = &c.trust;
         let csr = CsrGraph::from_graph(graph);
 
@@ -81,13 +65,14 @@ proptest! {
     /// ranges included.
     #[test]
     fn slab_advance_equals_fresh_build(
-        (n, trust, ratings) in arb_world(),
+        world in arb_world(),
         next_ratings in prop::collection::vec(
-            (0usize..12, 0usize..4, -1.0f64..=1.0), 0..32),
+            (0usize..16, 0usize..4, -1.0f64..=1.0), 0..40),
         extra_agents in 0usize..4,
     ) {
-        let prev = build(n, &trust, &ratings);
-        let next = build(n + extra_agents, &trust, &next_ratings);
+        let prev = world.community();
+        let agents = world.agents + extra_agents;
+        let next = World { agents, ratings: next_ratings, ..world }.community();
         let config = RecommenderConfig::default();
         let prev_store = ProfileStore::build(&prev, &config.profile);
 
@@ -114,37 +99,5 @@ proptest! {
         let a_bits: Vec<u64> = asc.iter().map(|s| s.to_bits()).collect();
         let f_bits: Vec<u64> = fsc.iter().map(|s| s.to_bits()).collect();
         prop_assert_eq!(a_bits, f_bits);
-    }
-
-    /// v2 arena snapshots round-trip any crawled world to a model
-    /// byte-identical to the live one.
-    #[test]
-    fn v2_snapshot_round_trips_any_world(
-        (n, trust, ratings) in arb_world(),
-        epoch in 1u64..100,
-    ) {
-        let source = build(n, &trust, &ratings);
-        let web = DocumentWeb::new();
-        publish_community(&source, &web);
-        let seeds: Vec<String> =
-            source.agents().map(|a| source.agent(a).unwrap().uri.clone()).collect();
-        let crawled = crawl(&web, &seeds, &CrawlConfig::default());
-        let builder = CommunityBuilder::new(&crawled.agents);
-        let (community, _) = builder.build(source.taxonomy.clone(), source.catalog.clone());
-        let engine = Recommender::new(community, RecommenderConfig::default());
-
-        let v2 = encode_v2(&engine, builder.agents(), epoch);
-        prop_assert_eq!(sniff_version(&v2), Some(SNAPSHOT_V2));
-        let restored = decode_v2(&v2).expect("own encoding decodes");
-
-        prop_assert_eq!(restored.epoch, epoch);
-        prop_assert_eq!(&restored.view, builder.agents());
-        for a in engine.community().agents() {
-            let live: Vec<(ProductId, u64)> = engine.recommend(a, 10).unwrap()
-                .into_iter().map(|r| (r.product, r.score.to_bits())).collect();
-            let v2r: Vec<(ProductId, u64)> = restored.engine.recommend(a, 10).unwrap()
-                .into_iter().map(|r| (r.product, r.score.to_bits())).collect();
-            prop_assert_eq!(&v2r, &live);
-        }
     }
 }

@@ -7,68 +7,23 @@
 //!    counter, every per-peer knowledge count, and every neighborhood
 //!    score bit-for-bit, faults included.
 //!
-//! 2. **Monotone learning, exact convergence** — on a fault-free world
-//!    whose trust graph is connected, knowledge only grows round over
-//!    round, and once every peer has learned every record its local
-//!    neighborhood *equals* the centralized one: overlap@k and Spearman ρ
-//!    both reach 1.0 exactly (weights round-trip through Turtle
-//!    losslessly, and peers insert nodes in the same sorted-URI order the
-//!    centralized assembly uses).
+//! 2. **Monotone learning** — on a fault-free world knowledge only grows
+//!    round over round, and every round exchanges messages unless no agent
+//!    states any trust (a truster's partners are the agents it knows of).
+//!    (That a fully informed peer's neighborhood *is* the centralized one,
+//!    bit for bit, is a row of `tests/conformance.rs`.)
 //!
 //! 3. **Per-peer checkpoints recover** — a peer's `semrec-store`
 //!    checkpoint of its crawled slice recovers to the same community a
 //!    fresh assembly of that slice builds.
 
 use proptest::prelude::*;
-use semrec::core::Community;
-use semrec::p2p::{centralized_baseline, GossipConfig, P2pSimulation};
+use semrec::p2p::{GossipConfig, P2pSimulation};
 use semrec::taxonomy::fixtures::example1;
 use semrec::web::fault::FaultPlan;
-use semrec::web::publish::publish_community;
-use semrec::web::store::DocumentWeb;
-use semrec::AgentId;
 
-/// A connected world: a trust ring over `n` agents (so every agent is
-/// reachable from every other) plus arbitrary extra edges. URIs are
-/// zero-padded so insertion order equals sorted order — the invariant that
-/// lets a fully-informed peer rebuild the centralized graph node-for-node.
-fn build_world(n: usize, ring: &[f64], extra: &[(usize, usize, f64)]) -> Community {
-    let e = example1();
-    let mut c = Community::new(e.fig.taxonomy, e.catalog);
-    let agents: Vec<AgentId> =
-        (0..n).map(|i| c.add_agent(format!("http://ex.org/u{i:02}")).unwrap()).collect();
-    for i in 0..n {
-        c.trust.set_trust(agents[i], agents[(i + 1) % n], ring[i % ring.len()]).unwrap();
-    }
-    for &(a, b, w) in extra {
-        let (a, b) = (a % n, b % n);
-        if a != b {
-            c.trust.set_trust(agents[a], agents[b], w).unwrap();
-        }
-    }
-    c
-}
-
-type World = (usize, Vec<f64>, Vec<(usize, usize, f64)>);
-
-fn arb_world() -> impl Strategy<Value = World> {
-    (4usize..10).prop_flat_map(|n| {
-        (
-            Just(n),
-            prop::collection::vec(0.05f64..=1.0, 1..8),
-            prop::collection::vec((0..n, 0..n, 0.05f64..=1.0), 0..16),
-        )
-    })
-}
-
-fn publish(community: &Community) -> (DocumentWeb, Vec<String>) {
-    let web = DocumentWeb::new();
-    publish_community(community, &web);
-    let mut uris: Vec<String> =
-        community.agents().map(|a| community.agent(a).unwrap().uri.clone()).collect();
-    uris.sort();
-    (web, uris)
-}
+mod common;
+use common::{arb_world, publish, scratch, World};
 
 /// Everything a run can observably produce, in comparable form: the
 /// simulation's own `p2p.*` books (its `GossipStats` among them), per-peer
@@ -99,11 +54,11 @@ proptest! {
     /// thread count, and however often we rerun — faults and all.
     #[test]
     fn gossip_is_byte_identical_across_runs_and_thread_counts(
-        (n, ring, extra) in arb_world(),
+        world in arb_world(),
         transient in 0.0f64..0.5,
         dead in 0.0f64..0.3,
     ) {
-        let community = build_world(n, &ring, &extra);
+        let community = world.community();
         let (web, uris) = publish(&community);
         let plan = FaultPlan { transient_rate: transient, dead_rate: dead, seed: 7, ..FaultPlan::none() };
 
@@ -130,12 +85,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Property 2: fault-free gossip only learns (knowledge counts are
-    /// monotone), and full knowledge means the *exact* centralized answer.
+    /// monotone), and exchanges messages every round.
     #[test]
-    fn fault_free_gossip_learns_monotonically_and_converges_exactly(
-        (n, ring, extra) in arb_world(),
-    ) {
-        let community = build_world(n, &ring, &extra);
+    fn fault_free_gossip_learns_monotonically(world in arb_world()) {
+        let community = world.community();
+        let (n, stated) = (community.agent_count(), community.trust.edge_count() > 0);
         let (web, uris) = publish(&community);
         let config = GossipConfig {
             seed: 5,
@@ -143,10 +97,7 @@ proptest! {
             max_records: 64,
             ..GossipConfig::default()
         };
-        let baseline = centralized_baseline(&community, &config.neighborhood, &uris, 5);
-
         let mut sim = P2pSimulation::bootstrap(&web, &uris, FaultPlan::none(), config);
-        let at_bootstrap = sim.convergence(&baseline);
         let mut last_known: usize = sim.peers().iter().map(|p| p.known_count()).sum();
         let mut last_sent = 0u64;
         let mut rounds = 0u32;
@@ -157,22 +108,9 @@ proptest! {
             prop_assert!(known >= last_known, "gossip forgot records in round {rounds}");
             last_known = known;
             let sent = sim.stats().messages_sent;
-            prop_assert!(sent > last_sent, "every round must exchange messages");
+            prop_assert!(sent > last_sent || !stated, "every round must exchange messages");
             last_sent = sent;
         }
-        prop_assert!(
-            sim.peers().iter().all(|p| p.known_count() == n),
-            "a connected swarm must reach full knowledge ({} rounds run)", rounds
-        );
-
-        let converged = sim.convergence(&baseline);
-        prop_assert!(converged.mean_overlap >= 1.0 - 1e-12,
-            "full knowledge must reproduce the centralized top-k exactly, got {}",
-            converged.mean_overlap);
-        prop_assert!(converged.mean_rho >= 1.0 - 1e-12,
-            "full knowledge must reproduce the centralized ranking exactly, got {}",
-            converged.mean_rho);
-        prop_assert!(converged.mean_overlap >= at_bootstrap.mean_overlap - 1e-12);
     }
 }
 
@@ -181,15 +119,15 @@ fn per_peer_checkpoints_recover_the_local_slice() {
     use semrec::store::Store;
     use semrec::web::crawler::assemble_community;
 
-    let community = build_world(6, &[0.9, 0.3, 0.7], &[(0, 2, 0.5), (3, 1, 0.8)]);
+    let trust = vec![(0, 2, 0.5), (3, 1, 0.8)];
+    let ring = Some(vec![0.9, 0.3, 0.7]);
+    let community = World { agents: 6, trust, ratings: Vec::new(), ring }.community();
     let (web, uris) = publish(&community);
     let config = GossipConfig { seed: 3, ..GossipConfig::default() };
     let mut sim = P2pSimulation::bootstrap(&web, &uris, FaultPlan::none(), config);
     sim.run(2);
 
-    let dir = std::env::temp_dir().join(format!("semrec-p2p-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = Store::open(&dir).unwrap();
+    let store = Store::open(scratch("p2p-checkpoint")).unwrap();
     let e = example1();
     let report = sim.checkpoint_peer(&uris[0], &store, e.fig.taxonomy, e.catalog, 1).unwrap();
     assert!(report.snapshot_bytes > 0);
@@ -200,5 +138,5 @@ fn per_peer_checkpoints_recover_the_local_slice() {
     let (expected, _) = assemble_community(peer.view(), e.fig.taxonomy, e.catalog);
     assert_eq!(recovery.engine.community().agent_count(), expected.agent_count());
     assert_eq!(recovery.replayed, 0, "no WAL was written, recovery is snapshot-only");
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(store.dir()).ok();
 }

@@ -1,24 +1,13 @@
 //! Property tests over the full pipeline on randomly shaped communities:
 //! output invariants that must hold for *any* trust topology, rating
-//! pattern and configuration.
+//! pattern and configuration. (That the engine answers the same on every
+//! route, rebuilt or otherwise, is `tests/conformance.rs`.)
 
 use proptest::prelude::*;
 use semrec::core::{Recommender, RecommenderConfig, SynthesisStrategy};
 
 mod common;
-use common::build;
-
-type World = (usize, Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
-
-fn arb_world() -> impl Strategy<Value = World> {
-    (3usize..12).prop_flat_map(|n| {
-        (
-            Just(n),
-            prop::collection::vec((0..n, 0..n, -1.0f64..=1.0), 0..30),
-            prop::collection::vec((0..n, 0usize..4, -1.0f64..=1.0), 0..30),
-        )
-    })
-}
+use common::arb_world;
 
 fn arb_strategy() -> impl Strategy<Value = SynthesisStrategy> {
     prop_oneof![
@@ -33,10 +22,10 @@ proptest! {
 
     #[test]
     fn recommendations_never_include_rated_products_and_are_sorted(
-        (n, trust, ratings) in arb_world(),
+        world in arb_world(),
         strategy in arb_strategy(),
     ) {
-        let community = build(n, &trust, &ratings);
+        let community = world.community();
         let config = RecommenderConfig { synthesis: strategy, ..Default::default() };
         let engine = Recommender::new(community, config);
         for agent in engine.community().agents() {
@@ -54,9 +43,9 @@ proptest! {
 
     #[test]
     fn recommendations_only_come_from_reachable_peers(
-        (n, trust, ratings) in arb_world(),
+        world in arb_world(),
     ) {
-        let community = build(n, &trust, &ratings);
+        let community = world.community();
         let engine = Recommender::new(community, RecommenderConfig::default());
         for agent in engine.community().agents() {
             // Positive-trust reachability from the agent.
@@ -86,22 +75,11 @@ proptest! {
     }
 
     #[test]
-    fn engine_is_deterministic_for_any_world(
-        (n, trust, ratings) in arb_world(),
-    ) {
-        let a = Recommender::new(build(n, &trust, &ratings), RecommenderConfig::default());
-        let b = Recommender::new(build(n, &trust, &ratings), RecommenderConfig::default());
-        for agent in a.community().agents() {
-            prop_assert_eq!(a.recommend(agent, 5).unwrap(), b.recommend(agent, 5).unwrap());
-        }
-    }
-
-    #[test]
     fn peer_weights_are_positive_and_exclude_self(
-        (n, trust, ratings) in arb_world(),
+        world in arb_world(),
         strategy in arb_strategy(),
     ) {
-        let community = build(n, &trust, &ratings);
+        let community = world.community();
         let config = RecommenderConfig { synthesis: strategy, ..Default::default() };
         let engine = Recommender::new(community, config);
         for agent in engine.community().agents() {

@@ -17,10 +17,11 @@ use semrec::datagen::{generate_community, CommunityGenConfig};
 use semrec::AgentId;
 
 mod common;
-use common::build;
+use common::{build, digest, work_totals, Digest};
 
 type World = (usize, Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
 
+/// Not `common::arb_world`: these judge the ranker's loop, not a route, at a cost that grows with the world.
 fn arb_world() -> impl Strategy<Value = World> {
     (3usize..12).prop_flat_map(|n| {
         (
@@ -39,30 +40,16 @@ fn spreading_engine(community: Community, params: SpreadingParams) -> Recommende
     )
 }
 
-/// One batch pass on a freshly built engine: rendered bit-exact top-N plus
-/// the thread-count-invariant counters of that engine's own books
-/// (per-worker task split excluded).
+/// One batch pass on a freshly built engine: bit-exact top-N plus the
+/// thread-count-invariant counters of that engine's own books.
 fn run_batch(
     engine: &Recommender,
     agents: &[AgentId],
     threads: usize,
-) -> (String, BTreeMap<String, u64>) {
+) -> (Digest, BTreeMap<String, u64>) {
     let batch = recommend_batch(engine, agents, 10, threads);
-    let mut rendered = String::new();
-    for (agent, result) in agents.iter().zip(&batch) {
-        rendered.push_str(&format!("{agent:?}:"));
-        for rec in result.as_ref().expect("recommendation succeeds") {
-            rendered.push_str(&format!(" {:?}={}", rec.product, rec.score.to_bits()));
-        }
-        rendered.push('\n');
-    }
-    let counters = engine
-        .metrics()
-        .counters
-        .into_iter()
-        .filter(|(name, _)| !name.starts_with("batch.worker."))
-        .collect();
-    (rendered, counters)
+    let recs = digest(engine.community(), agents, &batch);
+    (recs, work_totals(&engine.metrics().counters))
 }
 
 proptest! {

@@ -3,7 +3,6 @@
 //! vs. live `advance`), untouched shards replay nothing, and a localized
 //! delta leaves every other shard's serve epoch and answers untouched.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use semrec::core::{Community, ModelDelta, RecommenderConfig, SourceHealth};
@@ -13,11 +12,8 @@ use semrec::taxonomy::fixtures::example1;
 use semrec::web::{AgentDiff, CrawlDelta};
 use semrec::{AgentId, ProductId};
 
-fn scratch(tag: &str) -> std::path::PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("semrec-sharding-{}-{tag}-{n}", std::process::id()))
-}
+mod common;
+use common::scratch;
 
 /// checkpoint → WAL delta on one shard → recover == live advance, and the
 /// three untouched shards replay zero WAL records.
