@@ -18,7 +18,7 @@ use crate::metrics::EngineMetrics;
 use crate::model::Community;
 use crate::profiles::{ProfileStore, SimilarityMeasure};
 use crate::rank::{RankContext, RankedPeer, SharedRanker, SimilarityRanker};
-use crate::recommend::{novel_only, vote, Recommendation, VotingParams};
+use crate::recommend::{novel_only, vote_by, Recommendation, VotingParams};
 use crate::synthesis::{PeerScores, SynthesisStrategy};
 
 /// Full configuration of the recommendation pipeline.
@@ -388,18 +388,15 @@ impl Recommender {
         };
         let peers: Vec<PeerScores> = {
             let _stage = books.stage_profiles.start_timer();
-            let target_profile = model.profiles.profile(target);
-            neighborhood
-                .normalized()
+            let normalized = neighborhood.normalized();
+            let similarities = model.config.similarity.apply_each(
+                model.profiles.profile(target),
+                normalized.iter().map(|&(agent, _)| model.profiles.profile(agent)),
+            );
+            normalized
                 .into_iter()
-                .map(|(agent, trust)| PeerScores {
-                    agent,
-                    trust,
-                    similarity: model
-                        .config
-                        .similarity
-                        .apply(target_profile, model.profiles.profile(agent)),
-                })
+                .zip(similarities)
+                .map(|((agent, trust), similarity)| PeerScores { agent, trust, similarity })
                 .collect()
         };
         books.record_similarity(model.config.similarity, peers.len());
@@ -459,8 +456,17 @@ impl Recommender {
         let (weighted, trace) = self.peer_weights(target)?;
         let recs = {
             let _stage = model.metrics.stage_voting.start_timer();
-            let mut recs = vote(&model.community, target, &weighted, &model.config.voting);
-            if model.config.novel_categories_only {
+            // The novelty filter runs after the vote, so it needs every product.
+            let novel = model.config.novel_categories_only;
+            let keep = (!novel).then_some(n);
+            let mut recs = vote_by(
+                model.community.catalog.len(),
+                model.community.ratings_of(target),
+                weighted.iter().map(|&(peer, weight)| (model.community.ratings_of(peer), weight)),
+                &model.config.voting,
+                keep,
+            );
+            if novel {
                 recs = novel_only(&model.community, model.profiles.profile(target), recs);
             }
             recs.truncate(n);

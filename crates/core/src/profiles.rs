@@ -44,6 +44,26 @@ impl SimilarityMeasure {
             SimilarityMeasure::Cosine => similarity::cosine_view(a, b),
         }
     }
+
+    /// [`SimilarityMeasure::apply`] of `target` against each of `peers`, in
+    /// peer order and bit for bit. Cosine scatters the target once for all
+    /// peers ([`similarity::cosine_each`]); Pearson merges pair by pair, as
+    /// its union means need the interleaved order.
+    pub fn apply_each<'p>(
+        self,
+        target: ProfileView<'_>,
+        peers: impl IntoIterator<Item = ProfileView<'p>>,
+    ) -> Vec<Option<f64>> {
+        let peers = peers.into_iter();
+        let mut out = Vec::with_capacity(peers.size_hint().0);
+        match self {
+            SimilarityMeasure::Pearson => {
+                out.extend(peers.map(|peer| similarity::pearson_view(target, peer)))
+            }
+            SimilarityMeasure::Cosine => similarity::cosine_each(target, peers, |s| out.push(s)),
+        }
+        out
+    }
 }
 
 /// Monotone source of computation identities for origin stamps. Every
@@ -392,6 +412,26 @@ mod tests {
         let agents: Vec<_> = c.agents().collect();
         let p = store.similarity(SimilarityMeasure::Pearson, agents[0], agents[0]);
         assert!((p.unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn apply_each_is_apply_per_peer_for_both_measures() {
+        let (c, _) = setup();
+        let store = ProfileStore::build(&c, &ProfileParams::default());
+        let agents: Vec<_> = c.agents().collect();
+        let bits = |s: Option<f64>| s.map(f64::to_bits);
+        for measure in [SimilarityMeasure::Cosine, SimilarityMeasure::Pearson] {
+            for &target in &agents {
+                let peers = [agents[1], agents[0], agents[1]];
+                let each = measure
+                    .apply_each(store.profile(target), peers.map(|p| store.profile(p)))
+                    .into_iter()
+                    .map(bits);
+                let pairwise =
+                    peers.map(|p| bits(measure.apply(store.profile(target), store.profile(p))));
+                assert!(each.eq(pairwise), "{measure:?}");
+            }
+        }
     }
 
     #[test]

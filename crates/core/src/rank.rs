@@ -392,8 +392,12 @@ pub fn spread_activation(
     // universe index.
     let n = universe.len();
     for i in 0..n {
-        for j in (i + 1)..n {
-            let Some(sim) = profiles.similarity(measure, universe[i], universe[j]) else {
+        let similarities = measure.apply_each(
+            profiles.profile(universe[i]),
+            universe[i + 1..].iter().map(|&peer| profiles.profile(peer)),
+        );
+        for (j, sim) in (i + 1..n).zip(similarities) {
+            let Some(sim) = sim else {
                 continue;
             };
             if sim >= params.sim_edge_threshold && sim > 0.0 {

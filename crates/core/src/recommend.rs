@@ -58,7 +58,7 @@ pub fn vote(
         &[]
     };
     let peers = weighted_peers.iter().map(|&(peer, weight)| (community.ratings_of(peer), weight));
-    vote_by(community.catalog.len(), target_ratings, peers, params)
+    vote_by(community.catalog.len(), target_ratings, peers, params, None)
 }
 
 /// [`vote`] over ratings the caller looks up: `peers` yields each peer's
@@ -66,11 +66,17 @@ pub fn vote(
 /// products never to recommend. Every product's score receives its addends
 /// in peer order, so a caller that keeps ratings elsewhere — on shards —
 /// gets [`vote`]'s bits.
+///
+/// `keep: Some(k)` returns only the first `k` of that list, the same `k`
+/// recommendations in the same order: the tally is cut to its best `k` by
+/// selection, and only those are sorted (`O(m + k log k)` over `m` voted
+/// products, not `O(m log m)`). `None` returns every voted product.
 pub fn vote_by<'a>(
     catalog_len: usize,
     target_ratings: &[(ProductId, f64)],
     peers: impl IntoIterator<Item = (&'a [(ProductId, f64)], f64)>,
     params: &VotingParams,
+    keep: Option<usize>,
 ) -> Vec<Recommendation> {
     let mut out: Vec<Recommendation> = Vec::new();
     TALLY.with_borrow_mut(|slot_of| {
@@ -105,11 +111,19 @@ pub fn vote_by<'a>(
         }
     });
     out.retain(|rec| rec.voters >= params.min_voters);
-    // Products are unique, so the comparator is a strict total order and
-    // the unstable sort yields the one possible permutation. `total_cmp`
-    // orders as `partial_cmp` did: no score is NaN (weights and ratings are
-    // finite) or −0.0 (scores start at +0.0, and weights are filtered > 0).
-    out.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.product.cmp(&b.product)));
+    // Products are unique, so the comparator is a strict total order: the
+    // selection keeps exactly the first `k` of the sorted list, and the
+    // unstable sort yields the one possible permutation. `total_cmp` orders
+    // as `partial_cmp` did: no score is NaN (weights and ratings are finite)
+    // or −0.0 (scores start at +0.0, and weights are filtered > 0).
+    let order = |a: &Recommendation, b: &Recommendation| {
+        b.score.total_cmp(&a.score).then(a.product.cmp(&b.product))
+    };
+    if let Some(k) = keep.filter(|&k| k < out.len()) {
+        out.select_nth_unstable_by(k, order);
+        out.truncate(k);
+    }
+    out.sort_unstable_by(order);
     out
 }
 
@@ -154,6 +168,7 @@ pub fn novel_only(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use semrec_profiles::generation::{generate_profile, ProfileParams};
     use semrec_taxonomy::fixtures::example1;
 
@@ -263,6 +278,59 @@ mod tests {
             vote(&c, agents[1], &[(agents[0], 1.0)], &VotingParams::default());
             assert_eq!(vote(&c, agents[0], &peers, &VotingParams::default()), fresh);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn a_bounded_vote_is_the_full_vote_cut_short(
+            rated in prop::collection::vec(0u8..40, 0..6),
+            // Three rating values and three weights, so that many products
+            // tie on score and the bound must break ties by product as the
+            // full sort does.
+            peers in prop::collection::vec(
+                (prop::collection::vec((0u8..40, 0u8..3), 0..12), 0u8..3),
+                0..8,
+            ),
+            min_voters in 1usize..3,
+            rating_weighted_votes in any::<bool>(),
+        ) {
+            let product = |p: u8| ProductId::from_index(p as usize);
+            let rated: Vec<(ProductId, f64)> = rated.iter().map(|&p| (product(p), 1.0)).collect();
+            let peers: Vec<(Vec<(ProductId, f64)>, f64)> = peers
+                .iter()
+                .map(|(ratings, weight)| {
+                    let ratings =
+                        ratings.iter().map(|&(p, r)| (product(p), [-0.5, 0.5, 1.0][r as usize]));
+                    (ratings.collect(), [0.0, 0.5, 1.0][*weight as usize])
+                })
+                .collect();
+            let params = VotingParams { min_voters, rating_weighted_votes, ..Default::default() };
+            let vote_kept = |keep| {
+                let peers = peers.iter().map(|(ratings, weight)| (ratings.as_slice(), *weight));
+                vote_by(40, &rated, peers, &params, keep)
+            };
+            let full = vote_kept(None);
+            for k in 0..=full.len() + 1 {
+                prop_assert_eq!(vote_kept(Some(k)), full[..k.min(full.len())].to_vec());
+            }
+        }
+    }
+
+    #[test]
+    fn a_bounded_vote_breaks_score_ties_by_product() {
+        let (c, agents, products) = setup();
+        // Unweighted, matrix analysis and neuromancer tie at one vote each
+        // behind snow crash's two: the bound keeps the lower product id.
+        let recs = |keep| {
+            let peers = [(agents[1], 1.0), (agents[2], 1.0)].map(|(p, w)| (c.ratings_of(p), w));
+            let params = VotingParams { rating_weighted_votes: false, ..Default::default() };
+            vote_by(c.catalog.len(), &[], peers, &params, keep)
+        };
+        let kept: Vec<_> = recs(Some(2)).iter().map(|r| r.product).collect();
+        assert_eq!(kept, vec![products[2], products[0]]);
+        assert_eq!(recs(Some(2)), recs(None)[..2].to_vec());
     }
 
     #[test]

@@ -77,8 +77,9 @@ impl ItemItemModel {
     ) -> Vec<ProductId> {
         let rated = community.ratings_of(target);
         let voters = rated.iter().map(|&(product, rating)| (self.neighbors(product), rating));
-        let recs = vote_by(community.catalog.len(), rated, voters, &VotingParams::default());
-        recs.into_iter().take(n).map(|rec| rec.product).collect()
+        let params = VotingParams::default();
+        let recs = vote_by(community.catalog.len(), rated, voters, &params, Some(n));
+        recs.into_iter().map(|rec| rec.product).collect()
     }
 }
 

@@ -97,8 +97,10 @@ impl ProfileSlab {
                 return Err("profile topics are not strictly sorted");
             }
         }
-        if scores.iter().any(|s| s.is_nan()) {
-            return Err("profile score is NaN");
+        // Similarity needs finite scores: an infinite one makes a cosine
+        // `inf/inf`, and the kernels' bit-identity argument rules out `0·∞`.
+        if !scores.iter().all(|s| s.is_finite()) {
+            return Err("profile score is not finite");
         }
         Ok(ProfileSlab { offsets, topics, scores })
     }
@@ -200,6 +202,20 @@ mod tests {
         let mut bad_s = s.to_vec();
         bad_s[0] = f64::NAN;
         assert!(ProfileSlab::from_parts(o.to_vec(), tp.to_vec(), bad_s).is_err());
+    }
+
+    #[test]
+    fn infinite_scores_are_rejected() {
+        let slab = ProfileSlab::from_vectors(&vectors());
+        let (o, tp, s) = slab.arenas();
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad_s = s.to_vec();
+            *bad_s.last_mut().unwrap() = inf;
+            assert_eq!(
+                ProfileSlab::from_parts(o.to_vec(), tp.to_vec(), bad_s),
+                Err("profile score is not finite")
+            );
+        }
     }
 
     #[test]

@@ -536,21 +536,19 @@ impl ShardedModel {
     pub fn peer_weights(&self, target: GlobalId) -> Result<Vec<(GlobalId, f64)>> {
         let ranks = self.trust_ranks(target)?;
         let normalized = normalize(&self.config.neighborhood.select(&ranks.ranks));
-        let target_profile = self.profile_of(target)?;
+        let similarities = self.config.similarity.apply_each(
+            self.profile_of(target)?,
+            normalized.iter().map(|&(peer, _)| self.profile_of(peer).expect("ranked peers exist")),
+        );
         let scores: Vec<PeerScores> = normalized
             .into_iter()
-            .map(|(peer, trust)| {
-                let (shard, local) = self.locate(peer).expect("ranked peers exist");
-                PeerScores {
-                    // The global ordinal doubles as the tie-break id so the
-                    // synthesized order matches the unsharded engine.
-                    agent: AgentId::from_index(peer.index()),
-                    trust,
-                    similarity: self
-                        .config
-                        .similarity
-                        .apply(target_profile, self.shards[shard].profiles.profile(local)),
-                }
+            .zip(similarities)
+            .map(|((peer, trust), similarity)| PeerScores {
+                // The global ordinal doubles as the tie-break id so the
+                // synthesized order matches the unsharded engine.
+                agent: AgentId::from_index(peer.index()),
+                trust,
+                similarity,
             })
             .collect();
         Ok(synthesize(self.config.synthesis, &scores)
@@ -565,8 +563,11 @@ impl ShardedModel {
         let weighted = self.peer_weights(target)?;
         let (target_shard, target_local) = self.locate(target)?;
         let shard = &self.shards[target_shard];
-        let mut recs = self.sharded_vote(target_shard, target_local, &weighted);
-        if self.config.novel_categories_only {
+        // The novelty filter runs after the vote, so it needs every product.
+        let novel = self.config.novel_categories_only;
+        let keep = (!novel).then_some(n);
+        let mut recs = self.sharded_vote(target_shard, target_local, &weighted, keep);
+        if novel {
             recs = novel_only(&shard.community, shard.profiles.profile(target_local), recs);
         }
         recs.truncate(n);
@@ -611,12 +612,14 @@ impl ShardedModel {
     }
 
     /// The voting stage over sharded ratings — `semrec_core::recommend::vote`
-    /// with each peer's ratings looked up on its owning shard.
+    /// with each peer's ratings looked up on its owning shard, cut to the
+    /// first `keep` (see `vote_by`).
     fn sharded_vote(
         &self,
         target_shard: usize,
         target_local: AgentId,
         weighted: &[(GlobalId, f64)],
+        keep: Option<usize>,
     ) -> Vec<Recommendation> {
         let target_community = &self.shards[target_shard].community;
         let peers = weighted.iter().filter_map(|&(peer, weight)| {
@@ -628,6 +631,7 @@ impl ShardedModel {
             target_community.ratings_of(target_local),
             peers,
             &self.config.voting,
+            keep,
         )
     }
 

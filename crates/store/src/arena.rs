@@ -530,6 +530,10 @@ fn decode_body(payload: &[u8], overlap: bool) -> Result<RestoredModel> {
     let (taxonomy, catalog) = catalog_res?;
     let view = view_res?;
     let (uris, csr, slab, r_off, r_prod, r_val) = model_res?;
+    // Profile topics index the taxonomy (similarity scatters by topic id).
+    if slab.arenas().1.iter().any(|&t| t as usize >= taxonomy.len()) {
+        return Err(corrupt("profile topic outside the taxonomy"));
+    }
 
     let community =
         Community::from_arenas(taxonomy, catalog, uris, csr.to_graph(), &r_off, &r_prod, &r_val)
@@ -604,6 +608,49 @@ mod tests {
         assert_eq!(restored.epoch, 7);
         assert_eq!(restored.view, view);
         assert_eq!(render(&restored.engine), render(&engine));
+    }
+
+    /// Overwrites `at` with `with` and re-seals the checksum, as a writer
+    /// that means harm (or a buggy one) would.
+    fn resealed(bytes: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        bytes[at..at + with.len()].copy_from_slice(with);
+        let body_end = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_resealed_non_finite_profile_score_is_corrupt() {
+        let (engine, view) = world();
+        let bytes = encode_v2(&engine, &view, 1);
+        // The score arena is the last one before the checksum.
+        let scores = engine.profiles().slab().arenas().2;
+        let last = bytes.len() - 16;
+        assert_eq!(bytes[last..last + 8], scores.last().unwrap().to_bits().to_le_bytes());
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            match decode_v2(&resealed(&bytes, last, &bad.to_bits().to_le_bytes())) {
+                Err(Error::Corrupt(what)) => assert!(what.contains("not finite"), "{what}"),
+                other => panic!("{bad} score decoded to {:?}", other.map(|r| r.epoch)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_resealed_profile_topic_outside_the_taxonomy_is_corrupt() {
+        let (engine, view) = world();
+        let bytes = encode_v2(&engine, &view, 1);
+        // The last topic of the last profile: raising it keeps every
+        // profile sorted, so only the range check can refuse it.
+        let topics: Vec<u8> =
+            engine.profiles().slab().arenas().1.iter().flat_map(|t| t.to_le_bytes()).collect();
+        let at = bytes.windows(topics.len()).rposition(|w| w == topics).unwrap() + topics.len() - 4;
+        let outside = engine.community().taxonomy.len() as u32;
+        match decode_v2(&resealed(&bytes, at, &outside.to_le_bytes())) {
+            Err(Error::Corrupt(what)) => assert!(what.contains("outside the taxonomy"), "{what}"),
+            other => panic!("decoded to {:?}", other.map(|r| r.epoch)),
+        }
     }
 
     #[test]

@@ -337,6 +337,19 @@ mod tests {
         assert!(Checkpoint::decode(&good).unwrap().restore().is_ok());
     }
 
+    #[test]
+    fn a_v1_profile_entry_that_similarity_cannot_read_is_corrupt() {
+        let good = Checkpoint::decode(&v1_fixture()).unwrap();
+        let agent = good.profiles.iter().position(|p| !p.is_empty()).unwrap();
+        let taxonomy_len = good.taxonomy.parents.len() as u32;
+        for (topic, score) in [(None, f64::INFINITY), (None, f64::NAN), (Some(taxonomy_len), 1.0)] {
+            let mut bad = good.clone();
+            let entry = bad.profiles[agent].last_mut().unwrap();
+            *entry = (topic.unwrap_or(entry.0), score.to_bits());
+            assert!(matches!(bad.restore(), Err(Error::Corrupt(_))), "{topic:?} {score}");
+        }
+    }
+
     /// A record whose checksum is right but whose diff names an agent the
     /// view never held (FNV-1a is not a MAC; frames can be spliced between
     /// logs): replay keeps the valid prefix and reports the rest as

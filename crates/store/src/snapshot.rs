@@ -124,8 +124,9 @@ impl Checkpoint {
     /// `add_product` in id order, community through `CommunityBuilder`
     /// (agent-id numbering identical to the capture), profiles installed
     /// bit-for-bit. Semantic inconsistencies (malformed taxonomy,
-    /// out-of-range descriptor, profile count not matching the
-    /// reassembled community) surface as [`Error::Corrupt`].
+    /// out-of-range descriptor or profile topic, non-finite profile score,
+    /// profile count not matching the reassembled community) surface as
+    /// [`Error::Corrupt`].
     pub fn restore(&self) -> Result<RestoredModel> {
         let taxonomy =
             Taxonomy::from_parts(self.taxonomy.clone()).map_err(|e| Error::Corrupt(e.to_string()))?;
@@ -145,6 +146,16 @@ impl Checkpoint {
                 self.profiles.len(),
                 community.agent_count()
             )));
+        }
+        // The same checks `decode_v2` makes: similarity scatters by topic
+        // id and needs finite scores.
+        for &(topic, bits) in self.profiles.iter().flatten() {
+            if topic as usize >= community.taxonomy.len() {
+                return Err(Error::Corrupt("profile topic outside the taxonomy".into()));
+            }
+            if !f64::from_bits(bits).is_finite() {
+                return Err(Error::Corrupt("profile score is not finite".into()));
+            }
         }
         let vectors = self.profiles.iter().map(|entries| {
             ProfileVector::from_pairs(
