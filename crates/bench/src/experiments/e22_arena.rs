@@ -7,8 +7,8 @@
 //! One community, snapshotted as the v2 arena file ([`decode_v2`]: the
 //! model's arenas written verbatim, so recovery is a handful of bulk
 //! copies). The restore must serve what the live model serves, bit for
-//! bit. (The per-record v1 file this used to be sized against has no
-//! encoder any more; EXPERIMENTS.md keeps the last measured ratio.)
+//! bit. (The per-record format 1 this used to be sized against is gone;
+//! EXPERIMENTS.md keeps the last measured ratio.)
 //!
 //! Resident model bytes (the `model.bytes` gauge family) are reported so
 //! the arena layout's footprint is visible.
@@ -17,7 +17,7 @@ use semrec_core::{AgentId, Recommender, RecommenderConfig};
 use semrec_datagen::community::generate_community;
 use semrec_eval::table::Table;
 use semrec_obs::MetricsSnapshot;
-use semrec_store::{decode_v2, encode_v2, sniff_version, SNAPSHOT_V2};
+use semrec_store::{decode_v2, encode_v2};
 use semrec_web::crawler::{crawl, CommunityBuilder, CrawlConfig};
 use semrec_web::publish::publish_community;
 use semrec_web::store::DocumentWeb;
@@ -66,7 +66,6 @@ pub fn run(scale: Scale) -> (Outcome, String) {
 
     let view = builder.agents();
     let v2 = encode_v2(&engine, view, 1);
-    assert_eq!(sniff_version(&v2), Some(SNAPSHOT_V2));
 
     let live = fingerprint(&engine, &panel);
     let from_v2 = decode_v2(&v2).unwrap();

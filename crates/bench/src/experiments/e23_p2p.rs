@@ -1,5 +1,5 @@
 //! **E23 — Peer-to-peer gossip neighborhood formation** (§2, the
-//! decentralized deployment ROADMAP item 4 asks for): every agent runs its
+//! decentralized deployment with no central crawler): every agent runs its
 //! own node — a bounded local crawl plus deterministic push/pull gossip —
 //! and we measure how fast the swarm's neighborhoods converge on what a
 //! centralized crawl of the same world would compute.

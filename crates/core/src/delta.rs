@@ -44,7 +44,7 @@ impl ModelDelta {
     }
 
     /// Every URI the delta touches, deduplicated.
-    pub fn seed_uris(&self) -> HashSet<&str> {
+    fn seed_uris(&self) -> HashSet<&str> {
         self.ratings_changed
             .iter()
             .chain(self.trust_changed.iter())

@@ -16,7 +16,7 @@ use crate::recommend::Recommendation;
 
 /// The taxonomy-based content profile of a single product: its descriptors'
 /// Eq. 3 score distribution with unit mass.
-pub fn product_profile(taxonomy: &Taxonomy, catalog: &Catalog, product: ProductId) -> ProfileVector {
+fn product_profile(taxonomy: &Taxonomy, catalog: &Catalog, product: ProductId) -> ProfileVector {
     let descriptors = catalog.descriptors(product);
     let per = 1.0 / descriptors.len() as f64;
     let mut v = ProfileVector::new();
@@ -26,19 +26,6 @@ pub fn product_profile(taxonomy: &Taxonomy, catalog: &Catalog, product: ProductI
         }
     }
     v
-}
-
-/// Pairwise product similarity (cosine over product profiles); 0 when
-/// undefined.
-pub fn product_similarity(
-    taxonomy: &Taxonomy,
-    catalog: &Catalog,
-    a: ProductId,
-    b: ProductId,
-) -> f64 {
-    let pa = product_profile(taxonomy, catalog, a);
-    let pb = product_profile(taxonomy, catalog, b);
-    similarity::cosine(&pa, &pb).unwrap_or(0.0)
 }
 
 /// Intra-list similarity: mean pairwise similarity of a recommendation list.
@@ -144,9 +131,9 @@ mod tests {
     #[test]
     fn same_branch_products_are_more_similar() {
         let e = example1();
-        let same = product_similarity(&e.fig.taxonomy, &e.catalog, e.snow_crash, e.neuromancer);
-        let cross =
-            product_similarity(&e.fig.taxonomy, &e.catalog, e.snow_crash, e.matrix_analysis);
+        let pair = |a, b| intra_list_similarity(&e.fig.taxonomy, &e.catalog, &[a, b]);
+        let same = pair(e.snow_crash, e.neuromancer);
+        let cross = pair(e.snow_crash, e.matrix_analysis);
         assert!(same > cross, "{same} vs {cross}");
         assert!((same - 1.0).abs() < 1e-9, "identical descriptors → similarity 1");
     }

@@ -238,16 +238,6 @@ impl ProfileStore {
         self.origins[agent.index()] = (fresh_computation_id(), agent.index() as u32);
     }
 
-    /// True when two stores carry the same origin stamp for this agent
-    /// slot — i.e. the profile was carried across a generation (its bytes
-    /// copied from the same original computation), not recomputed.
-    pub fn shares_profile_with(&self, other: &ProfileStore, agent: AgentId) -> bool {
-        match (self.origins.get(agent.index()), other.origins.get(agent.index())) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    }
-
     /// Similarity between two agents under the given measure.
     pub fn similarity(
         &self,
@@ -263,6 +253,16 @@ impl ProfileStore {
 mod tests {
     use super::*;
     use semrec_taxonomy::fixtures::example1;
+
+    /// True when two stores carry the same origin stamp for this agent
+    /// slot — i.e. the profile was carried across a generation (its bytes
+    /// copied from the same original computation), not recomputed.
+    fn shares_profile(a: &ProfileStore, b: &ProfileStore, agent: AgentId) -> bool {
+        match (a.origins.get(agent.index()), b.origins.get(agent.index())) {
+            (Some(x), Some(y)) => x == y,
+            _ => false,
+        }
+    }
 
     fn setup() -> (Community, Vec<semrec_taxonomy::ProductId>) {
         let e = example1();
@@ -357,7 +357,7 @@ mod tests {
         let (next, stats) = store.advance(&previous, &c, &HashSet::new());
         assert_eq!(stats, AdvanceStats { recomputed: 0, reused: 2 });
         for &a in &agents {
-            assert!(next.shares_profile_with(&store, a), "profile must be shared, not copied");
+            assert!(shares_profile(&next, &store, a), "profile must be shared, not copied");
         }
     }
 
@@ -371,8 +371,8 @@ mod tests {
         let dirty: HashSet<&str> = ["http://ex.org/bob"].into_iter().collect();
         let (next, stats) = store.advance(&previous, &c, &dirty);
         assert_eq!(stats, AdvanceStats { recomputed: 1, reused: 1 });
-        assert!(next.shares_profile_with(&store, agents[0]));
-        assert!(!next.shares_profile_with(&store, agents[1]));
+        assert!(shares_profile(&next, &store, agents[0]));
+        assert!(!shares_profile(&next, &store, agents[1]));
         // The recomputed profile is byte-identical to a from-scratch build.
         let fresh = ProfileStore::build(&c, &ProfileParams::default());
         for &a in &agents {

@@ -108,7 +108,7 @@ pub struct ScoreComponents {
 
 impl ScoreComponents {
     /// A similarity-only decomposition.
-    pub fn similarity_only(weight: f64) -> Self {
+    fn similarity_only(weight: f64) -> Self {
         ScoreComponents { similarity: weight, activation: 0.0, centrality: 0.0 }
     }
 

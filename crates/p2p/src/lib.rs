@@ -1,10 +1,10 @@
 //! # semrec-p2p — gossip-based neighborhood formation, peer to peer
 //!
 //! §2 frames the Semantic Web as an *asynchronous, data-centric*
-//! environment with no central crawler; ROADMAP item 4 (after Diaz-Aviles,
-//! Schmidt-Thieme & Ziegler, *Emergence of Spontaneous Order Through
-//! Neighborhood Formation in Peer-to-Peer Recommender Systems*) asks what
-//! happens when every agent runs its own node. This crate simulates exactly
+//! environment with no central crawler. After Diaz-Aviles, Schmidt-Thieme
+//! & Ziegler (*Emergence of Spontaneous Order Through Neighborhood Formation
+//! in Peer-to-Peer Recommender Systems*), the question is what happens when
+//! every agent runs its own node. This crate simulates exactly
 //! that: N peers on the shared virtual-tick axis, each one a self-contained
 //! composition of subsystems that already exist —
 //!

@@ -97,10 +97,6 @@ pub struct Shard {
     /// The distinct remote trustees of the out-stars, numbered in order of
     /// first appearance (member order, then edge order).
     pub(crate) ghosts: Vec<Ghost>,
-    /// Number of boundary (cross-shard) edges in the out-star.
-    pub(crate) boundary_out: usize,
-    /// Bumped whenever the shard's model content is rebuilt.
-    pub(crate) model_epoch: u64,
     /// Bumped whenever results served *from* this shard may change (its
     /// own content, or content within trust range on other shards).
     pub(crate) serve_epoch: u64,
@@ -122,7 +118,6 @@ impl Shard {
     ) -> Shard {
         let mut ghost_of: HashMap<GlobalId, u32> = HashMap::new();
         let mut ghosts = Vec::new();
-        let mut boundary_out = 0;
         let mut powered_sums = Vec::with_capacity(stars.len());
         let mut outstar = Vec::with_capacity(stars.len());
         for mut star in stars {
@@ -140,7 +135,6 @@ impl Shard {
                     let target = match trustee {
                         Trustee::Local(local) => Target::Local(local),
                         Trustee::Remote(at) => {
-                            boundary_out += 1;
                             let ghost = *ghost_of.entry(global).or_insert_with(|| {
                                 ghosts.push(at);
                                 ghosts.len() as u32 - 1
@@ -162,8 +156,6 @@ impl Shard {
             powered_sums,
             spreading_power,
             ghosts,
-            boundary_out,
-            model_epoch: epoch,
             serve_epoch: epoch,
         }
     }
@@ -191,16 +183,6 @@ impl Shard {
     /// Global ordinals of the members, in local-id order.
     pub fn globals(&self) -> &[GlobalId] {
         &self.globals
-    }
-
-    /// Boundary out-edge count.
-    pub fn boundary_out_edges(&self) -> usize {
-        self.boundary_out
-    }
-
-    /// Model generation of this shard.
-    pub fn model_epoch(&self) -> u64 {
-        self.model_epoch
     }
 
     /// Serve generation of this shard: it moves only when answers for the
@@ -505,7 +487,7 @@ impl ShardedModel {
     }
 
     /// The materialized profile of an agent.
-    pub fn profile_of(&self, agent: GlobalId) -> Result<ProfileView<'_>> {
+    fn profile_of(&self, agent: GlobalId) -> Result<ProfileView<'_>> {
         let (shard, local) = self.locate(agent)?;
         Ok(self.shards[shard].profiles.profile(local))
     }
@@ -667,7 +649,6 @@ impl ShardedModel {
             // shifted shards, so no cache entry survives.
             for (i, shard) in model.shards.iter_mut().enumerate() {
                 let shard = Arc::get_mut(shard).expect("freshly built shard is unshared");
-                shard.model_epoch = self.shards[i].model_epoch + 1;
                 shard.serve_epoch = self.shards[i].serve_epoch + 1;
             }
             let report = ShardedAdvanceReport {
@@ -717,7 +698,6 @@ impl ShardedModel {
                 &self.config,
                 s as u32,
             );
-            shard.model_epoch = self.shards[s].model_epoch + 1;
             shard.serve_epoch = self.shards[s].serve_epoch;
             books.profiles_recomputed[s].add(stats.recomputed as u64);
             books.profiles_reused[s].add(stats.reused as u64);
@@ -990,7 +970,10 @@ mod tests {
         let total_star: usize =
             (0..3).map(|s| model.shard(s).outstar.iter().map(Vec::len).sum::<usize>()).sum();
         assert_eq!(total_star, report.total_edges);
-        let boundary: usize = (0..3).map(|s| model.shard(s).boundary_out_edges()).sum();
+        let boundary = (0..3)
+            .flat_map(|s| model.shard(s).outstar.iter().flatten())
+            .filter(|e| matches!(e.target, Target::Remote { .. }))
+            .count();
         assert_eq!(boundary, report.cut_edges);
     }
 

@@ -4,7 +4,13 @@
 //! length-prefixed byte strings, `f64` persisted as raw IEEE-754 bits so a
 //! round trip is bit-exact (the repo-wide byte-identity contract lives or
 //! dies on this). Every read is bounds-checked and returns a typed
-//! [`Error::Truncated`] instead of slicing past the end.
+//! [`Error::Truncated`] instead of slicing past the end. The field codecs
+//! the snapshot and the WAL share (health, config, taxonomy, agents) and
+//! the header check every file of this crate opens with live here too.
+
+use semrec_core::{RecommenderConfig, SimilarityMeasure, SourceHealth, SynthesisStrategy};
+use semrec_taxonomy::{TaxonomyParts, TopicId};
+use semrec_web::extract::ExtractedAgent;
 
 use crate::error::{Error, Result};
 
@@ -280,6 +286,239 @@ pub fn for_each_mutation(bytes: &[u8], stride: usize, mut decode: impl FnMut(&st
         decode(&format!("bit flipped in byte {i}"), &mutated);
         mutated[i] ^= 0x04;
     }
+}
+
+// Field codecs the snapshot and the WAL share.
+
+/// Validates the `magic | version: u32` header every file of this crate
+/// opens with, returning what follows it.
+pub(crate) fn check_header<'a>(
+    bytes: &'a [u8],
+    magic: &'static [u8; 8],
+    version: u32,
+    context: &'static str,
+) -> Result<&'a [u8]> {
+    if bytes.len() < 8 {
+        return Err(Error::Truncated { context });
+    }
+    if &bytes[..8] != magic {
+        let mut found = [0u8; 8];
+        found.copy_from_slice(&bytes[..8]);
+        return Err(Error::BadMagic { expected: magic, found });
+    }
+    if bytes.len() < 12 {
+        return Err(Error::Truncated { context });
+    }
+    let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if found != version {
+        return Err(Error::BadVersion { expected: version, found });
+    }
+    Ok(&bytes[12..])
+}
+
+
+pub(crate) fn encode_health(w: &mut Writer, h: &SourceHealth) {
+    w.put_len(h.attempted);
+    w.put_len(h.fetched);
+    w.put_len(h.unreachable);
+    w.put_len(h.gave_up);
+    w.put_len(h.corrupted);
+    w.put_len(h.parse_errors);
+}
+
+pub(crate) fn decode_health(r: &mut Reader<'_>) -> Result<SourceHealth> {
+    Ok(SourceHealth {
+        attempted: r.get_u64()? as usize,
+        fetched: r.get_u64()? as usize,
+        unreachable: r.get_u64()? as usize,
+        gave_up: r.get_u64()? as usize,
+        corrupted: r.get_u64()? as usize,
+        parse_errors: r.get_u64()? as usize,
+    })
+}
+
+fn put_opt_u64(w: &mut Writer, v: Option<u64>) {
+    match v {
+        Some(v) => {
+            w.put_bool(true);
+            w.put_u64(v);
+        }
+        None => w.put_bool(false),
+    }
+}
+
+fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>> {
+    Ok(if r.get_bool()? { Some(r.get_u64()?) } else { None })
+}
+
+pub(crate) fn encode_config(w: &mut Writer, c: &RecommenderConfig) {
+    let a = &c.neighborhood.appleseed;
+    w.put_f64(a.injection);
+    w.put_f64(a.spreading_factor);
+    w.put_f64(a.convergence);
+    w.put_f64(a.backward_weight);
+    w.put_len(a.max_iterations);
+    put_opt_u64(w, a.max_range.map(u64::from));
+    put_opt_u64(w, a.max_nodes.map(|v| v as u64));
+    w.put_bool(a.distrust);
+    w.put_f64(a.spreading_power);
+    w.put_len(c.neighborhood.max_peers);
+    w.put_f64(c.neighborhood.min_rank);
+    w.put_f64(c.profile.total_score);
+    w.put_f64(c.profile.min_rating);
+    w.put_bool(c.profile.rating_weighted);
+    w.put_u8(match c.similarity {
+        SimilarityMeasure::Pearson => 0,
+        SimilarityMeasure::Cosine => 1,
+    });
+    match c.synthesis {
+        SynthesisStrategy::LinearBlend { xi } => {
+            w.put_u8(0);
+            w.put_f64(xi);
+        }
+        SynthesisStrategy::BordaMerge => w.put_u8(1),
+        SynthesisStrategy::TrustFilter => w.put_u8(2),
+    }
+    w.put_f64(c.voting.min_rating);
+    w.put_bool(c.voting.rating_weighted_votes);
+    w.put_len(c.voting.min_voters);
+    w.put_bool(c.novel_categories_only);
+}
+
+pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<RecommenderConfig> {
+    let mut config = RecommenderConfig::default();
+    let a = &mut config.neighborhood.appleseed;
+    a.injection = r.get_f64()?;
+    a.spreading_factor = r.get_f64()?;
+    a.convergence = r.get_f64()?;
+    a.backward_weight = r.get_f64()?;
+    a.max_iterations = r.get_u64()? as usize;
+    a.max_range = get_opt_u64(r)?.map(|v| v as u32);
+    a.max_nodes = get_opt_u64(r)?.map(|v| v as usize);
+    a.distrust = r.get_bool()?;
+    a.spreading_power = r.get_f64()?;
+    config.neighborhood.max_peers = r.get_u64()? as usize;
+    config.neighborhood.min_rank = r.get_f64()?;
+    config.profile.total_score = r.get_f64()?;
+    config.profile.min_rating = r.get_f64()?;
+    config.profile.rating_weighted = r.get_bool()?;
+    config.similarity = match r.get_u8()? {
+        0 => SimilarityMeasure::Pearson,
+        1 => SimilarityMeasure::Cosine,
+        other => return Err(Error::Corrupt(format!("similarity tag {other}"))),
+    };
+    config.synthesis = match r.get_u8()? {
+        0 => SynthesisStrategy::LinearBlend { xi: r.get_f64()? },
+        1 => SynthesisStrategy::BordaMerge,
+        2 => SynthesisStrategy::TrustFilter,
+        other => return Err(Error::Corrupt(format!("synthesis tag {other}"))),
+    };
+    config.voting.min_rating = r.get_f64()?;
+    config.voting.rating_weighted_votes = r.get_bool()?;
+    config.voting.min_voters = r.get_u64()? as usize;
+    config.novel_categories_only = r.get_bool()?;
+    Ok(config)
+}
+
+pub(crate) fn encode_taxonomy(w: &mut Writer, t: &TaxonomyParts) {
+    w.put_len(t.labels.len());
+    for label in &t.labels {
+        w.put_str(label);
+    }
+    for lists in [&t.parents, &t.children] {
+        w.put_len(lists.len());
+        for list in lists {
+            w.put_len(list.len());
+            for id in list {
+                w.put_u32(id.index() as u32);
+            }
+        }
+    }
+    w.put_len(t.depth.len());
+    for &d in &t.depth {
+        w.put_u32(d);
+    }
+}
+
+pub(crate) fn decode_taxonomy(r: &mut Reader<'_>) -> Result<TaxonomyParts> {
+    let label_count = r.get_len()?;
+    let mut labels = Vec::with_capacity(label_count);
+    for _ in 0..label_count {
+        labels.push(r.get_str()?);
+    }
+    let mut adjacency = [Vec::new(), Vec::new()];
+    for lists in &mut adjacency {
+        let list_count = r.get_len()?;
+        lists.reserve(list_count);
+        for _ in 0..list_count {
+            let id_count = r.get_len()?;
+            let mut list = Vec::with_capacity(id_count);
+            for _ in 0..id_count {
+                list.push(TopicId::from_index(r.get_u32()? as usize));
+            }
+            lists.push(list);
+        }
+    }
+    let [parents, children] = adjacency;
+    let depth_count = r.get_len()?;
+    let mut depth = Vec::with_capacity(depth_count);
+    for _ in 0..depth_count {
+        depth.push(r.get_u32()?);
+    }
+    Ok(TaxonomyParts { labels, parents, children, depth })
+}
+
+pub(crate) fn encode_string_list(w: &mut Writer, list: &[String]) {
+    w.put_len(list.len());
+    for s in list {
+        w.put_str(s);
+    }
+}
+
+pub(crate) fn decode_string_list(r: &mut Reader<'_>) -> Result<Vec<String>> {
+    let count = r.get_len()?;
+    let mut list = Vec::with_capacity(count);
+    for _ in 0..count {
+        list.push(r.get_str()?);
+    }
+    Ok(list)
+}
+
+pub(crate) fn encode_scored_list(w: &mut Writer, list: &[(String, f64)]) {
+    w.put_len(list.len());
+    for (key, score) in list {
+        w.put_str(key);
+        w.put_f64(*score);
+    }
+}
+
+pub(crate) fn decode_scored_list(r: &mut Reader<'_>) -> Result<Vec<(String, f64)>> {
+    let count = r.get_len()?;
+    let mut list = Vec::with_capacity(count);
+    for _ in 0..count {
+        let key = r.get_str()?;
+        let score = r.get_f64()?;
+        list.push((key, score));
+    }
+    Ok(list)
+}
+
+pub(crate) fn encode_agent(w: &mut Writer, agent: &ExtractedAgent) {
+    w.put_str(&agent.uri);
+    encode_scored_list(w, &agent.trust);
+    encode_scored_list(w, &agent.ratings);
+    encode_string_list(w, &agent.knows);
+    encode_string_list(w, &agent.see_also);
+}
+
+pub(crate) fn decode_agent(r: &mut Reader<'_>) -> Result<ExtractedAgent> {
+    Ok(ExtractedAgent {
+        uri: r.get_str()?,
+        trust: decode_scored_list(r)?,
+        ratings: decode_scored_list(r)?,
+        knows: decode_string_list(r)?,
+        see_also: decode_string_list(r)?,
+    })
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Every way serialized bytes can be wrong has its own variant, because
 //! the recovery path branches on *why* a snapshot or WAL failed: a bad
-//! magic or version means the file is not ours (or from a future format)
-//! and the previous snapshot should be tried; a truncated or
+//! magic or version means the file is not ours (or from another format
+//! version) and the previous snapshot should be tried; a truncated or
 //! checksum-failing WAL tail means the process died mid-append and the
 //! valid prefix is still good. Nothing in this crate panics on corrupted
 //! input — that is the corruption-injection test suite's contract.
@@ -49,8 +49,8 @@ pub enum Error {
     /// (e.g. malformed taxonomy parts, or a profile count that does not
     /// match the reassembled community).
     Corrupt(String),
-    /// Recovery found no snapshot to load (empty or missing store
-    /// directory, or every candidate failed).
+    /// The store directory holds no snapshot file. (When every snapshot
+    /// fails to load, recovery returns the newest one's error instead.)
     NoSnapshot,
 }
 
@@ -73,7 +73,7 @@ impl fmt::Display for Error {
                 "checksum mismatch: computed {computed:#018x}, stored {stored:#018x}"
             ),
             Error::Corrupt(what) => write!(f, "corrupt model state: {what}"),
-            Error::NoSnapshot => write!(f, "no loadable snapshot in the store"),
+            Error::NoSnapshot => write!(f, "no snapshot in the store"),
         }
     }
 }
@@ -102,7 +102,7 @@ mod tests {
         assert!(Error::BadMagic { expected: b"SEMRECSN", found: *b"XXXXXXXX" }
             .to_string()
             .contains("SEMRECSN"));
-        assert!(Error::BadVersion { expected: 1, found: 9 }.to_string().contains('9'));
+        assert!(Error::BadVersion { expected: 2, found: 9 }.to_string().contains('9'));
         assert!(Error::Truncated { context: "wal record" }.to_string().contains("wal record"));
         assert!(Error::ChecksumMismatch { computed: 1, stored: 2 }
             .to_string()

@@ -11,11 +11,11 @@
 //! vendored-deps constraint. Three pieces:
 //!
 //! * **[`encode_v2`] / [`decode_v2`]** — one full model generation as its
-//!   flat arenas, the one snapshot writer. [`Checkpoint`] is the read side
-//!   of the older per-record format v1: it reassembles the community
-//!   through `CommunityBuilder` (the same code a live crawl uses, so
-//!   agent-id numbering is preserved) and installs the persisted profile
-//!   bits verbatim — no float is ever re-derived on load.
+//!   flat arenas, the one snapshot format: the writer and the one restore
+//!   path. No float is ever re-derived on load. A build reads only the
+//!   format version it writes; the published documents, not a node's
+//!   private store, are the source of truth, so a store written in another
+//!   version is rebuilt by a crawl.
 //! * **[`WalRecord`] / [`decode_wal`]** — per-record framed, checksummed
 //!   deltas over the one frame layer ([`wal::frame`], [`wal::read_frames`])
 //!   that `semrec-shard`'s logs ride too. A crash mid-append leaves a torn
@@ -36,7 +36,8 @@
 //! this crate panics on corrupted input: bad magic, unsupported versions,
 //! truncation, checksum mismatches, and semantically impossible states
 //! all come back as typed [`Error`] variants, and recovery falls back to
-//! the previous good snapshot.
+//! the previous good snapshot (or, when none loads, returns the newest
+//! one's reason).
 //!
 //! Everything observable lands in the books of the [`Store`] that did it,
 //! under the `store.*` names [`Store::metrics`] reads (see the README's
@@ -48,71 +49,26 @@
 pub mod arena;
 pub mod codec;
 pub mod error;
-pub mod snapshot;
 #[allow(clippy::module_inception)]
 pub mod store;
+#[cfg(test)]
+mod testkit;
 pub mod wal;
 
-pub use arena::{decode_v2, encode_v2, sniff_version, SNAPSHOT_V2};
+pub use arena::{decode_v2, encode_v2, RestoredModel, SNAPSHOT_MAGIC, SNAPSHOT_V2};
 pub use error::{Error, Result};
-pub use snapshot::{Checkpoint, RestoredModel, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{CheckpointReport, CompactionPolicy, Recovery, Store};
 pub use wal::{decode_wal, encode_record, wal_header, WalReadout, WalRecord, WAL_MAGIC, WAL_VERSION};
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use semrec_core::{Recommender, RecommenderConfig, SourceHealth};
+    use semrec_core::SourceHealth;
     use semrec_taxonomy::fixtures::example1;
     use semrec_web::crawler::CommunityBuilder;
     use semrec_web::delta::{AgentDiff, CrawlDelta};
-    use semrec_web::extract::ExtractedAgent;
 
     use super::*;
-
-    /// A unique per-test scratch directory (no external tempfile crate).
-    fn scratch(tag: &str) -> PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("semrec-store-{}-{tag}-{n}", std::process::id()))
-    }
-
-    fn agent(i: usize, trust: &[(usize, f64)], ratings: &[(&str, f64)]) -> ExtractedAgent {
-        ExtractedAgent {
-            uri: format!("http://ex.org/u{i}"),
-            trust: trust.iter().map(|&(j, v)| (format!("http://ex.org/u{j}"), v)).collect(),
-            ratings: ratings.iter().map(|&(p, v)| (p.to_owned(), v)).collect(),
-            knows: trust.iter().map(|&(j, _)| format!("http://ex.org/u{j}")).collect(),
-            see_also: Vec::new(),
-        }
-    }
-
-    /// A small ring world over the Example 1 taxonomy/catalog, plus its
-    /// engine built the same way a crawl would.
-    fn world() -> (Recommender, Vec<ExtractedAgent>) {
-        let e = example1();
-        let ids: Vec<String> =
-            e.catalog.iter().map(|p| e.catalog.product(p).identifier.clone()).collect();
-        let view: Vec<ExtractedAgent> = (0..6)
-            .map(|i| agent(i, &[((i + 1) % 6, 0.9)], &[(ids[i % ids.len()].as_str(), 1.0)]))
-            .collect();
-        let (community, _) = CommunityBuilder::new(&view).build(e.fig.taxonomy, e.catalog);
-        (Recommender::new(community, RecommenderConfig::default()), view)
-    }
-
-    fn render(engine: &Recommender) -> String {
-        let mut out = String::new();
-        for a in engine.community().agents() {
-            out.push_str(&format!("{a:?}:"));
-            for rec in engine.recommend(a, 10).expect("recommendation succeeds") {
-                out.push_str(&format!(" {:?}={}", rec.product, rec.score.to_bits()));
-            }
-            out.push('\n');
-        }
-        out
-    }
+    use crate::testkit::{render, resealed, scratch, world};
 
     #[test]
     fn checkpoint_recover_round_trip_is_byte_identical() {
@@ -296,58 +252,21 @@ mod tests {
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
-    /// The committed v1 snapshot (`tests/conformance.rs` recovers it):
-    /// the only v1 bytes there are, now that nothing encodes the format.
-    fn v1_fixture() -> Vec<u8> {
-        let hex: String = include_str!("../../../tests/fixtures/snapshot-v1.hex")
-            .split_whitespace()
-            .collect();
-        (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("two hex digits per byte"))
-            .collect()
-    }
-
+    /// A store whose only snapshot is of another format version says so,
+    /// rather than that it holds no snapshot.
     #[test]
-    fn every_single_byte_mutation_of_a_snapshot_is_typed_never_a_panic() {
-        // No prefix and no single flipped bit gets past the checksum (or an
-        // earlier frame check) — decode can never return Ok.
-        codec::for_each_mutation(&v1_fixture(), 7, |what, mutated| {
-            assert!(Checkpoint::decode(mutated).is_err(), "{what} went unnoticed");
-        });
-    }
-
-    #[test]
-    fn bad_magic_and_bad_version_snapshots_are_typed() {
-        let good = v1_fixture();
-        let mut magic = good.clone();
-        magic[..8].copy_from_slice(b"NOTMAGIC");
-        assert!(matches!(Checkpoint::decode(&magic), Err(Error::BadMagic { .. })));
-        // A version bump must re-checksum or it reads as plain corruption;
-        // patch both to exercise the version check in isolation.
-        let mut versioned = good.clone();
-        versioned[8..12].copy_from_slice(&9u32.to_le_bytes());
-        let body_end = versioned.len() - 8;
-        let sum = codec::fnv1a64(&versioned[..body_end]);
-        versioned[body_end..].copy_from_slice(&sum.to_le_bytes());
+    fn a_store_of_another_format_version_fails_recovery_with_that_version() {
+        let (engine, view) = world();
+        let store = Store::open(scratch("version")).unwrap();
+        store.checkpoint(&engine, &view, 1).unwrap();
+        let path = store.snapshot_path(1);
+        let older = resealed(&std::fs::read(&path).unwrap(), 8, &1u32.to_le_bytes());
+        std::fs::write(&path, older).unwrap();
         assert!(matches!(
-            Checkpoint::decode(&versioned),
-            Err(Error::BadVersion { found: 9, expected: SNAPSHOT_VERSION })
+            store.recover(),
+            Err(Error::BadVersion { expected: SNAPSHOT_V2, found: 1 })
         ));
-        assert!(Checkpoint::decode(&good).unwrap().restore().is_ok());
-    }
-
-    #[test]
-    fn a_v1_profile_entry_that_similarity_cannot_read_is_corrupt() {
-        let good = Checkpoint::decode(&v1_fixture()).unwrap();
-        let agent = good.profiles.iter().position(|p| !p.is_empty()).unwrap();
-        let taxonomy_len = good.taxonomy.parents.len() as u32;
-        for (topic, score) in [(None, f64::INFINITY), (None, f64::NAN), (Some(taxonomy_len), 1.0)] {
-            let mut bad = good.clone();
-            let entry = bad.profiles[agent].last_mut().unwrap();
-            *entry = (topic.unwrap_or(entry.0), score.to_bits());
-            assert!(matches!(bad.restore(), Err(Error::Corrupt(_))), "{topic:?} {score}");
-        }
+        std::fs::remove_dir_all(store.dir()).ok();
     }
 
     /// A record whose checksum is right but whose diff names an agent the

@@ -36,9 +36,8 @@ use semrec_web::delta::CrawlDelta;
 use semrec_web::extract::ExtractedAgent;
 use semrec_core::SourceHealth;
 
-use crate::arena::{decode_v2, encode_v2, sniff_version, SNAPSHOT_V2};
+use crate::arena::{decode_v2, encode_v2, RestoredModel};
 use crate::error::{Error, Result};
-use crate::snapshot::{Checkpoint, RestoredModel, SNAPSHOT_VERSION};
 use crate::wal::{decode_wal, encode_record, wal_header, WalRecord};
 
 /// When to fold the live WAL into a fresh snapshot.
@@ -187,7 +186,7 @@ impl Store {
     }
 
     /// Every snapshot generation present, ascending.
-    pub fn snapshot_seqs(&self) -> Result<Vec<u64>> {
+    fn snapshot_seqs(&self) -> Result<Vec<u64>> {
         let mut seqs = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
@@ -205,17 +204,18 @@ impl Store {
     }
 
     /// The newest snapshot generation, if any.
-    pub fn latest_seq(&self) -> Result<Option<u64>> {
+    fn latest_seq(&self) -> Result<Option<u64>> {
         Ok(self.snapshot_seqs()?.last().copied())
     }
 
     /// Captures and durably writes the model as the next snapshot
     /// generation, with a fresh empty WAL beside it.
     ///
-    /// Writes snapshot format v2: the model's flat arenas verbatim (see
-    /// [`crate::arena`]), so recovery adopts them with bulk copies instead
-    /// of re-deriving the model per record. [`Store::recover`] still reads
-    /// v1 snapshots written by earlier builds.
+    /// Writes the one snapshot format: the model's flat arenas verbatim
+    /// (see [`crate::arena`]), so recovery adopts them with bulk copies
+    /// instead of re-deriving the model. A store written in another format
+    /// version does not recover ([`Error::BadVersion`]); the node rebuilds
+    /// it by crawling.
     ///
     /// Counts as `store.snapshot.write` / `store.snapshot.write.bytes`,
     /// timed under `store.snapshot.write`.
@@ -263,8 +263,10 @@ impl Store {
     /// the valid prefix and a header-corrupt WAL replays nothing, either
     /// way surfacing the typed cause in [`Recovery::wal_error`] (the
     /// latter also counts as a fallback — snapshot+WAL degraded to
-    /// snapshot-only). Errs with [`Error::NoSnapshot`] when no generation
-    /// is loadable at all.
+    /// snapshot-only). When no generation loads, errs with the newest
+    /// generation's reason (a store holding only a snapshot of another
+    /// format version says [`Error::BadVersion`]); [`Error::NoSnapshot`]
+    /// means the directory holds no snapshot file at all.
     ///
     /// Counts `store.snapshot.load` / `store.snapshot.load.bytes` and one
     /// `store.wal.replayed` per replayed record, timed under
@@ -272,12 +274,7 @@ impl Store {
     pub fn recover(&self) -> Result<Recovery> {
         let _span = self.metrics.recovery_seconds.start_timer();
         let mut skipped = Vec::new();
-        let mut seqs = self.snapshot_seqs()?;
-        seqs.reverse();
-        if seqs.is_empty() {
-            return Err(Error::NoSnapshot);
-        }
-        for seq in seqs {
+        for seq in self.snapshot_seqs()?.into_iter().rev() {
             match self.load_snapshot(seq) {
                 Ok(restored) => return self.replay(seq, restored, skipped),
                 Err(e) => {
@@ -286,23 +283,15 @@ impl Store {
                 }
             }
         }
-        Err(Error::NoSnapshot)
+        Err(skipped.into_iter().next().map_or(Error::NoSnapshot, |(_, newest)| newest))
     }
 
-    /// Loads one snapshot generation straight into a live model,
-    /// dispatching on the format version in the frame header: v2 arenas
-    /// decode directly ([`decode_v2`]), v1 goes through
-    /// `Checkpoint::decode().restore()`. Unknown versions are a typed
-    /// [`Error::BadVersion`]; bytes too damaged to carry a version fall
-    /// through to the v1 decoder for its magic/truncation errors.
+    /// Loads one snapshot generation straight into a live model with
+    /// [`decode_v2`]; its errors are typed.
     fn load_snapshot(&self, seq: u64) -> Result<RestoredModel> {
         let _span = self.metrics.snapshot_load_seconds.start_timer();
         let bytes = fs::read(self.snapshot_path(seq))?;
-        let restored = match sniff_version(&bytes) {
-            Some(SNAPSHOT_V2) => decode_v2(&bytes)?,
-            Some(SNAPSHOT_VERSION) | None => Checkpoint::decode(&bytes)?.restore()?,
-            Some(found) => return Err(Error::BadVersion { expected: SNAPSHOT_V2, found }),
-        };
+        let restored = decode_v2(&bytes)?;
         self.metrics.snapshot_load.inc();
         self.metrics.snapshot_load_bytes.add(bytes.len() as u64);
         Ok(restored)

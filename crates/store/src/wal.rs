@@ -31,12 +31,11 @@
 use semrec_core::SourceHealth;
 use semrec_web::delta::{AgentDiff, CrawlDelta};
 
-use crate::codec::{fnv1a64, Reader, Writer};
-use crate::error::{Error, Result};
-use crate::snapshot::{
+use crate::codec::{
     check_header, decode_agent, decode_health, decode_scored_list, decode_string_list,
-    encode_agent, encode_health, encode_scored_list, encode_string_list,
+    encode_agent, encode_health, encode_scored_list, encode_string_list, fnv1a64, Reader, Writer,
 };
+use crate::error::{Error, Result};
 
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"SEMRECWL";

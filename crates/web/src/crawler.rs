@@ -25,6 +25,7 @@
 //! [`CircuitBreaker::times_opened`].
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use semrec_core::{Community, SourceHealth};
 use semrec_obs::MetricsSnapshot;
@@ -61,8 +62,9 @@ impl Default for CrawlConfig {
 pub struct DocumentSnapshot {
     /// The document version observed.
     pub version: u64,
-    /// Agents extracted from this document.
-    pub agents: Vec<ExtractedAgent>,
+    /// Agents extracted from this document, shared with the refresh that
+    /// reuses it: an unchanged document costs a refcount, not a copy.
+    pub agents: Arc<[ExtractedAgent]>,
 }
 
 /// Result of a crawl.
@@ -317,11 +319,7 @@ pub fn crawl_with(
                     if reused {
                         result.reused += 1;
                     }
-                    result.documents.insert(
-                        uri,
-                        DocumentSnapshot { version, agents: extracted.clone() },
-                    );
-                    for agent in extracted {
+                    for agent in extracted.iter() {
                         for link in agent.see_also.iter().cloned().chain(
                             agent.knows.iter().map(|k| homepage_uri(k)),
                         ) {
@@ -329,8 +327,9 @@ pub fn crawl_with(
                                 next.push(link);
                             }
                         }
-                        agents.entry(agent.uri.clone()).or_insert(agent);
+                        agents.entry(agent.uri.clone()).or_insert_with(|| agent.clone());
                     }
+                    result.documents.insert(uri, DocumentSnapshot { version, agents: extracted });
                 }
             }
         }
@@ -360,7 +359,7 @@ enum FetchOutcome {
     ParseError { detail: String },
     GaveUp { error: FetchError },
     Dead,
-    Parsed { version: u64, extracted: Vec<ExtractedAgent>, reused: bool },
+    Parsed { version: u64, extracted: Arc<[ExtractedAgent]>, reused: bool },
 }
 
 struct FetchRecord {
@@ -447,7 +446,7 @@ fn parse_document(
         if prev.version == doc.version {
             return FetchOutcome::Parsed {
                 version: doc.version,
-                extracted: prev.agents.clone(),
+                extracted: Arc::clone(&prev.agents),
                 reused: true,
             };
         }
@@ -461,7 +460,7 @@ fn parse_document(
     match parsed {
         Ok(graph) => FetchOutcome::Parsed {
             version: doc.version,
-            extracted: extract_agents(&graph),
+            extracted: extract_agents(&graph).into(),
             reused: false,
         },
         Err(e) => FetchOutcome::ParseError { detail: e.to_string() },

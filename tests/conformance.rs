@@ -26,10 +26,7 @@ use semrec::core::{recommend_batch, AdvanceStats, ModelDelta, RecommenderConfig,
 use semrec::p2p::{GossipConfig, P2pSimulation};
 use semrec::serve::{ServeConfig, Server};
 use semrec::shard::{CommunityShardFn, GlobalId, HashShardFn, ShardFn, ShardedModel};
-use semrec::store::{
-    decode_v2, encode_v2, sniff_version, wal_header, Recovery, Store, SNAPSHOT_V2,
-    SNAPSHOT_VERSION,
-};
+use semrec::store::{decode_v2, encode_v2, Recovery, Store};
 use semrec::taxonomy::fixtures::example1;
 use semrec::trust::appleseed::{appleseed, AppleseedParams};
 use semrec::trust::neighborhood::{form_neighborhood_csr, NeighborhoodParams};
@@ -151,11 +148,10 @@ const HOPS: &str = "a node first found by a distrust statement takes its hop dis
     star that discovers it, and the barrier defers remote discoveries, so under `max_range` the \
     wave can differ (witness: `distrust_under_a_hop_range_is_partition_blind`, ROADMAP 15)";
 const CAP: &str = "`max_nodes` binds per shard (DESIGN §6)";
-const FROZEN: &str = "the fixture is one frozen world under the default configuration";
 
 /// The conformance table.
 #[rustfmt::skip]
-const TABLE: [Row; 11] = [
+const TABLE: [Row; 10] = [
     Row("engine rebuilt from the same world", [Bits, Bits, Bits, Bits], "", rebuilt),
     Row("`recommend_batch` at 1/2/8 threads", [Bits, Bits, Bits, Bits], "", batch),
     Row("`Server` pool at 1/2/8 workers and lockstep `drain_step` at 1/8 threads, engine pass then cache pass", [Bits, Bits, Bits, Bits], "", served),
@@ -166,7 +162,6 @@ const TABLE: [Row; 11] = [
     Row("1 shard (ranks, `iterations` and `converged` too)", [Bits, Bits, Bits, Bits], "", one_shard),
     Row("N = 2/4/8 shards, hash or community, either schedule (ranks too)", [Eps(1e-6, SUMS), Eps(1e-6, SUMS), Na(HOPS), Na(CAP)], "", n_shards),
     Row("fully informed gossip peer, neighborhood against `form_neighborhood_csr` (ring worlds)", [Bits, Bits, Bits, Bits], "", gossip),
-    Row("committed v1 fixture (its own frozen world)", [Bits, Na(FROZEN), Na(FROZEN), Na(FROZEN)], "", v1_fixture),
 ];
 
 /// What one case draws: a world, the N-shard parameters, and republish
@@ -298,7 +293,6 @@ fn crawled(case: &Case, class: Class) {
 fn v2_snapshot(case: &Case, class: Class) {
     let Crawled { builder, engine, .. } = case.crawled();
     let bytes = encode_v2(engine, builder.agents(), 7);
-    assert_eq!(sniff_version(&bytes), Some(SNAPSHOT_V2));
     let restored = decode_v2(&bytes).expect("own encoding decodes");
     assert_eq!(restored.epoch, 7);
     assert_eq!(restored.view, builder.agents());
@@ -480,62 +474,6 @@ fn gossip(case: &Case, class: Class) {
         let got: Vec<(&str, f64)> = local.iter().map(|(u, r)| (&**u, *r)).collect();
         assert!(class.lists(&want, &got), "{uri}: {got:?} is not {want:?}");
     }
-}
-
-/// The deterministic six-agent ring world over Example 1 that the committed
-/// v1 fixture was captured from. Nothing can encode v1 any more, so this
-/// world must not change.
-fn world() -> (Recommender, Vec<ExtractedAgent>) {
-    let e = example1();
-    let ids: Vec<String> =
-        e.catalog.iter().map(|p| e.catalog.product(p).identifier.clone()).collect();
-    let view: Vec<ExtractedAgent> = (0..6)
-        .map(|i| ExtractedAgent {
-            uri: format!("http://ex.org/u{i}"),
-            trust: vec![
-                (format!("http://ex.org/u{}", (i + 1) % 6), 0.9),
-                (format!("http://ex.org/u{}", (i + 3) % 6), -0.4),
-            ],
-            ratings: vec![
-                (ids[i % ids.len()].clone(), 1.0),
-                (ids[(i + 1) % ids.len()].clone(), -0.5),
-            ],
-            knows: vec![format!("http://ex.org/u{}", (i + 1) % 6)],
-            see_also: vec![format!("http://ex.org/u{}", (i + 2) % 6)],
-        })
-        .collect();
-    let (community, _) = CommunityBuilder::new(&view).build(e.fig.taxonomy, e.catalog);
-    (Recommender::new(community, RecommenderConfig::default()), view)
-}
-
-/// `tests/fixtures/snapshot-v1.hex` (the v1 bytes as lower-case hex, so no
-/// binary-ignore rule or text-only transport drops them) recovers through
-/// the dispatching loader, and the next checkpoint upgrades it to v2.
-fn v1_fixture(_: &Case, class: Class) {
-    let hex: String =
-        include_str!("fixtures/snapshot-v1.hex").split_whitespace().collect();
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("two hex digits per byte"))
-        .collect();
-    assert_eq!(sniff_version(&bytes), Some(SNAPSHOT_VERSION), "fixture is a v1 frame");
-    let store = Store::open(scratch("v1-fixture")).expect("store opens");
-    std::fs::write(store.snapshot_path(1), &bytes).unwrap();
-    std::fs::write(store.wal_path(1), wal_header()).unwrap();
-
-    let (live, view) = world();
-    let recovery = store.recover().expect("v1 fixture recovers");
-    assert_eq!((recovery.epoch, recovery.replayed, recovery.degraded()), (1, 0, false));
-    assert_eq!(recovery.view, view);
-    class.digests(&top10(&live), &top10(&recovery.engine));
-
-    store.checkpoint(&recovery.engine, &recovery.view, 2).expect("checkpoint succeeds");
-    let upgraded = std::fs::read(store.snapshot_path(2)).unwrap();
-    assert_eq!(sniff_version(&upgraded), Some(SNAPSHOT_V2), "new snapshots are v2");
-    let again = store.recover().expect("v2 snapshot recovers");
-    assert_eq!((again.epoch, &again.view), (2, &view));
-    class.digests(&top10(&live), &top10(&again.engine));
-    std::fs::remove_dir_all(store.dir()).ok();
 }
 
 /// The table as DESIGN.md §5 quotes it: one markdown row per route, then
