@@ -272,7 +272,8 @@ impl P2pSimulation {
     /// Persists one peer's local community slice — the agents it crawled
     /// firsthand — as a `semrec-store` checkpoint in `store`: the node's
     /// crash-recoverable warm start, written with the same snapshot format
-    /// the centralized engine uses.
+    /// the centralized engine uses. `None` for a URI that names no peer, as
+    /// with [`P2pSimulation::peer`]; the store is then left untouched.
     pub fn checkpoint_peer(
         &self,
         uri: &str,
@@ -280,11 +281,11 @@ impl P2pSimulation {
         taxonomy: Taxonomy,
         catalog: Catalog,
         epoch: u64,
-    ) -> semrec_store::Result<CheckpointReport> {
-        let peer = self.peer(uri).ok_or(semrec_store::Error::NoSnapshot)?;
+    ) -> Option<semrec_store::Result<CheckpointReport>> {
+        let peer = self.peer(uri)?;
         let (community, _) = assemble_community(peer.view(), taxonomy, catalog);
         let engine = Recommender::new(community, RecommenderConfig::default());
-        store.checkpoint(&engine, peer.view(), epoch)
+        Some(store.checkpoint(&engine, peer.view(), epoch))
     }
 }
 

@@ -7,13 +7,15 @@ use proptest::prelude::*;
 use semrec_core::{AgentId, Community, RecommenderConfig};
 use semrec_datagen::community::{generate_community, CommunityGenConfig};
 use semrec_taxonomy::fixtures::example1;
-use semrec_trust::appleseed::AppleseedParams;
+use semrec_trust::appleseed::{
+    appleseed, appleseed_partitioned, AppleseedParams, PartitionedResult,
+};
 use semrec_trust::neighborhood::NeighborhoodParams;
-use semrec_trust::TrustError;
+use semrec_trust::{CsrGraph, TrustError};
 
 use super::oracle::{bits, sharded_appleseed_reference};
-use super::{sharded_appleseed, Scratch, ShardedAppleseedResult, SourceAt};
-use crate::model::{Ghost, Shard, ShardedModel};
+use super::{sharded_appleseed, ShardedAppleseedResult};
+use crate::model::{Shard, ShardedModel};
 use crate::partition::{CommunityShardFn, GlobalId, HashShardFn, ShardFn};
 
 /// A partitioned universe, opened up the way `ShardedModel::trust_ranks`
@@ -70,6 +72,15 @@ impl Universe {
             &self.schedule,
         )
         .expect("valid parameters")
+    }
+
+    /// The kernel's full report, `residual` included, keyed as
+    /// `sharded_appleseed` keys it.
+    fn walk(&self, source: GlobalId, params: &AppleseedParams) -> PartitionedResult<GlobalId> {
+        let at = (self.shard_of(source), self.local_of[source.index()]);
+        let global = |shard: usize, local: u32| self.shards[shard].globals[local as usize];
+        appleseed_partitioned(&self.shards, at, params, &self.schedule, global)
+            .expect("valid parameters")
     }
 
     fn oracle(&self, source: GlobalId, params: &AppleseedParams) -> ShardedAppleseedResult {
@@ -315,8 +326,11 @@ fn edge_first_seen_after_the_cap_stays_rerouted() {
 /// v → x                         a real edge the other way
 /// ```
 ///
-/// Each round is played by hand after the kernel has run the rounds before
-/// it: every shard's compute phase, then the barrier.
+/// Once every node holds energy a round sends eight packets — x, y and u
+/// from shard 0; a, v and the source-bound sum from shard 1; x and the
+/// source-bound sum from shard 2 — where one per boundary edge and per
+/// forwarding node would send twelve. The kernel's barrier, played by hand
+/// round by round, is `semrec_trust::appleseed`'s test of the same name.
 #[test]
 fn one_packet_per_destination_node_and_source_per_round() {
     let (s, a, x, y, z, w, u, v) = (0, 1, 2, 3, 4, 5, 6, 7);
@@ -339,9 +353,10 @@ fn one_packet_per_destination_node_and_source_per_round() {
     let community = community(8, &edges);
     let universe =
         Universe::partition(&community, Arc::new(Placed(vec![0, 0, 1, 1, 1, 1, 2, 2])), 3);
-    let source = GlobalId(s as u32);
-    let remote_source = SourceAt::Remote(Ghost { shard: 0, local: universe.local_of[s] });
-    let mut summed = 0;
+    // Packets per round: the oracle's count after `rounds` rounds, less
+    // the count after one round fewer.
+    let mut per_round = Vec::new();
+    let mut sent = 0;
     for rounds in 1..=8 {
         let params = AppleseedParams {
             max_nodes: Some(2),
@@ -350,46 +365,12 @@ fn one_packet_per_destination_node_and_source_per_round() {
             max_iterations: rounds,
             ..Default::default()
         };
-        let mut scratch = Scratch::default();
-        scratch.run(&universe.shards, source, 0, universe.local_of[s], &params, &universe.schedule);
-        // What one packet per boundary edge and per forwarding node would
-        // send, and what this round sends.
-        let (mut per_edge, mut expected) = (0, 0);
-        for shard in 0..3 {
-            let source_at = if shard == 0 { SourceAt::Here } else { remote_source };
-            let wave = &mut scratch.waves[shard];
-            let active: Vec<usize> =
-                (0..wave.local.len()).filter(|&i| wave.energy_in[i] > 0.0).collect();
-            wave.compute_round(&universe.shards[shard], source_at, &params);
-            for &i in &active {
-                let star = wave.star[i];
-                if star.total_weight > 0.0 {
-                    per_edge += star.remote_end - star.remote_start + usize::from(shard != 0);
-                }
-            }
-            let mut pairs: Vec<(usize, u32)> = Vec::new();
-            for (dest, slots) in wave.outbound.iter().enumerate().take(3) {
-                let touched = slots.iter().filter(|&&slot| wave.ghost_touched[slot as usize]);
-                pairs.extend(touched.map(|&slot| (dest, wave.ghost_local[slot as usize])));
-            }
-            let distinct = pairs.len();
-            pairs.sort_unstable();
-            pairs.dedup();
-            assert_eq!(pairs.len(), distinct, "shard {shard} after {rounds} rounds");
-            if shard != 0 {
-                assert_eq!(wave.owes_source, !active.is_empty(), "shard {shard}, {rounds} rounds");
-            }
-            expected += distinct + usize::from(wave.owes_source);
-        }
-        let (packets, _) = scratch.exchange(3, 0, &params);
-        assert_eq!(packets, expected, "after {rounds} rounds");
-        assert!(packets <= per_edge);
-        summed = summed.max(per_edge - packets);
-        for wave in &scratch.waves {
-            assert!(wave.ghost_touched.iter().all(|&touched| !touched), "the barrier empties them");
-        }
+        let res = universe.check(GlobalId(s as u32), &params);
+        per_round.push(res.frontier_packets - sent);
+        sent = res.frontier_packets;
     }
-    assert!(summed >= 2, "some round summed both stars' shares for a and both nodes' for s");
+    assert!(per_round.iter().all(|&packets| packets <= 8), "{per_round:?}");
+    assert_eq!(per_round[4..], [8, 8, 8, 8], "{per_round:?}");
 }
 
 /// A resolved star holds addresses, not decisions about the far side:
@@ -475,4 +456,34 @@ fn reused_scratch_gives_the_result_of_a_fresh_one() {
         assert_eq!(reused, &fresh);
         assert_eq!(reused, &bits(&universe.oracle(s, &capped)));
     }
+}
+
+/// Monolith and sharded runs share one per-thread scratch: a large 8-shard
+/// run, a small monolith run, a 2-shard run and a large monolith run, back
+/// to back on this thread, so each finds waves and stamped tables left
+/// larger (or smaller) by a run of the other kind. Each sharded run must
+/// still equal the oracle, and each monolith run a one-shard run of the
+/// same world, `residual` included.
+#[test]
+fn monolith_and_sharded_runs_share_one_scratch() {
+    let (small, large) = (ring(9), ring(60));
+    let params = AppleseedParams { max_nodes: Some(7), distrust: true, ..Default::default() };
+    let monolith = |community: &Community, source: u32| {
+        let csr = CsrGraph::from_graph(&community.trust);
+        let run = appleseed(&csr, AgentId::from_index(source as usize), &params).unwrap();
+        let one = Universe::partition(community, Arc::new(HashShardFn), 1).walk(GlobalId(source), &params);
+        let ranks: Vec<_> =
+            run.ranks.iter().map(|&(a, r)| (GlobalId(a.index() as u32), r.to_bits())).collect();
+        let one_ranks: Vec<_> = one.ranks.iter().map(|&(g, r)| (g, r.to_bits())).collect();
+        assert_eq!(ranks, one_ranks, "source {source}");
+        assert_eq!(
+            (run.iterations, run.nodes_discovered, run.converged, run.residual.to_bits()),
+            (one.iterations, one.nodes_discovered, one.converged, one.residual.to_bits()),
+            "source {source}"
+        );
+    };
+    Universe::partition(&large, Arc::new(HashShardFn), 8).check(GlobalId(33), &params);
+    monolith(&small, 4);
+    Universe::partition(&small, Arc::new(HashShardFn), 2).check(GlobalId(0), &params);
+    monolith(&large, 33);
 }

@@ -9,13 +9,13 @@
 //! the unit of distribution.
 //!
 //! The load-bearing piece is **cross-shard Appleseed**
-//! ([`mod@crate::appleseed`]): spreading activation runs locally per
+//! ([`mod@crate::appleseed`]): `semrec-trust`'s one Appleseed kernel run
+//! with each shard as a partition. Spreading activation runs locally per
 //! shard, energy crossing a shard boundary is summed per destination node
 //! before the barrier, and lockstep exchange rounds deliver one packet per
 //! (sending shard, destination node) until the global residual converges.
-//! A query runs on its caller's thread over flat per-shard arenas in which
-//! each node's out-star is resolved once (the `semrec-trust` kernel's
-//! design, per shard), and the queries of a batch run in parallel. The protocol is deterministic
+//! A query runs on its caller's thread, and the queries of a batch run in
+//! parallel. The protocol is deterministic
 //! across compute-thread counts and shard scheduling order, bit-identical
 //! at every shard count to the straightforward loop kept as its test
 //! oracle — and at N=1 it degenerates to the exact global algorithm, byte

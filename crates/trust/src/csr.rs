@@ -35,6 +35,7 @@
 //! reassemble the graph with bulk copies instead of a per-edge parse.
 
 use crate::agent::AgentId;
+use crate::appleseed::{Partition, Trustee};
 use crate::error::{Result, TrustError};
 use crate::graph::TrustGraph;
 
@@ -238,17 +239,6 @@ impl CsrGraph {
         &self.out_weights[self.out_range(agent)]
     }
 
-    /// `|w|^p` parallel to [`CsrGraph::out_weights`], for the `p` of
-    /// [`CsrGraph::spreading_power`].
-    pub(crate) fn out_powered(&self, agent: AgentId) -> &[f64] {
-        &self.powered[self.out_range(agent)]
-    }
-
-    /// The sums of `agent`'s powered trust and powered distrust statements.
-    pub(crate) fn powered_sums(&self, agent: AgentId) -> (f64, f64) {
-        self.powered_sums[agent.index()]
-    }
-
     /// The exponent the powered weights are derived for.
     pub fn spreading_power(&self) -> f64 {
         self.spreading_power
@@ -300,6 +290,40 @@ impl CsrGraph {
             * std::mem::size_of::<u32>()
             + (self.out_weights.len() + self.powered.len()) * std::mem::size_of::<f64>()
             + self.powered_sums.len() * std::mem::size_of::<(f64, f64)>()
+    }
+}
+
+/// The whole graph as the Appleseed kernel's one partition: its members the
+/// agents, its stars the rows with `|w|^p` and the sums frozen for
+/// [`CsrGraph::spreading_power`], no ghosts.
+impl Partition for CsrGraph {
+    const GHOSTS: bool = false;
+
+    fn members(&self) -> usize {
+        self.agent_count()
+    }
+
+    fn ghosts(&self) -> usize {
+        0
+    }
+
+    fn ghost(&self, _: u32) -> (usize, u32) {
+        unreachable!("a whole graph has no ghosts")
+    }
+
+    fn frozen_power(&self) -> f64 {
+        self.spreading_power
+    }
+
+    fn sums(&self, member: u32) -> (f64, f64) {
+        self.powered_sums[member as usize]
+    }
+
+    fn star(&self, member: u32) -> impl Iterator<Item = (f64, f64, Trustee)> + Clone + '_ {
+        let row = self.out_range(AgentId(member));
+        let statements = self.out_targets[row.clone()].iter().zip(&self.out_weights[row.clone()]);
+        let statements = statements.zip(&self.powered[row]);
+        statements.map(|((&succ, &w), &pw)| (w, pw, Trustee::Member(succ)))
     }
 }
 

@@ -3,9 +3,9 @@
 //!
 //! Every per-thread scratch in the workspace that maps dense ids to small
 //! integers for the span of one query is a [`StampedIndex`]: the Appleseed
-//! kernel's agent → wave-index table, the sharded kernel's member →
-//! wave-index and ghost → slot tables, the vote tally's product → slot
-//! table and the spreading ranker's agent → universe-index table.
+//! kernel's member → wave-index and ghost → slot tables, the vote tally's
+//! product → slot table and the spreading ranker's agent → universe-index
+//! table.
 //!
 //! **The idiom.** Beside each value sits the *generation* that wrote it, and
 //! a value is present iff its stamp equals the current generation. Starting

@@ -36,7 +36,7 @@ use crate::error::Error;
 use crate::extract::{extract_agents, ExtractedAgent};
 use crate::fault::{FetchError, FetchSource};
 use crate::policy::{BreakerState, CircuitBreaker, FetchPolicy};
-use crate::publish::homepage_uri;
+use crate::publish::{homepage_of, homepage_uri};
 use crate::store::DocumentWeb;
 
 /// Crawler configuration.
@@ -320,11 +320,12 @@ pub fn crawl_with(
                         result.reused += 1;
                     }
                     for agent in extracted.iter() {
-                        for link in agent.see_also.iter().cloned().chain(
-                            agent.knows.iter().map(|k| homepage_uri(k)),
-                        ) {
-                            if visited.insert(link.clone()) {
-                                next.push(link);
+                        // A link already seen costs a lookup, not a `String`.
+                        let links = agent.see_also.iter().map(String::as_str);
+                        for link in links.chain(agent.knows.iter().map(|k| homepage_of(k))) {
+                            if !visited.contains(link) {
+                                visited.insert(link.to_owned());
+                                next.push(link.to_owned());
                             }
                         }
                         agents.entry(agent.uri.clone()).or_insert_with(|| agent.clone());

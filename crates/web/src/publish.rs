@@ -19,10 +19,12 @@ use semrec_trust::AgentId;
 
 /// Derives the homepage *document* URI from an agent URI (fragment stripped).
 pub fn homepage_uri(agent_uri: &str) -> String {
-    match agent_uri.find('#') {
-        Some(pos) => agent_uri[..pos].to_owned(),
-        None => agent_uri.to_owned(),
-    }
+    homepage_of(agent_uri).to_owned()
+}
+
+/// [`homepage_uri`] without the allocation: `agent_uri` up to its fragment.
+pub(crate) fn homepage_of(agent_uri: &str) -> &str {
+    agent_uri.split_once('#').map_or(agent_uri, |(page, _)| page)
 }
 
 /// Builds the RDF graph of one agent's homepage.

@@ -44,7 +44,7 @@ use common::{
     apply, arb_op, arb_world, digest, publish, render, scratch, top10, Digest, Op, World,
 };
 
-use Class::{Bits, Eps, Na, TopKSet};
+use Class::{Bits, Eps, Na};
 
 /// How closely a route's answers must match the reference's.
 #[derive(Clone, Copy, Debug)]
@@ -56,8 +56,6 @@ enum Class {
     /// the bound, or two products both within the bound of the list's last
     /// score (a tie at the cut-off, reordered).
     Eps(f64, &'static str),
-    /// The same products, apart from those within 1e-6 of the cut-off.
-    TopKSet(&'static str),
     /// Not required.
     Na(&'static str),
 }
@@ -66,7 +64,7 @@ impl Class {
     fn reason(self) -> Option<&'static str> {
         match self {
             Bits => None,
-            Eps(_, why) | TopKSet(why) | Na(why) => Some(why),
+            Eps(_, why) | Na(why) => Some(why),
         }
     }
 
@@ -81,14 +79,6 @@ impl Class {
                     let tie = (w.1 - cutoff).abs() <= bound && (g.1 - cutoff).abs() <= bound;
                     (w.0 == g.0 && (w.1 - g.1).abs() <= bound) || tie
                 }),
-                TopKSet(_) => {
-                    let outside = |list: &[(K, f64)], other: &[(K, f64)]| {
-                        list.iter()
-                            .filter(|e| (e.1 - cutoff).abs() > 1e-6)
-                            .all(|e| other.iter().any(|o| o.0 == e.0))
-                    };
-                    outside(want, got) && outside(got, want)
-                }
                 Na(_) => true,
             }
     }
@@ -115,7 +105,6 @@ impl fmt::Display for Class {
         match self {
             Bits => write!(f, "Bits"),
             Eps(bound, _) => write!(f, "Eps({bound:e})"),
-            TopKSet(_) => write!(f, "TopKSet"),
             Na(_) => write!(f, "Na"),
         }
     }
@@ -512,16 +501,14 @@ fn design_quotes_the_table() {
 
 /// What each class admits, on hand-made lists: a reordered tie at the
 /// cut-off is `Eps` but not `Bits`; a reordering above the cut-off is
-/// `TopKSet` but not `Eps`.
+/// neither.
 #[test]
 fn classes_are_ordered() {
     let want = [(1, 0.9), (2, 0.5), (3, 0.1), (4, 0.1)];
     let tie = [(1, 0.9), (2, 0.5), (4, 0.1), (3, 0.1)];
     let swapped = [(2, 0.9), (1, 0.5), (3, 0.1), (4, 0.1)];
-    let set = TopKSet("");
     assert!(Bits.lists(&want, &want) && !Bits.lists(&want, &tie));
     assert!(Eps(1e-6, "").lists(&want, &tie) && !Eps(1e-6, "").lists(&want, &swapped));
-    assert!(set.lists(&want, &swapped) && !set.lists(&want, &[(5, 0.9), (2, 0.5), (3, 0.1), (4, 0.1)]));
 }
 
 /// The second sharding divergence, pinned: the N-shard row's check under

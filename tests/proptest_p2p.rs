@@ -129,7 +129,14 @@ fn per_peer_checkpoints_recover_the_local_slice() {
 
     let store = Store::open(scratch("p2p-checkpoint")).unwrap();
     let e = example1();
-    let report = sim.checkpoint_peer(&uris[0], &store, e.fig.taxonomy, e.catalog, 1).unwrap();
+    let unknown = "http://nowhere.example.org/nobody#me";
+    assert!(sim.checkpoint_peer(unknown, &store, e.fig.taxonomy, e.catalog, 1).is_none());
+    let written = std::fs::read_dir(store.dir()).unwrap().count();
+    assert_eq!(written, 0, "an unknown peer writes nothing to the store");
+
+    let e = example1();
+    let report =
+        sim.checkpoint_peer(&uris[0], &store, e.fig.taxonomy, e.catalog, 1).unwrap().unwrap();
     assert!(report.snapshot_bytes > 0);
 
     let recovery = store.recover().unwrap();
